@@ -30,6 +30,7 @@ from .opt_oracles import (
     OracleResult,
     opt_dm_threshold,
     opt_score,
+    opt_scores,
     partitions_into_k,
     stirling2,
 )

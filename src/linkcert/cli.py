@@ -42,7 +42,7 @@ from .metric_core import (
     dump_instance,
     load_instance,
 )
-from .opt_oracles import DEFAULT_N_MAX, opt_score
+from .opt_oracles import DEFAULT_N_MAX, opt_score, opt_scores
 
 __all__ = ["main", "BoundReport"]
 
@@ -160,7 +160,7 @@ def _certify_one(D: DistanceMatrix, method: str, k: int, target_arg: str,
     dg = run_linkage(method, D)
     achieved = _achieved(dg, D, k)
     file_target = None
-    if target_arg not in ("oracle", "oracle-av", "oracle-dm"):
+    if target_arg != "oracle":
         file_target = load_target(target_arg, D.n)
         if file_target.k != k:
             raise PreconditionError(
@@ -169,8 +169,8 @@ def _certify_one(D: DistanceMatrix, method: str, k: int, target_arg: str,
     oracle = bounds = ratios = None
     av_target = dm_target = file_target
     if file_target is None:
-        res_av = opt_score("avg-diam", D, k, n_max=n_max)
-        res_dm = opt_score("max-diam", D, k, n_max=n_max)
+        res = opt_scores(D, k, n_max=n_max)
+        res_av, res_dm = res["avg-diam"], res["max-diam"]
         oracle = {"opt_av": res_av.value, "opt_dm": res_dm.value}
         av_target, dm_target = res_av.witness, res_dm.witness
     else:
@@ -257,24 +257,29 @@ def cmd_certify(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(key: str, text: str) -> list[int]:
     out: list[int] = []
     for tok in text.split():
-        if ".." in tok:
-            a, b = tok.split("..")
-            out.extend(range(int(a), int(b) + 1))
-        else:
-            out.append(int(tok))
+        try:
+            if ".." in tok:
+                a, b = tok.split("..")
+                out.extend(range(int(a), int(b) + 1))
+            else:
+                out.append(int(tok))
+        except ValueError:
+            raise PreconditionError(
+                f"bad integer or range {tok!r} for {key!r} in sweep config") from None
     return out
 
 
-def _sweep_cells(cfg: configparser.ConfigParser) -> list[dict]:
+def _sweep_units(cfg: configparser.ConfigParser) -> list[dict]:
+    """One unit of work per (generator, n, dim, seed, k), all methods inside."""
     grid = cfg["grid"]
     gens = grid.get("generators", "euclidean").split()
-    ns = _parse_int_list(grid.get("ns", "8"))
-    dims = _parse_int_list(grid.get("dims", "2"))
-    seeds = _parse_int_list(grid.get("seeds", "0"))
-    ks = _parse_int_list(grid.get("ks", "2"))
+    ns = _parse_int_list("ns", grid.get("ns", "8"))
+    dims = _parse_int_list("dims", grid.get("dims", "2"))
+    seeds = _parse_int_list("seeds", grid.get("seeds", "0"))
+    ks = _parse_int_list("ks", grid.get("ks", "2"))
     methods = grid.get("methods", "CL").split()
     for m in methods:
         if m not in METHODS:
@@ -284,40 +289,46 @@ def _sweep_cells(cfg: configparser.ConfigParser) -> list[dict]:
     certs_on = cfg.getboolean("certificates", "enabled", fallback=False)
     if certs_on and not oracle_on:
         raise PreconditionError("certificates.enabled requires oracle.enabled")
-    cells = []
+    units = []
     for gen in gens:
         if gen not in ("euclidean", "metric"):
             raise PreconditionError(f"unknown generator {gen!r} in sweep config")
         for n in ns:
             for dim in (dims if gen == "euclidean" else [0]):
                 for seed in seeds:
-                    for method in methods:
-                        for k in ks:
-                            if k > n:
-                                continue
-                            cells.append({
-                                "generator": gen, "n": n, "dim": dim,
-                                "seed": seed, "method": method, "k": k,
-                                "oracle": oracle_on and n <= oracle_n_max,
-                                "oracle_n_max": oracle_n_max,
-                                "certificates": certs_on and n <= oracle_n_max,
-                            })
-    cells.sort(key=lambda c: (c["generator"], c["n"], c["dim"], c["seed"],
-                              c["method"], c["k"]))
-    return cells
+                    for k in ks:
+                        if k > n:
+                            continue
+                        units.append({
+                            "generator": gen, "n": n, "dim": dim,
+                            "seed": seed, "k": k, "methods": methods,
+                            "oracle": oracle_on and n <= oracle_n_max,
+                            "oracle_n_max": oracle_n_max,
+                            "certificates": certs_on and n <= oracle_n_max,
+                        })
+    units.sort(key=lambda u: (u["generator"], u["n"], u["dim"], u["seed"], u["k"]))
+    return units
 
 
-def _sweep_cell(cell: dict) -> dict:
-    if cell["generator"] == "euclidean":
-        D = gen_random_euclidean(cell["n"], cell["dim"], cell["seed"])
+def _sweep_unit(unit: dict) -> list[dict]:
+    """Rows of every method on one (instance, k), sharing one oracle pass."""
+    if unit["generator"] == "euclidean":
+        D = gen_random_euclidean(unit["n"], unit["dim"], unit["seed"])
     else:
-        D = gen_random_metric(cell["n"], cell["seed"])
-    method, k = cell["method"], cell["k"]
+        D = gen_random_metric(unit["n"], unit["seed"])
+    optima = (opt_scores(D, unit["k"], n_max=unit["oracle_n_max"])
+              if unit["oracle"] else None)
+    return [_sweep_row(unit, D, method, optima) for method in unit["methods"]]
+
+
+def _sweep_row(unit: dict, D: DistanceMatrix, method: str,
+               optima: dict | None) -> dict:
+    k = unit["k"]
     dg = run_linkage(method, D)
     achieved = _achieved(dg, D, k)
     row = {
-        "generator": cell["generator"], "n": cell["n"],
-        "dim": cell["dim"] or "", "seed": cell["seed"],
+        "generator": unit["generator"], "n": unit["n"],
+        "dim": unit["dim"] or "", "seed": unit["seed"],
         "method": method, "k": k,
         "max_diam": achieved["max-diam"], "avg_diam": achieved["avg-diam"],
         "max_avg": achieved["max-avg"], "max_radius": achieved["max-radius"],
@@ -325,10 +336,9 @@ def _sweep_cell(cell: dict) -> dict:
         "bound_ok": "", "cert_alg1_pass": "", "cert_alg1_fail": "",
         "cert_alg2_pass": "", "cert_alg2_fail": "", "cert_ok": "",
     }
-    if not cell["oracle"]:
+    if optima is None:
         return row
-    res_av = opt_score("avg-diam", D, k, n_max=cell["oracle_n_max"])
-    res_dm = opt_score("max-diam", D, k, n_max=cell["oracle_n_max"])
+    res_av, res_dm = optima["avg-diam"], optima["max-diam"]
     row["opt_av"], row["opt_dm"] = res_av.value, res_dm.value
     avg_based = k ** (P_EXP + 1) * res_av.value
     row["bound_avg_based"] = avg_based
@@ -344,7 +354,7 @@ def _sweep_cell(cell: dict) -> dict:
         row["bound_ok"] = achieved["max-avg"] <= avg_based * tol
     elif method == "MM":
         row["bound_ok"] = achieved["max-radius"] <= avg_based * tol
-    if cell["certificates"] and method == "CL":
+    if unit["certificates"] and method == "CL":
         t1 = alg1_trace(D, dg, res_av.witness)
         b1 = alg1_bound(t1, dg, D)
         p1, f1 = t1.assertion_counts
@@ -371,12 +381,16 @@ def cmd_sweep(args) -> int:
     cfg = configparser.ConfigParser()
     if not cfg.read(args.config):
         raise PreconditionError(f"cannot read sweep config {args.config!r}")
-    cells = _sweep_cells(cfg)
-    if args.workers > 1 and len(cells) > 1:
+    units = _sweep_units(cfg)
+    if args.workers > 1 and len(units) > 1:
         with Pool(processes=args.workers) as pool:
-            rows = pool.map(_sweep_cell, cells)
+            per_unit = pool.map(_sweep_unit, units)
     else:
-        rows = [_sweep_cell(c) for c in cells]
+        per_unit = [_sweep_unit(u) for u in units]
+    # One row per (generator, n, dim, seed, method, k) cell, in that key order.
+    rows = sorted((row for rows in per_unit for row in rows),
+                  key=lambda r: (r["generator"], r["n"], r["dim"] or 0, r["seed"],
+                                 r["method"], r["k"]))
     os.makedirs(args.out_dir, exist_ok=True)
     csv_name = cfg.get("output", "csv", fallback="sweep.csv")
     path = os.path.join(args.out_dir, csv_name)

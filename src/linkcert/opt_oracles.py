@@ -1,12 +1,14 @@
 """Exhaustive optimal-clustering oracles (reference values for bound checks).
 
-``opt_score`` enumerates every partition of 0..n-1 into exactly k nonempty
-blocks in restricted-growth-string order and keeps the first minimum it sees.
-There is deliberately no branch-and-bound: the point of the oracle is to be
-too simple to be wrong, so every one of the S(n, k) partitions is visited
-(block diameters are maintained incrementally, which changes the constant
-factor but not the set of partitions examined).  A size guard refuses n
-beyond ``n_max`` unless explicitly overridden.
+``opt_scores`` enumerates every partition of 0..n-1 into exactly k nonempty
+blocks in restricted-growth-string order, once, and scores each partition for
+both ``max-diam`` and ``avg-diam``; each objective keeps the first minimum it
+sees.  ``opt_score`` selects one of the two results.  There is deliberately
+no branch-and-bound: the point of the oracle is to be too simple to be wrong,
+so every one of the S(n, k) partitions is visited (block diameters are
+maintained incrementally, which changes the constant factor but not the set
+of partitions examined).  A size guard refuses n beyond ``n_max`` unless
+explicitly overridden.
 
 ``opt_dm_threshold`` is an independent second oracle for the max-diameter
 objective: the optimum equals the smallest distance threshold t such that
@@ -35,6 +37,7 @@ __all__ = [
     "OracleResult",
     "partitions_into_k",
     "opt_score",
+    "opt_scores",
     "opt_dm_threshold",
     "stirling2",
 ]
@@ -117,34 +120,38 @@ def partitions_into_k(n: int, k: int, n_max: int = DEFAULT_N_MAX,
     yield from rec(1)
 
 
-def opt_score(score: str, D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
-              allow_large: bool = False) -> OracleResult:
-    """Exact optimum of a clustering score over all k-clusterings.
+def opt_scores(D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
+               allow_large: bool = False) -> dict[str, OracleResult]:
+    """Exact optima of both oracle scores over all k-clusterings, in one pass.
 
-    Supports "max-diam" and "avg-diam".  Ties keep the first witness in
-    enumeration order (strict improvement replaces).
+    Returns ``{"max-diam": ..., "avg-diam": ...}``.  Every partition is
+    scored for both objectives; each keeps the first witness in enumeration
+    order (strict improvement replaces), so both results report S(n, k).
     """
-    if score not in ORACLE_SCORES:
-        raise PreconditionError(f"oracle supports {ORACLE_SCORES}, got {score!r}")
     n = D.n
     _check_guard(n, k, n_max, allow_large)
     M = D.full.tolist()  # python floats: much faster scalar access than ndarray
-    avg = score == "avg-diam"
 
-    best_val = math.inf
-    best_blocks: list[list[int]] | None = None
+    best_av = best_dm = math.inf
+    blocks_av: list[list[int]] | None = None
+    blocks_dm: list[list[int]] | None = None
     count = 0
     blocks: list[list[int]] = [[0]]
     diams: list[float] = [0.0]
 
     def rec(i: int, dsum: float, dmax: float) -> None:
-        nonlocal best_val, best_blocks, count
+        nonlocal best_av, best_dm, blocks_av, blocks_dm, count
         if i == n:
             count += 1
-            val = dsum / k if avg else dmax
-            if val < best_val:
-                best_val = val
-                best_blocks = [list(b) for b in blocks]
+            # Compare the averages, not the sums: dividing by k can round two
+            # different sums to one value, and then the earlier witness wins.
+            av = dsum / k
+            if av < best_av:
+                best_av = av
+                blocks_av = [list(b) for b in blocks]
+            if dmax < best_dm:
+                best_dm = dmax
+                blocks_dm = [list(b) for b in blocks]
             return
         used = len(blocks)
         row = M[i]
@@ -170,16 +177,30 @@ def opt_score(score: str, D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
             diams.pop()
 
     if n == 1:
-        best_val, best_blocks, count = 0.0, [[0]], 1
+        blocks_av, blocks_dm, count = [[0]], [[0]], 1
     else:
         rec(1, 0.0, 0.0)
-    witness = Clustering.from_blocks(best_blocks, n)
-    # Recompute the value from the witness so it matches clustering_score
-    # bit-for-bit; the incremental sums used during the search can differ
-    # from the canonical evaluation by final-ulp rounding.
-    value = clustering_score(score, witness, D)
-    return OracleResult(score=score, k=k, value=value,
-                        witness=witness, enumerated=count)
+    out = {}
+    for score, best_blocks in (("max-diam", blocks_dm), ("avg-diam", blocks_av)):
+        witness = Clustering.from_blocks(best_blocks, n)
+        # Recompute the value from the witness so it matches clustering_score
+        # bit-for-bit; the incremental sums used during the search can differ
+        # from the canonical evaluation by final-ulp rounding.
+        out[score] = OracleResult(score=score, k=k,
+                                  value=clustering_score(score, witness, D),
+                                  witness=witness, enumerated=count)
+    return out
+
+
+def opt_score(score: str, D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
+              allow_large: bool = False) -> OracleResult:
+    """Exact optimum of one oracle score ("max-diam" or "avg-diam").
+
+    Selects one result of ``opt_scores``, so its cost is the joint pass.
+    """
+    if score not in ORACLE_SCORES:
+        raise PreconditionError(f"oracle supports {ORACLE_SCORES}, got {score!r}")
+    return opt_scores(D, k, n_max=n_max, allow_large=allow_large)[score]
 
 
 def _clique_cover_number(adj: list[int], verts: list[int]) -> int:

@@ -34,7 +34,7 @@ from linkcert import (
     gen_single_link_adversary,
     linkage_distance,
     opt_dm_threshold,
-    opt_score,
+    opt_scores,
     run_linkage,
     sample_ineq_2,
     sample_ineq_avg,
@@ -87,10 +87,8 @@ def oracle(grid):
     for inst in grid:
         per_k = {}
         for k in K_RANGE:
-            per_k[k] = {
-                "av": opt_score("avg-diam", inst["D"], k),
-                "dm": opt_score("max-diam", inst["D"], k),
-            }
+            res = opt_scores(inst["D"], k)
+            per_k[k] = {"av": res["avg-diam"], "dm": res["max-diam"]}
         results[inst["name"]] = per_k
     elapsed = time.perf_counter() - t0
     return {"results": results, "elapsed": elapsed}

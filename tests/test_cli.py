@@ -139,6 +139,12 @@ class TestCertify:
         assert manifest["command"] == "certify"
         assert any(f["assertion"] == "p4" for f in manifest["failures"])
 
+    def test_oracle_alias_is_not_a_target(self, tmp_path, euclidean_instance):
+        # only the literal "oracle" selects oracle witnesses; anything else
+        # is a clustering file path
+        assert run_cli("--out-dir", tmp_path, "certify", "--instance",
+                       euclidean_instance, "--k", 3, "--target", "oracle-av") == 2
+
     def test_oracle_guard_exits_4(self, tmp_path, euclidean_instance):
         assert run_cli("--out-dir", tmp_path, "--n-max-oracle", 7, "certify",
                        "--instance", euclidean_instance, "--k", 3) == 4
@@ -202,10 +208,43 @@ csv = out.csv
         cl_rows = [r for r in rows if r["method"] == "CL"]
         assert all(r["cert_ok"] == "true" for r in cl_rows)
 
+    def test_all_methods_share_one_oracle_per_instance_and_k(self, tmp_path,
+                                                              capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.CONFIG.replace("generators = euclidean",
+                                           "generators = metric euclidean")
+                                  .replace("ks = 2 3", "ks = 3 2")
+                                  .replace("methods = CL AL", "methods = CL AL MM"))
+        assert run_cli("--out-dir", tmp_path, "sweep", "--config", cfg) == 0
+        with open(tmp_path / "out.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # 2 generators * 2 ns * 2 seeds * 3 methods * 2 ks
+        assert len(rows) == 48
+        keys = [(r["generator"], int(r["n"]), int(r["dim"] or 0), int(r["seed"]),
+                 r["method"], int(r["k"])) for r in rows]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        optima = {}
+        for key, row in zip(keys, rows):
+            question = key[:4] + key[5:]  # (generator, n, dim, seed, k)
+            optima.setdefault(question, set()).add((row["opt_av"], row["opt_dm"]))
+        assert len(optima) == 16
+        for values in optima.values():
+            assert len(values) == 1
+            (opt_av, opt_dm), = values
+            assert opt_av and opt_dm
+
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[grid]\nmethods = ward\n")
         assert run_cli("--out-dir", tmp_path, "sweep", "--config", cfg) == 2
+
+    @pytest.mark.parametrize("line", ["ks = x", "ns = 3..", "ks = 1..2..3"])
+    def test_bad_integer_list_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[grid]\n{line}\n")
+        assert run_cli("--out-dir", tmp_path, "sweep", "--config", cfg) == 2
+        assert "sweep config" in capsys.readouterr().err
 
     def test_certificates_require_oracle(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

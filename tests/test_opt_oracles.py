@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from linkcert import (
+    Clustering,
     DistanceMatrix,
     PreconditionError,
     ResourceGuardError,
     clustering_score,
+    gen_random_metric,
     opt_dm_threshold,
     opt_score,
+    opt_scores,
 )
 from linkcert.opt_oracles import partitions_into_k, stirling2
 
@@ -140,6 +143,59 @@ class TestOptScore:
         res = opt_score("max-diam", line4, 1)
         assert res.value == 11.0
         assert res.witness.to_json() == [[0, 1, 2, 3]]
+
+
+def brute_force_optima(D, k):
+    """Score every partition with clustering_score; keep each first strict minimum."""
+    best = {"max-diam": None, "avg-diam": None}
+    count = 0
+    for blocks in partitions_into_k(D.n, k):
+        count += 1
+        C = Clustering.from_blocks(blocks, D.n)
+        for score, cur in best.items():
+            v = clustering_score(score, C, D)
+            if cur is None or v < cur[0]:
+                best[score] = (v, C.to_json())
+    return best, count
+
+
+def oracle_instances(n):
+    """Random Euclidean, shortest-path, tie-heavy integer-line and all-equal."""
+    rng = np.random.default_rng(700 + n)
+    yield random_euclidean(n, seed=n)
+    yield random_euclidean(n, seed=100 + n, dim=3)
+    yield gen_random_metric(n, seed=n)
+    yield line_metric(rng.integers(0, 4, size=n))
+    yield DistanceMatrix.from_full(np.ones((n, n)) - np.eye(n))
+
+
+class TestOptScores:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_brute_force(self, n):
+        for D in oracle_instances(n):
+            for k in range(1, min(n, 5) + 1):
+                got = opt_scores(D, k)
+                expected, count = brute_force_optima(D, k)
+                assert count == stirling2(n, k)
+                assert set(got) == {"max-diam", "avg-diam"}
+                for score, (value, witness) in expected.items():
+                    res = got[score]
+                    assert (res.score, res.k) == (score, k)
+                    assert res.value == value
+                    assert res.witness.to_json() == witness
+                    assert res.enumerated == count
+
+    def test_opt_score_selects_from_joint_pass(self):
+        D = random_euclidean(7, seed=3)
+        both = opt_scores(D, 3)
+        for score in ("max-diam", "avg-diam"):
+            assert opt_score(score, D, 3) == both[score]
+
+    def test_guard(self):
+        with pytest.raises(ResourceGuardError):
+            opt_scores(random_euclidean(15, seed=0), 3)
+        with pytest.raises(PreconditionError):
+            opt_scores(random_euclidean(4, seed=0), 5)
 
 
 class TestThresholdOracle:
