@@ -124,16 +124,6 @@ class PureLedger:
     tags: dict[int, tuple] = field(default_factory=dict)
     counts: dict[int, int] = field(default_factory=dict)
 
-    def tag_of(self, cid: int) -> tuple:
-        return self.tags[cid]
-
-    def count_of(self, fid: int) -> int:
-        return self.counts[fid]
-
-    def pure_family(self, cid: int) -> int | None:
-        tag = self.tags.get(cid)
-        return tag[1] if tag and tag[0] == "pure" else None
-
 
 @dataclass
 class ComponentState:

@@ -30,6 +30,8 @@ from .metric_core import (
     Clustering,
     DistanceMatrix,
     PreconditionError,
+    _BLOCK_ELEMENTS,
+    _row_blocks,
     validate_metric,
 )
 
@@ -133,12 +135,21 @@ def gen_random_metric(n: int, seed: int) -> DistanceMatrix:
     W = rng.uniform(0.1, 1.1, size=(n, n))
     W = np.minimum(W, W.T)
     np.fill_diagonal(W, 0.0)
+    return DistanceMatrix.from_full(_minplus_closure(W))
+
+
+def _minplus_closure(W: np.ndarray, budget: int = _BLOCK_ELEMENTS) -> np.ndarray:
+    """Iterate W <- min(W, W (min,+) W) to an exact fixpoint, by blocks of
+    rows so each step's temporary holds about ``budget`` elements, not n^3."""
+    n = W.shape[0]
     while True:
-        T = np.minimum(W, (W[:, :, None] + W[None, :, :]).min(axis=1))
+        T = np.empty_like(W)
+        for lo, hi in _row_blocks(n, budget):
+            T[lo:hi] = np.minimum(W[lo:hi],
+                                  (W[lo:hi, :, None] + W[None, :, :]).min(axis=1))
         if np.array_equal(T, W):
-            break
+            return W
         W = T
-    return DistanceMatrix.from_full(W)
 
 
 def write_adversary(inst: AdversaryInstance, path, sidecar_path=None) -> str:

@@ -7,6 +7,11 @@ n-1 iterations merges the active pair with the smallest method value; ties
 (exact float equality) go to the lexicographically least pair keyed by
 (smaller min-member id, other min-member id).  The cluster born at iteration
 j (1-based) gets id n-1+j; points are 0..n-1.
+
+The engine (Muellner's "generic" algorithm, arXiv:1109.2378) works in place
+on one n x n value matrix whose slot i always holds the cluster with min
+member i, and caches each row's nearest neighbour, so a run costs O(n^2)
+memory and typically O(n^2) time.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .metric_core import (
     Clustering,
     DistanceMatrix,
     PreconditionError,
+    StructuralError,
     as_cluster,
     cohesion,
 )
@@ -140,13 +146,33 @@ def union_diameter_rule(A, B, D: DistanceMatrix) -> float:
     return cohesion("diam", set(A) | set(B), D)
 
 
+def _scan_row(V: np.ndarray, i: int, nn: np.ndarray, mind: np.ndarray) -> None:
+    """Cache the first argmin of V[i, j] over j > i (retired columns hold inf)."""
+    row = V[i, i + 1:]
+    j = int(row.argmin())
+    nn[i] = i + 1 + j
+    mind[i] = row[j]
+
+
 def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrogram:
     """Run the full agglomeration (n-1 merges) and return the dendrogram.
+
+    One n x n value matrix V is updated in place.  A merged cluster keeps the
+    slot of its smaller min-member and the other slot is retired (its column
+    set to inf), so every live slot index is its cluster's min member and the
+    tie key is the plain (row, col) pair, row < col.  Each row i caches the
+    first argmin ``nn[i]`` of V[i, j] over live j > i and its value
+    ``mind[i]``; the first row attaining ``min(mind)`` and its cached column
+    are then the lexicographically least minimal pair.  A merge rewrites one
+    row and column and rescans only rows whose cached neighbour was merged,
+    so a typical run takes O(n^2) time; memory is O(n^2) (V, plus the
+    cross-sum matrix for AL).
 
     CL/SL rows are updated by max/min, so their stored values are exact
     originals from D.  AL keeps exact cross-distance sums and divides at
     lookup.  MM and custom values are recomputed from the point matrix for
-    every affected pair.
+    the merged cluster against every other live cluster, custom as
+    ``f(merged, other, D)``.
     """
     n = D.n
     if n < 2:
@@ -161,66 +187,78 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
     M = D.full
     members: list[frozenset[int]] = [frozenset([i]) for i in range(n)]
     ids = list(range(n))
-    minmem = list(range(n))
     if method == "custom":
         V = np.full((n, n), np.inf)
         for i in range(n):
             for j in range(i + 1, n):
                 V[i, j] = V[j, i] = f(members[i], members[j], D)
+        if np.isnan(V).any():
+            raise PreconditionError("pair function returned NaN")
     else:
         V = M.copy()
         np.fill_diagonal(V, np.inf)
     S = M.copy() if method == "AL" else None  # exact cross-distance sums
     sizes = np.ones(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    nn = np.full(n, -1, dtype=np.intp)  # -1: retired slot, or the last row
+    mind = np.full(n, np.inf)
+    for i in range(n - 1):
+        _scan_row(V, i, nn, mind)
 
     merges: list[MergeRecord] = []
     for it in range(1, n):
-        m = V.min()
-        cand = np.argwhere(V == m)
-        best = None
-        for i, j in cand:
-            if i >= j:
-                continue
-            a, b = minmem[i], minmem[j]
-            key = (min(a, b), max(a, b))
-            if best is None or key < best[0]:
-                best = (key, int(i), int(j))
-        _, i, j = best
-        new_members = members[i] | members[j]
+        a = int(mind.argmin())
+        if mind[a] == np.inf:  # every live pair is at inf: take the first two
+            a, b = (int(c) for c in np.flatnonzero(active)[:2])
+        else:
+            b = int(nn[a])
         new_id = n - 1 + it
-        if minmem[i] <= minmem[j]:
-            left, right = ids[i], ids[j]
-        else:
-            left, right = ids[j], ids[i]
-        merges.append(MergeRecord(left=left, right=right, value=float(m),
+        merges.append(MergeRecord(left=ids[a], right=ids[b], value=float(V[a, b]),
                                   result=new_id, iteration=it))
+        ids[a] = new_id
+        active[b] = False
+        nn[b], mind[b] = -1, np.inf
+        sizes[a] += sizes[b]
+        members[a] = members[a] | members[b]
 
-        keep = [c for c in range(len(ids)) if c != i and c != j]
         if method == "CL":
-            newrow = np.maximum(V[i], V[j])[keep]
+            row = np.maximum(V[a], V[b])
         elif method == "SL":
-            newrow = np.minimum(V[i], V[j])[keep]
+            row = np.minimum(V[a], V[b])
         elif method == "AL":
-            news = (S[i] + S[j])[keep]
-            newrow = news / (len(new_members) * sizes[keep])
-        elif method == "MM":
-            newrow = np.array([_minimax(new_members | members[c], D) for c in keep])
+            S[a] += S[b]
+            S[:, a] = S[a]
+            row = S[a] / (sizes[a] * sizes)
         else:
-            newrow = np.array([float(f(new_members, members[c], D)) for c in keep])
+            row = np.full(n, np.inf)
+            for c in np.flatnonzero(active):
+                if c == a:
+                    continue
+                if method == "MM":
+                    row[c] = _minimax(members[a] | members[c], D)
+                else:
+                    row[c] = float(f(members[a], members[c], D))
+            if np.isnan(row).any():
+                raise PreconditionError("pair function returned NaN")
+        row[~active] = np.inf
+        row[a] = np.inf
+        V[a] = row
+        V[:, a] = row
+        V[:, b] = np.inf
 
-        V = V[np.ix_(keep, keep)]
-        V = np.pad(V, ((0, 1), (0, 1)), constant_values=np.inf)
-        V[-1, :-1] = newrow
-        V[:-1, -1] = newrow
-        if method == "AL":
-            S = S[np.ix_(keep, keep)]
-            S = np.pad(S, ((0, 1), (0, 1)), constant_values=0.0)
-            S[-1, :-1] = news
-            S[:-1, -1] = news
-        sizes = np.append(sizes[keep], len(new_members))
-        members = [members[c] for c in keep] + [new_members]
-        minmem = [minmem[c] for c in keep] + [min(new_members)]
-        ids = [ids[c] for c in keep] + [new_id]
+        _scan_row(V, a, nn, mind)
+        # Rows above a: a stale neighbour forces a rescan; otherwise only the
+        # new (i, a) entry can displace the cached minimum.
+        head_nn, head_mind, col = nn[:a], mind[:a], V[:a, a]
+        stale = (head_nn == a) | (head_nn == b)
+        take = ~stale & ((col < head_mind) | ((col == head_mind) & (a < head_nn)))
+        head_mind[take] = col[take]
+        head_nn[take] = a
+        # Rows between a and b lost only their (i, b) entry.
+        redo = np.concatenate((np.flatnonzero(stale),
+                               a + 1 + np.flatnonzero(nn[a + 1:b] == b)))
+        for i in redo:
+            _scan_row(V, int(i), nn, mind)
 
     return Dendrogram(n=n, method=method, tie_rule=TIE_RULE, merges=tuple(merges))
 
@@ -236,8 +274,15 @@ def extract_clustering(dg: Dendrogram, k: int) -> Clustering:
         )
     active: dict[int, frozenset[int]] = {i: frozenset([i]) for i in range(n)}
     for m in dg.merges[: n - k]:
-        u = active.pop(m.left) | active.pop(m.right)
-        active[m.result] = u
+        parts = []
+        for cid in (m.left, m.right):
+            if cid not in active:
+                raise StructuralError(
+                    f"merge at iteration {m.iteration} uses cluster id {cid}, "
+                    "which is unknown or already merged"
+                )
+            parts.append(active.pop(cid))
+        active[m.result] = parts[0] | parts[1]
     return Clustering.from_blocks(active.values(), n)
 
 

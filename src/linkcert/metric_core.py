@@ -177,6 +177,9 @@ class DistanceMatrix:
         if not isinstance(n, int) or n < 1:
             raise StructuralError(f"bad point count {n!r}")
         dist = data["dist"]
+        if not isinstance(dist, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in dist):
+            raise StructuralError("'dist' must be a list of numbers")
         if len(dist) != tri_size(n):
             raise StructuralError(
                 f"'dist' for n={n} must have length {tri_size(n)}, got {len(dist)}"
@@ -255,24 +258,43 @@ def validate_metric(D: DistanceMatrix, tau: float = 1e-9) -> list[tuple[int, int
     """
     if tau < 0:
         raise PreconditionError("tau must be nonnegative")
-    M = D.full
     n = D.n
     if n <= 2:
         D.metric_checked = True
         return []
-    # lhs[i, k] vs min over j of d(i,j)+d(j,k); we need every violating midpoint
-    via = M[:, :, None] + M[None, :, :]          # via[i, j, k] = d(i,j) + d(j,k)
-    lhs = M[:, None, :]                          # lhs[i, ., k] = d(i,k)
-    slack = tau * np.maximum(lhs, via)
-    bad = lhs > via + slack                      # bad[i, j, k]
-    idx = np.argwhere(bad)
-    out = []
-    for i, j, k in idx:
-        i, j, k = int(i), int(j), int(k)
-        if i < k and j != i and j != k:
-            out.append((i, j, k))
-    out.sort()
+    out = _triangle_violations(D.full, tau)
     D.metric_checked = not out
+    return out
+
+
+_BLOCK_ELEMENTS = 1 << 20  # size of one block of an (n, n, n) temporary
+
+
+def _row_blocks(n: int, budget: int = _BLOCK_ELEMENTS):
+    """Split rows 0..n-1 of an (n, n, n) temporary into (lo, hi) blocks of
+    about ``budget`` elements (at least one row each)."""
+    step = max(1, budget // (n * n))
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
+
+
+def _triangle_violations(M: np.ndarray, tau: float,
+                         budget: int = _BLOCK_ELEMENTS) -> list[tuple[int, int, int]]:
+    """Violating triples (i, j, k), i < k, sorted; scanned by blocks of i-rows
+    so the temporaries hold about ``budget`` elements instead of n^3."""
+    n = M.shape[0]
+    out = []
+    for lo, hi in _row_blocks(n, budget):
+        # lhs[i, k] vs d(i,j)+d(j,k) for every midpoint j
+        via = M[lo:hi, :, None] + M[None, :, :]     # via[i, j, k] = d(i,j) + d(j,k)
+        lhs = M[lo:hi, None, :]                      # lhs[i, ., k] = d(i,k)
+        slack = tau * np.maximum(lhs, via)
+        bad = lhs > via + slack                      # bad[i, j, k]
+        for i, j, k in np.argwhere(bad):
+            i, j, k = int(i) + lo, int(j), int(k)
+            if i < k and j != i and j != k:
+                out.append((i, j, k))
+    out.sort()
     return out
 
 

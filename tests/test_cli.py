@@ -82,6 +82,14 @@ class TestRun:
         assert run_cli("--out-dir", tmp_path, "run", "--instance",
                        tmp_path / "nope.json", "--method", "CL") == 2
 
+    @pytest.mark.parametrize("dist", ["abc", ["a", 1, 2]])
+    def test_non_numeric_distances_are_usage_error(self, tmp_path, dist, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 3, "dist": dist}))
+        assert run_cli("--out-dir", tmp_path, "run", "--instance", path,
+                       "--method", "CL") == 2
+        assert "list of numbers" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_green_path_with_oracle_targets(self, tmp_path, euclidean_instance,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from linkcert import (
+    DistanceMatrix,
     PreconditionError,
     adversary_ratio_law,
     clustering_score,
@@ -18,6 +19,7 @@ from linkcert import (
     validate_metric,
     write_adversary,
 )
+from linkcert.instance_lab import _minplus_closure
 
 
 class TestAdversaryConstruction:
@@ -128,6 +130,25 @@ class TestRandomGenerators:
     def test_closure_deterministic(self):
         assert np.array_equal(gen_random_metric(9, 3).packed,
                               gen_random_metric(9, 3).packed)
+
+    def test_closure_by_row_blocks_is_bit_identical(self):
+        """The blocked min-plus closure reaches the one-pass fixpoint bit for bit."""
+        for n in range(2, 31):
+            rng = np.random.default_rng(n)
+            W = rng.uniform(0.1, 1.1, size=(n, n))
+            W = np.minimum(W, W.T)
+            np.fill_diagonal(W, 0.0)
+            ref = W
+            while True:
+                T = np.minimum(ref, (ref[:, :, None] + ref[None, :, :]).min(axis=1))
+                if np.array_equal(T, ref):
+                    break
+                ref = T
+            for budget in (1, 2 * n * n, n ** 3):
+                got = _minplus_closure(W, budget)
+                assert got.tobytes() == ref.tobytes()
+            assert gen_random_metric(n, n).packed.tobytes() == \
+                DistanceMatrix.from_full(ref).packed.tobytes()
 
     def test_closure_positive_off_diagonal(self):
         D = gen_random_metric(10, 0)

@@ -9,17 +9,22 @@ from linkcert import (
     DistanceMatrix,
     MergeRecord,
     PreconditionError,
+    StructuralError,
     check_alignment,
     check_merge_monotonicity,
     check_rule_equivalence,
     cohesion,
     extract_clustering,
+    gen_random_metric,
+    gen_single_link_adversary,
     linkage_distance,
     run_linkage,
     union_diameter_rule,
 )
 
 from .conftest import line_metric
+from .reference_engine import reference_linkage
+from .test_acceptance import GRID_SHAPE, _grid_instance
 
 
 def random_euclidean(n, seed, dim=2):
@@ -181,12 +186,110 @@ class TestExtractClustering:
         C = extract_clustering(run_linkage("CL", line4), 2)
         assert C.to_json() == [[0, 1], [2, 3]]
 
+    @pytest.mark.parametrize("merges,iteration,cid", [
+        ([(0, 1, 4), (0, 2, 5)], 2, 0),   # point 0 consumed twice
+        ([(0, 1, 4), (9, 2, 5)], 2, 9),   # id that no merge created
+        ([(2, 2, 4)], 1, 2),              # a cluster merged with itself
+    ])
+    def test_forged_dendrogram_is_structural_error(self, merges, iteration, cid):
+        n = len(merges) + 1
+        dg = Dendrogram(n=n, method="CL", tie_rule="lexicographic-min-member",
+                        merges=tuple(MergeRecord(l, r, 1.0, res, it)
+                                     for it, (l, r, res) in enumerate(merges, 1)))
+        with pytest.raises(StructuralError,
+                           match=f"iteration {iteration} uses cluster id {cid}\\b"):
+            extract_clustering(dg, 1)
+
     def test_k_out_of_range(self, line4):
         dg = run_linkage("CL", line4)
         with pytest.raises(PreconditionError):
             extract_clustering(dg, 0)
         with pytest.raises(PreconditionError):
             extract_clustering(dg, 5)
+
+
+def _merge_bits(dg):
+    """Every field of every merge, with values compared bit for bit."""
+    return [(m.left, m.right, np.float64(m.value).tobytes(), m.result, m.iteration)
+            for m in dg.merges]
+
+
+def _eccentric_rule(A, B, D):
+    """Deliberately asymmetric pair value: farthest point of B from min(A)."""
+    return float(D.full[min(A), sorted(B)].max())
+
+
+ALL_RULES = ("CL", "SL", "AL", "MM", union_diameter_rule, _eccentric_rule)
+
+
+def _tie_heavy_instances():
+    rng = np.random.default_rng(5)
+    yield "line", line_metric(np.arange(25.0))
+    yield "line-dups", line_metric(rng.integers(0, 6, size=30))
+    pts = rng.integers(0, 4, size=(30, 2))
+    yield "integer-l1", DistanceMatrix.from_full(
+        np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float))
+    yield "adversary-k6", gen_single_link_adversary(6, 8.0, 0.5).D
+    yield "adversary-k20", gen_single_link_adversary(20, 8.0, 0.5).D
+    M = np.full((40, 40), 3.0)
+    np.fill_diagonal(M, 0.0)
+    yield "all-equal", DistanceMatrix.from_full(M)
+
+
+class TestAgainstReferenceEngine:
+    """The in-place engine reproduces the original engine merge for merge."""
+
+    @pytest.mark.parametrize("method", ALL_RULES)
+    def test_acceptance_grid(self, method):
+        for n, count in GRID_SHAPE:
+            for idx in range(count):
+                D = _grid_instance(n, idx)
+                assert _merge_bits(run_linkage(method, D)) == \
+                    _merge_bits(reference_linkage(method, D)), (n, idx)
+
+    @pytest.mark.parametrize("method", ALL_RULES)
+    def test_tie_heavy_instances(self, method):
+        for name, D in _tie_heavy_instances():
+            assert _merge_bits(run_linkage(method, D)) == \
+                _merge_bits(reference_linkage(method, D)), name
+
+    @pytest.mark.parametrize("method", ALL_RULES)
+    def test_random_metrics(self, method):
+        for n in (2, 3, 5, 17, 33):
+            for seed in range(3):
+                D = gen_random_metric(n, seed)
+                assert _merge_bits(run_linkage(method, D)) == \
+                    _merge_bits(reference_linkage(method, D)), (n, seed)
+
+    def test_asymmetric_rule_argument_order_matters(self):
+        """The asymmetric rule really tells f(A, B) from f(B, A) apart."""
+        D = gen_random_metric(12, 0)
+        swapped = lambda A, B, M: _eccentric_rule(B, A, M)
+        assert _merge_bits(run_linkage(_eccentric_rule, D)) != \
+            _merge_bits(run_linkage(swapped, D))
+
+    def test_all_pairs_at_infinity_take_the_first_two_live_slots(self):
+        D = line_metric([0.0, 1.0, 2.0, 3.0])
+        dg = run_linkage(lambda A, B, M: np.inf, D)
+        assert _merge_bits(dg) == _merge_bits(
+            reference_linkage(lambda A, B, M: np.inf, D))
+        assert [(m.left, m.right) for m in dg.merges] == [(0, 1), (4, 2), (5, 3)]
+
+    def test_nan_pair_value_is_rejected(self, line4):
+        with pytest.raises(PreconditionError):
+            run_linkage(lambda A, B, M: np.nan, line4)
+
+    @pytest.mark.parametrize("method,scipy_method", [("CL", "complete"),
+                                                     ("SL", "single")])
+    def test_heights_match_scipy(self, method, scipy_method):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        distance = pytest.importorskip("scipy.spatial.distance")
+        for seed in range(5):
+            D = random_euclidean(200, seed)
+            Z = hierarchy.linkage(distance.squareform(D.full, checks=False),
+                                  method=scipy_method)
+            heights = [m.value for m in run_linkage(method, D).merges]
+            assert np.sort(Z[:, 2]).tobytes() == np.array(heights).tobytes()
 
 
 class TestMergeMonotonicity:

@@ -20,7 +20,7 @@ from linkcert import (
     tri_size,
     validate_metric,
 )
-from linkcert.metric_core import as_cluster
+from linkcert.metric_core import _triangle_violations, as_cluster
 
 from .conftest import line_metric
 
@@ -106,6 +106,12 @@ class TestDistanceMatrix:
         with pytest.raises(StructuralError):
             load_instance(str(path))
 
+    @pytest.mark.parametrize("dist", ["abc", ["a", 1, 2], ["1", 2, 3],
+                                      [True, 1, 2], {"0": 1}])
+    def test_json_rejects_non_numeric_distances(self, dist):
+        with pytest.raises(StructuralError, match="list of numbers"):
+            DistanceMatrix.from_json({"n": 3, "dist": dist})
+
 
 class TestValidateMetric:
     def test_line_metric_is_exact_metric(self, line4):
@@ -131,6 +137,25 @@ class TestValidateMetric:
         D = DistanceMatrix(n=3, packed=np.array([1.0, d02, 1.0]))
         assert validate_metric(D, tau=1e-9) == []
         assert validate_metric(D, tau=0.0) != []
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-9])
+    def test_row_blocks_match_one_pass_scan(self, tau):
+        """Scanning by blocks of i-rows reports the triples of one n^3 pass."""
+        rng = np.random.default_rng(11)
+        for n in (3, 5, 9, 14):
+            M = rng.integers(1, 6, size=(n, n)).astype(float)
+            M = np.minimum(M, M.T)
+            np.fill_diagonal(M, 0.0)
+            M[0, -1] = M[-1, 0] = 11.0  # at least one violated triangle
+            via = M[:, :, None] + M[None, :, :]
+            lhs = M[:, None, :]
+            bad = lhs > via + tau * np.maximum(lhs, via)
+            one_pass = sorted((int(i), int(j), int(k)) for i, j, k in np.argwhere(bad)
+                              if i < k and j != i and j != k)
+            assert one_pass
+            for budget in (1, n * n, 3 * n * n, n ** 3):
+                assert _triangle_violations(M, tau, budget) == one_pass
+            assert validate_metric(DistanceMatrix.from_full(M), tau) == one_pass
 
     def test_tiny_instances_vacuous(self):
         assert validate_metric(DistanceMatrix(n=1, packed=np.zeros(0))) == []
