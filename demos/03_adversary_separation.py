@@ -33,7 +33,7 @@ from linkcert import (
     gen_single_link_adversary,
     run_linkage,
 )
-from linkcert.family_certificates import P_EXP
+from linkcert.inequality_lab import P_EXP, within_bound
 
 
 def banner(title: str) -> None:
@@ -92,7 +92,7 @@ def main() -> None:
         # superlinearly in k, and CL stays inside its guarantee.
         assert abs(ratio - law) <= 1e-9 * law
         assert ratio / k > prev
-        assert cl <= bound * av * (1 + 1e-9)
+        assert within_bound(cl, bound * av)
         prev = ratio / k
 
     print("\nsingle linkage tracks ~k^2/2 with no ceiling; complete")

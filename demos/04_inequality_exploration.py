@@ -30,8 +30,8 @@ import math
 from linkcert import alpha_sup, check_ineq_2, check_ineq_avg, sample_ineq_2, sample_ineq_avg
 from linkcert.inequality_lab import (
     ALPHA_CAP,
+    P_EXP,
     InapplicableSample,
-    P_AVG,
     ineq2_threshold,
 )
 
@@ -42,7 +42,7 @@ def banner(title: str) -> None:
 
 def main() -> None:
     banner("the averaged-weight inequality at p = log2(3) - 1")
-    print(f"p = {P_AVG!r}")
+    print(f"p = {P_EXP!r}")
     s = check_ineq_avg(a=2.0, b=1.0, x=2.0, y=1.0)
     print(f"  a=2 b=1 x=2 y=1:  lhs = 2*2^p + 2*1 = {s.lhs!r}")
     print(f"                    rhs = 3*3^p       = {s.rhs!r}")
@@ -56,7 +56,7 @@ def main() -> None:
     print(f"  equality case a=b=x=y=1: lhs = {s.lhs!r}, rhs = {s.rhs!r}, "
           f"slack = {s.slack!r}")
     assert s.holds and abs(s.slack) <= 1e-12 * s.rhs
-    smaller = 2.0 * (1.0 + 1.0) ** (P_AVG - 0.01)
+    smaller = 2.0 * (1.0 + 1.0) ** (P_EXP - 0.01)
     print(f"  with exponent p - 0.01 the same rhs drops to {smaller:.6f} "
           f"< 3 = lhs: the exponent is tight")
     assert smaller < 3.0

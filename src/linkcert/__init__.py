@@ -37,10 +37,8 @@ from .opt_oracles import (
 from .family_certificates import Alg1Trace, alg1_bound, alg1_trace
 from .graph_certificates import (
     Alg2Trace,
-    AlphaK,
     alg2_bound,
     alg2_trace,
-    alpha_k,
     fc_diameter_check,
     spanning_tree_check,
 )
@@ -54,6 +52,8 @@ from .instance_lab import (
     write_adversary,
 )
 from .inequality_lab import (
+    AlphaK,
+    alpha_k,
     alpha_sup,
     check_ineq_2,
     check_ineq_avg,

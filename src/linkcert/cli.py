@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 from . import inequality_lab
-from .family_certificates import P_EXP, alg1_bound, alg1_trace
-from .graph_certificates import alg2_bound, alg2_trace, alpha_k
+from .family_certificates import alg1_bound, alg1_trace
+from .graph_certificates import alg2_bound, alg2_trace
+from .inequality_lab import P_EXP, alpha_k, avg_bound, dm_bound, within_bound
 from .instance_lab import (
     gen_random_euclidean,
     gen_random_metric,
@@ -44,7 +45,7 @@ from .metric_core import (
 )
 from .opt_oracles import DEFAULT_N_MAX, opt_score, opt_scores
 
-__all__ = ["main", "BoundReport"]
+__all__ = ["main", "BoundReport", "certify"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,10 +69,10 @@ class BoundReport:
     method: str
     k: int
     achieved: dict
-    oracle: dict | None
-    bounds: dict | None
-    ratios: dict | None
-    certificates: dict | None
+    oracle: dict | None = None
+    bounds: dict | None = None
+    ratios: dict | None = None
+    certificates: dict | None = None
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -154,90 +155,95 @@ def cmd_run(args) -> int:
 
 # ----------------------------------------------------------------- certify
 
-def _certify_one(D: DistanceMatrix, method: str, k: int, target_arg: str,
-                 n_max: int, instance_info: dict):
-    """Build the report plus trace objects for one certify cell."""
+# The score each method's guarantee bounds.  CL's max-diam is held to both
+# bounds, AL's and MM's scores to the avg-diam based one; SL has no guarantee.
+METHOD_SCORES = {"CL": "max-diam", "AL": "max-avg", "MM": "max-radius"}
+
+
+def certify(D: DistanceMatrix, method: str, k: int, targets: dict | None,
+            replay: bool = True):
+    """Bounds, certificate replays and verdict for one (instance, method, k).
+
+    ``targets`` is None (achieved scores only) or ``{"avg-diam": C_av,
+    "max-diam": C_dm}``.  The reference values are the targets' own scores,
+    so oracle witnesses and a target file take the same path.  With
+    ``replay``, a CL run replays both certificates against the targets.
+    Returns (report, traces, failures); ``report.instance`` holds only n.
+    """
     dg = run_linkage(method, D)
     achieved = _achieved(dg, D, k)
-    file_target = None
-    if target_arg != "oracle":
-        file_target = load_target(target_arg, D.n)
-        if file_target.k != k:
-            raise PreconditionError(
-                f"target file has k={file_target.k}, requested k={k}")
+    report = BoundReport(instance={"n": D.n}, method=method, k=k,
+                         achieved=achieved)
+    traces, failures = {}, []
+    if targets is None:
+        return report, traces, failures
 
-    oracle = bounds = ratios = None
-    av_target = dm_target = file_target
-    if file_target is None:
-        res = opt_scores(D, k, n_max=n_max)
-        res_av, res_dm = res["avg-diam"], res["max-diam"]
-        oracle = {"opt_av": res_av.value, "opt_dm": res_dm.value}
-        av_target, dm_target = res_av.witness, res_dm.witness
-    else:
-        oracle = {
-            "opt_av": clustering_score("avg-diam", file_target, D),
-            "opt_dm": clustering_score("max-diam", file_target, D),
-        }
+    opt_av = clustering_score("avg-diam", targets["avg-diam"], D)
+    opt_dm = clustering_score("max-diam", targets["max-diam"], D)
     ak = alpha_k(k) if k >= 2 else None
-    bounds = {
-        "avg_based": k ** (P_EXP + 1) * oracle["opt_av"],
+    report.oracle = {"opt_av": opt_av, "opt_dm": opt_dm}
+    report.bounds = {
+        "avg_based": avg_bound(k, opt_av),
         "exponent_avg": P_EXP + 1,
-        "dm_based": ak.factor * oracle["opt_dm"] if ak else None,
+        "dm_based": dm_bound(k, opt_dm) if ak else None,
         "exponent_dm": ak.exponent if ak else None,
         "factor_dm": ak.factor if ak else None,
     }
-    ratios = {
-        "max_diam_vs_opt_dm": (achieved["max-diam"] / oracle["opt_dm"]
-                               if oracle["opt_dm"] > 0 else None),
-        "max_diam_vs_avg_target": (achieved["max-diam"] / oracle["opt_av"]
-                                   if oracle["opt_av"] > 0 else None),
+    report.ratios = {
+        "max_diam_vs_opt_dm": (achieved["max-diam"] / opt_dm
+                               if opt_dm > 0 else None),
+        "max_diam_vs_avg_target": (achieved["max-diam"] / opt_av
+                                   if opt_av > 0 else None),
     }
 
-    certificates = None
-    traces = {}
-    failures: list[dict] = []
-    if method == "CL":
-        t1 = alg1_trace(D, dg, av_target)
-        b1 = alg1_bound(t1, dg, D)
-        t2 = alg2_trace(D, dg, dm_target) if k >= 2 else None
-        b2 = alg2_bound(t2, dg, D, k) if t2 else None
-        p1, f1 = t1.assertion_counts
-        certificates = {
-            "alg1": {"passed": p1, "failed": f1,
-                     "bound_ok": b1.ok, "ok": t1.ok and b1.ok},
-        }
-        for fail in [*(r.failures for r in t1.records), t1.failures, b1.failures]:
-            failures.extend(fail if isinstance(fail, list) else [fail])
-        traces["alg1"] = t1
-        if t2:
-            p2, f2 = t2.assertion_counts
-            certificates["alg2"] = {"passed": p2, "failed": f2,
-                                    "bound_ok": b2.ok, "ok": t2.ok and b2.ok}
-            for r in t2.records:
-                failures.extend(r.failures)
-            failures.extend(t2.failures)
-            failures.extend(b2.failures)
-            traces["alg2"] = t2
-    elif method in ("AL", "MM") and oracle["opt_av"] > 0:
-        key = "max-avg" if method == "AL" else "max-radius"
-        if achieved[key] > bounds["avg_based"] * (1 + 1e-9):
+    score = METHOD_SCORES.get(method)
+    for name in ("avg_based", "dm_based") if method == "CL" else ("avg_based",):
+        bound = report.bounds[name]
+        if score and bound is not None and not within_bound(achieved[score], bound):
             failures.append({"assertion": "method-bound", "method": method,
-                             "detail": f"{key} {achieved[key]!r} exceeds "
-                                       f"bound {bounds['avg_based']!r}"})
+                             "bound": name,
+                             "detail": f"{score} {achieved[score]!r} exceeds "
+                                       f"bound {bound!r}"})
 
-    report = BoundReport(instance=instance_info, method=method, k=k,
-                         achieved=achieved, oracle=oracle, bounds=bounds,
-                         ratios=ratios, certificates=certificates)
+    if method == "CL" and replay:
+        report.certificates = {}
+        replays = [("alg1", alg1_trace, alg1_bound, targets["avg-diam"])]
+        if k >= 2:
+            replays.append(("alg2", alg2_trace, alg2_bound, targets["max-diam"]))
+        for name, trace_fn, bound_fn, target in replays:
+            trace = trace_fn(D, dg, target)
+            check = bound_fn(trace, dg, D)
+            passed, failed = trace.assertion_counts
+            report.certificates[name] = {"passed": passed, "failed": failed,
+                                         "bound_ok": check.ok,
+                                         "ok": trace.ok and check.ok}
+            for r in trace.records:
+                failures.extend(r.failures)
+            failures.extend(trace.failures)
+            failures.extend(check.failures)
+            traces[name] = trace
     return report, traces, failures
+
+
+def _oracle_targets(D: DistanceMatrix, k: int, n_max: int) -> dict:
+    """The optimal avg-diam and max-diam witnesses, from one enumeration."""
+    return {score: res.witness
+            for score, res in opt_scores(D, k, n_max=n_max).items()}
 
 
 def cmd_certify(args) -> int:
     D = load_instance(args.instance)
     os.makedirs(args.out_dir, exist_ok=True)
-    report, traces, failures = _certify_one(
-        D, args.method, args.k, args.target, args.n_max_oracle,
-        {"path": args.instance, "n": D.n, "target": args.target},
-    )
+    if args.target == "oracle":
+        targets = _oracle_targets(D, args.k, args.n_max_oracle)
+    else:
+        target = load_target(args.target, D.n)
+        if target.k != args.k:
+            raise PreconditionError(
+                f"target file has k={target.k}, requested k={args.k}")
+        targets = {"avg-diam": target, "max-diam": target}
+    report, traces, failures = certify(D, args.method, args.k, targets)
+    report.instance = {"path": args.instance, "n": D.n, "target": args.target}
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     for name, trace in traces.items():
         tpath = os.path.join(args.out_dir,
@@ -272,8 +278,19 @@ def _parse_int_list(key: str, text: str) -> list[int]:
     return out
 
 
+def _config_get(getter, section: str, key: str, fallback):
+    """One typed value of the sweep config (``cfg.getint``/``getboolean``)."""
+    try:
+        return getter(section, key, fallback=fallback)
+    except ValueError as exc:
+        raise PreconditionError(
+            f"bad value for {key!r} in [{section}] of sweep config: {exc}") from None
+
+
 def _sweep_units(cfg: configparser.ConfigParser) -> list[dict]:
     """One unit of work per (generator, n, dim, seed, k), all methods inside."""
+    if not cfg.has_section("grid"):
+        raise PreconditionError("sweep config has no [grid] section")
     grid = cfg["grid"]
     gens = grid.get("generators", "euclidean").split()
     ns = _parse_int_list("ns", grid.get("ns", "8"))
@@ -284,9 +301,9 @@ def _sweep_units(cfg: configparser.ConfigParser) -> list[dict]:
     for m in methods:
         if m not in METHODS:
             raise PreconditionError(f"unknown method {m!r} in sweep config")
-    oracle_on = cfg.getboolean("oracle", "enabled", fallback=False)
-    oracle_n_max = cfg.getint("oracle", "n_max", fallback=DEFAULT_N_MAX)
-    certs_on = cfg.getboolean("certificates", "enabled", fallback=False)
+    oracle_on = _config_get(cfg.getboolean, "oracle", "enabled", False)
+    oracle_n_max = _config_get(cfg.getint, "oracle", "n_max", DEFAULT_N_MAX)
+    certs_on = _config_get(cfg.getboolean, "certificates", "enabled", False)
     if certs_on and not oracle_on:
         raise PreconditionError("certificates.enabled requires oracle.enabled")
     units = []
@@ -316,58 +333,34 @@ def _sweep_unit(unit: dict) -> list[dict]:
         D = gen_random_euclidean(unit["n"], unit["dim"], unit["seed"])
     else:
         D = gen_random_metric(unit["n"], unit["seed"])
-    optima = (opt_scores(D, unit["k"], n_max=unit["oracle_n_max"])
-              if unit["oracle"] else None)
-    return [_sweep_row(unit, D, method, optima) for method in unit["methods"]]
-
-
-def _sweep_row(unit: dict, D: DistanceMatrix, method: str,
-               optima: dict | None) -> dict:
-    k = unit["k"]
-    dg = run_linkage(method, D)
-    achieved = _achieved(dg, D, k)
-    row = {
-        "generator": unit["generator"], "n": unit["n"],
-        "dim": unit["dim"] or "", "seed": unit["seed"],
-        "method": method, "k": k,
-        "max_diam": achieved["max-diam"], "avg_diam": achieved["avg-diam"],
-        "max_avg": achieved["max-avg"], "max_radius": achieved["max-radius"],
-        "opt_dm": "", "opt_av": "", "bound_avg_based": "", "bound_dm_based": "",
-        "bound_ok": "", "cert_alg1_pass": "", "cert_alg1_fail": "",
-        "cert_alg2_pass": "", "cert_alg2_fail": "", "cert_ok": "",
-    }
-    if optima is None:
-        return row
-    res_av, res_dm = optima["avg-diam"], optima["max-diam"]
-    row["opt_av"], row["opt_dm"] = res_av.value, res_dm.value
-    avg_based = k ** (P_EXP + 1) * res_av.value
-    row["bound_avg_based"] = avg_based
-    if k >= 2:
-        row["bound_dm_based"] = alpha_k(k).factor * res_dm.value
-    tol = 1 + 1e-9
-    if method == "CL":
-        ok = achieved["max-diam"] <= avg_based * tol
-        if k >= 2:
-            ok = ok and achieved["max-diam"] <= row["bound_dm_based"] * tol
-        row["bound_ok"] = ok
-    elif method == "AL":
-        row["bound_ok"] = achieved["max-avg"] <= avg_based * tol
-    elif method == "MM":
-        row["bound_ok"] = achieved["max-radius"] <= avg_based * tol
-    if unit["certificates"] and method == "CL":
-        t1 = alg1_trace(D, dg, res_av.witness)
-        b1 = alg1_bound(t1, dg, D)
-        p1, f1 = t1.assertion_counts
-        row["cert_alg1_pass"], row["cert_alg1_fail"] = p1, f1
-        cert_ok = t1.ok and b1.ok
-        if k >= 2:
-            t2 = alg2_trace(D, dg, res_dm.witness)
-            b2 = alg2_bound(t2, dg, D, k)
-            p2, f2 = t2.assertion_counts
-            row["cert_alg2_pass"], row["cert_alg2_fail"] = p2, f2
-            cert_ok = cert_ok and t2.ok and b2.ok
-        row["cert_ok"] = cert_ok
-    return row
+    targets = (_oracle_targets(D, unit["k"], unit["oracle_n_max"])
+               if unit["oracle"] else None)
+    rows = []
+    for method in unit["methods"]:
+        report, _, failures = certify(D, method, unit["k"], targets,
+                                      replay=unit["certificates"])
+        oracle, bounds = report.oracle or {}, report.bounds or {}
+        certs = report.certificates or {}
+        row = {
+            "generator": unit["generator"], "n": unit["n"],
+            "dim": unit["dim"] or "", "seed": unit["seed"],
+            "method": method, "k": unit["k"],
+            "max_diam": report.achieved["max-diam"],
+            "avg_diam": report.achieved["avg-diam"],
+            "max_avg": report.achieved["max-avg"],
+            "max_radius": report.achieved["max-radius"],
+            "opt_dm": oracle.get("opt_dm"), "opt_av": oracle.get("opt_av"),
+            "bound_avg_based": bounds.get("avg_based"),
+            "bound_dm_based": bounds.get("dm_based"),
+            "bound_ok": (not any(f["assertion"] == "method-bound" for f in failures)
+                         if oracle and method in METHOD_SCORES else None),
+            "cert_ok": all(c["ok"] for c in certs.values()) if certs else None,
+        }
+        for name in ("alg1", "alg2"):
+            row[f"cert_{name}_pass"] = certs.get(name, {}).get("passed")
+            row[f"cert_{name}_fail"] = certs.get(name, {}).get("failed")
+        rows.append(row)
+    return rows
 
 
 SWEEP_COLUMNS = ["generator", "n", "dim", "seed", "method", "k",
@@ -379,9 +372,13 @@ SWEEP_COLUMNS = ["generator", "n", "dim", "seed", "method", "k",
 
 def cmd_sweep(args) -> int:
     cfg = configparser.ConfigParser()
-    if not cfg.read(args.config):
-        raise PreconditionError(f"cannot read sweep config {args.config!r}")
-    units = _sweep_units(cfg)
+    try:
+        if not cfg.read(args.config):
+            raise PreconditionError(f"cannot read sweep config {args.config!r}")
+        units = _sweep_units(cfg)
+        csv_name = cfg.get("output", "csv", fallback="sweep.csv")
+    except configparser.Error as exc:  # no section header, duplicates, bad '%'
+        raise PreconditionError(f"malformed sweep config: {exc}") from None
     if args.workers > 1 and len(units) > 1:
         with Pool(processes=args.workers) as pool:
             per_unit = pool.map(_sweep_unit, units)
@@ -392,7 +389,6 @@ def cmd_sweep(args) -> int:
                   key=lambda r: (r["generator"], r["n"], r["dim"] or 0, r["seed"],
                                  r["method"], r["k"]))
     os.makedirs(args.out_dir, exist_ok=True)
-    csv_name = cfg.get("output", "csv", fallback="sweep.csv")
     path = os.path.join(args.out_dir, csv_name)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")

@@ -14,7 +14,7 @@ Per-iteration assertions:
   p3  at least one root family holds more than one cluster,
   p4  every regular root F (more than one cluster) satisfies the chain
       diam(F) <= phi_sigma(F) * phi(F)^p <= k * avg-diam(target) * k^p
-      with p = log2(3) - 1, up to 1e-9 relative slack.
+      with p = log2(3) - 1, each step checked by ``inequality_lab.within_bound``.
 The final per-cluster guarantee (every cluster born in the first n-k merges
 has diameter at most k^{log2 3} * avg-diam(target)) is checked separately by
 ``alg1_bound``.
@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .linkage_engine import Dendrogram, leq_with_tol
+from .inequality_lab import P_EXP, avg_bound, within_bound
+from .linkage_engine import Dendrogram
 from .metric_core import (
     Clustering,
     DistanceMatrix,
     PreconditionError,
     clustering_score,
+    cohesion,
 )
 
 __all__ = [
@@ -40,21 +40,27 @@ __all__ = [
     "Alg1IterationRecord",
     "Alg1Trace",
     "BoundCheck",
-    "P_EXP",
     "alg1_trace",
     "alg1_bound",
 ]
 
-P_EXP = math.log(3) / math.log(2) - 1  # exponent in the phi bound chain
-RTOL = 1e-9
+
+def replay_target(D: DistanceMatrix, dg: Dendrogram, target) -> Clustering:
+    """Check a replay's inputs (a CL dendrogram over D) and validate the target."""
+    if dg.method != "CL":
+        raise PreconditionError(f"certificates require a CL dendrogram, got {dg.method!r}")
+    if dg.n != D.n:
+        raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
+    if not isinstance(target, Clustering):
+        return Clustering.from_blocks(target, D.n)
+    Clustering.from_blocks(target.blocks, D.n)  # validates; keeps the block order
+    return target
 
 
-def _diam(points, D: DistanceMatrix) -> float:
-    pts = sorted(points)
-    if len(pts) < 2:
-        return 0.0
-    idx = np.fromiter(pts, dtype=np.intp)
-    return float(D.full[np.ix_(idx, idx)].max())
+def count_assertions(assertion_dicts) -> tuple[int, int]:
+    """(passed, failed) over the boolean values of the given assertion dicts."""
+    flags = [bool(v) for a in assertion_dicts for v in a.values()]
+    return sum(flags), len(flags) - sum(flags)
 
 
 @dataclass
@@ -112,13 +118,8 @@ class Alg1Trace:
     @property
     def assertion_counts(self) -> tuple[int, int]:
         """(passed, failed) over all per-iteration + final assertions."""
-        passed = failed = 0
-        for r in self.records:
-            for v in r.assertions.values():
-                passed, failed = passed + (1 if v else 0), failed + (0 if v else 1)
-        for v in self.final_assertions.values():
-            passed, failed = passed + (1 if v else 0), failed + (0 if v else 1)
-        return passed, failed
+        return count_assertions(
+            [*(r.assertions for r in self.records), self.final_assertions])
 
     def to_json(self) -> dict:
         return {
@@ -152,14 +153,7 @@ def _leaves(forest: dict[int, FamilyNode], fid: int) -> list[int]:
 
 def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
     """Replay the family-forest construction along the first n-k CL merges."""
-    if dg.method != "CL":
-        raise PreconditionError(f"certificates require a CL dendrogram, got {dg.method!r}")
-    if dg.n != D.n:
-        raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
-    if not isinstance(target, Clustering):
-        target = Clustering.from_blocks(target, D.n)
-    else:
-        Clustering.from_blocks(target.blocks, D.n)
+    target = replay_target(D, dg, target)
     n, k = D.n, target.k
     members = dg.members_map()
 
@@ -175,7 +169,8 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
         nonlocal next_fid
         pts = frozenset().union(*(members[c] for c in clusters))
         node = FamilyNode(id=next_fid, clusters=frozenset(clusters), parent=None,
-                          phi=phi, phi_sigma=phi_sigma, diam=_diam(pts, D),
+                          phi=phi, phi_sigma=phi_sigma,
+                          diam=cohesion("diam", pts, D),
                           created_at=created_at, children=tuple(children),
                           points=pts)
         next_fid += 1
@@ -190,7 +185,7 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
 
     for block in target.blocks:
         new_family([x for x in sorted(block)], phi=1,
-                   phi_sigma=_diam(block, D), created_at=0, children=())
+                   phi_sigma=cohesion("diam", block, D), created_at=0, children=())
 
     trace_failures: list[dict] = []
     records: list[Alg1IterationRecord] = []
@@ -222,14 +217,14 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
             if not node.regular:
                 continue
             mid = node.phi_sigma * node.phi ** P_EXP
-            if not leq_with_tol(node.diam, mid, RTOL):
+            if not within_bound(node.diam, mid):
                 p4 = False
                 failures.append({
                     "assertion": "p4", "iteration": iteration,
                     "detail": f"family {r}: diam {node.diam!r} > "
                               f"phi_sigma*phi^p {mid!r}",
                 })
-            if not leq_with_tol(mid, chain_rhs, RTOL):
+            if not within_bound(mid, chain_rhs):
                 p4 = False
                 failures.append({
                     "assertion": "p4", "iteration": iteration,
@@ -302,20 +297,26 @@ class BoundCheck:
         return not self.failures
 
 
-def alg1_bound(trace: Alg1Trace, dg: Dendrogram, D: DistanceMatrix) -> BoundCheck:
-    """Check every cluster born in the first n-k merges against the guarantee
-    diam <= k^{log2 3} * avg-diam(target), with 1e-9 relative slack."""
-    k = trace.k
-    avg_diam = clustering_score("avg-diam", trace.target, D)
-    bound = k ** (P_EXP + 1) * avg_diam
+def born_cluster_checks(trace, dg: Dendrogram, D: DistanceMatrix,
+                        bound: float) -> tuple[list[dict], list[dict]]:
+    """(rows, failures): every cluster born in the first n-k merges of ``dg``
+    (n, k from either replay's trace) checked as ``within_bound(diam, bound)``."""
     members = dg.members_map()
     rows, failures = [], []
-    for m in dg.merges[: trace.n - k]:
-        dm = _diam(members[m.result], D)
-        ok = leq_with_tol(dm, bound, RTOL)
+    for m in dg.merges[: trace.n - trace.k]:
+        dm = cohesion("diam", members[m.result], D)
+        ok = within_bound(dm, bound)
         rows.append({"iteration": m.iteration, "diam": dm, "bound": bound, "ok": ok})
         if not ok:
             failures.append({"assertion": "per-cluster-bound",
                              "iteration": m.iteration,
                              "detail": f"diam {dm!r} > bound {bound!r}"})
+    return rows, failures
+
+
+def alg1_bound(trace: Alg1Trace, dg: Dendrogram, D: DistanceMatrix) -> BoundCheck:
+    """Check every cluster born in the first n-k merges against the guarantee
+    diam <= avg_bound(k, avg-diam(target)) = k^{log2 3} * avg-diam(target)."""
+    bound = avg_bound(trace.k, clustering_score("avg-diam", trace.target, D))
+    rows, failures = born_cluster_checks(trace, dg, D, bound)
     return BoundCheck(bound=bound, per_iteration=rows, failures=failures)

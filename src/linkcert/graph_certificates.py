@@ -27,7 +27,8 @@ clusters lemma, the exact four-case evolution of pure counts, exclusivity
 of the cases, the cluster classification (excluded / pure / inside exactly
 one component's territory), the addition-budget cap, and -- at every family
 creation -- the spanning-tree weight bounds, the diameter-sum bound, and the
-growth bound diam(F) <= max-diam(target) * phi(F)^alpha_k.
+growth bound diam(F) <= max-diam(target) * phi(F)^alpha_k (``growth_bound``,
+checked by ``within_bound``; the spanning-tree and sum checks are exact).
 """
 
 from __future__ import annotations
@@ -35,65 +36,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .linkage_engine import Dendrogram, leq_with_tol
+from .family_certificates import born_cluster_checks, count_assertions, replay_target
+from .inequality_lab import alpha_k, dm_bound, growth_bound, within_bound
+from .linkage_engine import Dendrogram
 from .metric_core import (
     Clustering,
     DistanceMatrix,
     PreconditionError,
     clustering_score,
+    cohesion,
 )
 
 __all__ = [
-    "AlphaK",
     "Alg2Family",
     "PureLedger",
     "ComponentState",
     "SpanningTreeCert",
     "Alg2IterationRecord",
     "Alg2Trace",
-    "alpha_k",
     "alg2_trace",
     "spanning_tree_check",
     "fc_diameter_check",
     "alg2_bound",
 ]
-
-RTOL = 1e-9
-ALPHA_CAP = math.log(6) / math.log(4)
-
-
-@dataclass(frozen=True)
-class AlphaK:
-    """Exponent alpha_k and the factor k**alpha_k of the per-cluster bound."""
-
-    k: int
-    exponent: float
-    factor: float
-
-
-def alpha_k(k: int) -> AlphaK:
-    """alpha_k = log_k(2k-2) for k in {2, 3, 4}, log_4(6) for k > 4.
-
-    For k <= 4 the factor k**alpha_k equals 2k-2 exactly, so it is returned
-    as that integer value rather than as power-function output.
-    """
-    if k < 2:
-        raise PreconditionError(f"k must be at least 2, got {k}")
-    if k <= 4:
-        exponent = math.log(2 * k - 2) / math.log(k)
-        return AlphaK(k=k, exponent=exponent, factor=float(2 * k - 2))
-    return AlphaK(k=k, exponent=ALPHA_CAP, factor=float(k) ** ALPHA_CAP)
-
-
-def _diam(points, D: DistanceMatrix) -> float:
-    pts = sorted(points)
-    if len(pts) < 2:
-        return 0.0
-    idx = np.fromiter(pts, dtype=np.intp)
-    return float(D.full[np.ix_(idx, idx)].max())
-
 
 @dataclass
 class Alg2Family:
@@ -230,11 +195,8 @@ class Alg2Trace:
 
     @property
     def assertion_counts(self) -> tuple[int, int]:
-        passed = failed = 0
-        for r in self.records:
-            for v in r.assertions.values():
-                passed, failed = passed + (1 if v else 0), failed + (0 if v else 1)
-        return passed, failed
+        """(passed, failed) over all per-iteration assertions."""
+        return count_assertions(r.assertions for r in self.records)
 
     def to_json(self) -> dict:
         return {
@@ -271,18 +233,10 @@ class Alg2Trace:
 
 def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     """Replay the pure-cluster graph construction along the first n-k merges."""
-    if dg.method != "CL":
-        raise PreconditionError(f"certificates require a CL dendrogram, got {dg.method!r}")
-    if dg.n != D.n:
-        raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
-    if not isinstance(target, Clustering):
-        target = Clustering.from_blocks(target, D.n)
-    else:
-        Clustering.from_blocks(target.blocks, D.n)
+    target = replay_target(D, dg, target)
     n, k = D.n, target.k
     members = dg.members_map()
     max_diam = clustering_score("max-diam", target, D)
-    alpha = alpha_k(k) if k >= 2 else None
 
     families: dict[int, Alg2Family] = {}
     ledger = PureLedger()
@@ -307,7 +261,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             ledger.tags[x] = ("excluded",)
             continue
         fam = Alg2Family(id=next_fid, clusters=frozenset(block),
-                         points=frozenset(block), diam=_diam(block, D),
+                         points=frozenset(block), diam=cohesion("diam", block, D),
                          size=len(block), phi=1, created_at=0)
         families[next_fid] = fam
         live.add(next_fid)
@@ -319,7 +273,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         comps[next_comp] = ComponentState(id=next_comp, families={next_fid})
         fam2comp[next_fid] = next_comp
         next_comp += 1
-        if alpha and not leq_with_tol(fam.diam, max_diam, RTOL):
+        if k >= 2 and not within_bound(fam.diam, max_diam):
             trace_failures.append({
                 "assertion": "family-growth-bound", "iteration": 0,
                 "detail": f"initial family {fam.id}: diam {fam.diam!r} > "
@@ -455,7 +409,8 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 endpoints = min(
                     (tuple(sorted((a, b))) for a in A for b in B),
                 )
-                tree_edge = {"iteration": t, "weight": _diam(members[u], D),
+                tree_edge = {"iteration": t,
+                             "weight": cohesion("diam", members[u], D),
                              "endpoints": list(endpoints)}
                 events.append({"type": "edge", "iteration": t,
                                "endpoints": list(endpoints),
@@ -603,11 +558,11 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                               f"{ {f: [e['site'] for e in fam_events[f]] for f in comp_fams} }",
                 })
 
-            fc_pts = frozenset().union(*(members[h] for h in fc_members)) \
-                if fc_members else frozenset()
+            fc_pts = frozenset().union(*(members[h] for h in fc_members))
             fam = Alg2Family(
                 id=next_fid, clusters=frozenset(fc_members), points=fc_pts,
-                diam=_diam(fc_pts, D), size=len(fc_members),
+                diam=cohesion("diam", fc_pts, D) if fc_pts else 0.0,
+                size=len(fc_members),
                 phi=sum(families[f].phi for f in comp_fams),
                 created_at=t, children=tuple(comp_fams),
             )
@@ -627,8 +582,8 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             assertions["sum_diam"] = not sd_fail
             failures.extend(st_fail)
             failures.extend(sd_fail)
-            bound = max_diam * fam.phi ** alpha.exponent
-            assertions["family_bound"] = leq_with_tol(fam.diam, bound, RTOL)
+            bound = growth_bound(k, max_diam, fam.phi)
+            assertions["family_bound"] = within_bound(fam.diam, bound)
             if not assertions["family_bound"]:
                 failures.append({
                     "assertion": "family-growth-bound", "iteration": t,
@@ -713,35 +668,27 @@ class Alg2BoundCheck:
 def alg2_bound(trace: Alg2Trace, dg: Dendrogram, D: DistanceMatrix,
                k: int | None = None) -> Alg2BoundCheck:
     """Family growth bounds at every creation plus the final per-cluster bound
-    diam <= max-diam(target) * k^{alpha_k} for every cluster born in the
-    first n-k merges (1e-9 relative slack)."""
+    diam <= dm_bound(k, max-diam(target)) = k^{alpha_k} * max-diam(target)
+    for every cluster born in the first n-k merges."""
     if k is None:
         k = trace.k
     if k != trace.k:
         raise PreconditionError(f"trace was built for k={trace.k}, got k={k}")
-    alpha = alpha_k(k)
     max_diam = clustering_score("max-diam", trace.target, D)
-    bound = max_diam * alpha.factor
-    members = dg.members_map()
+    bound = dm_bound(k, max_diam)
     failures: list[dict] = []
     family_checks = []
     for fam in trace.families.values():
-        fb = max_diam * fam.phi ** alpha.exponent
-        ok = leq_with_tol(fam.diam, fb, RTOL)
+        fb = growth_bound(k, max_diam, fam.phi)
+        ok = within_bound(fam.diam, fb)
         family_checks.append({"family": fam.id, "phi": fam.phi,
                               "diam": fam.diam, "bound": fb, "ok": ok})
         if not ok:
             failures.append({"assertion": "family-growth-bound",
                              "family": fam.id,
                              "detail": f"diam {fam.diam!r} > bound {fb!r}"})
-    rows = []
-    for m in dg.merges[: trace.n - k]:
-        dm = _diam(members[m.result], D)
-        ok = leq_with_tol(dm, bound, RTOL)
-        rows.append({"iteration": m.iteration, "diam": dm, "bound": bound, "ok": ok})
-        if not ok:
-            failures.append({"assertion": "per-cluster-bound",
-                             "iteration": m.iteration,
-                             "detail": f"diam {dm!r} > bound {bound!r}"})
-    return Alg2BoundCheck(factor=alpha.factor, bound=bound, per_iteration=rows,
-                          family_checks=family_checks, failures=failures)
+    rows, cluster_failures = born_cluster_checks(trace, dg, D, bound)
+    failures.extend(cluster_failures)
+    return Alg2BoundCheck(factor=alpha_k(k).factor, bound=bound,
+                          per_iteration=rows, family_checks=family_checks,
+                          failures=failures)

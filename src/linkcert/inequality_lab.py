@@ -1,4 +1,8 @@
-"""Standalone numeric inequalities backing the guarantee exponents.
+"""The guarantee exponents, the bound formulas, and the one tolerance.
+
+The only owner of ``P_EXP``, ``ALPHA_CAP``, ``RTOL``, ``alpha_k``, the bounds
+k^{log2 3} * avg-diam (``avg_bound``: CL, AL, MM) and k^{alpha_k} * max-diam
+(``dm_bound``: CL; ``growth_bound`` per family), and ``within_bound``.
 
 Two parametric inequalities are checked, plus the supremum scan that pins
 down the exponent cap:
@@ -14,7 +18,8 @@ down the exponent cap:
 
 Inputs outside an inequality's hypothesis raise ``InapplicableSample`` (a
 skip signal, distinct from a counterexample).  All exponents are ratios of
-natural logs; verdicts allow a 1e-9 relative slack.
+natural logs.  Every verdict here, and every bound check of the certificate
+replays, is ``within_bound``: lhs <= rhs * (1 + RTOL), slack on the bound side.
 """
 
 from __future__ import annotations
@@ -31,8 +36,15 @@ __all__ = [
     "IneqSample",
     "BatchIneqResult",
     "AlphaSupResult",
-    "P_AVG",
+    "AlphaK",
+    "P_EXP",
     "ALPHA_CAP",
+    "RTOL",
+    "within_bound",
+    "avg_bound",
+    "dm_bound",
+    "growth_bound",
+    "alpha_k",
     "ineq2_threshold",
     "check_ineq_avg",
     "check_ineq_2",
@@ -41,9 +53,51 @@ __all__ = [
     "sample_ineq_2",
 ]
 
-P_AVG = math.log(3) / math.log(2) - 1
-ALPHA_CAP = math.log(6) / math.log(4)
-TAU_INEQ = 1e-9
+P_EXP = math.log(3) / math.log(2) - 1  # p of ineq-avg and of the phi bound chain
+ALPHA_CAP = math.log(6) / math.log(4)  # sup of log_i(2i-2), reached at i = 4
+RTOL = 1e-9
+
+
+def within_bound(lhs, rhs, rtol: float = RTOL):
+    """lhs <= rhs * (1 + rtol), slack on the bound side only; elementwise on arrays."""
+    return lhs <= rhs * (1 + rtol)
+
+
+def avg_bound(k: int, avg_diam: float) -> float:
+    """Family-forest bound k^{log2 3} * avg-diam(target) (CL, AL and MM)."""
+    return k ** (P_EXP + 1) * avg_diam
+
+
+@dataclass(frozen=True)
+class AlphaK:
+    """Exponent alpha_k and the factor k**alpha_k of the per-cluster bound."""
+
+    k: int
+    exponent: float
+    factor: float
+
+
+def alpha_k(k: int) -> AlphaK:
+    """alpha_k = log_k(2k-2) for k in {2, 3, 4}, log_4(6) for k > 4.
+
+    The exponent is ``ineq2_threshold(k)``.  For k <= 4 the factor k**alpha_k
+    equals 2k-2 exactly, so it is returned as that integer value rather than
+    as power-function output.
+    """
+    if k < 2:
+        raise PreconditionError(f"k must be at least 2, got {k}")
+    factor = float(2 * k - 2) if k <= 4 else float(k) ** ALPHA_CAP
+    return AlphaK(k=k, exponent=ineq2_threshold(k), factor=factor)
+
+
+def dm_bound(k: int, max_diam: float) -> float:
+    """Pure-cluster-graph bound k^{alpha_k} * max-diam(target) (CL only)."""
+    return alpha_k(k).factor * max_diam
+
+
+def growth_bound(k: int, max_diam: float, phi: int) -> float:
+    """Family-growth bound max-diam(target) * phi^{alpha_k}."""
+    return max_diam * phi ** alpha_k(k).exponent
 
 
 class InapplicableSample(Exception):
@@ -64,26 +118,24 @@ class IneqSample:
         return row
 
 
-def _verdict(inputs: dict, lhs: float, rhs: float, tol: float) -> IneqSample:
-    holds = lhs <= rhs + tol * max(abs(lhs), abs(rhs))
-    return IneqSample(inputs=inputs, lhs=lhs, rhs=rhs, holds=holds,
-                      slack=rhs - lhs)
+def _verdict(inputs: dict, lhs: float, rhs: float) -> IneqSample:
+    return IneqSample(inputs=inputs, lhs=lhs, rhs=rhs,
+                      holds=within_bound(lhs, rhs), slack=rhs - lhs)
 
 
-def check_ineq_avg(a: float, b: float, x: float, y: float,
-                   tol: float = TAU_INEQ) -> IneqSample:
+def check_ineq_avg(a: float, b: float, x: float, y: float) -> IneqSample:
     """One sample of the averaged-weight inequality at p = log2(3) - 1."""
     if a < 0 or b < 0:
         raise PreconditionError("a and b must be nonnegative")
     if x < 1 or y < 1:
         raise PreconditionError("x and y must be at least 1")
-    if a * x ** P_AVG < b * y ** P_AVG:
+    if a * x ** P_EXP < b * y ** P_EXP:
         raise InapplicableSample(
-            f"hypothesis a*x^p >= b*y^p fails: {a * x ** P_AVG!r} < {b * y ** P_AVG!r}"
+            f"hypothesis a*x^p >= b*y^p fails: {a * x ** P_EXP!r} < {b * y ** P_EXP!r}"
         )
-    lhs = a * x ** P_AVG + 2 * b * y ** P_AVG
-    rhs = (a + b) * (x + y) ** P_AVG
-    return _verdict({"a": a, "b": b, "x": x, "y": y}, lhs, rhs, tol)
+    lhs = a * x ** P_EXP + 2 * b * y ** P_EXP
+    rhs = (a + b) * (x + y) ** P_EXP
+    return _verdict({"a": a, "b": b, "x": x, "y": y}, lhs, rhs)
 
 
 def ineq2_threshold(length: int) -> float:
@@ -97,7 +149,7 @@ def ineq2_threshold(length: int) -> float:
     return ALPHA_CAP
 
 
-def check_ineq_2(a, p: float, tol: float = TAU_INEQ) -> IneqSample:
+def check_ineq_2(a, p: float) -> IneqSample:
     """One sample of the sorted-list inequality at exponent p."""
     a = list(a)
     if len(a) < 2:
@@ -112,7 +164,7 @@ def check_ineq_2(a, p: float, tol: float = TAU_INEQ) -> IneqSample:
         )
     lhs = a[-1] ** p + a[-2] ** p + 2 * math.fsum(v ** p for v in a[:-2])
     rhs = math.fsum(a) ** p
-    return _verdict({"a": tuple(a), "p": p}, lhs, rhs, tol)
+    return _verdict({"a": tuple(a), "p": p}, lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -155,7 +207,7 @@ class BatchIneqResult:
         return not self.failures
 
 
-def sample_ineq_avg(n_samples: int, seed: int = 0, tol: float = TAU_INEQ,
+def sample_ineq_avg(n_samples: int, seed: int = 0,
                     n_extremes: int = 10) -> BatchIneqResult:
     """Vectorised batch of admissible averaged-weight samples.
 
@@ -173,19 +225,19 @@ def sample_ineq_avg(n_samples: int, seed: int = 0, tol: float = TAU_INEQ,
     probe = np.arange(n_samples) % 100 == 0
     b[probe] = a[probe]
     y[probe] = x[probe]
-    xp, yp = x ** P_AVG, y ** P_AVG
+    xp, yp = x ** P_EXP, y ** P_EXP
     swap = a * xp < b * yp
     a[swap], b[swap] = b[swap], a[swap].copy()
     x[swap], y[swap] = y[swap], x[swap].copy()
-    xp, yp = x ** P_AVG, y ** P_AVG
+    xp, yp = x ** P_EXP, y ** P_EXP
     lhs = a * xp + 2 * b * yp
-    rhs = (a + b) * (x + y) ** P_AVG
-    return _batch_result("ineq-avg", lhs, rhs, tol, n_extremes, {
+    rhs = (a + b) * (x + y) ** P_EXP
+    return _batch_result("ineq-avg", lhs, rhs, n_extremes, {
         "a": a, "b": b, "x": x, "y": y,
     })
 
 
-def sample_ineq_2(n_samples: int, seed: int = 0, tol: float = TAU_INEQ,
+def sample_ineq_2(n_samples: int, seed: int = 0,
                   max_len: int = 10, n_extremes: int = 10) -> BatchIneqResult:
     """Vectorised batch of admissible sorted-list samples.
 
@@ -215,7 +267,7 @@ def sample_ineq_2(n_samples: int, seed: int = 0, tol: float = TAU_INEQ,
         powed = vals ** p[:, None]
         lhs = powed[:, -1] + powed[:, -2] + 2 * powed[:, :-2].sum(axis=1)
         rhs = vals.sum(axis=1) ** p
-        part = _batch_result("ineq-2", lhs, rhs, tol, n_extremes, {
+        part = _batch_result("ineq-2", lhs, rhs, n_extremes, {
             "a": vals, "p": p,
         })
         result.failures.extend(part.failures)
@@ -226,9 +278,9 @@ def sample_ineq_2(n_samples: int, seed: int = 0, tol: float = TAU_INEQ,
     return result
 
 
-def _batch_result(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float,
+def _batch_result(name: str, lhs: np.ndarray, rhs: np.ndarray,
                   n_extremes: int, inputs: dict) -> BatchIneqResult:
-    holds = lhs <= rhs + tol * np.maximum(np.abs(lhs), np.abs(rhs))
+    holds = within_bound(lhs, rhs)
     rel_slack = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
     result = BatchIneqResult(name=name, samples=len(lhs),
                              min_rel_slack=float(rel_slack.min()))

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .inequality_lab import within_bound
 from .metric_core import (
     Clustering,
     DistanceMatrix,
@@ -43,16 +44,10 @@ __all__ = [
     "check_rule_equivalence",
     "check_alignment",
     "union_diameter_rule",
-    "leq_with_tol",
 ]
 
 METHODS = ("CL", "SL", "AL", "MM")
 TIE_RULE = "lexicographic-min-member"
-
-
-def leq_with_tol(lhs: float, rhs: float, rtol: float = 1e-9) -> bool:
-    """lhs <= rhs up to a relative slack scaled by the larger magnitude."""
-    return lhs <= rhs + rtol * max(abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -374,9 +369,9 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
       (i)   min cross distance <= f(A,B) <= diam(A u B)
       (ii)  singletons cost exactly 0
       (iii) cost(A u B) <= max{cost(A), cost(B), f(A,B)}
-    Float comparisons allow a tiny relative slack ``rtol`` (mean-based costs
-    can overshoot pure maxima by final-ulp rounding); every fourth sample
-    forces |A| = 1 so condition (ii) is exercised.
+    Float comparisons are ``within_bound`` with a tiny relative slack ``rtol``
+    (mean-based costs can overshoot pure maxima by final-ulp rounding); every
+    fourth sample forces |A| = 1 so condition (ii) is exercised.
     """
     n = D.n
     if n < 2:
@@ -394,10 +389,10 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
         fab = float(f(A, B, D))
         cross = _cross_block(A, B, D)
         lo, hi = float(cross.min()), cohesion("diam", A | B, D)
-        if not leq_with_tol(lo, fab, rtol):
+        if not within_bound(lo, fab, rtol):
             report.violations.append({"condition": "i-lower", "A": sorted(A),
                                       "B": sorted(B), "lhs": lo, "rhs": fab})
-        if not leq_with_tol(fab, hi, rtol):
+        if not within_bound(fab, hi, rtol):
             report.violations.append({"condition": "i-upper", "A": sorted(A),
                                       "B": sorted(B), "lhs": fab, "rhs": hi})
         for side in (A, B):
@@ -407,7 +402,7 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
                                           "lhs": float(cost(side, D)), "rhs": 0.0})
         cu = float(cost(A | B, D))
         bound = max(float(cost(A, D)), float(cost(B, D)), fab)
-        if not leq_with_tol(cu, bound, rtol):
+        if not within_bound(cu, bound, rtol):
             report.violations.append({"condition": "iii", "A": sorted(A),
                                       "B": sorted(B), "lhs": cu, "rhs": bound})
     return report

@@ -39,11 +39,14 @@ from linkcert import (
     sample_ineq_2,
     sample_ineq_avg,
 )
-from linkcert.family_certificates import P_EXP
-from linkcert.inequality_lab import ALPHA_CAP, ineq2_threshold
-from linkcert.linkage_engine import leq_with_tol
+from linkcert.inequality_lab import (
+    ALPHA_CAP,
+    P_EXP,
+    RTOL,
+    ineq2_threshold,
+    within_bound,
+)
 
-RTOL = 1e-9
 LOG2_3 = 1 + P_EXP  # exponent of the avg-diam based bound
 K_RANGE = (2, 3, 4, 5, 6)
 
@@ -146,7 +149,7 @@ def test_criterion_3_avg_based_bound(grid, oracle):
                 "max-diam", extract_clustering(inst["cl"], k), inst["D"])
             opt_av = oracle["results"][inst["name"]][k]["av"].value
             bound = k ** LOG2_3 * opt_av
-            if not leq_with_tol(achieved, bound, RTOL):
+            if not within_bound(achieved, bound):
                 failures.append({"instance": inst["name"], "k": k,
                                  "achieved": achieved, "bound": bound})
     if oracle["elapsed"] >= 600.0:
@@ -166,7 +169,7 @@ def test_criterion_4_dm_based_bound(grid, oracle):
             achieved = clustering_score(
                 "max-diam", extract_clustering(inst["cl"], k), inst["D"])
             bound = alpha_k(k).factor * oracle["results"][inst["name"]][k]["dm"].value
-            if not leq_with_tol(achieved, bound, RTOL):
+            if not within_bound(achieved, bound):
                 failures.append({"instance": inst["name"], "k": k,
                                  "achieved": achieved, "bound": bound})
     report(4, "CL max-diam vs k^alpha_k OPT_DM", failures)
@@ -208,7 +211,7 @@ def test_criterion_6_linkage_separation():
         cl = extract_clustering(run_linkage("CL", inst.D), k)
         cl_achieved = clustering_score("max-diam", cl, inst.D)
         cl_bound = k ** LOG2_3 * target_av
-        if not leq_with_tol(cl_achieved, cl_bound, RTOL):
+        if not within_bound(cl_achieved, cl_bound):
             failures.append({"k": k, "cl_achieved": cl_achieved,
                              "cl_bound": cl_bound})
     # superlinear growth: ratio/k strictly increases along 5, 10, 20
@@ -231,11 +234,11 @@ def test_criterion_7_aligned_methods(grid, oracle):
                                       inst["D"])
             got_mm = clustering_score("max-radius", extract_clustering(mm, k),
                                       inst["D"])
-            if not leq_with_tol(got_al, bound, RTOL):
+            if not within_bound(got_al, bound):
                 failures.append({"instance": inst["name"], "k": k,
                                  "method": "AL", "achieved": got_al,
                                  "bound": bound})
-            if not leq_with_tol(got_mm, bound, RTOL):
+            if not within_bound(got_mm, bound):
                 failures.append({"instance": inst["name"], "k": k,
                                  "method": "MM", "achieved": got_mm,
                                  "bound": bound})
@@ -299,8 +302,8 @@ def test_criterion_9_oracle_sanity(grid, oracle):
                                  "monotone": key, "values": vals})
         for k in K_RANGE:
             av, dm = res[k]["av"].value, res[k]["dm"].value
-            if not (leq_with_tol(dm / k, av, 1e-12)
-                    and leq_with_tol(av, dm, 1e-12)):
+            if not (within_bound(dm / k, av, 1e-12)
+                    and within_bound(av, dm, 1e-12)):
                 failures.append({"instance": inst["name"], "k": k,
                                  "sandwich": (dm / k, av, dm)})
     crosschecked = 0

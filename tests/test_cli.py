@@ -7,7 +7,13 @@ import sys
 
 import pytest
 
-from linkcert import cli
+from linkcert import (
+    DistanceMatrix,
+    cli,
+    dump_instance,
+    gen_random_euclidean,
+    gen_random_metric,
+)
 
 
 def run_cli(*args):
@@ -147,6 +153,22 @@ class TestCertify:
         assert manifest["command"] == "certify"
         assert any(f["assertion"] == "p4" for f in manifest["failures"])
 
+    @pytest.mark.parametrize("method", ["AL", "MM"])
+    def test_zero_opt_av_is_still_bounded(self, tmp_path, capsys, method):
+        # three coincident pairs: OPT_AV = 0 at k=3, so the avg-based bound is
+        # 0 and the method's k-cut must score exactly 0 to pass
+        D = DistanceMatrix.from_points([[0, 0], [0, 0], [5, 0], [5, 0],
+                                        [0, 7], [0, 7]])
+        inst = tmp_path / "dup.json"
+        dump_instance(D, inst)
+        assert run_cli("--out-dir", tmp_path, "certify", "--instance", inst,
+                       "--k", 3, "--method", method) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["oracle"]["opt_av"] == 0.0
+        assert report["bounds"]["avg_based"] == 0.0
+        score = cli.METHOD_SCORES[method]
+        assert report["achieved"][score] == 0.0
+
     def test_oracle_alias_is_not_a_target(self, tmp_path, euclidean_instance):
         # only the literal "oracle" selects oracle witnesses; anything else
         # is a clustering file path
@@ -242,17 +264,75 @@ csv = out.csv
             (opt_av, opt_dm), = values
             assert opt_av and opt_dm
 
+    def test_rows_agree_with_certify(self, tmp_path, capsys):
+        """Each row's oracle, bound and certificate cells and its verdict are
+        what `certify` reports for the same instance, method and k, down to
+        the empty cells (None in the report) of SL and of k=1."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[grid]\ngenerators = euclidean metric\nns = 7\n"
+                       "seeds = 0..1\nks = 1..4\nmethods = CL SL AL MM\n"
+                       "[oracle]\nenabled = true\n"
+                       "[certificates]\nenabled = true\n"
+                       "[output]\ncsv = out.csv\n")
+        assert run_cli("--out-dir", tmp_path, "sweep", "--config", cfg) == 0
+        with open(tmp_path / "out.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 64  # 2 generators * 2 seeds * 4 methods * 4 ks
+        for row in rows:
+            seed, k, method = int(row["seed"]), int(row["k"]), row["method"]
+            D = (gen_random_euclidean(7, int(row["dim"]), seed)
+                 if row["generator"] == "euclidean" else gen_random_metric(7, seed))
+            inst = tmp_path / f"{row['generator']}_s{seed}.json"
+            dump_instance(D, inst)
+            out = tmp_path / "certify" / f"{row['generator']}_s{seed}_{method}_k{k}"
+            capsys.readouterr()
+            code = run_cli("--out-dir", out, "certify", "--instance", inst,
+                           "--k", k, "--method", method)
+            report = json.loads(capsys.readouterr().out)
+            assert code in (0, 3)
+            failures = (json.loads((out / "failures.json").read_text())["failures"]
+                        if code == 3 else [])
+            certs = report["certificates"] or {}
+            expected = {
+                "opt_av": report["oracle"]["opt_av"],
+                "opt_dm": report["oracle"]["opt_dm"],
+                "bound_avg_based": report["bounds"]["avg_based"],
+                "bound_dm_based": report["bounds"]["dm_based"],
+                "bound_ok": None if method == "SL" else not any(
+                    f["assertion"] == "method-bound" for f in failures),
+                "cert_ok": all(c["ok"] for c in certs.values()) if certs else None,
+            }
+            for name in ("alg1", "alg2"):
+                expected[f"cert_{name}_pass"] = certs.get(name, {}).get("passed")
+                expected[f"cert_{name}_fail"] = certs.get(name, {}).get("failed")
+            assert {c: row[c] for c in expected} == \
+                {c: cli.fmt(v) for c, v in expected.items()}, (row, report)
+            assert (row["bound_ok"] != "false" and row["cert_ok"] != "false") \
+                == (code == 0)
+
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[grid]\nmethods = ward\n")
         assert run_cli("--out-dir", tmp_path, "sweep", "--config", cfg) == 2
 
-    @pytest.mark.parametrize("line", ["ks = x", "ns = 3..", "ks = 1..2..3"])
-    def test_bad_integer_list_is_usage_error(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("text, names", [
+        pytest.param("[grid]\nks = x\n", "'ks'", id="ks = x"),
+        pytest.param("[grid]\nns = 3..\n", "'ns'", id="ns = 3.."),
+        pytest.param("[grid]\nks = 1..2..3\n", "'ks'", id="ks = 1..2..3"),
+        pytest.param("[grid]\n[oracle]\nn_max = abc\n", "'n_max'",
+                     id="n_max = abc"),
+        pytest.param("[grid]\n[oracle]\nenabled = maybe\n", "'enabled'",
+                     id="enabled = maybe"),
+        pytest.param("[oracle]\nenabled = true\n", "[grid]", id="no [grid]"),
+        pytest.param("ns = 6\n", "section header", id="no section header"),
+    ])
+    def test_bad_integer_list_is_usage_error(self, tmp_path, capsys, text, names):
+        """A malformed config file exits 2 with a message naming the key."""
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text(f"[grid]\n{line}\n")
+        cfg.write_text(text)
         assert run_cli("--out-dir", tmp_path, "sweep", "--config", cfg) == 2
-        assert "sweep config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sweep config" in err and names in err
 
     def test_certificates_require_oracle(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -19,11 +19,16 @@ from linkcert import (
     PreconditionError,
     alg1_bound,
     alg1_trace,
+    cli,
     clustering_score,
+    family_certificates,
+    graph_certificates,
+    inequality_lab,
     opt_score,
     run_linkage,
 )
-from linkcert.family_certificates import P_EXP, _leaves
+from linkcert.family_certificates import _leaves
+from linkcert.inequality_lab import P_EXP
 
 from .conftest import line_metric
 
@@ -41,9 +46,15 @@ class TestExponent:
     def test_p_value(self):
         assert P_EXP == pytest.approx(0.5849625007211562, rel=1e-14)
         assert 2 ** P_EXP == pytest.approx(1.5, rel=1e-14)  # 2^(log2 3 - 1) = 3/2
-        # same constant must be used by the inequality sampler
-        from linkcert.inequality_lab import P_AVG
-        assert P_AVG == P_EXP
+        # one owner: the certificates and the CLI use inequality_lab's
+        # constants, formulas and tolerance and define none of their own
+        for mod in (family_certificates, graph_certificates, cli):
+            for name in ("P_EXP", "ALPHA_CAP", "RTOL", "within_bound",
+                         "avg_bound", "dm_bound", "growth_bound", "alpha_k"):
+                owner = getattr(inequality_lab, name)
+                assert getattr(mod, name, owner) is owner, (mod, name)
+        assert family_certificates.P_EXP is cli.P_EXP is inequality_lab.P_EXP
+        assert graph_certificates.within_bound is inequality_lab.within_bound
 
 
 class TestLineWalkthrough:

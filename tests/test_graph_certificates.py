@@ -26,7 +26,8 @@ from linkcert import (
     run_linkage,
     spanning_tree_check,
 )
-from linkcert.graph_certificates import ALPHA_CAP, SpanningTreeCert
+from linkcert.graph_certificates import SpanningTreeCert
+from linkcert.inequality_lab import ALPHA_CAP
 
 from .conftest import line_metric
 

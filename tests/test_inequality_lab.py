@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from linkcert import (
@@ -14,10 +15,23 @@ from linkcert import (
 )
 from linkcert.inequality_lab import (
     ALPHA_CAP,
-    P_AVG,
+    P_EXP,
+    RTOL,
     InapplicableSample,
     ineq2_threshold,
+    within_bound,
 )
+
+
+class TestWithinBound:
+    def test_edge_is_rhs_times_one_plus_rtol(self):
+        rhs = 3.7
+        edge = rhs * (1 + RTOL)
+        above = math.nextafter(edge, math.inf)
+        assert within_bound(edge, rhs)
+        assert not within_bound(above, rhs)
+        got = within_bound(np.array([edge, above]), np.array([rhs, rhs]))
+        assert got.tolist() == [True, False]
 
 
 class TestIneqAvg:
@@ -26,7 +40,7 @@ class TestIneqAvg:
         # rhs = 3 * 3^p ~ 5.70452
         s = check_ineq_avg(2.0, 1.0, 2.0, 1.0)
         assert s.lhs == 5.0
-        assert s.rhs == pytest.approx(3.0 * 3.0 ** P_AVG, rel=0)
+        assert s.rhs == pytest.approx(3.0 * 3.0 ** P_EXP, rel=0)
         assert s.rhs == pytest.approx(5.704522494691118, rel=1e-12)
         assert s.holds
 
