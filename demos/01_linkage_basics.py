@@ -22,6 +22,7 @@ from linkcert import (
     run_linkage,
     union_diameter_rule,
 )
+from linkcert.linkage_engine import TIE_RULE
 
 
 def banner(title: str) -> None:
@@ -80,7 +81,7 @@ def main() -> None:
     dg = run_linkage("CL", E)
     members = dg.members_map()
     first = dg.merges[0]
-    print(f"  tie rule = {dg.tie_rule!r}")
+    print(f"  tie rule = {TIE_RULE!r}")
     print(f"  first merge: {sorted(members[first.left])} + "
           f"{sorted(members[first.right])} at {first.value:g}")
     assert (members[first.left], members[first.right]) == (

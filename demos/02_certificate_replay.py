@@ -33,6 +33,7 @@ from linkcert import (
     alg1_trace,
     alg2_bound,
     alg2_trace,
+    alpha_k,
     clustering_score,
     fc_diameter_check,
     gen_random_euclidean,
@@ -133,9 +134,9 @@ def main() -> None:
 
     banner("bound from the graph replay")
     cert.edges[0]["weight"] = 1.0    # restore
-    b2 = alg2_bound(t2, dg, D, k)
+    b2 = alg2_bound(t2, dg, D)
     print(f"  per-cluster guarantee: diam <= (2k-2) * max-diam(ref) "
-          f"= {b2.factor:g} * 10 = {b2.bound:g}")
+          f"= {alpha_k(k).factor:g} * 10 = {b2.bound:g}")
     assert b2.ok and b2.bound == 20.0
 
     banner("a real instance against exhaustive optima")
@@ -148,7 +149,7 @@ def main() -> None:
     t1 = alg1_trace(D, dg, ref_av.witness)
     t2 = alg2_trace(D, dg, ref_dm.witness)
     b1 = alg1_bound(t1, dg, D)
-    b2 = alg2_bound(t2, dg, D, k)
+    b2 = alg2_bound(t2, dg, D)
     print(f"  n=12, k=3: enumerated {ref_av.enumerated} partitions for both "
           f"scores")
     print(f"  family forest:      {t1.assertion_counts[0]} assertions, "

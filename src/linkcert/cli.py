@@ -217,10 +217,7 @@ def certify(D: DistanceMatrix, method: str, k: int, targets: dict | None,
             report.certificates[name] = {"passed": passed, "failed": failed,
                                          "bound_ok": check.ok,
                                          "ok": trace.ok and check.ok}
-            for r in trace.records:
-                failures.extend(r.failures)
-            failures.extend(trace.failures)
-            failures.extend(check.failures)
+            failures += trace.all_failures() + check.failures
             traces[name] = trace
     return report, traces, failures
 
@@ -414,18 +411,15 @@ def cmd_sweep(args) -> int:
 
 # ------------------------------------------------------------ inequalities
 
-def _extremes_csv(path: str, batch) -> None:
-    rows = [s.to_row() for s in batch.extremes]
-    cols: list[str] = []
-    for r in rows:
-        for c in r:
-            if c not in cols:
-                cols.append(c)
+def _samples_csv(path: str, samples) -> None:
+    """One row per sample; every sample of a batch has the same keys."""
+    rows = [s.to_row() for s in samples]
+    cols = list(rows[0]) if rows else []
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=cols, lineterminator="\n")
         writer.writeheader()
         for r in rows:
-            writer.writerow({c: fmt(r.get(c, "")) for c in cols})
+            writer.writerow({c: fmt(r[c]) for c in cols})
 
 
 def cmd_inequalities(args) -> int:
@@ -433,22 +427,16 @@ def cmd_inequalities(args) -> int:
     avg = inequality_lab.sample_ineq_avg(args.samples, seed=args.seed)
     two = inequality_lab.sample_ineq_2(args.samples, seed=args.seed + 1)
     sup = inequality_lab.alpha_sup(args.i_max)
-    _extremes_csv(os.path.join(args.out_dir, "ineq_avg_extremes.csv"), avg)
-    _extremes_csv(os.path.join(args.out_dir, "ineq_2_extremes.csv"), two)
+    _samples_csv(os.path.join(args.out_dir, "ineq_avg_extremes.csv"), avg.extremes)
+    _samples_csv(os.path.join(args.out_dir, "ineq_2_extremes.csv"), two.extremes)
     failures = []
     for batch in (avg, two):
         for s in batch.failures:
             failures.append({"assertion": batch.name, "inputs": s.inputs,
                              "lhs": s.lhs, "rhs": s.rhs, "slack": s.slack})
-        frows = [s.to_row() for s in batch.failures]
-        if frows:
-            fpath = os.path.join(args.out_dir, f"{batch.name}_failures.csv")
-            cols = list(frows[0])
-            with open(fpath, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=cols, lineterminator="\n")
-                writer.writeheader()
-                for r in frows:
-                    writer.writerow({c: fmt(r.get(c, "")) for c in cols})
+        if batch.failures:
+            _samples_csv(os.path.join(args.out_dir, f"{batch.name}_failures.csv"),
+                         batch.failures)
     if not (sup.argmax == 4 and sup.tail_ok
             and math.isclose(sup.value, inequality_lab.ALPHA_CAP, rel_tol=1e-12)):
         failures.append({"assertion": "alpha-sup",

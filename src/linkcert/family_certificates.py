@@ -36,6 +36,7 @@ from .metric_core import (
 )
 
 __all__ = [
+    "Replay",
     "FamilyNode",
     "Alg1IterationRecord",
     "Alg1Trace",
@@ -102,18 +103,42 @@ class Alg1IterationRecord:
 
 
 @dataclass
-class Alg1Trace:
+class Replay:
+    """What both certificate replays return: per-iteration records (each with
+    its ``assertions`` and ``failures``) plus failures outside any iteration.
+
+    Record dataclasses declare their fields in JSON key order, so a record
+    serialises as ``vars(record)``.
+    """
+
     n: int
     k: int
     target: Clustering
-    records: list[Alg1IterationRecord]
-    forest: dict[int, FamilyNode]
-    final_assertions: dict
+    records: list
     failures: list[dict]
+
+    def all_failures(self) -> list[dict]:
+        """Per-iteration failures in iteration order, then the replay's own."""
+        return [f for r in self.records for f in r.failures] + self.failures
 
     @property
     def ok(self) -> bool:
-        return not self.failures and all(not r.failures for r in self.records)
+        return not self.all_failures()
+
+    @property
+    def assertion_counts(self) -> tuple[int, int]:
+        """(passed, failed) over all per-iteration assertions."""
+        return count_assertions(r.assertions for r in self.records)
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "k": self.k, "target": self.target.to_json(),
+                "iterations": [dict(vars(r)) for r in self.records]}
+
+
+@dataclass
+class Alg1Trace(Replay):
+    forest: dict[int, FamilyNode]
+    final_assertions: dict
 
     @property
     def assertion_counts(self) -> tuple[int, int]:
@@ -122,23 +147,7 @@ class Alg1Trace:
             [*(r.assertions for r in self.records), self.final_assertions])
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "target": self.target.to_json(),
-            "iterations": [
-                {
-                    "iteration": r.iteration,
-                    "case": r.case,
-                    "roots": r.roots,
-                    "assertions": r.assertions,
-                    "failures": r.failures,
-                }
-                for r in self.records
-            ],
-            "final": self.final_assertions,
-            "ok": self.ok,
-        }
+        return {**super().to_json(), "final": self.final_assertions, "ok": self.ok}
 
 
 def _leaves(forest: dict[int, FamilyNode], fid: int) -> list[int]:
@@ -282,12 +291,15 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
     # root families hold a single cluster, which is the intended end shape.
     _, _, p4_final, final_failures = root_assertions(n - k + 1, check_p3=False)
     trace_failures.extend(final_failures)
-    return Alg1Trace(n=n, k=k, target=target, records=records, forest=forest,
-                     final_assertions={"p4": p4_final}, failures=trace_failures)
+    return Alg1Trace(n=n, k=k, target=target, records=records,
+                     failures=trace_failures, forest=forest,
+                     final_assertions={"p4": p4_final})
 
 
 @dataclass
 class BoundCheck:
+    """The per-cluster guarantee: one row per cluster born in the first n-k merges."""
+
     bound: float
     per_iteration: list[dict]
     failures: list[dict]
@@ -297,10 +309,10 @@ class BoundCheck:
         return not self.failures
 
 
-def born_cluster_checks(trace, dg: Dendrogram, D: DistanceMatrix,
-                        bound: float) -> tuple[list[dict], list[dict]]:
-    """(rows, failures): every cluster born in the first n-k merges of ``dg``
-    (n, k from either replay's trace) checked as ``within_bound(diam, bound)``."""
+def born_cluster_checks(trace: Replay, dg: Dendrogram, D: DistanceMatrix,
+                        bound: float) -> BoundCheck:
+    """Every cluster born in the first n-k merges of ``dg`` (n, k from the
+    replay) checked as ``within_bound(diam, bound)``."""
     members = dg.members_map()
     rows, failures = [], []
     for m in dg.merges[: trace.n - trace.k]:
@@ -311,12 +323,11 @@ def born_cluster_checks(trace, dg: Dendrogram, D: DistanceMatrix,
             failures.append({"assertion": "per-cluster-bound",
                              "iteration": m.iteration,
                              "detail": f"diam {dm!r} > bound {bound!r}"})
-    return rows, failures
+    return BoundCheck(bound=bound, per_iteration=rows, failures=failures)
 
 
 def alg1_bound(trace: Alg1Trace, dg: Dendrogram, D: DistanceMatrix) -> BoundCheck:
     """Check every cluster born in the first n-k merges against the guarantee
     diam <= avg_bound(k, avg-diam(target)) = k^{log2 3} * avg-diam(target)."""
-    bound = avg_bound(trace.k, clustering_score("avg-diam", trace.target, D))
-    rows, failures = born_cluster_checks(trace, dg, D, bound)
-    return BoundCheck(bound=bound, per_iteration=rows, failures=failures)
+    avg_diam = clustering_score("avg-diam", trace.target, D)
+    return born_cluster_checks(trace, dg, D, avg_bound(trace.k, avg_diam))

@@ -36,20 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .family_certificates import born_cluster_checks, count_assertions, replay_target
-from .inequality_lab import alpha_k, dm_bound, growth_bound, within_bound
+from .family_certificates import BoundCheck, Replay, born_cluster_checks, replay_target
+from .inequality_lab import dm_bound, growth_bound, within_bound
 from .linkage_engine import Dendrogram
-from .metric_core import (
-    Clustering,
-    DistanceMatrix,
-    PreconditionError,
-    clustering_score,
-    cohesion,
-)
+from .metric_core import DistanceMatrix, clustering_score, cohesion
 
 __all__ = [
     "Alg2Family",
-    "PureLedger",
     "ComponentState",
     "SpanningTreeCert",
     "Alg2IterationRecord",
@@ -68,31 +61,18 @@ class Alg2Family:
     clusters: frozenset[int]     # cluster ids at creation
     points: frozenset[int]
     diam: float
-    size: int
     phi: int
     created_at: int
     parent: int | None = None
     children: tuple[int, ...] = ()
 
-    def summary(self, pure: int | None = None) -> dict:
-        out = {"id": self.id, "size": self.size, "phi": self.phi,
-               "diam": float(self.diam)}
-        if pure is not None:
-            out["pure"] = pure
-        return out
-
-
-@dataclass
-class PureLedger:
-    """Tags of current clusters and pure-cluster counts of live families."""
-
-    tags: dict[int, tuple] = field(default_factory=dict)
-    counts: dict[int, int] = field(default_factory=dict)
+    def summary(self, pure: int) -> dict:
+        return {"id": self.id, "size": len(self.clusters), "phi": self.phi,
+                "diam": float(self.diam), "pure": pure}
 
 
 @dataclass
 class ComponentState:
-    id: int
     families: set[int]
     events: list[dict] = field(default_factory=list)  # tree edges, in order
 
@@ -179,56 +159,16 @@ class Alg2IterationRecord:
 
 
 @dataclass
-class Alg2Trace:
-    n: int
-    k: int
-    target: Clustering
-    records: list[Alg2IterationRecord]
+class Alg2Trace(Replay):
     families: dict[int, Alg2Family]
     spanning_certs: list[SpanningTreeCert]
     additions: list[dict]
-    failures: list[dict]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and all(not r.failures for r in self.records)
-
-    @property
-    def assertion_counts(self) -> tuple[int, int]:
-        """(passed, failed) over all per-iteration assertions."""
-        return count_assertions(r.assertions for r in self.records)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "target": self.target.to_json(),
-            "iterations": [
-                {
-                    "iteration": r.iteration,
-                    "case": r.case,
-                    "roots": r.roots,
-                    "assertions": r.assertions,
-                    "exclusion_set_size": r.exclusion_set_size,
-                    "components": r.components,
-                    "events": r.events,
-                    "failures": r.failures,
-                }
-                for r in self.records
-            ],
-            "spanning_tree_certs": [
-                {
-                    "fc_id": c.fc_id,
-                    "iteration": c.iteration,
-                    "families": list(c.families),
-                    "edges": c.edges,
-                    "dm": c.dm,
-                }
-                for c in self.spanning_certs
-            ],
-            "exclusion_additions": self.additions,
-            "ok": self.ok,
-        }
+        return {**super().to_json(),
+                "spanning_tree_certs": [dict(vars(c)) for c in self.spanning_certs],
+                "exclusion_additions": self.additions,
+                "ok": self.ok}
 
 
 def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
@@ -239,8 +179,8 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     max_diam = clustering_score("max-diam", target, D)
 
     families: dict[int, Alg2Family] = {}
-    ledger = PureLedger()
-    live: set[int] = set()
+    tags: dict[int, tuple] = {}      # cluster -> ("pure", f), ("nonpure",) or ("excluded",)
+    counts: dict[int, int] = {}      # live family -> its number of pure clusters
     p2f: list[int | None] = [None] * n
     comps: dict[int, ComponentState] = {}
     fam2comp: dict[int, int] = {}
@@ -258,19 +198,18 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         if len(block) == 1:
             (x,) = block
             E.add(x)
-            ledger.tags[x] = ("excluded",)
+            tags[x] = ("excluded",)
             continue
         fam = Alg2Family(id=next_fid, clusters=frozenset(block),
                          points=frozenset(block), diam=cohesion("diam", block, D),
-                         size=len(block), phi=1, created_at=0)
+                         phi=1, created_at=0)
         families[next_fid] = fam
-        live.add(next_fid)
-        ledger.counts[next_fid] = len(block)
+        counts[next_fid] = len(block)
         fam_events[next_fid] = []
         for x in block:
-            ledger.tags[x] = ("pure", next_fid)
+            tags[x] = ("pure", next_fid)
             p2f[x] = next_fid
-        comps[next_comp] = ComponentState(id=next_comp, families={next_fid})
+        comps[next_comp] = ComponentState(families={next_fid})
         fam2comp[next_fid] = next_comp
         next_comp += 1
         if k >= 2 and not within_bound(fam.diam, max_diam):
@@ -284,7 +223,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     def start_assertions(t: int, failures: list[dict]) -> dict:
         ok_l1 = True
         for comp in comps.values():
-            rich = [f for f in comp.families if ledger.counts[f] >= 2]
+            rich = [f for f in comp.families if counts[f] >= 2]
             need = 1 if len(comp.families) == 1 else 2
             if len(rich) < need:
                 ok_l1 = False
@@ -294,9 +233,9 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                               f"{len(rich)} families with >=2 pure clusters",
                 })
         ok_cs = True
-        recount: dict[int, int] = {f: 0 for f in live}
+        recount: dict[int, int] = {f: 0 for f in counts}
         for h in active:
-            tag = ledger.tags[h]
+            tag = tags[h]
             if tag[0] == "excluded":
                 if h not in E:
                     ok_cs = False
@@ -337,11 +276,11 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                                   f"spans families {sorted(touched)} in "
                                   f"{len(comp_ids)} components",
                     })
-        if recount != {f: ledger.counts[f] for f in live}:
+        if recount != counts:
             ok_cs = False
             failures.append({
                 "assertion": "clusters-structure", "iteration": t,
-                "detail": f"pure-count ledger {ledger.counts} disagrees with "
+                "detail": f"pure-count ledger {counts} disagrees with "
                           f"tag recount {recount}",
             })
         return {"two_pure_clusters": ok_l1, "clusters_structure": ok_cs}
@@ -352,11 +291,11 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         failures: list[dict] = []
         events: list[dict] = []
         assertions = start_assertions(t, failures)
-        pure_start = dict(ledger.counts)
+        pure_start = dict(counts)
 
         m = dg.merges[t - 1]
         g, g2, u = m.left, m.right, m.result
-        tag_g, tag_g2 = ledger.tags.pop(g), ledger.tags.pop(g2)
+        tag_g, tag_g2 = tags.pop(g), tags.pop(g2)
         active.discard(g)
         active.discard(g2)
         active.add(u)
@@ -366,10 +305,10 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             E.discard(g)
             E.discard(g2)
             E.add(u)
-            ledger.tags[u] = ("excluded",)
+            tags[u] = ("excluded",)
             for tg in (tag_g, tag_g2):
                 if tg[0] == "pure":
-                    ledger.counts[tg[1]] -= 1
+                    counts[tg[1]] -= 1
             events.append({"type": "absorbed", "iteration": t,
                            "cluster": sorted(members[u])})
         else:
@@ -383,13 +322,13 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 A.discard(None)
                 B.discard(None)
             if tag_g[0] == "pure" and tag_g == tag_g2:
-                ledger.tags[u] = tag_g
-                ledger.counts[tag_g[1]] -= 1
+                tags[u] = tag_g
+                counts[tag_g[1]] -= 1
             else:
-                ledger.tags[u] = ("nonpure",)
+                tags[u] = ("nonpure",)
                 for tg in (tag_g, tag_g2):
                     if tg[0] == "pure":
-                        ledger.counts[tg[1]] -= 1
+                        counts[tg[1]] -= 1
             for side, fams in (("left", A), ("right", B)):
                 if len({fam2comp[f] for f in fams}) > 1:
                     failures.append({
@@ -424,15 +363,15 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 del comps[cb]
 
         # four-case evolution of pure counts (exact integer bookkeeping)
-        delta = {f: ledger.counts[f] - pure_start[f]
-                 for f in pure_start if ledger.counts.get(f) != pure_start[f]}
+        delta = {f: counts[f] - pure_start[f]
+                 for f in pure_start if counts.get(f) != pure_start[f]}
         pg = tag_g[1] if tag_g[0] == "pure" else None
         pg2 = tag_g2[1] if tag_g2[0] == "pure" else None
         if pg is None and pg2 is None:
             evol_ok = delta == {}
             evol_case = "none-pure"
         elif pg is not None and pg2 is not None and pg == pg2:
-            evol_ok = delta == {pg: -1} and ledger.tags[u] == ("pure", pg)
+            evol_ok = delta == {pg: -1} and tags[u] == ("pure", pg)
             evol_case = "both-pure-same"
             if pure_start[pg] >= 2 and u in E:
                 evol_ok = False
@@ -453,7 +392,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         # case dispatch on the post-merge state
         fired: list[tuple[str, int]] = []
         for cid_, comp in sorted(comps.items()):
-            rich = [f for f in comp.families if ledger.counts[f] > 1]
+            rich = [f for f in comp.families if counts[f] > 1]
             if len(comp.families) > 1 and len(rich) == 1:
                 fired.append(("a", cid_))
             elif len(comp.families) > 1 and not rich:
@@ -473,12 +412,12 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
 
         # exclusion additions
         additions_ok = True
-        dropped = sorted(f for f in live
-                         if pure_start.get(f, 0) > 1 and ledger.counts[f] == 1)
+        dropped = sorted(f for f in counts
+                         if pure_start.get(f, 0) > 1 and counts[f] == 1)
 
         def exclude_last_pure(f: int, site: str) -> None:
             nonlocal additions_ok
-            cands = [h for h in active if ledger.tags[h] == ("pure", f)]
+            cands = [h for h in active if tags[h] == ("pure", f)]
             if len(cands) != 1:
                 additions_ok = False
                 failures.append({
@@ -488,9 +427,9 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 })
                 return
             (h,) = cands
-            ledger.tags[h] = ("excluded",)
+            tags[h] = ("excluded",)
             E.add(h)
-            ledger.counts[f] = 0
+            counts[f] = 0
             rec = {"site": site, "iteration": t, "family": f,
                    "cluster": sorted(members[h])}
             additions.append(rec)
@@ -535,7 +474,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 })
 
             if case == "a":
-                rich = [f for f in comp_fams if ledger.counts[f] > 1]
+                rich = [f for f in comp_fams if counts[f] > 1]
                 with_events = {f for f in comp_fams if fam_events[f]}
                 ls_ok = (len(rich) == 1
                          and with_events == set(comp_fams) - set(rich)
@@ -562,7 +501,6 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             fam = Alg2Family(
                 id=next_fid, clusters=frozenset(fc_members), points=fc_pts,
                 diam=cohesion("diam", fc_pts, D) if fc_pts else 0.0,
-                size=len(fc_members),
                 phi=sum(families[f].phi for f in comp_fams),
                 created_at=t, children=tuple(comp_fams),
             )
@@ -592,20 +530,18 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 })
 
             for f in comp_fams:
-                live.discard(f)
-                del ledger.counts[f]
+                del counts[f]
                 del fam2comp[f]
             del comps[comp_id]
             edge_set = {e for e in edge_set
                         if e[0] not in comp.families and e[1] not in comp.families}
-            live.add(next_fid)
-            ledger.counts[next_fid] = len(fc_members)
+            counts[next_fid] = len(fc_members)
             fam_events[next_fid] = []
             for h in fc_members:
-                ledger.tags[h] = ("pure", next_fid)
+                tags[h] = ("pure", next_fid)
             for p in union_pts:
                 p2f[p] = next_fid if p in fc_pts else None
-            comps[next_comp] = ComponentState(id=next_comp, families={next_fid})
+            comps[next_comp] = ComponentState(families={next_fid})
             fam2comp[next_fid] = next_comp
             events.append({"type": "fc_created", "iteration": t,
                            "family": next_fid,
@@ -617,8 +553,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         elif case == "c":
             comp = comps[comp_id]
             (f,) = comp.families
-            live.discard(f)
-            del ledger.counts[f]
+            del counts[f]
             del fam2comp[f]
             del comps[comp_id]
             for p in families[f].points:
@@ -636,59 +571,25 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
 
         records.append(Alg2IterationRecord(
             iteration=t, case=case,
-            roots=[families[f].summary(ledger.counts[f]) for f in sorted(live)],
+            roots=[families[f].summary(counts[f]) for f in sorted(counts)],
             assertions=assertions,
             exclusion_set_size=len(E),
             components=[{
                 "families": sorted(c.families),
-                "pure_counts": {str(f): ledger.counts[f] for f in sorted(c.families)},
+                "pure_counts": {str(f): counts[f] for f in sorted(c.families)},
             } for _, c in sorted(comps.items())],
             events=events,
             failures=failures,
         ))
 
     return Alg2Trace(n=n, k=k, target=target, records=records,
-                     families=families, spanning_certs=spanning_certs,
-                     additions=additions, failures=trace_failures)
+                     failures=trace_failures, families=families,
+                     spanning_certs=spanning_certs, additions=additions)
 
 
-@dataclass
-class Alg2BoundCheck:
-    factor: float
-    bound: float
-    per_iteration: list[dict]
-    family_checks: list[dict]
-    failures: list[dict]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def alg2_bound(trace: Alg2Trace, dg: Dendrogram, D: DistanceMatrix,
-               k: int | None = None) -> Alg2BoundCheck:
-    """Family growth bounds at every creation plus the final per-cluster bound
-    diam <= dm_bound(k, max-diam(target)) = k^{alpha_k} * max-diam(target)
-    for every cluster born in the first n-k merges."""
-    if k is None:
-        k = trace.k
-    if k != trace.k:
-        raise PreconditionError(f"trace was built for k={trace.k}, got k={k}")
+def alg2_bound(trace: Alg2Trace, dg: Dendrogram, D: DistanceMatrix) -> BoundCheck:
+    """Check every cluster born in the first n-k merges against the guarantee
+    diam <= dm_bound(k, max-diam(target)) = k^{alpha_k} * max-diam(target).
+    The family growth bounds are asserted by the replay itself."""
     max_diam = clustering_score("max-diam", trace.target, D)
-    bound = dm_bound(k, max_diam)
-    failures: list[dict] = []
-    family_checks = []
-    for fam in trace.families.values():
-        fb = growth_bound(k, max_diam, fam.phi)
-        ok = within_bound(fam.diam, fb)
-        family_checks.append({"family": fam.id, "phi": fam.phi,
-                              "diam": fam.diam, "bound": fb, "ok": ok})
-        if not ok:
-            failures.append({"assertion": "family-growth-bound",
-                             "family": fam.id,
-                             "detail": f"diam {fam.diam!r} > bound {fb!r}"})
-    rows, cluster_failures = born_cluster_checks(trace, dg, D, bound)
-    failures.extend(cluster_failures)
-    return Alg2BoundCheck(factor=alpha_k(k).factor, bound=bound,
-                          per_iteration=rows, family_checks=family_checks,
-                          failures=failures)
+    return born_cluster_checks(trace, dg, D, dm_bound(trace.k, max_diam))

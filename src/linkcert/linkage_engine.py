@@ -65,7 +65,6 @@ class MergeRecord:
 class Dendrogram:
     n: int
     method: str
-    tie_rule: str
     merges: tuple[MergeRecord, ...]
 
     def members_map(self) -> dict[int, frozenset[int]]:
@@ -84,7 +83,7 @@ class Dendrogram:
 
     @classmethod
     def from_json(cls, data: Sequence[dict], method: str = "CL",
-                  tie_rule: str = TIE_RULE, n: int | None = None) -> "Dendrogram":
+                  n: int | None = None) -> "Dendrogram":
         if n is None:
             n = len(data) + 1
         merges = []
@@ -93,7 +92,7 @@ class Dendrogram:
             merges.append(MergeRecord(left=int(rec["left"]), right=int(rec["right"]),
                                       value=float(rec["value"]),
                                       result=n - 1 + it, iteration=it))
-        return cls(n=n, method=method, tie_rule=tie_rule, merges=tuple(merges))
+        return cls(n=n, method=method, merges=tuple(merges))
 
 
 def _cross_block(A: frozenset[int], B: frozenset[int], D: DistanceMatrix) -> np.ndarray:
@@ -170,8 +169,6 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
     ``f(merged, other, D)``.
     """
     n = D.n
-    if n < 2:
-        raise PreconditionError("linkage needs at least two points")
     if callable(method):
         f, method = method, "custom"
     if method == "custom" and f is None:
@@ -255,7 +252,7 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
         for i in redo:
             _scan_row(V, int(i), nn, mind)
 
-    return Dendrogram(n=n, method=method, tie_rule=TIE_RULE, merges=tuple(merges))
+    return Dendrogram(n=n, method=method, merges=tuple(merges))
 
 
 def extract_clustering(dg: Dendrogram, k: int) -> Clustering:

@@ -15,7 +15,6 @@ import numpy as np
 
 from linkcert.linkage_engine import (
     METHODS,
-    TIE_RULE,
     Dendrogram,
     MergeRecord,
     _minimax,
@@ -105,4 +104,4 @@ def reference_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> D
         minmem = [minmem[c] for c in keep] + [min(new_members)]
         ids = [ids[c] for c in keep] + [new_id]
 
-    return Dendrogram(n=n, method=method, tie_rule=TIE_RULE, merges=tuple(merges))
+    return Dendrogram(n=n, method=method, merges=tuple(merges))

@@ -1,9 +1,11 @@
 """Tests for the command-line harness (run in-process via main(argv))."""
 
 import csv
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,18 @@ def euclidean_instance(tmp_path):
     assert run_cli("--out-dir", tmp_path, "generate", "euclidean",
                    "--n", 8, "--dim", 2) == 0
     return tmp_path / "euclidean_n8_d2_s0.json"
+
+
+@pytest.fixture
+def non_metric_specimen(tmp_path):
+    """(instance, target) paths: no metric structure at all, so the long
+    edges cannot be certified against the target [[0, 1], [2, 3]]."""
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(
+        {"n": 4, "dist": [2.0, 1.0, 1000.0, 1000.0, 1000.0, 2.0]}))
+    target = tmp_path / "bad_target.json"
+    target.write_text(json.dumps([[0, 1], [2, 3]]))
+    return inst, target
 
 
 class TestGenerate:
@@ -140,18 +154,25 @@ class TestCertify:
         assert run_cli("--out-dir", tmp_path, "certify", "--instance",
                        euclidean_instance, "--k", 3, "--target", target) == 2
 
-    def test_failing_instance_exits_3_with_manifest(self, tmp_path):
-        # no metric structure at all: the long edges cannot be certified
-        inst = tmp_path / "bad.json"
-        inst.write_text(json.dumps(
-            {"n": 4, "dist": [2.0, 1.0, 1000.0, 1000.0, 1000.0, 2.0]}))
-        target = tmp_path / "bad_target.json"
-        target.write_text(json.dumps([[0, 1], [2, 3]]))
+    def test_failing_instance_exits_3_with_manifest(self, tmp_path,
+                                                    non_metric_specimen):
+        inst, target = non_metric_specimen
         assert run_cli("--out-dir", tmp_path, "certify", "--instance", inst,
                        "--k", 2, "--target", target) == 3
         manifest = json.loads((tmp_path / "failures.json").read_text())
         assert manifest["command"] == "certify"
         assert any(f["assertion"] == "p4" for f in manifest["failures"])
+
+    def test_growth_failure_is_reported_once(self, tmp_path, non_metric_specimen):
+        # the graph replay asserts each family's growth bound at creation;
+        # the bound check must not report the same family a second time
+        inst, target = non_metric_specimen
+        assert run_cli("--out-dir", tmp_path, "certify", "--instance", inst,
+                       "--k", 2, "--target", target) == 3
+        manifest = json.loads((tmp_path / "failures.json").read_text())
+        growth = [f for f in manifest["failures"]
+                  if f["assertion"] == "family-growth-bound"]
+        assert len(growth) == 1, growth
 
     @pytest.mark.parametrize("method", ["AL", "MM"])
     def test_zero_opt_av_is_still_bounded(self, tmp_path, capsys, method):
@@ -334,6 +355,24 @@ csv = out.csv
         err = capsys.readouterr().err
         assert "sweep config" in err and names in err
 
+    def test_single_point_instances(self, tmp_path, capsys):
+        # n = 1 admits k = 1 only: an empty dendrogram whose one cut is {0}
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.CONFIG.replace("ns = 6 7", "ns = 1 2")
+                                  .replace("ks = 2 3", "ks = 1..3"))
+        assert run_cli("--out-dir", tmp_path, "sweep", "--config", cfg) == 0
+        with open(tmp_path / "out.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # (1 k at n=1 + 2 ks at n=2) * 2 seeds * 2 methods
+        assert len(rows) == 12
+        single = [r for r in rows if r["n"] == "1"]
+        assert len(single) == 4
+        for row in single:
+            assert row["k"] == "1"
+            assert row["max_diam"] == row["opt_dm"] == row["opt_av"] == "0"
+            assert row["bound_ok"] == "true"
+        assert all(r["cert_ok"] == "true" for r in single if r["method"] == "CL")
+
     def test_certificates_require_oracle(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[grid]\nns = 6\n[certificates]\nenabled = true\n")
@@ -359,3 +398,28 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "certify" in proc.stdout
+
+
+class TestBenchmarkTracing:
+    """The traced benchmark run patches ``linkcert.cli`` by name and reads
+    work counts off the replays; a rename must fail here, not in a bench run."""
+
+    def test_traced_certify(self, tmp_path, euclidean_instance, capsys,
+                            monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # for @dataclass
+        spec.loader.exec_module(tracing)
+        original = cli.alg2_bound
+        with tracing.traced(tracing.Tracer()) as tracer:
+            assert cli.alg2_bound is not original
+            assert run_cli("--out-dir", tmp_path, "certify", "--instance",
+                           euclidean_instance, "--k", 3) == 0
+        assert cli.alg2_bound is original
+        names = {s.name for s in tracer.spans}
+        assert {"family_certificates.alg1_trace", "family_certificates.alg1_bound",
+                "graph_certificates.alg2_trace",
+                "graph_certificates.alg2_bound"} <= names
+        counts = tracer.counts()
+        assert counts["families"] > 0 and counts["alg2_assertions"] > 0

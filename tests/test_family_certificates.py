@@ -155,7 +155,7 @@ class TestFalsifiability:
         target = Clustering.from_blocks([[0, 1], [2, 3]], 4)
         trace = alg1_trace(D, dg, target)
         assert not trace.ok
-        bad = [f for r in trace.records for f in r.failures] + trace.failures
+        bad = trace.all_failures()
         assert any(f["assertion"] == "p4" for f in bad)
         bc = alg1_bound(trace, dg, D)
         assert not bc.ok

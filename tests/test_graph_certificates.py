@@ -87,10 +87,9 @@ class TestLineWalkthrough:
 
     def test_bound(self, line4):
         dg, _, trace = traced(line4, [[0, 1], [2, 3]])
-        bc = alg2_bound(trace, dg, line4, 2)
+        bc = alg2_bound(trace, dg, line4)
         # max-diam(target) * k^alpha_2 = 1 * 2
         assert bc.bound == 2.0
-        assert bc.factor == 2.0
         assert bc.ok
 
 
@@ -120,7 +119,7 @@ class TestInterleavedWalkthrough:
     def test_bound(self):
         D = line_metric([0.0, 10.0, 1.0, 11.0])
         dg, _, trace = traced(D, [[0, 1], [2, 3]])
-        bc = alg2_bound(trace, dg, D, 2)
+        bc = alg2_bound(trace, dg, D)
         assert bc.bound == 20.0  # max-diam 10 * factor 2
         assert bc.ok
 
@@ -142,7 +141,7 @@ class TestThreeBlockComponent:
     def test_bound(self):
         D = line_metric([0.0, 10.0, 1.0, 30.0, 31.0, 60.0])
         dg, _, trace = traced(D, [[0, 1], [2, 3, 4, 5]])
-        bc = alg2_bound(trace, dg, D, 2)
+        bc = alg2_bound(trace, dg, D)
         assert bc.bound == 118.0  # max-diam(target) 59 * factor 2
         assert bc.ok
 
@@ -195,11 +194,10 @@ class TestFalsifiability:
         dg = run_linkage("CL", D)
         target = Clustering.from_blocks([[0, 1], [2, 3]], 4)
         trace = alg2_trace(D, dg, target)
-        bc = alg2_bound(trace, dg, D, 2)
+        bc = alg2_bound(trace, dg, D)
         assert not (trace.ok and bc.ok)
-        bad = ([f for r in trace.records for f in r.failures]
-               + trace.failures + bc.failures)
-        assert any(f["assertion"] in ("sum-diam", "family-bound",
+        bad = trace.all_failures() + bc.failures
+        assert any(f["assertion"] in ("sum-diam", "family-growth-bound",
                                       "per-cluster-bound") for f in bad)
 
 
@@ -212,8 +210,8 @@ class TestRandomGridInvariants:
                 target = opt_score("max-diam", D, k).witness
                 dg = run_linkage("CL", D)
                 trace = alg2_trace(D, dg, target)
-                bc = alg2_bound(trace, dg, D, k)
-                assert trace.ok, trace.failures or [r.failures for r in trace.records]
+                bc = alg2_bound(trace, dg, D)
+                assert trace.ok, trace.all_failures()
                 assert bc.ok, bc.failures
 
     def test_certs_validate_standalone(self):
@@ -251,11 +249,6 @@ class TestPreconditionsAndSerialisation:
         dg = run_linkage("AL", line4)
         with pytest.raises(PreconditionError):
             alg2_trace(line4, dg, Clustering.from_blocks([[0, 1], [2, 3]], 4))
-
-    def test_bound_k_must_match_trace(self, line4):
-        dg, _, trace = traced(line4, [[0, 1], [2, 3]])
-        with pytest.raises(PreconditionError):
-            alg2_bound(trace, dg, line4, 3)
 
     def test_to_json_shape(self, line4):
         _, _, trace = traced(line4, [[0, 1], [2, 3]])

@@ -131,8 +131,10 @@ class TestRunLinkage:
             assert m.value == cohesion("diam", mm[m.left] | mm[m.right], D)
 
     def test_requires_two_points(self):
-        with pytest.raises(PreconditionError):
-            run_linkage("CL", DistanceMatrix(n=1, packed=np.zeros(0)))
+        """One point is a finished dendrogram: no merges, and its one cut is {0}."""
+        dg = run_linkage("CL", DistanceMatrix(n=1, packed=np.zeros(0)))
+        assert dg.merges == ()
+        assert extract_clustering(dg, 1).blocks == (frozenset({0}),)
 
     def test_json_roundtrip(self, line4):
         dg = run_linkage("CL", line4)
@@ -193,9 +195,8 @@ class TestExtractClustering:
     ])
     def test_forged_dendrogram_is_structural_error(self, merges, iteration, cid):
         n = len(merges) + 1
-        dg = Dendrogram(n=n, method="CL", tie_rule="lexicographic-min-member",
-                        merges=tuple(MergeRecord(l, r, 1.0, res, it)
-                                     for it, (l, r, res) in enumerate(merges, 1)))
+        dg = Dendrogram(n=n, method="CL", merges=tuple(
+            MergeRecord(l, r, 1.0, res, it) for it, (l, r, res) in enumerate(merges, 1)))
         with pytest.raises(StructuralError,
                            match=f"iteration {iteration} uses cluster id {cid}\\b"):
             extract_clustering(dg, 1)
@@ -309,12 +310,11 @@ class TestMergeMonotonicity:
         # diam({2,3}) = 20 < 100 breaks nondecreasing, and the final union has
         # diameter 100 while the cross max between {0,1} and {2,3} is only 60.
         D = line_metric([0.0, 100.0, 40.0, 60.0])
-        forged = Dendrogram(n=4, method="CL", tie_rule="lexicographic-min-member",
-                            merges=(
-                                MergeRecord(0, 1, 100.0, 4, 1),
-                                MergeRecord(2, 3, 20.0, 5, 2),
-                                MergeRecord(4, 5, 60.0, 6, 3),
-                            ))
+        forged = Dendrogram(n=4, method="CL", merges=(
+            MergeRecord(0, 1, 100.0, 4, 1),
+            MergeRecord(2, 3, 20.0, 5, 2),
+            MergeRecord(4, 5, 60.0, 6, 3),
+        ))
         claims = {(v["iteration"], v["claim"]) for v in check_merge_monotonicity(forged, D)}
         assert (2, "union-diam-nondecreasing") in claims
         assert (3, "union-diam-equals-cross-max") in claims
