@@ -34,7 +34,6 @@ from .instance_lab import (
 from .linkage_engine import METHODS, Dendrogram, extract_clustering, run_linkage
 from .metric_core import (
     CLUSTERING_SCORES,
-    Clustering,
     DistanceMatrix,
     PreconditionError,
     ResourceGuardError,
@@ -42,6 +41,7 @@ from .metric_core import (
     clustering_score,
     dump_instance,
     load_instance,
+    write_json,
 )
 from .opt_oracles import DEFAULT_N_MAX, opt_score, opt_scores
 
@@ -134,18 +134,14 @@ def cmd_run(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     dpath = os.path.join(args.out_dir, f"{stem}.{args.method}.dendrogram.json")
-    with open(dpath, "w") as fh:
-        json.dump(dg.to_json(), fh)
-        fh.write("\n")
+    write_json(dg.to_json(), dpath)
     out = {"instance": args.instance, "method": args.method,
            "dendrogram": dpath, "merges": len(dg.merges)}
     if args.k is not None:
         C = extract_clustering(dg, args.k)
         cpath = os.path.join(args.out_dir,
                              f"{stem}.{args.method}.k{args.k}.clustering.json")
-        with open(cpath, "w") as fh:
-            json.dump(C.to_json(), fh)
-            fh.write("\n")
+        write_json(C.to_json(), cpath)
         out["k"] = args.k
         out["clustering"] = cpath
         out["scores"] = _achieved(dg, D, args.k)
@@ -245,9 +241,7 @@ def cmd_certify(args) -> int:
     for name, trace in traces.items():
         tpath = os.path.join(args.out_dir,
                              f"{stem}.{args.method}.k{args.k}.{name}_trace.json")
-        with open(tpath, "w") as fh:
-            json.dump(trace.to_json(), fh)
-            fh.write("\n")
+        write_json(trace.to_json(), tpath)
     rpath = os.path.join(args.out_dir, f"{stem}.{args.method}.k{args.k}.report.json")
     with open(rpath, "w") as fh:
         json.dump(report.to_json(), fh, indent=2)

@@ -8,7 +8,22 @@ nodes in a forest, so every family is immutable once created.  Two counters
 ride along: phi(F) = number of leaf families below F, and phi_sigma(F) =
 sum of the leaf families' diameters; both are additive across children by
 construction, and the additivity is re-verified against the actual leaf
-sets at every creation.
+sets at every creation.  Each node stores its leaf ids, the concatenation
+of its children's, so the re-check is one exact ``math.fsum`` over <= k
+leaf diameters.
+
+Family diameters are never rescanned from point sets.  The replay keeps
+its own cluster-level complete-link matrix W, built from D and the merge
+pairs alone: a live cluster sits at the slot of its smallest point, W[s, s]
+is its diameter and W[s, t] the largest distance between clusters s and t,
+and a merge folds two rows together by elementwise max in O(n).  A merged
+family (b-sub3) takes the max of the two diameters and the largest W entry
+between their clusters; b-sub2 keeps its point set and so its diameter;
+the family of a single new cluster (b-sub1, case a) reads W[u, u]; the
+family that case a leaves behind takes the max of W over its remaining
+clusters.  Every one of these is a max over exactly the distance entries
+that ``cohesion("diam", ...)`` of the point set would scan, so the values
+are bit-identical, and the replay costs O(n^2) overall instead of O(n^3).
 
 Per-iteration assertions:
   p3  at least one root family holds more than one cluster,
@@ -24,6 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .inequality_lab import P_EXP, avg_bound, within_bound
 from .linkage_engine import Dendrogram
@@ -77,6 +94,7 @@ class FamilyNode:
     created_at: int                      # iteration of creation, 0 = initial
     children: tuple[int, ...] = ()
     points: frozenset[int] = frozenset()
+    leaves: tuple[int, ...] = ()         # ids of the initial families below, in order
 
     @property
     def regular(self) -> bool:
@@ -150,16 +168,6 @@ class Alg1Trace(Replay):
         return {**super().to_json(), "final": self.final_assertions, "ok": self.ok}
 
 
-def _leaves(forest: dict[int, FamilyNode], fid: int) -> list[int]:
-    node = forest[fid]
-    if not node.children:
-        return [fid]
-    out: list[int] = []
-    for c in node.children:
-        out.extend(_leaves(forest, c))
-    return out
-
-
 def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
     """Replay the family-forest construction along the first n-k CL merges."""
     target = replay_target(D, dg, target)
@@ -169,19 +177,38 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
     avg_diam = clustering_score("avg-diam", target, D)
     chain_rhs = k * avg_diam * k ** P_EXP
 
+    # Cluster-level complete-link matrix over D: a live cluster sits at the
+    # slot of its smallest point, W[s, s] is its diameter and W[s, t] the
+    # largest distance between clusters s and t.
+    W = D.full.copy()
+    slot = list(range(n)) + [0] * (n - 1)   # cluster id -> slot
+
+    def slots(clusters) -> np.ndarray:
+        return np.fromiter((slot[c] for c in clusters), dtype=np.intp)
+
+    def merge(g: int, g2: int, u: int) -> float:
+        """Fold cluster u = g | g2 into W; returns diam(u)."""
+        a, b = slot[g], slot[g2]
+        s = slot[u] = min(a, b)
+        row = np.maximum(W[a], W[b])
+        row[s] = max(W[a, a], W[b, b], W[a, b])
+        W[s] = row
+        W[:, s] = row
+        return float(row[s])
+
     forest: dict[int, FamilyNode] = {}
     fam_of: dict[int, int] = {}      # live cluster id -> root family id
     roots: set[int] = set()
     next_fid = 0
 
-    def new_family(clusters, phi, phi_sigma, created_at, children) -> FamilyNode:
+    def new_family(clusters, phi, phi_sigma, diam, created_at, children) -> FamilyNode:
         nonlocal next_fid
         pts = frozenset().union(*(members[c] for c in clusters))
+        leaves = tuple(l for c in children for l in forest[c].leaves) or (next_fid,)
         node = FamilyNode(id=next_fid, clusters=frozenset(clusters), parent=None,
-                          phi=phi, phi_sigma=phi_sigma,
-                          diam=cohesion("diam", pts, D),
+                          phi=phi, phi_sigma=phi_sigma, diam=diam,
                           created_at=created_at, children=tuple(children),
-                          points=pts)
+                          points=pts, leaves=leaves)
         next_fid += 1
         forest[node.id] = node
         roots.add(node.id)
@@ -193,20 +220,20 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
         return node
 
     for block in target.blocks:
-        new_family([x for x in sorted(block)], phi=1,
-                   phi_sigma=cohesion("diam", block, D), created_at=0, children=())
+        d = cohesion("diam", block, D)
+        new_family(sorted(block), phi=1, phi_sigma=d, diam=d, created_at=0,
+                   children=())
 
     trace_failures: list[dict] = []
     records: list[Alg1IterationRecord] = []
 
     def creation_checks(node: FamilyNode, iteration: int, failures: list[dict]) -> None:
-        leaf_ids = _leaves(forest, node.id)
-        if node.phi != len(leaf_ids):
+        if node.phi != len(node.leaves):
             failures.append({
                 "assertion": "phi-additivity", "iteration": iteration,
-                "detail": f"family {node.id}: phi={node.phi}, leaves={len(leaf_ids)}",
+                "detail": f"family {node.id}: phi={node.phi}, leaves={len(node.leaves)}",
             })
-        direct = math.fsum(forest[l].diam for l in leaf_ids)
+        direct = math.fsum(forest[l].diam for l in node.leaves)
         if not math.isclose(node.phi_sigma, direct, rel_tol=1e-12, abs_tol=1e-12):
             failures.append({
                 "assertion": "phi-sigma-additivity", "iteration": iteration,
@@ -255,28 +282,40 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
 
         if len(Bf.clusters) == 1 and len(A.clusters) > 1:
             case = "a"
-            nf = new_family(A.clusters - {ga}, phi=A.phi, phi_sigma=A.phi_sigma,
+        elif fa == fb:
+            case = "b-sub2"
+        elif len(A.clusters) == 1 and len(Bf.clusters) == 1:
+            case = "b-sub1"
+        else:
+            case = "b-sub3"
+            # largest distance between the two families, read before the merge
+            cross = float(W[np.ix_(slots(A.clusters), slots(Bf.clusters))].max())
+        diam_u = merge(g, g2, u)
+
+        if case == "a":
+            rest = A.clusters - {ga}
+            nf = new_family(rest, phi=A.phi, phi_sigma=A.phi_sigma,
+                            diam=float(W[np.ix_(slots(rest), slots(rest))].max()),
                             created_at=t, children=(fa,))
-            nf2 = new_family([u], phi=Bf.phi, phi_sigma=Bf.phi_sigma,
+            nf2 = new_family([u], phi=Bf.phi, phi_sigma=Bf.phi_sigma, diam=diam_u,
                              created_at=t, children=(fb,))
             creation_checks(nf, t, failures)
             creation_checks(nf2, t, failures)
-        elif fa == fb:
-            case = "b-sub2"
+        elif case == "b-sub2":
             nf = new_family((A.clusters - {ga, gb}) | {u}, phi=A.phi,
-                            phi_sigma=A.phi_sigma, created_at=t, children=(fa,))
+                            phi_sigma=A.phi_sigma, diam=A.diam,
+                            created_at=t, children=(fa,))
             creation_checks(nf, t, failures)
-        elif len(A.clusters) == 1 and len(Bf.clusters) == 1:
-            case = "b-sub1"
+        elif case == "b-sub1":
             nf = new_family([u], phi=A.phi + Bf.phi,
-                            phi_sigma=A.phi_sigma + Bf.phi_sigma,
+                            phi_sigma=A.phi_sigma + Bf.phi_sigma, diam=diam_u,
                             created_at=t, children=(fa, fb))
             creation_checks(nf, t, failures)
         else:
-            case = "b-sub3"
             nf = new_family((A.clusters | Bf.clusters | {u}) - {ga, gb},
                             phi=A.phi + Bf.phi,
                             phi_sigma=A.phi_sigma + Bf.phi_sigma,
+                            diam=max(A.diam, Bf.diam, cross),
                             created_at=t, children=(fa, fb))
             creation_checks(nf, t, failures)
 

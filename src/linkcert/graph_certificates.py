@@ -29,12 +29,17 @@ one component's territory), the addition-budget cap, and -- at every family
 creation -- the spanning-tree weight bounds, the diameter-sum bound, and the
 growth bound diam(F) <= max-diam(target) * phi(F)^alpha_k (``growth_bound``,
 checked by ``within_bound``; the spanning-tree and sum checks are exact).
+The cluster classification is checked over arrays (point -> family,
+point -> live cluster, cluster -> tag) in O(n) numpy work per iteration; a
+per-cluster loop runs only when that check fails, to write the records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .family_certificates import BoundCheck, Replay, born_cluster_checks, replay_target
 from .inequality_lab import dm_bound, growth_bound, within_bound
@@ -62,9 +67,6 @@ class Alg2Family:
     points: frozenset[int]
     diam: float
     phi: int
-    created_at: int
-    parent: int | None = None
-    children: tuple[int, ...] = ()
 
     def summary(self, pure: int) -> dict:
         return {"id": self.id, "size": len(self.clusters), "phi": self.phi,
@@ -171,6 +173,15 @@ class Alg2Trace(Replay):
                 "ok": self.ok}
 
 
+# Cluster tags: a family id f >= 0 means pure w.r.t. f.
+NONPURE, EXCLUDED = -1, -2
+
+
+def _tag(v: int) -> tuple:
+    """A tag as the failure records spell it."""
+    return ("pure", v) if v >= 0 else ("nonpure",) if v == NONPURE else ("excluded",)
+
+
 def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     """Replay the pure-cluster graph construction along the first n-k merges."""
     target = replay_target(D, dg, target)
@@ -178,10 +189,14 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     members = dg.members_map()
     max_diam = clustering_score("max-diam", target, D)
 
+    def ids(points) -> np.ndarray:
+        return np.fromiter(points, dtype=np.intp, count=len(points))
+
     families: dict[int, Alg2Family] = {}
-    tags: dict[int, tuple] = {}      # cluster -> ("pure", f), ("nonpure",) or ("excluded",)
+    tag = np.full(2 * n - 1, NONPURE, dtype=np.intp)   # cluster -> tag
     counts: dict[int, int] = {}      # live family -> its number of pure clusters
-    p2f: list[int | None] = [None] * n
+    p2f = np.full(n, -1, dtype=np.intp)                # point -> family, -1 for none
+    owner = np.arange(n)                               # point -> live cluster
     comps: dict[int, ComponentState] = {}
     fam2comp: dict[int, int] = {}
     E: set[int] = set()
@@ -198,16 +213,16 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         if len(block) == 1:
             (x,) = block
             E.add(x)
-            tags[x] = ("excluded",)
+            tag[x] = EXCLUDED
             continue
         fam = Alg2Family(id=next_fid, clusters=frozenset(block),
                          points=frozenset(block), diam=cohesion("diam", block, D),
-                         phi=1, created_at=0)
+                         phi=1)
         families[next_fid] = fam
         counts[next_fid] = len(block)
         fam_events[next_fid] = []
         for x in block:
-            tags[x] = ("pure", next_fid)
+            tag[x] = next_fid
             p2f[x] = next_fid
         comps[next_comp] = ComponentState(families={next_fid})
         fam2comp[next_fid] = next_comp
@@ -219,6 +234,36 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                           f"max-diam(target) {max_diam!r}",
             })
         next_fid += 1
+
+    def structure_holds() -> bool:
+        """The verdict of the per-cluster loop in ``start_assertions``, over
+        arrays.  ``owner`` follows ``members``, since every merge joins two
+        live clusters, so both read the same point sets."""
+        live = ids(active)
+        lt = tag[live]
+        if any(h not in E for h in live[lt == EXCLUDED].tolist()):
+            return False
+        seen = np.bincount(lt[lt >= 0], minlength=next_fid)
+        if (any(seen[f] != c for f, c in counts.items())
+                or seen.sum() != sum(counts.values())):
+            return False
+        # smallest and largest family, and component, over each cluster's points
+        comp = np.full(next_fid + 1, -1, dtype=np.intp)   # comp[-1] for p2f = -1
+        comp[list(fam2comp)] = list(fam2comp.values())
+        spans = []
+        for per_point in (p2f, comp[p2f]):
+            lo = np.full(tag.size, n, dtype=np.intp)
+            hi = np.full(tag.size, -1, dtype=np.intp)
+            np.minimum.at(lo, owner, per_point)
+            np.maximum.at(hi, owner, per_point)
+            spans.append((lo[live], hi[live]))
+        (flo, fhi), (clo, chi) = spans
+        one_family = flo == fhi
+        wrong = ((flo < 0)                                 # orphaned points
+                 | (one_family & (lt != flo))              # not pure w.r.t. it
+                 | (~one_family & ((lt != NONPURE)         # spans families: nonpure,
+                                   | (clo < 0) | (clo != chi))))   # one component
+        return not np.any(wrong & (lt != EXCLUDED))
 
     def start_assertions(t: int, failures: list[dict]) -> dict:
         ok_l1 = True
@@ -232,11 +277,14 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                     "detail": f"component {sorted(comp.families)} has only "
                               f"{len(rich)} families with >=2 pure clusters",
                 })
+        if structure_holds():
+            return {"two_pure_clusters": ok_l1, "clusters_structure": True}
+        # Something is off: the per-cluster loop writes the failure records.
         ok_cs = True
         recount: dict[int, int] = {f: 0 for f in counts}
         for h in active:
-            tag = tags[h]
-            if tag[0] == "excluded":
+            tag_h = int(tag[h])
+            if tag_h == EXCLUDED:
                 if h not in E:
                     ok_cs = False
                     failures.append({
@@ -244,11 +292,11 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                         "detail": f"cluster {h} tagged excluded but not in the set",
                     })
                 continue
-            touched = {p2f[p] for p in members[h]}
-            orphans = None in touched
-            touched.discard(None)
-            if tag[0] == "pure":
-                recount[tag[1]] = recount.get(tag[1], 0) + 1
+            touched = set(p2f[ids(members[h])].tolist())
+            orphans = -1 in touched
+            touched.discard(-1)
+            if tag_h >= 0:
+                recount[tag_h] = recount.get(tag_h, 0) + 1
             if orphans or not touched:
                 ok_cs = False
                 failures.append({
@@ -259,20 +307,20 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 continue
             if len(touched) == 1:
                 (f,) = touched
-                if tag != ("pure", f):
+                if tag_h != f:
                     ok_cs = False
                     failures.append({
                         "assertion": "clusters-structure", "iteration": t,
                         "detail": f"cluster {sorted(members[h])} lies inside "
-                                  f"family {f} but is tagged {tag}",
+                                  f"family {f} but is tagged {_tag(tag_h)}",
                     })
             else:
                 comp_ids = {fam2comp[f] for f in touched}
-                if tag[0] != "nonpure" or len(comp_ids) != 1:
+                if tag_h != NONPURE or len(comp_ids) != 1:
                     ok_cs = False
                     failures.append({
                         "assertion": "clusters-structure", "iteration": t,
-                        "detail": f"cluster {sorted(members[h])} (tag {tag}) "
+                        "detail": f"cluster {sorted(members[h])} (tag {_tag(tag_h)}) "
                                   f"spans families {sorted(touched)} in "
                                   f"{len(comp_ids)} components",
                     })
@@ -295,40 +343,41 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
 
         m = dg.merges[t - 1]
         g, g2, u = m.left, m.right, m.result
-        tag_g, tag_g2 = tags.pop(g), tags.pop(g2)
-        active.discard(g)
-        active.discard(g2)
+        active.remove(g)             # KeyError on a merged or unknown id
+        active.remove(g2)
         active.add(u)
+        tag_g, tag_g2 = int(tag[g]), int(tag[g2])
+        owner[ids(members[u])] = u
 
         absorbed = g in E or g2 in E
         if absorbed:
             E.discard(g)
             E.discard(g2)
             E.add(u)
-            tags[u] = ("excluded",)
+            tag[u] = EXCLUDED
             for tg in (tag_g, tag_g2):
-                if tg[0] == "pure":
-                    counts[tg[1]] -= 1
+                if tg >= 0:
+                    counts[tg] -= 1
             events.append({"type": "absorbed", "iteration": t,
                            "cluster": sorted(members[u])})
         else:
-            A = {p2f[p] for p in members[g]}
-            B = {p2f[p] for p in members[g2]}
-            if None in A or None in B or not A or not B:
+            A = set(p2f[ids(members[g])].tolist())
+            B = set(p2f[ids(members[g2])].tolist())
+            if -1 in A or -1 in B or not A or not B:
                 failures.append({
                     "assertion": "clusters-structure", "iteration": t,
                     "detail": "merged non-excluded cluster touches orphaned points",
                 })
-                A.discard(None)
-                B.discard(None)
-            if tag_g[0] == "pure" and tag_g == tag_g2:
-                tags[u] = tag_g
-                counts[tag_g[1]] -= 1
+                A.discard(-1)
+                B.discard(-1)
+            if tag_g >= 0 and tag_g == tag_g2:
+                tag[u] = tag_g
+                counts[tag_g] -= 1
             else:
-                tags[u] = ("nonpure",)
+                tag[u] = NONPURE
                 for tg in (tag_g, tag_g2):
-                    if tg[0] == "pure":
-                        counts[tg[1]] -= 1
+                    if tg >= 0:
+                        counts[tg] -= 1
             for side, fams in (("left", A), ("right", B)):
                 if len({fam2comp[f] for f in fams}) > 1:
                     failures.append({
@@ -365,13 +414,13 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         # four-case evolution of pure counts (exact integer bookkeeping)
         delta = {f: counts[f] - pure_start[f]
                  for f in pure_start if counts.get(f) != pure_start[f]}
-        pg = tag_g[1] if tag_g[0] == "pure" else None
-        pg2 = tag_g2[1] if tag_g2[0] == "pure" else None
+        pg = tag_g if tag_g >= 0 else None
+        pg2 = tag_g2 if tag_g2 >= 0 else None
         if pg is None and pg2 is None:
             evol_ok = delta == {}
             evol_case = "none-pure"
         elif pg is not None and pg2 is not None and pg == pg2:
-            evol_ok = delta == {pg: -1} and tags[u] == ("pure", pg)
+            evol_ok = delta == {pg: -1} and int(tag[u]) == pg
             evol_case = "both-pure-same"
             if pure_start[pg] >= 2 and u in E:
                 evol_ok = False
@@ -417,7 +466,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
 
         def exclude_last_pure(f: int, site: str) -> None:
             nonlocal additions_ok
-            cands = [h for h in active if tags[h] == ("pure", f)]
+            cands = [h for h in active if int(tag[h]) == f]
             if len(cands) != 1:
                 additions_ok = False
                 failures.append({
@@ -427,7 +476,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 })
                 return
             (h,) = cands
-            tags[h] = ("excluded",)
+            tag[h] = EXCLUDED
             E.add(h)
             counts[f] = 0
             rec = {"site": site, "iteration": t, "family": f,
@@ -502,11 +551,8 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 id=next_fid, clusters=frozenset(fc_members), points=fc_pts,
                 diam=cohesion("diam", fc_pts, D) if fc_pts else 0.0,
                 phi=sum(families[f].phi for f in comp_fams),
-                created_at=t, children=tuple(comp_fams),
             )
             families[next_fid] = fam
-            for f in comp_fams:
-                families[f].parent = next_fid
 
             cert = SpanningTreeCert(
                 fc_id=next_fid, iteration=t, families=comp_fams,
@@ -538,9 +584,9 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             counts[next_fid] = len(fc_members)
             fam_events[next_fid] = []
             for h in fc_members:
-                tags[h] = ("pure", next_fid)
+                tag[h] = next_fid
             for p in union_pts:
-                p2f[p] = next_fid if p in fc_pts else None
+                p2f[p] = next_fid if p in fc_pts else -1
             comps[next_comp] = ComponentState(families={next_fid})
             fam2comp[next_fid] = next_comp
             events.append({"type": "fc_created", "iteration": t,
@@ -558,7 +604,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             del comps[comp_id]
             for p in families[f].points:
                 if p2f[p] == f:
-                    p2f[p] = None
+                    p2f[p] = -1
             events.append({"type": "removed", "iteration": t, "family": f})
 
         budget_ok = len(additions) <= k and len(E) <= k

@@ -32,7 +32,9 @@ from .metric_core import (
     PreconditionError,
     _BLOCK_ELEMENTS,
     _row_blocks,
+    dump_instance,
     validate_metric,
+    write_json,
 )
 
 __all__ = [
@@ -155,16 +157,12 @@ def _minplus_closure(W: np.ndarray, budget: int = _BLOCK_ELEMENTS) -> np.ndarray
 def write_adversary(inst: AdversaryInstance, path, sidecar_path=None) -> str:
     """Write the instance JSON plus a {k, B, eps, d_out, target} sidecar."""
     path = str(path)
-    with open(path, "w") as fh:
-        json.dump(inst.D.to_json(), fh)
-        fh.write("\n")
+    dump_instance(inst.D, path)
     if sidecar_path is None:
         sidecar_path = path[:-5] + ".target.json" if path.endswith(".json") \
             else path + ".target.json"
-    with open(sidecar_path, "w") as fh:
-        json.dump({"k": inst.k, "B": inst.B, "eps": inst.eps,
-                   "d_out": inst.d_out, "target": inst.target.to_json()}, fh)
-        fh.write("\n")
+    write_json({"k": inst.k, "B": inst.B, "eps": inst.eps,
+                "d_out": inst.d_out, "target": inst.target.to_json()}, sidecar_path)
     return str(sidecar_path)
 
 

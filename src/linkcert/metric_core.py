@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "clustering_score",
     "load_instance",
     "dump_instance",
+    "write_json",
 ]
 
 COHESION_MEASURES = ("diam", "avg", "radius")
@@ -177,8 +178,13 @@ class DistanceMatrix:
         if not isinstance(n, int) or n < 1:
             raise StructuralError(f"bad point count {n!r}")
         dist = data["dist"]
-        if not isinstance(dist, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in dist):
+        # JSON numbers load as exact ints and floats, which the type-set test
+        # passes at C speed; anything else takes the per-element check, which
+        # also accepts other int/float subclasses but no bools
+        if not isinstance(dist, list) or not (
+                set(map(type, dist)) <= {int, float}
+                or all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in dist)):
             raise StructuralError("'dist' must be a list of numbers")
         if len(dist) != tri_size(n):
             raise StructuralError(
@@ -352,6 +358,12 @@ def load_instance(path) -> DistanceMatrix:
 
 
 def dump_instance(D: DistanceMatrix, path) -> None:
+    write_json(D.to_json(), path)
+
+
+def write_json(obj, path) -> None:
+    """``obj`` as one unindented JSON line.  ``json.dumps`` runs the C encoder,
+    ``json.dump`` the pure-Python one; both write the same bytes."""
     with open(path, "w") as fh:
-        json.dump(D.to_json(), fh)
+        fh.write(json.dumps(obj))
         fh.write("\n")

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .metric_core import (
     Clustering,
     DistanceMatrix,

@@ -15,24 +15,35 @@ import pytest
 
 from linkcert import (
     Clustering,
+    Dendrogram,
     DistanceMatrix,
+    MergeRecord,
     PreconditionError,
     alg1_bound,
     alg1_trace,
     cli,
     clustering_score,
+    cohesion,
+    extract_clustering,
     family_certificates,
     graph_certificates,
     inequality_lab,
     opt_score,
     run_linkage,
 )
-from linkcert.family_certificates import _leaves
 from linkcert.inequality_lab import P_EXP
 
 from .conftest import line_metric
 
 P = math.log(3) / math.log(2) - 1  # ~0.585
+
+
+def _leaves(forest, fid):
+    """Leaf family ids below ``fid``, by walking ``children`` recursively."""
+    node = forest[fid]
+    if not node.children:
+        return [fid]
+    return [leaf for c in node.children for leaf in _leaves(forest, c)]
 
 
 def traced(D, target_blocks, k=None):
@@ -145,6 +156,27 @@ class TestCrossFamilyMerge:
         assert bc.ok
 
 
+class TestForgedMergeOrder:
+    """The replay takes any dendrogram labelled CL, so family diameters must
+    not lean on CL's merge heights.  Line 1.5, 0, 3, 100 with target
+    {0} | {1,2,3}: merging {1} and {2} first, then {0} into {1,2}, gives a
+    cluster whose diameter 3 exceeds the cross distance 1.5 of its merge."""
+
+    def test_merged_cluster_keeps_the_larger_diameter(self):
+        D = line_metric([1.5, 0.0, 3.0, 100.0])
+        merges = [(1, 2), (0, 4), (3, 5)]
+        dg = Dendrogram(n=4, method="CL", merges=tuple(
+            MergeRecord(left=a, right=b, value=0.0, result=4 + i, iteration=i + 1)
+            for i, (a, b) in enumerate(merges)))
+        trace = alg1_trace(D, dg, [[0], [1, 2, 3]])
+        assert [r.case for r in trace.records] == ["b-sub2", "a"]
+        newest = trace.forest[max(trace.forest)]
+        assert sorted(newest.points) == [0, 1, 2]
+        assert newest.diam == 3.0
+        for node in trace.forest.values():
+            assert node.diam == cohesion("diam", node.points, D)
+
+
 class TestFalsifiability:
     def test_non_metric_instance_breaks_p4(self):
         """d(0,2)=1 chains into d(1,2)=1000 without triangle support, so the
@@ -176,6 +208,32 @@ class TestForestInvariants:
                 assert node.phi == len(leaves)
                 sigma = math.fsum(trace.forest[l].diam for l in leaves)
                 assert node.phi_sigma == pytest.approx(sigma, rel=1e-12, abs=1e-12)
+
+    def test_incremental_diameters_and_stored_leaves(self):
+        """The replay keeps family diameters in a cluster-level matrix and
+        leaf tuples by concatenation; both must equal a recomputation from
+        the family's point set and a walk of the forest, in all four cases."""
+        cases = set()
+        for seed in range(8):
+            rng = np.random.default_rng(seed + 900)
+            k = 2 + seed % 4
+            for kind in ("own-cut", "oracle", "interleaved"):
+                n = 9 if kind == "oracle" else 30
+                D = DistanceMatrix.from_points(rng.random((n, 2)))
+                dg = run_linkage("CL", D)
+                if kind == "own-cut":
+                    target = extract_clustering(dg, k)
+                elif kind == "oracle":
+                    target = opt_score("avg-diam", D, k).witness
+                else:
+                    target = Clustering.from_blocks(
+                        [range(i, n, k) for i in range(k)], n)
+                trace = alg1_trace(D, dg, target)
+                cases |= {r.case for r in trace.records}
+                for fid, node in trace.forest.items():
+                    assert node.diam == cohesion("diam", node.points, D), (kind, fid)
+                    assert list(node.leaves) == _leaves(trace.forest, fid)
+        assert cases == {"a", "b-sub1", "b-sub2", "b-sub3"}
 
     def test_bound_holds_on_random_instances(self):
         for seed in range(12):

@@ -16,6 +16,7 @@ import pytest
 
 from linkcert import (
     Clustering,
+    Dendrogram,
     DistanceMatrix,
     PreconditionError,
     alg2_bound,
@@ -199,6 +200,34 @@ class TestFalsifiability:
         bad = trace.all_failures() + bc.failures
         assert any(f["assertion"] in ("sum-diam", "family-growth-bound",
                                       "per-cluster-bound") for f in bad)
+
+
+class TestClusterAudit:
+    """The per-iteration audit of every live cluster against the point ->
+    family map.  Its records come from a per-cluster loop, which runs only
+    when the array check finds something wrong; a members map that loses
+    point 0 from the first merged cluster {0, 1} makes it fire."""
+
+    def test_lost_point_is_reported(self):
+        class LosingDendrogram(Dendrogram):
+            def members_map(self):
+                members = super().members_map()
+                members[5] = members[5] - {0}
+                return members
+
+        D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0])
+        dg = run_linkage("CL", D)
+        assert (dg.merges[0].left, dg.merges[0].right) == (0, 1)
+        lossy = LosingDendrogram(n=5, method="CL", merges=dg.merges)
+        trace = alg2_trace(D, lossy, [[0, 2, 3], [1, 4]])
+        assert [r.assertions["clusters_structure"] for r in trace.records] == [
+            True, True, False]
+        assert trace.all_failures() == [
+            {"assertion": "clusters-structure", "iteration": 3,
+             "detail": "cluster [0, 1, 2] touches orphaned points but is not excluded"},
+            {"assertion": "clusters-structure", "iteration": 3,
+             "detail": "merged non-excluded cluster touches orphaned points"},
+        ]
 
 
 class TestRandomGridInvariants:

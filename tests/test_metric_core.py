@@ -107,10 +107,18 @@ class TestDistanceMatrix:
             load_instance(str(path))
 
     @pytest.mark.parametrize("dist", ["abc", ["a", 1, 2], ["1", 2, 3],
-                                      [True, 1, 2], {"0": 1}])
+                                      [True, 1, 2], {"0": 1}, [1.0, 2.0, False],
+                                      [np.float64(1.0), 2.0, "3"], [1, 2, None]])
     def test_json_rejects_non_numeric_distances(self, dist):
         with pytest.raises(StructuralError, match="list of numbers"):
             DistanceMatrix.from_json({"n": 3, "dist": dist})
+
+    @pytest.mark.parametrize("dist", [[1, 2, 3], [1.0, 2, 3.0],
+                                      [np.float64(1.0), 2, 3.0],
+                                      [np.float64(1.0), np.float64(2.0), np.float64(3.0)]])
+    def test_json_accepts_ints_and_floats(self, dist):
+        D = DistanceMatrix.from_json({"n": 3, "dist": dist})
+        assert D.packed.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestValidateMetric:
