@@ -12,18 +12,11 @@ sets at every creation.  Each node stores its leaf ids, the concatenation
 of its children's, so the re-check is one exact ``math.fsum`` over <= k
 leaf diameters.
 
-Family diameters are never rescanned from point sets.  The replay keeps
-its own cluster-level complete-link matrix W, built from D and the merge
-pairs alone: a live cluster sits at the slot of its smallest point, W[s, s]
-is its diameter and W[s, t] the largest distance between clusters s and t,
-and a merge folds two rows together by elementwise max in O(n).  A merged
-family (b-sub3) takes the max of the two diameters and the largest W entry
-between their clusters; b-sub2 keeps its point set and so its diameter;
-the family of a single new cluster (b-sub1, case a) reads W[u, u]; the
-family that case a leaves behind takes the max of W over its remaining
-clusters.  Every one of these is a max over exactly the distance entries
-that ``cohesion("diam", ...)`` of the point set would scan, so the values
-are bit-identical, and the replay costs O(n^2) overall instead of O(n^3).
+Family diameters come from a ``metric_core.ClusterMatrix`` folded along the
+merges, never from a rescan of point sets, so the replay costs O(n^2): b-sub2
+keeps its point set and so its diameter, every other new family reads the
+matrix over its clusters.  ``Replay.born`` keeps each born cluster's diameter
+for the bound check.
 
 Per-iteration assertions:
   p3  at least one root family holds more than one cluster,
@@ -40,16 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .inequality_lab import P_EXP, avg_bound, within_bound
-from .linkage_engine import Dendrogram
+from .linkage_engine import Dendrogram, extract_clustering
 from .metric_core import (
+    ClusterMatrix,
     Clustering,
     DistanceMatrix,
     PreconditionError,
     clustering_score,
-    cohesion,
 )
 
 __all__ = [
@@ -64,14 +55,17 @@ __all__ = [
 
 
 def replay_target(D: DistanceMatrix, dg: Dendrogram, target) -> Clustering:
-    """Check a replay's inputs (a CL dendrogram over D) and validate the target."""
+    """Check a replay's inputs (a CL dendrogram over D whose first n-k merges
+    join live cluster ids) and validate the target."""
     if dg.method != "CL":
         raise PreconditionError(f"certificates require a CL dendrogram, got {dg.method!r}")
     if dg.n != D.n:
         raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
-    if not isinstance(target, Clustering):
-        return Clustering.from_blocks(target, D.n)
-    Clustering.from_blocks(target.blocks, D.n)  # validates; keeps the block order
+    if isinstance(target, Clustering):
+        Clustering.from_blocks(target.blocks, D.n)  # validates; keeps the block order
+    else:
+        target = Clustering.from_blocks(target, D.n)
+    extract_clustering(dg, target.k)  # StructuralError on a merged or unknown id
     return target
 
 
@@ -93,7 +87,6 @@ class FamilyNode:
     diam: float
     created_at: int                      # iteration of creation, 0 = initial
     children: tuple[int, ...] = ()
-    points: frozenset[int] = frozenset()
     leaves: tuple[int, ...] = ()         # ids of the initial families below, in order
 
     @property
@@ -123,10 +116,11 @@ class Alg1IterationRecord:
 @dataclass
 class Replay:
     """What both certificate replays return: per-iteration records (each with
-    its ``assertions`` and ``failures``) plus failures outside any iteration.
+    its ``assertions`` and ``failures``) plus failures outside any iteration,
+    and ``born[t - 1]``, the diameter of the cluster born at iteration t.
 
     Record dataclasses declare their fields in JSON key order, so a record
-    serialises as ``vars(record)``.
+    serialises as ``vars(record)``.  ``born`` is not serialised.
     """
 
     n: int
@@ -134,6 +128,7 @@ class Replay:
     target: Clustering
     records: list
     failures: list[dict]
+    born: list[float]
 
     def all_failures(self) -> list[dict]:
         """Per-iteration failures in iteration order, then the replay's own."""
@@ -172,29 +167,10 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
     """Replay the family-forest construction along the first n-k CL merges."""
     target = replay_target(D, dg, target)
     n, k = D.n, target.k
-    members = dg.members_map()
+    cm = ClusterMatrix(D)
 
     avg_diam = clustering_score("avg-diam", target, D)
     chain_rhs = k * avg_diam * k ** P_EXP
-
-    # Cluster-level complete-link matrix over D: a live cluster sits at the
-    # slot of its smallest point, W[s, s] is its diameter and W[s, t] the
-    # largest distance between clusters s and t.
-    W = D.full.copy()
-    slot = list(range(n)) + [0] * (n - 1)   # cluster id -> slot
-
-    def slots(clusters) -> np.ndarray:
-        return np.fromiter((slot[c] for c in clusters), dtype=np.intp)
-
-    def merge(g: int, g2: int, u: int) -> float:
-        """Fold cluster u = g | g2 into W; returns diam(u)."""
-        a, b = slot[g], slot[g2]
-        s = slot[u] = min(a, b)
-        row = np.maximum(W[a], W[b])
-        row[s] = max(W[a, a], W[b, b], W[a, b])
-        W[s] = row
-        W[:, s] = row
-        return float(row[s])
 
     forest: dict[int, FamilyNode] = {}
     fam_of: dict[int, int] = {}      # live cluster id -> root family id
@@ -203,12 +179,11 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
 
     def new_family(clusters, phi, phi_sigma, diam, created_at, children) -> FamilyNode:
         nonlocal next_fid
-        pts = frozenset().union(*(members[c] for c in clusters))
         leaves = tuple(l for c in children for l in forest[c].leaves) or (next_fid,)
         node = FamilyNode(id=next_fid, clusters=frozenset(clusters), parent=None,
                           phi=phi, phi_sigma=phi_sigma, diam=diam,
                           created_at=created_at, children=tuple(children),
-                          points=pts, leaves=leaves)
+                          leaves=leaves)
         next_fid += 1
         forest[node.id] = node
         roots.add(node.id)
@@ -220,12 +195,13 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
         return node
 
     for block in target.blocks:
-        d = cohesion("diam", block, D)
+        d = cm.diam(block)
         new_family(sorted(block), phi=1, phi_sigma=d, diam=d, created_at=0,
                    children=())
 
     trace_failures: list[dict] = []
     records: list[Alg1IterationRecord] = []
+    born: list[float] = []
 
     def creation_checks(node: FamilyNode, iteration: int, failures: list[dict]) -> None:
         if node.phi != len(node.leaves):
@@ -288,14 +264,13 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
             case = "b-sub1"
         else:
             case = "b-sub3"
-            # largest distance between the two families, read before the merge
-            cross = float(W[np.ix_(slots(A.clusters), slots(Bf.clusters))].max())
-        diam_u = merge(g, g2, u)
+        diam_u = cm.merge(g, g2, u)
+        born.append(diam_u)
 
         if case == "a":
             rest = A.clusters - {ga}
             nf = new_family(rest, phi=A.phi, phi_sigma=A.phi_sigma,
-                            diam=float(W[np.ix_(slots(rest), slots(rest))].max()),
+                            diam=cm.diam(rest),
                             created_at=t, children=(fa,))
             nf2 = new_family([u], phi=Bf.phi, phi_sigma=Bf.phi_sigma, diam=diam_u,
                              created_at=t, children=(fb,))
@@ -312,10 +287,10 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
                             created_at=t, children=(fa, fb))
             creation_checks(nf, t, failures)
         else:
-            nf = new_family((A.clusters | Bf.clusters | {u}) - {ga, gb},
-                            phi=A.phi + Bf.phi,
+            fused = (A.clusters | Bf.clusters | {u}) - {ga, gb}
+            nf = new_family(fused, phi=A.phi + Bf.phi,
                             phi_sigma=A.phi_sigma + Bf.phi_sigma,
-                            diam=max(A.diam, Bf.diam, cross),
+                            diam=cm.diam(fused),
                             created_at=t, children=(fa, fb))
             creation_checks(nf, t, failures)
 
@@ -331,16 +306,15 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
     _, _, p4_final, final_failures = root_assertions(n - k + 1, check_p3=False)
     trace_failures.extend(final_failures)
     return Alg1Trace(n=n, k=k, target=target, records=records,
-                     failures=trace_failures, forest=forest,
+                     failures=trace_failures, born=born, forest=forest,
                      final_assertions={"p4": p4_final})
 
 
 @dataclass
 class BoundCheck:
-    """The per-cluster guarantee: one row per cluster born in the first n-k merges."""
+    """The per-cluster guarantee over every cluster born in the first n-k merges."""
 
     bound: float
-    per_iteration: list[dict]
     failures: list[dict]
 
     @property
@@ -348,25 +322,16 @@ class BoundCheck:
         return not self.failures
 
 
-def born_cluster_checks(trace: Replay, dg: Dendrogram, D: DistanceMatrix,
-                        bound: float) -> BoundCheck:
-    """Every cluster born in the first n-k merges of ``dg`` (n, k from the
-    replay) checked as ``within_bound(diam, bound)``."""
-    members = dg.members_map()
-    rows, failures = [], []
-    for m in dg.merges[: trace.n - trace.k]:
-        dm = cohesion("diam", members[m.result], D)
-        ok = within_bound(dm, bound)
-        rows.append({"iteration": m.iteration, "diam": dm, "bound": bound, "ok": ok})
-        if not ok:
-            failures.append({"assertion": "per-cluster-bound",
-                             "iteration": m.iteration,
-                             "detail": f"diam {dm!r} > bound {bound!r}"})
-    return BoundCheck(bound=bound, per_iteration=rows, failures=failures)
+def born_cluster_checks(trace: Replay, bound: float) -> BoundCheck:
+    """Every cluster the replay saw born checked as ``within_bound(diam, bound)``."""
+    return BoundCheck(bound=bound, failures=[
+        {"assertion": "per-cluster-bound", "iteration": t,
+         "detail": f"diam {dm!r} > bound {bound!r}"}
+        for t, dm in enumerate(trace.born, 1) if not within_bound(dm, bound)])
 
 
-def alg1_bound(trace: Alg1Trace, dg: Dendrogram, D: DistanceMatrix) -> BoundCheck:
+def alg1_bound(trace: Alg1Trace, D: DistanceMatrix) -> BoundCheck:
     """Check every cluster born in the first n-k merges against the guarantee
     diam <= avg_bound(k, avg-diam(target)) = k^{log2 3} * avg-diam(target)."""
     avg_diam = clustering_score("avg-diam", trace.target, D)
-    return born_cluster_checks(trace, dg, D, avg_bound(trace.k, avg_diam))
+    return born_cluster_checks(trace, avg_bound(trace.k, avg_diam))

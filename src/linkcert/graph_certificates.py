@@ -44,7 +44,7 @@ import numpy as np
 from .family_certificates import BoundCheck, Replay, born_cluster_checks, replay_target
 from .inequality_lab import dm_bound, growth_bound, within_bound
 from .linkage_engine import Dendrogram
-from .metric_core import DistanceMatrix, clustering_score, cohesion
+from .metric_core import ClusterMatrix, DistanceMatrix, clustering_score
 
 __all__ = [
     "Alg2Family",
@@ -187,6 +187,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     target = replay_target(D, dg, target)
     n, k = D.n, target.k
     members = dg.members_map()
+    cm = ClusterMatrix(D)
     max_diam = clustering_score("max-diam", target, D)
 
     def ids(points) -> np.ndarray:
@@ -216,7 +217,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             tag[x] = EXCLUDED
             continue
         fam = Alg2Family(id=next_fid, clusters=frozenset(block),
-                         points=frozenset(block), diam=cohesion("diam", block, D),
+                         points=frozenset(block), diam=cm.diam(block),
                          phi=1)
         families[next_fid] = fam
         counts[next_fid] = len(block)
@@ -334,6 +335,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         return {"two_pure_clusters": ok_l1, "clusters_structure": ok_cs}
 
     records: list[Alg2IterationRecord] = []
+    born: list[float] = []
 
     for t in range(1, n - k + 1):
         failures: list[dict] = []
@@ -343,9 +345,10 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
 
         m = dg.merges[t - 1]
         g, g2, u = m.left, m.right, m.result
-        active.remove(g)             # KeyError on a merged or unknown id
+        active.remove(g)
         active.remove(g2)
         active.add(u)
+        born.append(cm.merge(g, g2, u))
         tag_g, tag_g2 = int(tag[g]), int(tag[g2])
         owner[ids(members[u])] = u
 
@@ -398,7 +401,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                     (tuple(sorted((a, b))) for a in A for b in B),
                 )
                 tree_edge = {"iteration": t,
-                             "weight": cohesion("diam", members[u], D),
+                             "weight": born[-1],
                              "endpoints": list(endpoints)}
                 events.append({"type": "edge", "iteration": t,
                                "endpoints": list(endpoints),
@@ -549,7 +552,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             fc_pts = frozenset().union(*(members[h] for h in fc_members))
             fam = Alg2Family(
                 id=next_fid, clusters=frozenset(fc_members), points=fc_pts,
-                diam=cohesion("diam", fc_pts, D) if fc_pts else 0.0,
+                diam=cm.diam(fc_members),
                 phi=sum(families[f].phi for f in comp_fams),
             )
             families[next_fid] = fam
@@ -629,13 +632,13 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         ))
 
     return Alg2Trace(n=n, k=k, target=target, records=records,
-                     failures=trace_failures, families=families,
+                     failures=trace_failures, born=born, families=families,
                      spanning_certs=spanning_certs, additions=additions)
 
 
-def alg2_bound(trace: Alg2Trace, dg: Dendrogram, D: DistanceMatrix) -> BoundCheck:
+def alg2_bound(trace: Alg2Trace, D: DistanceMatrix) -> BoundCheck:
     """Check every cluster born in the first n-k merges against the guarantee
     diam <= dm_bound(k, max-diam(target)) = k^{alpha_k} * max-diam(target).
     The family growth bounds are asserted by the replay itself."""
     max_diam = clustering_score("max-diam", trace.target, D)
-    return born_cluster_checks(trace, dg, D, dm_bound(trace.k, max_diam))
+    return born_cluster_checks(trace, dm_bound(trace.k, max_diam))

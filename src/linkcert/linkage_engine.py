@@ -23,6 +23,7 @@ import numpy as np
 
 from .inequality_lab import within_bound
 from .metric_core import (
+    ClusterMatrix,
     Clustering,
     DistanceMatrix,
     PreconditionError,
@@ -265,17 +266,33 @@ def extract_clustering(dg: Dendrogram, k: int) -> Clustering:
             f"dendrogram has {len(dg.merges)} merges, need {n - k} for k={k}"
         )
     active: dict[int, frozenset[int]] = {i: frozenset([i]) for i in range(n)}
-    for m in dg.merges[: n - k]:
-        parts = []
+    for m in _live_merges(dg, n - k):
+        active[m.result] = active.pop(m.left) | active.pop(m.right)
+    return Clustering.from_blocks(active.values(), n)
+
+
+def _live_merges(dg: Dendrogram, steps: int):
+    """Yield the first ``steps`` merges of ``dg``; raise ``StructuralError``
+    before yielding one that uses an unknown or already merged cluster id, or
+    creates an id outside n..2n-2 or one created before."""
+    n = dg.n
+    live, created = set(range(n)), set()
+    for m in dg.merges[:steps]:
         for cid in (m.left, m.right):
-            if cid not in active:
+            if cid not in live:
                 raise StructuralError(
                     f"merge at iteration {m.iteration} uses cluster id {cid}, "
                     "which is unknown or already merged"
                 )
-            parts.append(active.pop(cid))
-        active[m.result] = parts[0] | parts[1]
-    return Clustering.from_blocks(active.values(), n)
+            live.remove(cid)
+        if not n <= m.result < 2 * n - 1 or m.result in created:
+            raise StructuralError(
+                f"merge at iteration {m.iteration} creates cluster id {m.result}, "
+                f"which is outside {n}..{2 * n - 2} or was created before"
+            )
+        created.add(m.result)
+        live.add(m.result)
+        yield m
 
 
 def check_merge_monotonicity(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
@@ -285,16 +302,15 @@ def check_merge_monotonicity(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
     equals the max cross distance between the merged pair, and (2) union
     diameters are nondecreasing in j.  Both sides of each comparison are
     maxima of entries of D, so comparisons are exact.  Returns one record per
-    violated claim: {iteration, claim, expected, observed}.
+    violated claim: {iteration, claim, expected, observed}.  A merge of an
+    unknown or already merged id raises ``StructuralError``.
     """
-    members = dg.members_map()
+    cm = ClusterMatrix(D)
     violations: list[dict] = []
     prev_diam = None
-    for m in dg.merges:
-        A, B = members[m.left], members[m.right]
-        U = A | B
-        diam_u = cohesion("diam", U, D)
-        cross_max = float(_cross_block(A, B, D).max())
+    for m in _live_merges(dg, len(dg.merges)):
+        cross_max = cm.cross([m.left], [m.right])
+        diam_u = cm.merge(m.left, m.right, m.result)
         if diam_u != cross_max:
             violations.append({
                 "iteration": m.iteration,

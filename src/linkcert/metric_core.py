@@ -21,6 +21,7 @@ __all__ = [
     "ResourceGuardError",
     "DistanceMatrix",
     "Clustering",
+    "ClusterMatrix",
     "tri_index",
     "tri_size",
     "as_cluster",
@@ -175,7 +176,7 @@ class DistanceMatrix:
         if not isinstance(data, dict) or "n" not in data or "dist" not in data:
             raise StructuralError("instance JSON needs keys 'n' and 'dist'")
         n = data["n"]
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise StructuralError(f"bad point count {n!r}")
         dist = data["dist"]
         # JSON numbers load as exact ints and floats, which the type-set test
@@ -190,8 +191,15 @@ class DistanceMatrix:
             raise StructuralError(
                 f"'dist' for n={n} must have length {tri_size(n)}, got {len(dist)}"
             )
-        return cls(n=n, packed=np.asarray(dist, dtype=np.float64),
-                   labels=data.get("labels"))
+        labels = data.get("labels")
+        if labels is not None and not (
+                isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
+            raise StructuralError("'labels' must be a list of strings")
+        try:
+            packed = np.asarray(dist, dtype=np.float64)
+        except OverflowError:  # an int beyond float64's range
+            raise StructuralError("'dist' holds a number too large for float64") from None
+        return cls(n=n, packed=packed, labels=labels)
 
 
 def _pack(M: np.ndarray) -> np.ndarray:
@@ -212,8 +220,17 @@ def _unpack_index(idx: int) -> tuple[int, int]:
 
 
 def as_cluster(members: Iterable[int], n: int) -> frozenset[int]:
-    """Normalise an iterable of point ids into a validated cluster."""
-    S = frozenset(int(x) for x in members)
+    """Normalise an iterable of point ids (Python or numpy integers, not
+    bools) into a validated cluster."""
+    try:
+        ids = tuple(members)
+    except TypeError:
+        raise StructuralError(
+            f"a cluster must be a list of point ids, got {members!r}") from None
+    bad = [x for x in ids if not isinstance(x, (int, np.integer)) or isinstance(x, bool)]
+    if bad:
+        raise StructuralError(f"cluster point ids must be integers, got {bad[0]!r}")
+    S = frozenset(map(int, ids))
     if not S:
         raise StructuralError("clusters must be nonempty")
     if min(S) < 0 or max(S) >= n:
@@ -329,6 +346,41 @@ def cohesion(measure: str, S: Iterable[int], D: DistanceMatrix) -> float:
     return float(ecc.min())
 
 
+class ClusterMatrix:
+    """Complete-link distances between the live clusters of a merge sequence
+    (dendrogram ids), from D and the merge pairs alone.  A live cluster sits at
+    the slot of its smallest point: W[s, s] is its diameter, W[s, t] the largest
+    distance between clusters s and t.  Every value is a max over the entries
+    of D that ``cohesion("diam", ...)`` scans, so both agree bit for bit."""
+
+    def __init__(self, D: DistanceMatrix):
+        self.W = D.full.copy()
+        self.slot = list(range(D.n)) + [0] * (D.n - 1)   # cluster id -> slot
+
+    def _slots(self, clusters) -> np.ndarray:
+        return np.fromiter((self.slot[c] for c in clusters), dtype=np.intp)
+
+    def merge(self, g: int, g2: int, u: int) -> float:
+        """Fold cluster u = g | g2 into W; returns diam(u)."""
+        W = self.W
+        a, b = self.slot[g], self.slot[g2]
+        s = self.slot[u] = min(a, b)
+        row = np.maximum(W[a], W[b])
+        row[s] = max(W[a, a], W[b, b], W[a, b])
+        W[s] = row
+        W[:, s] = row
+        return float(row[s])
+
+    def diam(self, clusters) -> float:
+        """Diameter of the union of the given live clusters; 0.0 for none."""
+        idx = self._slots(clusters)
+        return float(self.W[np.ix_(idx, idx)].max()) if idx.size else 0.0
+
+    def cross(self, A, B) -> float:
+        """Largest distance between two nonempty sets of live clusters."""
+        return float(self.W[np.ix_(self._slots(A), self._slots(B))].max())
+
+
 def clustering_score(score: str, C: Clustering, D: DistanceMatrix) -> float:
     """Aggregate a cohesion measure over the blocks of a clustering.
 
@@ -346,7 +398,11 @@ def clustering_score(score: str, C: Clustering, D: DistanceMatrix) -> float:
     if score == "max-diam":
         return max(cohesion("diam", b, D) for b in C.blocks)
     if score == "avg-diam":
-        return math.fsum(cohesion("diam", b, D) for b in C.blocks) / C.k
+        try:
+            return math.fsum(cohesion("diam", b, D) for b in C.blocks) / C.k
+        except OverflowError:  # finite diameters whose sum is not
+            raise PreconditionError(
+                "the sum of block diameters overflows float64") from None
     if score == "max-avg":
         return max(cohesion("avg", b, D) for b in C.blocks)
     return max(cohesion("radius", b, D) for b in C.blocks)

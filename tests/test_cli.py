@@ -110,6 +110,20 @@ class TestRun:
                        "--method", "CL") == 2
         assert "list of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        {"n": 3, "dist": [1, 1, 1], "labels": 5},
+        {"n": True, "dist": []},
+        {"n": 3, "dist": [10 ** 400, 1, 1]},
+        # CL cuts {0, 1} | {2, 3}: finite diameters whose sum overflows
+        {"n": 4, "dist": [1e308, 1.5e308, 1.5e308, 1.5e308, 1.5e308, 1e308]},
+    ])
+    def test_malformed_instance_is_usage_error(self, tmp_path, data, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("--out-dir", tmp_path, "run", "--instance", path,
+                       "--method", "CL", "--k", 2) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCertify:
     def test_green_path_with_oracle_targets(self, tmp_path, euclidean_instance,
@@ -147,6 +161,18 @@ class TestCertify:
         report = json.loads(capsys.readouterr().out)
         assert report["certificates"]["alg1"]["ok"]
         assert report["certificates"]["alg2"]["ok"]
+
+    @pytest.mark.parametrize("blocks", [
+        [["a"]], [[None]], [0, 1, 2], [[0, 1, 2, 3], [4, 5, 6, 7.7]],
+        [[0, 1, 2, 3], [4, 5, 6, 7.0]],
+    ])
+    def test_malformed_target_is_usage_error(self, tmp_path, euclidean_instance,
+                                             blocks, capsys):
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps(blocks))
+        assert run_cli("--out-dir", tmp_path, "certify", "--instance",
+                       euclidean_instance, "--k", 2, "--target", target) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_target_k_mismatch_is_usage_error(self, tmp_path, euclidean_instance):
         target = tmp_path / "t.json"

@@ -19,6 +19,7 @@ from linkcert import (
     DistanceMatrix,
     MergeRecord,
     PreconditionError,
+    StructuralError,
     alg1_bound,
     alg1_trace,
     cli,
@@ -44,6 +45,12 @@ def _leaves(forest, fid):
     if not node.children:
         return [fid]
     return [leaf for c in node.children for leaf in _leaves(forest, c)]
+
+
+def family_points(dg, node):
+    """A family's point set, rebuilt from its clusters."""
+    members = dg.members_map()
+    return sorted(frozenset().union(*(members[c] for c in node.clusters)))
 
 
 def traced(D, target_blocks, k=None):
@@ -81,20 +88,20 @@ class TestLineWalkthrough:
         assert trace.assertion_counts == (5, 0)
 
     def test_end_state_families_are_merged_blocks(self, line4):
-        _, _, trace = traced(line4, [[0, 1], [2, 3]])
+        dg, _, trace = traced(line4, [[0, 1], [2, 3]])
         # after both merges each root family holds one fully merged cluster
         roots = [f for f in trace.forest.values()
                  if f.parent is None]
-        assert sorted(sorted(f.points) for f in roots) == [[0, 1], [2, 3]]
+        assert sorted(family_points(dg, f) for f in roots) == [[0, 1], [2, 3]]
         assert all(not f.regular for f in roots)
 
     def test_bound(self, line4):
         dg, _, trace = traced(line4, [[0, 1], [2, 3]])
-        bc = alg1_bound(trace, dg, line4)
+        bc = alg1_bound(trace, line4)
         # k^(log2 3) * avg-diam = 3 * 1
         assert bc.bound == pytest.approx(3.0, rel=1e-12)
         assert bc.ok
-        assert len(bc.per_iteration) == 2  # first n-k merges only
+        assert len(trace.born) == 2  # first n-k merges only
 
 
 class TestSingletonFamilyMerge:
@@ -102,12 +109,12 @@ class TestSingletonFamilyMerge:
     families, which melt into one family with added phi and phi_sigma."""
 
     def test_case_and_new_family(self, line4):
-        _, _, trace = traced(line4, [[0], [1], [2, 3]])
+        dg, _, trace = traced(line4, [[0], [1], [2, 3]])
         assert [r.case for r in trace.records] == ["b-sub1"]
         new = max(trace.forest.values(), key=lambda f: f.created_at)
         assert new.phi == 2          # 1 + 1 leaves
         assert new.phi_sigma == 0.0  # both leaves are singleton blocks
-        assert sorted(new.points) == [0, 1]
+        assert family_points(dg, new) == [0, 1]
         assert trace.ok
 
 
@@ -124,10 +131,10 @@ class TestSplitFamilyCase:
 
     def test_case_a_creates_two_families(self):
         D = line_metric([0.0, 5.0, 6.0, 20.0])
-        _, _, trace = traced(D, [[0], [1, 2, 3]])
+        dg, _, trace = traced(D, [[0], [1, 2, 3]])
         created_last = [f for f in trace.forest.values() if f.created_at == 2]
         assert len(created_last) == 2
-        points = sorted(sorted(f.points) for f in created_last)
+        points = sorted(family_points(dg, f) for f in created_last)
         assert points == [[0, 1, 2], [3]]  # the union and the left-behind rest
 
 
@@ -151,7 +158,7 @@ class TestCrossFamilyMerge:
         dg, _, trace = traced(D, [[0, 1], [2, 3]])
         fused = [f for f in trace.forest.values() if f.created_at == 1][0]
         assert fused.phi_sigma * fused.phi ** P_EXP == pytest.approx(30.0, rel=1e-12)
-        bc = alg1_bound(trace, dg, D)
+        bc = alg1_bound(trace, D)
         assert bc.bound == pytest.approx(30.0, rel=1e-12)
         assert bc.ok
 
@@ -171,10 +178,11 @@ class TestForgedMergeOrder:
         trace = alg1_trace(D, dg, [[0], [1, 2, 3]])
         assert [r.case for r in trace.records] == ["b-sub2", "a"]
         newest = trace.forest[max(trace.forest)]
-        assert sorted(newest.points) == [0, 1, 2]
+        assert family_points(dg, newest) == [0, 1, 2]
         assert newest.diam == 3.0
         for node in trace.forest.values():
-            assert node.diam == cohesion("diam", node.points, D)
+            assert node.diam == cohesion("diam", family_points(dg, node), D)
+        assert trace.born == [3.0, 3.0]   # {1, 2}, then {0, 1, 2}
 
 
 class TestFalsifiability:
@@ -189,7 +197,7 @@ class TestFalsifiability:
         assert not trace.ok
         bad = trace.all_failures()
         assert any(f["assertion"] == "p4" for f in bad)
-        bc = alg1_bound(trace, dg, D)
+        bc = alg1_bound(trace, D)
         assert not bc.ok
 
 
@@ -231,8 +239,12 @@ class TestForestInvariants:
                 trace = alg1_trace(D, dg, target)
                 cases |= {r.case for r in trace.records}
                 for fid, node in trace.forest.items():
-                    assert node.diam == cohesion("diam", node.points, D), (kind, fid)
+                    assert node.diam == cohesion(
+                        "diam", family_points(dg, node), D), (kind, fid)
                     assert list(node.leaves) == _leaves(trace.forest, fid)
+                members = dg.members_map()
+                assert trace.born == [cohesion("diam", members[m.result], D)
+                                      for m in dg.merges[: n - k]], kind
         assert cases == {"a", "b-sub1", "b-sub2", "b-sub3"}
 
     def test_bound_holds_on_random_instances(self):
@@ -243,7 +255,7 @@ class TestForestInvariants:
                 target = opt_score("avg-diam", D, k).witness
                 dg = run_linkage("CL", D)
                 trace = alg1_trace(D, dg, target)
-                bc = alg1_bound(trace, dg, D)
+                bc = alg1_bound(trace, D)
                 assert trace.ok
                 assert bc.ok
                 assert bc.bound == pytest.approx(
@@ -257,6 +269,16 @@ class TestPreconditionsAndSerialisation:
         target = Clustering.from_blocks([[0, 1], [2, 3]], 4)
         with pytest.raises(PreconditionError):
             alg1_trace(line4, dg, target)
+
+    def test_rejects_forged_merge_ids(self):
+        # iteration 2 merges point 0 again, which iteration 1 already merged
+        D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0, 31.0])
+        merges = [(0, 1), (0, 2), (3, 4), (7, 8), (9, 5)]
+        dg = Dendrogram(n=6, method="CL", merges=tuple(
+            MergeRecord(left=a, right=b, value=0.0, result=6 + i, iteration=i + 1)
+            for i, (a, b) in enumerate(merges)))
+        with pytest.raises(StructuralError, match="iteration 2 uses cluster id 0\\b"):
+            alg1_trace(D, dg, [[0, 1, 2], [3, 4, 5]])
 
     def test_rejects_size_mismatch(self, line4):
         from linkcert import StructuralError

@@ -18,10 +18,14 @@ from linkcert import (
     Clustering,
     Dendrogram,
     DistanceMatrix,
+    MergeRecord,
     PreconditionError,
+    StructuralError,
     alg2_bound,
     alg2_trace,
     alpha_k,
+    cohesion,
+    extract_clustering,
     fc_diameter_check,
     opt_score,
     run_linkage,
@@ -88,7 +92,7 @@ class TestLineWalkthrough:
 
     def test_bound(self, line4):
         dg, _, trace = traced(line4, [[0, 1], [2, 3]])
-        bc = alg2_bound(trace, dg, line4)
+        bc = alg2_bound(trace, line4)
         # max-diam(target) * k^alpha_2 = 1 * 2
         assert bc.bound == 2.0
         assert bc.ok
@@ -120,7 +124,7 @@ class TestInterleavedWalkthrough:
     def test_bound(self):
         D = line_metric([0.0, 10.0, 1.0, 11.0])
         dg, _, trace = traced(D, [[0, 1], [2, 3]])
-        bc = alg2_bound(trace, dg, D)
+        bc = alg2_bound(trace, D)
         assert bc.bound == 20.0  # max-diam 10 * factor 2
         assert bc.ok
 
@@ -142,7 +146,7 @@ class TestThreeBlockComponent:
     def test_bound(self):
         D = line_metric([0.0, 10.0, 1.0, 30.0, 31.0, 60.0])
         dg, _, trace = traced(D, [[0, 1], [2, 3, 4, 5]])
-        bc = alg2_bound(trace, dg, D)
+        bc = alg2_bound(trace, D)
         assert bc.bound == 118.0  # max-diam(target) 59 * factor 2
         assert bc.ok
 
@@ -195,7 +199,7 @@ class TestFalsifiability:
         dg = run_linkage("CL", D)
         target = Clustering.from_blocks([[0, 1], [2, 3]], 4)
         trace = alg2_trace(D, dg, target)
-        bc = alg2_bound(trace, dg, D)
+        bc = alg2_bound(trace, D)
         assert not (trace.ok and bc.ok)
         bad = trace.all_failures() + bc.failures
         assert any(f["assertion"] in ("sum-diam", "family-growth-bound",
@@ -230,6 +234,66 @@ class TestClusterAudit:
         ]
 
 
+class TestDiameterOwner:
+    """Born-cluster diameters, tree-edge weights and family diameters all come
+    from one cluster-level complete-link matrix; ``cohesion`` over the point
+    sets is the independent reference."""
+
+    @staticmethod
+    def check(D, dg, trace):
+        members = dg.members_map()
+        n, k = trace.n, trace.k
+        born = [cohesion("diam", members[m.result], D) for m in dg.merges[: n - k]]
+        assert trace.born == born
+        edges = [e for c in trace.spanning_certs for e in c.edges]
+        for e in edges:
+            assert e["weight"] == born[e["iteration"] - 1]
+        for fam in trace.families.values():
+            assert fam.diam == (cohesion("diam", fam.points, D) if fam.points else 0.0)
+        return len(edges)
+
+    def test_own_cut_oracle_and_interleaved_targets(self):
+        edges = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed + 900)
+            k = 2 + seed % 4
+            for kind in ("own-cut", "oracle", "interleaved"):
+                n = 9 if kind == "oracle" else 30
+                D = DistanceMatrix.from_points(rng.random((n, 2)))
+                dg = run_linkage("CL", D)
+                if kind == "own-cut":
+                    target = extract_clustering(dg, k)
+                elif kind == "oracle":
+                    target = opt_score("max-diam", D, k).witness
+                else:
+                    target = Clustering.from_blocks(
+                        [range(i, n, k) for i in range(k)], n)
+                edges += self.check(D, dg, alg2_trace(D, dg, target))
+        assert edges > 0  # tree edges were actually compared
+
+    def test_forged_merge_order(self):
+        # merging {1} and {2} first, then {0}: the second born cluster's
+        # diameter 3 exceeds its merge's cross distance 1.5
+        D = line_metric([1.5, 0.0, 3.0, 100.0])
+        merges = [(1, 2), (0, 4), (3, 5)]
+        dg = Dendrogram(n=4, method="CL", merges=tuple(
+            MergeRecord(left=a, right=b, value=0.0, result=4 + i, iteration=i + 1)
+            for i, (a, b) in enumerate(merges)))
+        trace = alg2_trace(D, dg, [[0], [1, 2, 3]])
+        assert trace.born == [3.0, 3.0]
+        self.check(D, dg, trace)
+
+    def test_rejects_forged_merge_ids(self):
+        # iteration 2 merges point 0 again, which iteration 1 already merged
+        D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0, 31.0])
+        merges = [(0, 1), (0, 2), (3, 4), (7, 8), (9, 5)]
+        dg = Dendrogram(n=6, method="CL", merges=tuple(
+            MergeRecord(left=a, right=b, value=0.0, result=6 + i, iteration=i + 1)
+            for i, (a, b) in enumerate(merges)))
+        with pytest.raises(StructuralError, match="iteration 2 uses cluster id 0\\b"):
+            alg2_trace(D, dg, [[0, 1, 2], [3, 4, 5]])
+
+
 class TestRandomGridInvariants:
     def test_traces_pass_on_random_instances(self):
         for seed in range(12):
@@ -239,7 +303,7 @@ class TestRandomGridInvariants:
                 target = opt_score("max-diam", D, k).witness
                 dg = run_linkage("CL", D)
                 trace = alg2_trace(D, dg, target)
-                bc = alg2_bound(trace, dg, D)
+                bc = alg2_bound(trace, D)
                 assert trace.ok, trace.all_failures()
                 assert bc.ok, bc.failures
 

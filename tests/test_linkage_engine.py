@@ -201,6 +201,20 @@ class TestExtractClustering:
                            match=f"iteration {iteration} uses cluster id {cid}\\b"):
             extract_clustering(dg, 1)
 
+    @pytest.mark.parametrize("merges,iteration,cid", [
+        ([(0, 1, 9), (2, 9, 5)], 1, 9),   # beyond 2n-2 (a forged iteration)
+        ([(0, 1, 2), (2, 3, 5)], 1, 2),   # a point id
+        ([(0, 1, 4), (2, 4, 4)], 2, 4),   # created twice
+    ])
+    def test_forged_result_id_is_structural_error(self, merges, iteration, cid):
+        dg = Dendrogram(n=4, method="CL", merges=tuple(
+            MergeRecord(l, r, 1.0, res, it) for it, (l, r, res) in enumerate(merges, 1)))
+        with pytest.raises(StructuralError,
+                           match=f"iteration {iteration} creates cluster id {cid}\\b"):
+            extract_clustering(dg, 4 - len(merges))
+        with pytest.raises(StructuralError, match="creates cluster id"):
+            check_merge_monotonicity(dg, line_metric([0.0, 1.0, 3.0, 7.0]))
+
     def test_k_out_of_range(self, line4):
         dg = run_linkage("CL", line4)
         with pytest.raises(PreconditionError):
@@ -318,6 +332,28 @@ class TestMergeMonotonicity:
         claims = {(v["iteration"], v["claim"]) for v in check_merge_monotonicity(forged, D)}
         assert (2, "union-diam-nondecreasing") in claims
         assert (3, "union-diam-equals-cross-max") in claims
+
+    def test_cross_distance_is_read_before_the_merge(self):
+        # line 4, 6, 0, 10: the last merge joins {0,1} (diameter 2) and {2,3}
+        # (diameter 10) across a largest distance of 6; their union spans 10
+        D = line_metric([4.0, 6.0, 0.0, 10.0])
+        forged = Dendrogram(n=4, method="CL", merges=(
+            MergeRecord(0, 1, 2.0, 4, 1),
+            MergeRecord(2, 3, 10.0, 5, 2),
+            MergeRecord(4, 5, 10.0, 6, 3),
+        ))
+        assert check_merge_monotonicity(forged, D) == [{
+            "iteration": 3, "claim": "union-diam-equals-cross-max",
+            "expected": 6.0, "observed": 10.0}]
+
+    def test_forged_ids_are_structural_error(self, line4):
+        forged = Dendrogram(n=4, method="CL", merges=(
+            MergeRecord(0, 1, 1.0, 4, 1),
+            MergeRecord(1, 2, 9.0, 5, 2),
+            MergeRecord(5, 3, 11.0, 6, 3),
+        ))
+        with pytest.raises(StructuralError, match="iteration 2 uses cluster id 1\\b"):
+            check_merge_monotonicity(forged, line4)
 
 
 class TestRuleEquivalence:

@@ -20,7 +20,7 @@ from linkcert import (
     tri_size,
     validate_metric,
 )
-from linkcert.metric_core import _triangle_violations, as_cluster
+from linkcert.metric_core import ClusterMatrix, _triangle_violations, as_cluster
 
 from .conftest import line_metric
 
@@ -120,6 +120,22 @@ class TestDistanceMatrix:
         D = DistanceMatrix.from_json({"n": 3, "dist": dist})
         assert D.packed.tolist() == [1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("data,match", [
+        ({"n": True, "dist": []}, "point count"),
+        ({"n": 3.0, "dist": [1, 1, 1]}, "point count"),
+        ({"n": 3, "dist": [1, 1, 1], "labels": 5}, "labels"),
+        ({"n": 3, "dist": [1, 1, 1], "labels": "abc"}, "labels"),
+        ({"n": 3, "dist": [1, 1, 1], "labels": ["a", 1, "c"]}, "labels"),
+        ({"n": 3, "dist": [10 ** 400, 1, 1]}, "too large"),
+    ])
+    def test_json_rejects_bad_count_labels_and_huge_ints(self, data, match):
+        with pytest.raises(StructuralError, match=match):
+            DistanceMatrix.from_json(data)
+
+    def test_json_keeps_string_labels(self):
+        D = DistanceMatrix.from_json({"n": 2, "dist": [1], "labels": ["a", "b"]})
+        assert D.labels == ["a", "b"]
+
 
 class TestValidateMetric:
     def test_line_metric_is_exact_metric(self, line4):
@@ -190,6 +206,19 @@ class TestClustering:
         with pytest.raises(StructuralError):
             as_cluster([], 4)
 
+    @pytest.mark.parametrize("blocks", [
+        [["a"]], [[None]], [0, 1, 2], [[0, 1, 2], [3, 4, 5.7]],
+        [[0, 1, 2], [3, 4, 5.0]], [[0, 1, 2], [3, 4, True]], [[0, 1, 2], "345"],
+    ])
+    def test_rejects_non_integer_ids(self, blocks):
+        with pytest.raises(StructuralError):
+            Clustering.from_blocks(blocks, 6)
+
+    def test_accepts_numpy_integers(self):
+        C = Clustering.from_blocks([np.arange(3), [np.int32(3), 4, np.int64(5)]], 6)
+        assert C.to_json() == [[0, 1, 2], [3, 4, 5]]
+        assert all(type(x) is int for b in C.blocks for x in b)
+
 
 class TestCohesion:
     def test_singleton_is_exactly_zero(self, line4):
@@ -226,6 +255,45 @@ class TestCohesion:
         assert diam <= 2 * radius + 1e-12 * diam
 
 
+class TestClusterMatrix:
+    """The complete-link fold against ``cohesion``, its reference, on merge
+    orders that no linkage rule would pick, so merged diameters may exceed
+    the cross distance of their merge."""
+
+    def test_matches_cohesion_on_random_merge_orders(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 12))
+            if seed % 2:
+                D = DistanceMatrix.from_points(rng.random((n, 2)))
+            else:  # integer, non-metric, many ties
+                D = DistanceMatrix(n, rng.integers(0, 5, tri_size(n)).astype(float))
+            cm = ClusterMatrix(D)
+            members = {i: frozenset([i]) for i in range(n)}
+            live = list(range(n))
+            for u in range(n, 2 * n - 1):
+                g, g2 = (live.pop(int(rng.integers(len(live)))) for _ in range(2))
+                A, B = members[g], members[g2]
+                cross = float(D.full[np.ix_(sorted(A), sorted(B))].max())
+                assert cm.cross([g], [g2]) == cross
+                members[u] = A | B
+                assert cm.merge(g, g2, u) == cohesion("diam", members[u], D)
+                live.append(u)
+                some = live[: int(rng.integers(1, len(live) + 1))]
+                pts = frozenset().union(*(members[c] for c in some))
+                assert cm.diam(some) == cohesion("diam", pts, D)
+            assert cm.diam([]) == 0.0
+
+    def test_merged_diameter_keeps_the_larger_part(self):
+        # line 1.5, 0, 3: merging {1} and {2} first gives a cluster of
+        # diameter 3, larger than its later cross distance 1.5 to {0}
+        cm = ClusterMatrix(line_metric([1.5, 0.0, 3.0]))
+        assert cm.merge(1, 2, 3) == 3.0
+        assert cm.cross([0], [3]) == 1.5
+        assert cm.merge(0, 3, 4) == 3.0
+        assert cm.diam([4]) == 3.0
+
+
 class TestClusteringScore:
     def test_line_example_scores(self, line4):
         C = Clustering.from_blocks([[0, 1, 2], [3]], 4)
@@ -235,6 +303,13 @@ class TestClusteringScore:
         # max-avg: block {0,1,2} has mean pair distance 20/3, singleton 0
         assert clustering_score("max-avg", C, line4) == pytest.approx(20.0 / 3.0)
         assert clustering_score("max-radius", C, line4) == 9.0
+
+    def test_avg_diam_overflow_is_precondition_error(self):
+        D = DistanceMatrix(4, np.full(6, 1e308))
+        C = Clustering.from_blocks([[0, 1], [2, 3]], 4)
+        assert clustering_score("max-diam", C, D) == 1e308
+        with pytest.raises(PreconditionError, match="overflows"):
+            clustering_score("avg-diam", C, D)
 
     def test_rejects_wrong_n(self, line4):
         C = Clustering.from_blocks([[0], [1], [2]], 3)
