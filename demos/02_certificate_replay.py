@@ -154,7 +154,8 @@ def main() -> None:
     b1 = alg1_bound(t1, D)
     b2 = alg2_bound(t2, D)
     print(f"  n=12, k=3: enumerated {ref_av.enumerated} partitions for both "
-          f"scores")
+          f"scores, scored {ref_av.scored} of them")
+    assert ref_av.scored <= ref_av.enumerated
     print(f"  family forest:      {t1.assertion_counts[0]} assertions, "
           f"bound {b1.bound:.6g}, ok={t1.ok and b1.ok}")
     print(f"  pure-cluster graph: {t2.assertion_counts[0]} assertions, "

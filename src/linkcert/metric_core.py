@@ -328,7 +328,8 @@ def cohesion(measure: str, S: Iterable[int], D: DistanceMatrix) -> float:
     * ``avg``    -- mean over unordered pairs, 2/(|S|(|S|-1)) * sum
     * ``radius`` -- min over centers c in S of max distance from c
 
-    Singletons score 0 under every measure.
+    Singletons score 0 under every measure.  ``avg`` raises
+    ``PreconditionError`` when the sum of the distances overflows float64.
     """
     S = as_cluster(S, D.n)
     if measure not in COHESION_MEASURES:
@@ -341,7 +342,12 @@ def cohesion(measure: str, S: Iterable[int], D: DistanceMatrix) -> float:
         return float(sub.max())
     if measure == "avg":
         m = len(S)
-        return float(sub.sum() / (m * (m - 1)))  # sub.sum() counts ordered pairs
+        with np.errstate(over="ignore"):
+            total = sub.sum()  # counts ordered pairs
+        if not np.isfinite(total):  # finite distances whose sum is not
+            raise PreconditionError(
+                "the sum of a cluster's distances overflows float64")
+        return float(total / (m * (m - 1)))
     ecc = sub.max(axis=1)
     return float(ecc.min())
 

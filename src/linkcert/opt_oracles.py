@@ -1,13 +1,21 @@
 """Exhaustive optimal-clustering oracles (reference values for bound checks).
 
-``opt_scores`` enumerates every partition of 0..n-1 into exactly k nonempty
-blocks in restricted-growth-string order, once, and scores each partition for
-both ``max-diam`` and ``avg-diam``; each objective keeps the first minimum it
-sees.  ``opt_score`` selects one of the two results.  There is deliberately
-no branch-and-bound: the point of the oracle is to be too simple to be wrong,
-so every one of the S(n, k) partitions is visited (block diameters are
-maintained incrementally, which changes the constant factor but not the set
-of partitions examined).  A size guard refuses n beyond ``n_max`` unless
+``opt_scores`` walks every partition of 0..n-1 into exactly k nonempty blocks
+in restricted-growth-string order, once, for both ``max-diam`` and
+``avg-diam``; each objective keeps the first minimum it sees (a strict ``<``
+replaces the running best).  ``opt_score`` selects one of the two results.
+
+The walk is a branch-and-bound that is exact to the bit.  A node carries the
+running sum and max of its block diameters.  Below it the sum only grows by
+``nd - old >= 0``, which rounds to a value >= 0, float addition and the
+division by k are monotone, and ``max`` is exact.  So when a node has
+``dmax >= best_dm`` and ``dsum / k >= best_av``, no partition below it can
+strictly beat either running best, and the subtree is skipped.  A tie never
+replaces a witness, so skipping tied partitions cannot change which one is
+first: both witnesses, their values and their order are those of the full
+enumeration.  Skipped partitions are still counted, from a table of
+completion counts, so ``enumerated`` is S(n, k); ``scored`` says how many
+were actually scored.  A size guard refuses n beyond ``n_max`` unless
 explicitly overridden.
 
 ``opt_dm_threshold`` is an independent second oracle for the max-diameter
@@ -46,13 +54,15 @@ ORACLE_SCORES = ("max-diam", "avg-diam")
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Optimal value, an optimal clustering, and how many partitions were seen."""
+    """Optimal value, an optimal clustering, how many partitions were
+    accounted for (S(n, k)) and how many of them were scored."""
 
     score: str
     k: int
     value: float
     witness: Clustering
     enumerated: int
+    scored: int
 
 
 def stirling2(n: int, k: int) -> int:
@@ -122,25 +132,37 @@ def opt_scores(D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
                allow_large: bool = False) -> dict[str, OracleResult]:
     """Exact optima of both oracle scores over all k-clusterings, in one pass.
 
-    Returns ``{"max-diam": ..., "avg-diam": ...}``.  Every partition is
-    scored for both objectives; each keeps the first witness in enumeration
-    order (strict improvement replaces), so both results report S(n, k).
+    Returns ``{"max-diam": ..., "avg-diam": ...}``.  Each keeps the first
+    witness in enumeration order (strict improvement replaces); subtrees that
+    cannot strictly improve either are counted but not scored, so both
+    results report S(n, k) as ``enumerated``.
     """
     n = D.n
     _check_guard(n, k, n_max, allow_large)
     M = D.full.tolist()  # python floats: much faster scalar access than ndarray
+    # comp[r][u]: ways to place r more points so that u used blocks become k
+    comp = [[0] * (k + 2) for _ in range(n + 1)]
+    comp[0][k] = 1
+    for r in range(1, n + 1):
+        for u in range(1, k + 1):
+            comp[r][u] = u * comp[r - 1][u] + comp[r - 1][u + 1]
 
     best_av = best_dm = math.inf
     blocks_av: list[list[int]] | None = None
     blocks_dm: list[list[int]] | None = None
-    count = 0
+    count = scored = 0
     blocks: list[list[int]] = [[0]]
     diams: list[float] = [0.0]
 
     def rec(i: int, dsum: float, dmax: float) -> None:
-        nonlocal best_av, best_dm, blocks_av, blocks_dm, count
+        nonlocal best_av, best_dm, blocks_av, blocks_dm, count, scored
+        # dsum and dmax never fall below a node: nothing here beats either best
+        if dmax >= best_dm and dsum / k >= best_av:
+            count += comp[n - i][len(blocks)]
+            return
         if i == n:
             count += 1
+            scored += 1
             # Compare the averages, not the sums: dividing by k can round two
             # different sums to one value, and then the earlier witness wins.
             av = dsum / k
@@ -175,7 +197,7 @@ def opt_scores(D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
             diams.pop()
 
     if n == 1:
-        blocks_av, blocks_dm, count = [[0]], [[0]], 1
+        blocks_av, blocks_dm, count, scored = [[0]], [[0]], 1, 1
     else:
         rec(1, 0.0, 0.0)
     out = {}
@@ -186,7 +208,8 @@ def opt_scores(D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
         # from the canonical evaluation by final-ulp rounding.
         out[score] = OracleResult(score=score, k=k,
                                   value=clustering_score(score, witness, D),
-                                  witness=witness, enumerated=count)
+                                  witness=witness, enumerated=count,
+                                  scored=scored)
     return out
 
 

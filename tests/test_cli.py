@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,31 @@ class TestRun:
         assert run_cli("--out-dir", tmp_path, "run", "--instance", path,
                        "--method", "CL", "--k", 2) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+OVERFLOW_INSTANCE = {"n": 4, "dist": [1e308] * 6}  # finite, but the pair sums are not
+
+
+class TestOverflow:
+    """Scores whose float64 sum overflows exit 2; nothing written says Infinity."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--method", "CL", "--k", 2],
+        ["certify", "--k", 2],
+    ])
+    def test_max_avg_overflow_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(OVERFLOW_INSTANCE))
+        out_dir = tmp_path / "out"
+        assert run_cli("--out-dir", out_dir, command[0], "--instance", path,
+                       *command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "overflows float64" in captured.err
+        assert "Infinity" not in captured.out
+        assert not list(out_dir.glob("*.report.json"))
+        for written in out_dir.iterdir():
+            assert "Infinity" not in written.read_text(), written.name
 
 
 class TestCertify:
@@ -449,3 +475,35 @@ class TestBenchmarkTracing:
                 "graph_certificates.alg2_bound"} <= names
         counts = tracer.counts()
         assert counts["families"] > 0 and counts["alg2_assertions"] > 0
+
+
+class TestReadmeExamples:
+    """README's `generate`, `oracle` and `certify` examples, run through
+    ``cli.main``: the printed values in README must be what the commands print."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_oracle_and_certify_examples(self, tmp_path, capsys):
+        text = self.README.read_text()
+        block = text.split("linkcert oracle --instance out/euclidean_n10_d2_s7.json "
+                           "--k 3 --score max-diam\n", 1)[1].split("```", 1)[0]
+        documented = json.loads(" ".join(line.lstrip("# ")
+                                          for line in block.splitlines()))
+        oracle_line = re.search(r'"oracle":\s*(\{[^}]*\})', text).group(1)
+        documented_opt = json.loads(oracle_line)
+
+        assert run_cli("--out-dir", tmp_path, "--seed", 7, "generate",
+                       "euclidean", "--n", 10, "--dim", 2) == 0
+        instance = json.loads(capsys.readouterr().out)["instance"]
+        assert run_cli("--out-dir", tmp_path, "oracle", "--instance", instance,
+                       "--k", 3, "--score", "max-diam") == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == documented == {
+            "score": "max-diam", "k": 3, "value": 0.5291373635527069,
+            "witness": [[0, 8, 9], [1, 4, 5, 7], [2, 3, 6]], "enumerated": 9330}
+
+        assert run_cli("--out-dir", tmp_path, "certify", "--instance", instance,
+                       "--k", 3) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["oracle"] == documented_opt == {
+            "opt_av": 0.2680115196006248, "opt_dm": 0.5291373635527069}

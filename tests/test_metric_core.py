@@ -240,6 +240,22 @@ class TestCohesion:
         with pytest.raises(PreconditionError):
             cohesion("median", {0, 1}, line4)
 
+    def test_avg_overflow_is_precondition_error(self, recwarn):
+        # finite distances whose sum over ordered pairs is not
+        D = DistanceMatrix(4, np.full(6, 1e308))
+        assert cohesion("diam", {1, 2, 3}, D) == 1e308
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            cohesion("avg", {1, 2, 3}, D)
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            clustering_score("max-avg", Clustering.from_blocks([[0], [1, 2, 3]], 4), D)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_avg_near_the_limit_is_finite(self):
+        # a large sum that still fits is scored as before (exactly: the
+        # ordered-pair sum is 6 * 2**1020 < float64's max)
+        D = DistanceMatrix(3, np.full(3, 2.0 ** 1020))
+        assert cohesion("avg", {0, 1, 2}, D) == 2.0 ** 1020
+
     @given(st.integers(3, 8), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_avg_le_diam_and_radius_le_diam(self, n, seed):

@@ -17,6 +17,8 @@ from linkcert import (
 from linkcert.opt_oracles import partitions_into_k, stirling2
 
 from .conftest import line_metric
+from .reference_oracle import reference_opt_scores
+from .test_acceptance import GRID_SHAPE, K_RANGE, _grid_instance
 
 
 def random_euclidean(n, seed, dim=2):
@@ -196,6 +198,62 @@ class TestOptScores:
             opt_scores(random_euclidean(15, seed=0), 3)
         with pytest.raises(PreconditionError):
             opt_scores(random_euclidean(4, seed=0), 5)
+
+
+def l1_metric(G):
+    return DistanceMatrix.from_full(np.abs(G[:, None, :] - G[None, :, :]).sum(axis=2))
+
+
+def reference_instances(n):
+    """``oracle_instances`` plus duplicate points, an integer L1 grid, and the
+    grid moved by ~1e-9: near-ties, whose improvements are tiny, catch a
+    skip that is not exact."""
+    yield from oracle_instances(n)
+    rng = np.random.default_rng(900 + n)
+    yield DistanceMatrix.from_points(rng.random((4, 2))[rng.integers(0, 4, size=n)])
+    G = rng.integers(0, 3, size=(n, 2))
+    yield l1_metric(G)
+    yield l1_metric(G + 1e-9 * rng.random((n, 2)))
+
+
+def assert_matches_reference(D, k):
+    got, ref = opt_scores(D, k), reference_opt_scores(D, k)
+    assert set(got) == set(ref) == {"max-diam", "avg-diam"}
+    for score, want in ref.items():
+        res = got[score]
+        assert (res.score, res.k) == (score, k)
+        assert res.value.hex() == want.value.hex(), (score, k)
+        assert res.witness == want.witness, (score, k)
+        assert res.enumerated == want.enumerated == stirling2(D.n, k)
+        assert 1 <= res.scored <= res.enumerated
+
+
+class TestAgainstReferenceOracle:
+    """The pruned enumeration against the frozen unpruned one: equal value
+    bits, witnesses and partition counts."""
+
+    @pytest.mark.parametrize("n, count", [cell for cell in GRID_SHAPE if cell[0] <= 9])
+    def test_acceptance_grid(self, n, count):
+        for idx in range(count):
+            D = _grid_instance(n, idx)
+            for k in K_RANGE:
+                assert_matches_reference(D, k)
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_instance_kinds(self, n):
+        for D in reference_instances(n):
+            for k in range(1, 7):
+                assert_matches_reference(D, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_at_the_oracle_limit(self, k):
+        assert_matches_reference(random_euclidean(12, seed=1200), k)
+
+    def test_pruning_is_on(self):
+        res = opt_scores(random_euclidean(12, seed=0), 5)
+        for r in res.values():
+            assert r.enumerated == stirling2(12, 5)
+            assert r.scored * 100 < r.enumerated, r.scored
 
 
 class TestThresholdOracle:
