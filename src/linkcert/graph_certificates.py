@@ -29,9 +29,9 @@ one component's territory), the addition-budget cap, and -- at every family
 creation -- the spanning-tree weight bounds, the diameter-sum bound, and the
 growth bound diam(F) <= max-diam(target) * phi(F)^alpha_k (``growth_bound``,
 checked by ``within_bound``; the spanning-tree and sum checks are exact).
-The cluster classification is checked over arrays (point -> family,
-point -> live cluster, cluster -> tag) in O(n) numpy work per iteration; a
-per-cluster loop runs only when that check fails, to write the records.
+The cluster classification is checked in one place, over arrays (point ->
+family, point -> live cluster, cluster -> tag) in O(n) numpy work per
+iteration; the same pass names each offending live cluster in its record.
 """
 
 from __future__ import annotations
@@ -202,7 +202,6 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     fam2comp: dict[int, int] = {}
     E: set[int] = set()
     additions: list[dict] = []
-    fam_events: dict[int, list[dict]] = {}
     spanning_certs: list[SpanningTreeCert] = []
     trace_failures: list[dict] = []
     active: set[int] = set(range(n))
@@ -221,7 +220,6 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                          phi=1)
         families[next_fid] = fam
         counts[next_fid] = len(block)
-        fam_events[next_fid] = []
         for x in block:
             tag[x] = next_fid
             p2f[x] = next_fid
@@ -236,36 +234,6 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             })
         next_fid += 1
 
-    def structure_holds() -> bool:
-        """The verdict of the per-cluster loop in ``start_assertions``, over
-        arrays.  ``owner`` follows ``members``, since every merge joins two
-        live clusters, so both read the same point sets."""
-        live = ids(active)
-        lt = tag[live]
-        if any(h not in E for h in live[lt == EXCLUDED].tolist()):
-            return False
-        seen = np.bincount(lt[lt >= 0], minlength=next_fid)
-        if (any(seen[f] != c for f, c in counts.items())
-                or seen.sum() != sum(counts.values())):
-            return False
-        # smallest and largest family, and component, over each cluster's points
-        comp = np.full(next_fid + 1, -1, dtype=np.intp)   # comp[-1] for p2f = -1
-        comp[list(fam2comp)] = list(fam2comp.values())
-        spans = []
-        for per_point in (p2f, comp[p2f]):
-            lo = np.full(tag.size, n, dtype=np.intp)
-            hi = np.full(tag.size, -1, dtype=np.intp)
-            np.minimum.at(lo, owner, per_point)
-            np.maximum.at(hi, owner, per_point)
-            spans.append((lo[live], hi[live]))
-        (flo, fhi), (clo, chi) = spans
-        one_family = flo == fhi
-        wrong = ((flo < 0)                                 # orphaned points
-                 | (one_family & (lt != flo))              # not pure w.r.t. it
-                 | (~one_family & ((lt != NONPURE)         # spans families: nonpure,
-                                   | (clo < 0) | (clo != chi))))   # one component
-        return not np.any(wrong & (lt != EXCLUDED))
-
     def start_assertions(t: int, failures: list[dict]) -> dict:
         ok_l1 = True
         for comp in comps.values():
@@ -278,61 +246,59 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                     "detail": f"component {sorted(comp.families)} has only "
                               f"{len(rich)} families with >=2 pure clusters",
                 })
-        if structure_holds():
-            return {"two_pure_clusters": ok_l1, "clusters_structure": True}
-        # Something is off: the per-cluster loop writes the failure records.
-        ok_cs = True
-        recount: dict[int, int] = {f: 0 for f in counts}
-        for h in active:
-            tag_h = int(tag[h])
+        # The cluster audit reads point sets through ``owner``, which follows
+        # ``members`` because every merge joins two live clusters.
+        live = ids(active)
+        lt = tag[live]
+        # smallest and largest family, and component, over each cluster's points
+        comp = np.full(next_fid + 1, -1, dtype=np.intp)   # comp[-1] for p2f = -1
+        comp[list(fam2comp)] = list(fam2comp.values())
+        spans = []
+        for per_point in (p2f, comp[p2f]):
+            lo = np.full(tag.size, n, dtype=np.intp)
+            hi = np.full(tag.size, -1, dtype=np.intp)
+            np.minimum.at(lo, owner, per_point)
+            np.maximum.at(hi, owner, per_point)
+            spans.append((lo[live], hi[live]))
+        (flo, fhi), (clo, chi) = spans
+        one_family = flo == fhi
+        excluded = lt == EXCLUDED
+        wrong = ~excluded & ((flo < 0)                      # orphaned points
+                             | (one_family & (lt != flo))   # not pure w.r.t. it
+                             | (~one_family & ((lt != NONPURE)   # spans families:
+                                               | (clo < 0) | (clo != chi))))
+        wrong[excluded] = [h not in E for h in live[excluded].tolist()]
+        for i in np.flatnonzero(wrong).tolist():
+            h, tag_h = int(live[i]), int(lt[i])
             if tag_h == EXCLUDED:
-                if h not in E:
-                    ok_cs = False
-                    failures.append({
-                        "assertion": "clusters-structure", "iteration": t,
-                        "detail": f"cluster {h} tagged excluded but not in the set",
-                    })
-                continue
-            touched = set(p2f[ids(members[h])].tolist())
-            orphans = -1 in touched
-            touched.discard(-1)
-            if tag_h >= 0:
-                recount[tag_h] = recount.get(tag_h, 0) + 1
-            if orphans or not touched:
-                ok_cs = False
-                failures.append({
-                    "assertion": "clusters-structure", "iteration": t,
-                    "detail": f"cluster {sorted(members[h])} touches orphaned "
-                              "points but is not excluded",
-                })
-                continue
-            if len(touched) == 1:
-                (f,) = touched
-                if tag_h != f:
-                    ok_cs = False
-                    failures.append({
-                        "assertion": "clusters-structure", "iteration": t,
-                        "detail": f"cluster {sorted(members[h])} lies inside "
-                                  f"family {f} but is tagged {_tag(tag_h)}",
-                    })
+                detail = f"cluster {h} tagged excluded but not in the set"
+            elif flo[i] < 0 or fhi[i] < 0:
+                detail = (f"cluster {sorted(members[h])} touches orphaned "
+                          "points but is not excluded")
+            elif one_family[i]:
+                detail = (f"cluster {sorted(members[h])} lies inside family "
+                          f"{int(flo[i])} but is tagged {_tag(tag_h)}")
             else:
+                touched = sorted(set(p2f[owner == h].tolist()))
                 comp_ids = {fam2comp[f] for f in touched}
-                if tag_h != NONPURE or len(comp_ids) != 1:
-                    ok_cs = False
-                    failures.append({
-                        "assertion": "clusters-structure", "iteration": t,
-                        "detail": f"cluster {sorted(members[h])} (tag {_tag(tag_h)}) "
-                                  f"spans families {sorted(touched)} in "
-                                  f"{len(comp_ids)} components",
-                    })
-        if recount != counts:
-            ok_cs = False
+                detail = (f"cluster {sorted(members[h])} (tag {_tag(tag_h)}) "
+                          f"spans families {touched} in {len(comp_ids)} components")
+            failures.append({"assertion": "clusters-structure", "iteration": t,
+                             "detail": detail})
+        seen = np.bincount(lt[lt >= 0], minlength=next_fid)
+        ledger_ok = (all(seen[f] == c for f, c in counts.items())
+                     and seen.sum() == sum(counts.values()))
+        if not ledger_ok:
+            recount = dict.fromkeys(counts, 0)
+            for f in lt[lt >= 0].tolist():
+                recount[f] = recount.get(f, 0) + 1
             failures.append({
                 "assertion": "clusters-structure", "iteration": t,
                 "detail": f"pure-count ledger {counts} disagrees with "
                           f"tag recount {recount}",
             })
-        return {"two_pure_clusters": ok_l1, "clusters_structure": ok_cs}
+        return {"two_pure_clusters": ok_l1,
+                "clusters_structure": bool(ledger_ok and not wrong.any())}
 
     records: list[Alg2IterationRecord] = []
     born: list[float] = []
@@ -485,7 +451,6 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             rec = {"site": site, "iteration": t, "family": f,
                    "cluster": sorted(members[h])}
             additions.append(rec)
-            fam_events[f].append(rec)
             events.append({"type": "exclusion_add", **rec})
 
         if case != "b":
@@ -525,28 +490,29 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                     "detail": f"new family would hold {len(fc_members)} clusters",
                 })
 
+            # lifetime exclusion sites per family (family ids are never reused)
+            sites: dict[int, list[str]] = {f: [] for f in comp_fams}
+            for e in additions:
+                if e["family"] in sites:
+                    sites[e["family"]].append(e["site"])
             if case == "a":
                 rich = [f for f in comp_fams if counts[f] > 1]
-                with_events = {f for f in comp_fams if fam_events[f]}
+                with_events = {f for f in comp_fams if sites[f]}
                 ls_ok = (len(rich) == 1
                          and with_events == set(comp_fams) - set(rich)
-                         and all(len(fam_events[f]) == 1 for f in with_events))
+                         and all(len(sites[f]) == 1 for f in with_events))
             else:
-                site2 = {f for f in comp_fams
-                         if any(e["site"] == "addLr2" for e in fam_events[f])}
-                site1 = {f for f in comp_fams
-                         if any(e["site"] == "addLr1" for e in fam_events[f])}
-                none_ = {f for f in comp_fams if not fam_events[f]}
+                site2 = {f for f in comp_fams if "addLr2" in sites[f]}
+                site1 = {f for f in comp_fams if "addLr1" in sites[f]}
+                none_ = {f for f in comp_fams if not sites[f]}
                 ls_ok = (len(site2) == 1 and len(none_) == 1
                          and len(site1) == len(comp_fams) - 2
-                         and all(len(fam_events[f]) == 1
-                                 for f in site1 | site2))
+                         and all(len(sites[f]) == 1 for f in site1 | site2))
             assertions["ls_addition"] = ls_ok
             if not ls_ok:
                 failures.append({
                     "assertion": "ls-addition", "iteration": t,
-                    "detail": f"lifetime additions per family: "
-                              f"{ {f: [e['site'] for e in fam_events[f]] for f in comp_fams} }",
+                    "detail": f"lifetime additions per family: {sites}",
                 })
 
             fc_pts = frozenset().union(*(members[h] for h in fc_members))
@@ -585,7 +551,11 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             edge_set = {e for e in edge_set
                         if e[0] not in comp.families and e[1] not in comp.families}
             counts[next_fid] = len(fc_members)
-            fam_events[next_fid] = []
+            # A sound replay leaves no live cluster pure w.r.t. a family that
+            # dies; one a broken state leaves behind becomes nonpure, so the
+            # next audit reports it and no merge reads a dead family's count.
+            for f in comp_fams:
+                tag[tag == f] = NONPURE
             for h in fc_members:
                 tag[h] = next_fid
             for p in union_pts:
@@ -605,6 +575,7 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
             del counts[f]
             del fam2comp[f]
             del comps[comp_id]
+            tag[tag == f] = NONPURE   # as at a collapse
             for p in families[f].points:
                 if p2f[p] == f:
                     p2f[p] = -1

@@ -56,6 +56,8 @@ __all__ = [
 P_EXP = math.log(3) / math.log(2) - 1  # p of ineq-avg and of the phi bound chain
 ALPHA_CAP = math.log(6) / math.log(4)  # sup of log_i(2i-2), reached at i = 4
 RTOL = 1e-9
+N_EXTREMES = 10  # tightest samples a batch keeps
+MAX_LEN = 10     # longest list sample_ineq_2 draws
 
 
 def within_bound(lhs, rhs, rtol: float = RTOL):
@@ -207,8 +209,7 @@ class BatchIneqResult:
         return not self.failures
 
 
-def sample_ineq_avg(n_samples: int, seed: int = 0,
-                    n_extremes: int = 10) -> BatchIneqResult:
+def sample_ineq_avg(n_samples: int, seed: int = 0) -> BatchIneqResult:
     """Vectorised batch of admissible averaged-weight samples.
 
     Draws (a, b) >= 0 and (x, y) >= 1 over mixed scales and swaps the pairs
@@ -232,27 +233,24 @@ def sample_ineq_avg(n_samples: int, seed: int = 0,
     xp, yp = x ** P_EXP, y ** P_EXP
     lhs = a * xp + 2 * b * yp
     rhs = (a + b) * (x + y) ** P_EXP
-    return _batch_result("ineq-avg", lhs, rhs, n_extremes, {
+    return _batch_result("ineq-avg", lhs, rhs, {
         "a": a, "b": b, "x": x, "y": y,
     })
 
 
-def sample_ineq_2(n_samples: int, seed: int = 0,
-                  max_len: int = 10, n_extremes: int = 10) -> BatchIneqResult:
+def sample_ineq_2(n_samples: int, seed: int = 0) -> BatchIneqResult:
     """Vectorised batch of admissible sorted-list samples.
 
-    Lengths are uniform in 2..max_len; values uniform in [1, 10]; exponents
+    Lengths are uniform in 2..MAX_LEN; values uniform in [1, 10]; exponents
     mix the exact threshold (the equality-prone edge), the cap log_4(6), and
     a random surplus above the threshold.
     """
     if n_samples < 1:
         raise PreconditionError("n_samples must be positive")
-    if max_len < 2:
-        raise PreconditionError("max_len must be at least 2")
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(2, max_len + 1, n_samples)
+    lengths = rng.integers(2, MAX_LEN + 1, n_samples)
     result = BatchIneqResult(name="ineq-2", samples=n_samples)
-    for ell in range(2, max_len + 1):
+    for ell in range(2, MAX_LEN + 1):
         m = int((lengths == ell).sum())
         if m == 0:
             continue
@@ -267,19 +265,19 @@ def sample_ineq_2(n_samples: int, seed: int = 0,
         powed = vals ** p[:, None]
         lhs = powed[:, -1] + powed[:, -2] + 2 * powed[:, :-2].sum(axis=1)
         rhs = vals.sum(axis=1) ** p
-        part = _batch_result("ineq-2", lhs, rhs, n_extremes, {
+        part = _batch_result("ineq-2", lhs, rhs, {
             "a": vals, "p": p,
         })
         result.failures.extend(part.failures)
         result.extremes.extend(part.extremes)
         result.min_rel_slack = min(result.min_rel_slack, part.min_rel_slack)
     result.extremes.sort(key=lambda s: s.slack / max(1.0, abs(s.rhs)))
-    result.extremes = result.extremes[:n_extremes]
+    result.extremes = result.extremes[:N_EXTREMES]
     return result
 
 
 def _batch_result(name: str, lhs: np.ndarray, rhs: np.ndarray,
-                  n_extremes: int, inputs: dict) -> BatchIneqResult:
+                  inputs: dict) -> BatchIneqResult:
     holds = within_bound(lhs, rhs)
     rel_slack = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
     result = BatchIneqResult(name=name, samples=len(lhs),
@@ -296,6 +294,6 @@ def _batch_result(name: str, lhs: np.ndarray, rhs: np.ndarray,
 
     for i in np.flatnonzero(~holds):
         result.failures.append(mk(int(i)))
-    for i in np.argsort(rel_slack)[:n_extremes]:
+    for i in np.argsort(rel_slack)[:N_EXTREMES]:
         result.extremes.append(mk(int(i)))
     return result

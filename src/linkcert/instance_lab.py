@@ -154,16 +154,16 @@ def _minplus_closure(W: np.ndarray, budget: int = _BLOCK_ELEMENTS) -> np.ndarray
         W = T
 
 
-def write_adversary(inst: AdversaryInstance, path, sidecar_path=None) -> str:
-    """Write the instance JSON plus a {k, B, eps, d_out, target} sidecar."""
+def write_adversary(inst: AdversaryInstance, path) -> str:
+    """Write the instance JSON plus a {k, B, eps, d_out, target} sidecar;
+    return the sidecar's path (``x.json`` -> ``x.target.json``)."""
     path = str(path)
     dump_instance(inst.D, path)
-    if sidecar_path is None:
-        sidecar_path = path[:-5] + ".target.json" if path.endswith(".json") \
-            else path + ".target.json"
+    sidecar_path = path[:-5] + ".target.json" if path.endswith(".json") \
+        else path + ".target.json"
     write_json({"k": inst.k, "B": inst.B, "eps": inst.eps,
                 "d_out": inst.d_out, "target": inst.target.to_json()}, sidecar_path)
-    return str(sidecar_path)
+    return sidecar_path
 
 
 def load_target(path, n: int) -> Clustering:

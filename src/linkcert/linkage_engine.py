@@ -16,6 +16,7 @@ memory and typically O(n^2) time.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -165,7 +166,8 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
 
     CL/SL rows are updated by max/min, so their stored values are exact
     originals from D.  AL keeps exact cross-distance sums and divides at
-    lookup.  MM and custom values are recomputed from the point matrix for
+    lookup; it raises ``PreconditionError`` when a live sum overflows
+    float64.  MM and custom values are recomputed from the point matrix for
     the merged cluster against every other live cluster, custom as
     ``f(merged, other, D)``.
     """
@@ -199,60 +201,66 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
         _scan_row(V, i, nn, mind)
 
     merges: list[MergeRecord] = []
-    for it in range(1, n):
-        a = int(mind.argmin())
-        if mind[a] == np.inf:  # every live pair is at inf: take the first two
-            a, b = (int(c) for c in np.flatnonzero(active)[:2])
-        else:
-            b = int(nn[a])
-        new_id = n - 1 + it
-        merges.append(MergeRecord(left=ids[a], right=ids[b], value=float(V[a, b]),
-                                  result=new_id, iteration=it))
-        ids[a] = new_id
-        active[b] = False
-        nn[b], mind[b] = -1, np.inf
-        sizes[a] += sizes[b]
-        members[a] = members[a] | members[b]
+    # Only AL's sums can overflow.  A live sum that does stays inf through
+    # every later fold, so it reaches a merge value, which is checked after
+    # the loop; retired and diagonal sums are never read.
+    with np.errstate(over="ignore") if method == "AL" else nullcontext():
+        for it in range(1, n):
+            a = int(mind.argmin())
+            if mind[a] == np.inf:  # every live pair is at inf: take the first two
+                a, b = (int(c) for c in np.flatnonzero(active)[:2])
+            else:
+                b = int(nn[a])
+            new_id = n - 1 + it
+            merges.append(MergeRecord(left=ids[a], right=ids[b], value=float(V[a, b]),
+                                      result=new_id, iteration=it))
+            ids[a] = new_id
+            active[b] = False
+            nn[b], mind[b] = -1, np.inf
+            sizes[a] += sizes[b]
+            members[a] = members[a] | members[b]
 
-        if method == "CL":
-            row = np.maximum(V[a], V[b])
-        elif method == "SL":
-            row = np.minimum(V[a], V[b])
-        elif method == "AL":
-            S[a] += S[b]
-            S[:, a] = S[a]
-            row = S[a] / (sizes[a] * sizes)
-        else:
-            row = np.full(n, np.inf)
-            for c in np.flatnonzero(active):
-                if c == a:
-                    continue
-                if method == "MM":
-                    row[c] = _minimax(members[a] | members[c], D)
-                else:
-                    row[c] = float(f(members[a], members[c], D))
-            if np.isnan(row).any():
-                raise PreconditionError("pair function returned NaN")
-        row[~active] = np.inf
-        row[a] = np.inf
-        V[a] = row
-        V[:, a] = row
-        V[:, b] = np.inf
+            if method == "CL":
+                row = np.maximum(V[a], V[b])
+            elif method == "SL":
+                row = np.minimum(V[a], V[b])
+            elif method == "AL":
+                S[a] += S[b]
+                S[:, a] = S[a]
+                row = S[a] / (sizes[a] * sizes)
+            else:
+                row = np.full(n, np.inf)
+                for c in np.flatnonzero(active):
+                    if c == a:
+                        continue
+                    if method == "MM":
+                        row[c] = _minimax(members[a] | members[c], D)
+                    else:
+                        row[c] = float(f(members[a], members[c], D))
+                if np.isnan(row).any():
+                    raise PreconditionError("pair function returned NaN")
+            row[~active] = np.inf
+            row[a] = np.inf
+            V[a] = row
+            V[:, a] = row
+            V[:, b] = np.inf
 
-        _scan_row(V, a, nn, mind)
-        # Rows above a: a stale neighbour forces a rescan; otherwise only the
-        # new (i, a) entry can displace the cached minimum.
-        head_nn, head_mind, col = nn[:a], mind[:a], V[:a, a]
-        stale = (head_nn == a) | (head_nn == b)
-        take = ~stale & ((col < head_mind) | ((col == head_mind) & (a < head_nn)))
-        head_mind[take] = col[take]
-        head_nn[take] = a
-        # Rows between a and b lost only their (i, b) entry.
-        redo = np.concatenate((np.flatnonzero(stale),
-                               a + 1 + np.flatnonzero(nn[a + 1:b] == b)))
-        for i in redo:
-            _scan_row(V, int(i), nn, mind)
+            _scan_row(V, a, nn, mind)
+            # Rows above a: a stale neighbour forces a rescan; otherwise only the
+            # new (i, a) entry can displace the cached minimum.
+            head_nn, head_mind, col = nn[:a], mind[:a], V[:a, a]
+            stale = (head_nn == a) | (head_nn == b)
+            take = ~stale & ((col < head_mind) | ((col == head_mind) & (a < head_nn)))
+            head_mind[take] = col[take]
+            head_nn[take] = a
+            # Rows between a and b lost only their (i, b) entry.
+            redo = np.concatenate((np.flatnonzero(stale),
+                                   a + 1 + np.flatnonzero(nn[a + 1:b] == b)))
+            for i in redo:
+                _scan_row(V, int(i), nn, mind)
 
+    if method == "AL" and any(m.value == np.inf for m in merges):
+        raise PreconditionError("the sum of a cluster's distances overflows float64")
     return Dendrogram(n=n, method=method, merges=tuple(merges))
 
 

@@ -15,8 +15,8 @@ replaces a witness, so skipping tied partitions cannot change which one is
 first: both witnesses, their values and their order are those of the full
 enumeration.  Skipped partitions are still counted, from a table of
 completion counts, so ``enumerated`` is S(n, k); ``scored`` says how many
-were actually scored.  A size guard refuses n beyond ``n_max`` unless
-explicitly overridden.
+were actually scored.  A size guard refuses n beyond ``n_max``; raise
+``n_max`` to force a larger n.
 
 ``opt_dm_threshold`` is an independent second oracle for the max-diameter
 objective: the optimum equals the smallest distance threshold t such that
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 14
+THRESHOLD_N_MAX = 20  # clique-cover DP over vertex subsets: 2^n per component
 ORACLE_SCORES = ("max-diam", "avg-diam")
 
 
@@ -82,26 +83,26 @@ def stirling2(n: int, k: int) -> int:
     return prev[k]
 
 
-def _check_guard(n: int, k: int, n_max: int, allow_large: bool) -> None:
+def _check_guard(n: int, k: int, n_max: int) -> None:
     if not 1 <= k <= n:
         raise PreconditionError(f"k must be in 1..{n}, got {k}")
-    if n > n_max and not allow_large:
+    if n > n_max:
         raise ResourceGuardError(
             f"n={n} exceeds the oracle guard n_max={n_max} "
             f"(S({n},{k}) = {stirling2(n, k)} partitions); "
-            "pass allow_large=True / raise n_max to force it"
+            "raise n_max (--n-max-oracle) to force it"
         )
 
 
-def partitions_into_k(n: int, k: int, n_max: int = DEFAULT_N_MAX,
-                      allow_large: bool = False) -> Iterator[tuple[tuple[int, ...], ...]]:
+def partitions_into_k(n: int, k: int,
+                      n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every partition of 0..n-1 into exactly k blocks.
 
     Restricted-growth order: point 0 opens block 0, and each later point
     tries existing blocks in index order before opening a new one.  Blocks
     arrive sorted by their smallest member.  Yields S(n, k) partitions.
     """
-    _check_guard(n, k, n_max, allow_large)
+    _check_guard(n, k, n_max)
     blocks: list[list[int]] = [[0]]
 
     def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -128,8 +129,8 @@ def partitions_into_k(n: int, k: int, n_max: int = DEFAULT_N_MAX,
     yield from rec(1)
 
 
-def opt_scores(D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
-               allow_large: bool = False) -> dict[str, OracleResult]:
+def opt_scores(D: DistanceMatrix, k: int,
+               n_max: int = DEFAULT_N_MAX) -> dict[str, OracleResult]:
     """Exact optima of both oracle scores over all k-clusterings, in one pass.
 
     Returns ``{"max-diam": ..., "avg-diam": ...}``.  Each keeps the first
@@ -138,7 +139,7 @@ def opt_scores(D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
     results report S(n, k) as ``enumerated``.
     """
     n = D.n
-    _check_guard(n, k, n_max, allow_large)
+    _check_guard(n, k, n_max)
     M = D.full.tolist()  # python floats: much faster scalar access than ndarray
     # comp[r][u]: ways to place r more points so that u used blocks become k
     comp = [[0] * (k + 2) for _ in range(n + 1)]
@@ -213,15 +214,15 @@ def opt_scores(D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
     return out
 
 
-def opt_score(score: str, D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
-              allow_large: bool = False) -> OracleResult:
+def opt_score(score: str, D: DistanceMatrix, k: int,
+              n_max: int = DEFAULT_N_MAX) -> OracleResult:
     """Exact optimum of one oracle score ("max-diam" or "avg-diam").
 
     Selects one result of ``opt_scores``, so its cost is the joint pass.
     """
     if score not in ORACLE_SCORES:
         raise PreconditionError(f"oracle supports {ORACLE_SCORES}, got {score!r}")
-    return opt_scores(D, k, n_max=n_max, allow_large=allow_large)[score]
+    return opt_scores(D, k, n_max=n_max)[score]
 
 
 def _clique_cover_number(adj: list[int], verts: list[int]) -> int:
@@ -261,7 +262,7 @@ def _clique_cover_number(adj: list[int], verts: list[int]) -> int:
     return cover[full]
 
 
-def opt_dm_threshold(D: DistanceMatrix, k: int, n_max: int = 20) -> float:
+def opt_dm_threshold(D: DistanceMatrix, k: int) -> float:
     """Independent max-diameter optimum via threshold graphs + clique covers.
 
     Binary-searches the sorted candidate thresholds (0 plus every pairwise
@@ -271,9 +272,9 @@ def opt_dm_threshold(D: DistanceMatrix, k: int, n_max: int = 20) -> float:
     n = D.n
     if not 1 <= k <= n:
         raise PreconditionError(f"k must be in 1..{n}, got {k}")
-    if n > n_max:
+    if n > THRESHOLD_N_MAX:
         raise ResourceGuardError(
-            f"n={n} exceeds the threshold-oracle guard n_max={n_max}"
+            f"n={n} exceeds the threshold-oracle guard n_max={THRESHOLD_N_MAX}"
         )
     M = D.full
 

@@ -14,8 +14,8 @@ from linkcert.metric_core import Clustering, DistanceMatrix, clustering_score
 from linkcert.opt_oracles import DEFAULT_N_MAX, OracleResult, _check_guard
 
 
-def reference_opt_scores(D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
-                         allow_large: bool = False) -> dict[str, OracleResult]:
+def reference_opt_scores(D: DistanceMatrix, k: int,
+                         n_max: int = DEFAULT_N_MAX) -> dict[str, OracleResult]:
     """Exact optima of both oracle scores over all k-clusterings, in one pass.
 
     Returns ``{"max-diam": ..., "avg-diam": ...}``.  Every partition is
@@ -23,7 +23,7 @@ def reference_opt_scores(D: DistanceMatrix, k: int, n_max: int = DEFAULT_N_MAX,
     order (strict improvement replaces), so both results report S(n, k).
     """
     n = D.n
-    _check_guard(n, k, n_max, allow_large)
+    _check_guard(n, k, n_max)
     M = D.full.tolist()  # python floats: much faster scalar access than ndarray
 
     best_av = best_dm = math.inf

@@ -150,6 +150,20 @@ class TestOverflow:
         for written in out_dir.iterdir():
             assert "Infinity" not in written.read_text(), written.name
 
+    @pytest.mark.parametrize("k", [[], ["--k", 2]], ids=["no-k", "k2"])
+    def test_al_cross_sum_overflow_is_usage_error(self, tmp_path, capsys, k):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(OVERFLOW_INSTANCE))
+        out_dir = tmp_path / "out"
+        assert run_cli("--out-dir", out_dir, "run", "--instance", path,
+                       "--method", "AL", *k) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "overflows float64" in captured.err
+        assert not list(out_dir.glob("*.dendrogram.json"))
+        written = list(out_dir.iterdir()) if out_dir.exists() else []
+        assert all("Infinity" not in p.read_text() for p in written)
+
 
 class TestCertify:
     def test_green_path_with_oracle_targets(self, tmp_path, euclidean_instance,

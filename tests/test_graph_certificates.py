@@ -206,24 +206,34 @@ class TestFalsifiability:
                                       "per-cluster-bound") for f in bad)
 
 
+def losing(dg: Dendrogram, h: int, p: int) -> Dendrogram:
+    """``dg`` with a members map whose cluster ``h`` has lost point ``p``."""
+    class LosingDendrogram(Dendrogram):
+        def members_map(self):
+            members = super().members_map()
+            members[h] = members[h] - {p}
+            return members
+
+    return LosingDendrogram(n=dg.n, method="CL", merges=dg.merges)
+
+
+def audit_records(record) -> list[dict]:
+    """The records the start-of-iteration cluster audit wrote (the merge step
+    writes its own ``clusters-structure`` records, about the merged pair)."""
+    return [f for f in record.failures if f["assertion"] == "clusters-structure"
+            and not f["detail"].startswith(("merged ", "left ", "right "))]
+
+
 class TestClusterAudit:
     """The per-iteration audit of every live cluster against the point ->
-    family map.  Its records come from a per-cluster loop, which runs only
-    when the array check finds something wrong; a members map that loses
-    point 0 from the first merged cluster {0, 1} makes it fire."""
+    family map.  One array pass gives the verdict and names each offending
+    live cluster in its record; members maps that lose a point make it fire."""
 
     def test_lost_point_is_reported(self):
-        class LosingDendrogram(Dendrogram):
-            def members_map(self):
-                members = super().members_map()
-                members[5] = members[5] - {0}
-                return members
-
         D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0])
         dg = run_linkage("CL", D)
         assert (dg.merges[0].left, dg.merges[0].right) == (0, 1)
-        lossy = LosingDendrogram(n=5, method="CL", merges=dg.merges)
-        trace = alg2_trace(D, lossy, [[0, 2, 3], [1, 4]])
+        trace = alg2_trace(D, losing(dg, 5, 0), [[0, 2, 3], [1, 4]])
         assert [r.assertions["clusters_structure"] for r in trace.records] == [
             True, True, False]
         assert trace.all_failures() == [
@@ -232,6 +242,76 @@ class TestClusterAudit:
             {"assertion": "clusters-structure", "iteration": 3,
              "detail": "merged non-excluded cluster touches orphaned points"},
         ]
+
+    def test_cluster_inside_a_family_with_a_wrong_tag(self):
+        # {1, 4} crosses the blocks, so it is nonpure; without point 1 it
+        # lies inside family 0
+        D = line_metric([21.0, 9.0, 14.0, 34.0, 8.0, 0.0])
+        dg = run_linkage("CL", D)
+        assert (dg.merges[0].left, dg.merges[0].right) == (1, 4)
+        trace = alg2_trace(D, losing(dg, 6, 1), [[0, 4, 5], [1, 2, 3]])
+        assert [r.assertions["clusters_structure"] for r in trace.records] == [
+            True, False, True, True]
+        assert trace.all_failures() == [
+            {"assertion": "clusters-structure", "iteration": 2,
+             "detail": "cluster [4] lies inside family 0 but is tagged ('nonpure',)"},
+        ]
+
+    def test_pure_count_ledger_disagrees_with_the_tags(self):
+        # leaf 4 loses its point, so the case-b collapse at iteration 1 takes
+        # the empty cluster into the new family 3 while family 0 still counts it
+        D = line_metric([0.0, 29.0, 15.0, 36.0, 23.0, 33.0])
+        dg = run_linkage("CL", D)
+        trace = alg2_trace(D, losing(dg, 4, 4), [[0, 4], [1, 3], [2, 5]])
+        assert [r.case for r in trace.records] == ["b", None, "c"]
+        assert [r.assertions["clusters_structure"] for r in trace.records] == [
+            True, False, False]
+        assert {"assertion": "clusters-structure", "iteration": 2,
+                "detail": "pure-count ledger {0: 2, 3: 3} disagrees with "
+                          "tag recount {0: 1, 3: 3}"} in trace.records[1].failures
+        assert trace.records[2].failures == [
+            {"assertion": "clusters-structure", "iteration": 3,
+             "detail": "pure-count ledger {0: 2, 3: 2} disagrees with "
+                       "tag recount {0: 1, 3: 2}"},
+        ]
+
+    def test_cluster_left_pure_by_a_dead_family(self):
+        # the collapse at iteration 3 misses {0, 3, 6}, which still lost
+        # point 6, so family 0 dies with a pure cluster; merging it at
+        # iteration 4 must not read the dead family's count
+        D = line_metric([30.0, 36.0, 2.0, 28.0, 12.0, 8.0, 27.0])
+        dg = run_linkage("CL", D)
+        trace = alg2_trace(D, losing(dg, 7, 6), [[0, 5, 6], [1, 4], [2, 3]])
+        assert [r.case for r in trace.records] == ["a", None, "b", "c"]
+        orphan = "cluster [0, 3, 6] touches orphaned points but is not excluded"
+        assert trace.all_failures() == [
+            {"assertion": "clusters-structure", "iteration": 3, "detail": orphan},
+            {"assertion": "fc-size", "iteration": 3,
+             "detail": "new family would hold 1 clusters"},
+            {"assertion": "two-pure-clusters", "iteration": 4,
+             "detail": "component [4] has only 0 families with >=2 pure clusters"},
+            {"assertion": "clusters-structure", "iteration": 4, "detail": orphan},
+        ]
+
+    def test_verdict_matches_records_on_lost_point_fakes(self):
+        """On seeded fakes, the verdict is False exactly when the audit wrote
+        a record, and no replay raises."""
+        flagged = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed + 2100)
+            n = int(rng.integers(5, 11))
+            k = int(rng.integers(2, min(5, n)))
+            D = DistanceMatrix.from_points(rng.random((n, 2)))
+            dg = run_linkage("CL", D)
+            labels = rng.permutation(np.arange(n) % k)
+            blocks = [np.flatnonzero(labels == b).tolist() for b in range(k)]
+            h = n + int(rng.integers(0, n - k))
+            p = int(rng.choice(sorted(dg.members_map()[h])))
+            trace = alg2_trace(D, losing(dg, h, p), blocks)
+            for r in trace.records:
+                assert r.assertions["clusters_structure"] is (not audit_records(r))
+                flagged += not r.assertions["clusters_structure"]
+        assert flagged > 0  # the fakes did break the structure
 
 
 class TestDiameterOwner:

@@ -1,9 +1,11 @@
-"""Every name a ``linkcert`` module imports is read by that module.
+"""Every name a ``linkcert`` module imports is read by that module, and
+every name in its ``__all__`` is defined by the module itself.
 
-pyflakes would catch this, but it is not a dependency; the standard
+pyflakes would catch the first, but it is not a dependency; the standard
 library's ``ast`` is enough.  A name listed in the module's ``__all__``
-counts as read.  The package ``__init__`` is not checked: it imports only
-to re-export.
+counts as read, so the second check keeps ``__all__`` from holding an
+otherwise unused import alive.  The package ``__init__`` is not checked: it
+imports only to re-export.
 """
 
 import ast
@@ -26,19 +28,46 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            read |= set(ast.literal_eval(node.value))
+    read |= set(exported(tree))
     return [f"line {line}: {name}" for name, line in sorted(imported.items())
             if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
-                         ids=lambda p: p.name)
+def exported(tree: ast.Module) -> list[str]:
+    """The names in the module's ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def foreign_exports(source: str) -> list[str]:
+    """``__all__`` names that no top-level def, class or assignment defines."""
+    tree = ast.parse(source)
+    defined: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)}
+    return [name for name in exported(tree) if name not in defined]
+
+
+MODULES = sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_defined_here(path):
+    assert foreign_exports(path.read_text()) == []
 
 
 def test_checker_sees_unused_names():
@@ -50,3 +79,13 @@ def test_checker_sees_unused_names():
               "def f(x: Iterable) -> None:\n    return np.sum(x)\n")
     assert unused_imports(source) == [
         "line 5: Sequence", "line 6: hidden", "line 2: json", "line 4: os"]
+
+
+def test_checker_sees_foreign_exports():
+    source = ("from .a import shown, kept\n"
+              "__all__ = ['kept', 'f', 'C', 'X', 'Y', 'Z', 'T', 'missing']\n"
+              "def f():\n    return shown\n"
+              "class C:\n    pass\n"
+              "X = 1\nY, Z = 2, 3\nT: int = 4\n")
+    assert foreign_exports(source) == ["kept", "missing"]
+    assert unused_imports(source) == []

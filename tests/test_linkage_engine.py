@@ -94,6 +94,16 @@ class TestRunLinkage:
             ([0, 1], [2, 3], 11.0, 6, 3),
         ]
 
+    def test_al_cross_sum_overflow_is_precondition_error(self, recwarn):
+        # finite distances whose cross sums are not
+        D = DistanceMatrix(4, np.full(6, 1e308))
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            run_linkage("AL", D)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        for method in ("CL", "SL", "MM"):
+            dg = run_linkage(method, D)
+            assert [m.value for m in dg.merges] == [1e308] * 3
+
     def test_final_merge_values_by_method(self, line4):
         assert run_linkage("SL", line4).merges[-1].value == 9.0
         assert run_linkage("AL", line4).merges[-1].value == 10.0

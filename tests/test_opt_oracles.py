@@ -69,8 +69,13 @@ class TestPartitionEnumeration:
         with pytest.raises(ResourceGuardError, match=r"S\(15,3\)"):
             list(partitions_into_k(15, 3, n_max=14))
 
+    def test_guard_names_the_one_knob(self):
+        with pytest.raises(ResourceGuardError,
+                           match=r"raise n_max \(--n-max-oracle\) to force it$"):
+            list(partitions_into_k(15, 3, n_max=14))
+
     def test_allow_large_bypasses_guard(self):
-        gen = partitions_into_k(15, 3, n_max=14, allow_large=True)
+        gen = partitions_into_k(15, 3, n_max=15)
         assert next(gen) is not None
 
 
@@ -272,3 +277,7 @@ class TestThresholdOracle:
     def test_zero_when_k_equals_n(self):
         D = random_euclidean(6, seed=9)
         assert opt_dm_threshold(D, 6) == 0.0
+
+    def test_guard_trips_above_twenty_points(self):
+        with pytest.raises(ResourceGuardError, match="n=21 .* n_max=20"):
+            opt_dm_threshold(random_euclidean(21, seed=0), 2)
