@@ -132,19 +132,21 @@ def cmd_run(args) -> int:
     D = load_instance(args.instance)
     dg = run_linkage(args.method, D)
     os.makedirs(args.out_dir, exist_ok=True)
+    if args.k is not None:  # cut and score first: a failing run writes no file
+        C = extract_clustering(dg, args.k)
+        scores = _achieved(dg, D, args.k)
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     dpath = os.path.join(args.out_dir, f"{stem}.{args.method}.dendrogram.json")
     write_json(dg.to_json(), dpath)
     out = {"instance": args.instance, "method": args.method,
            "dendrogram": dpath, "merges": len(dg.merges)}
     if args.k is not None:
-        C = extract_clustering(dg, args.k)
         cpath = os.path.join(args.out_dir,
                              f"{stem}.{args.method}.k{args.k}.clustering.json")
         write_json(C.to_json(), cpath)
         out["k"] = args.k
         out["clustering"] = cpath
-        out["scores"] = _achieved(dg, D, args.k)
+        out["scores"] = scores
     print(json.dumps(out))
     return EXIT_OK
 

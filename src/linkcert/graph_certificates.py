@@ -270,18 +270,19 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
         wrong[excluded] = [h not in E for h in live[excluded].tolist()]
         for i in np.flatnonzero(wrong).tolist():
             h, tag_h = int(live[i]), int(lt[i])
+            pts = np.flatnonzero(owner == h)  # the points classified above
             if tag_h == EXCLUDED:
                 detail = f"cluster {h} tagged excluded but not in the set"
             elif flo[i] < 0 or fhi[i] < 0:
-                detail = (f"cluster {sorted(members[h])} touches orphaned "
+                detail = (f"cluster {pts.tolist()} touches orphaned "
                           "points but is not excluded")
             elif one_family[i]:
-                detail = (f"cluster {sorted(members[h])} lies inside family "
+                detail = (f"cluster {pts.tolist()} lies inside family "
                           f"{int(flo[i])} but is tagged {_tag(tag_h)}")
             else:
-                touched = sorted(set(p2f[owner == h].tolist()))
+                touched = sorted(set(p2f[pts].tolist()))
                 comp_ids = {fam2comp[f] for f in touched}
-                detail = (f"cluster {sorted(members[h])} (tag {_tag(tag_h)}) "
+                detail = (f"cluster {pts.tolist()} (tag {_tag(tag_h)}) "
                           f"spans families {touched} in {len(comp_ids)} components")
             failures.append({"assertion": "clusters-structure", "iteration": t,
                              "detail": detail})

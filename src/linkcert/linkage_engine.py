@@ -10,8 +10,11 @@ j (1-based) gets id n-1+j; points are 0..n-1.
 
 The engine (Muellner's "generic" algorithm, arXiv:1109.2378) works in place
 on one n x n value matrix whose slot i always holds the cluster with min
-member i, and caches each row's nearest neighbour, so a run costs O(n^2)
-memory and typically O(n^2) time.
+member i, and caches each row's nearest neighbour; memory is O(n^2).
+CL/SL/AL/MM fold the merged cluster's row from stored state in numpy: O(n)
+work per merge for CL/SL/AL, O(n·|A|) for MM when the merged cluster is A
+(O(n·Σ|A|) per run), plus rescans of rows whose cached neighbour was
+merged.  Only custom rules call a pair function for every live pair.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .metric_core import (
     PreconditionError,
     StructuralError,
     as_cluster,
+    checked_sum,
     cohesion,
 )
 
@@ -134,7 +138,7 @@ def linkage_distance(method, A, B, D: DistanceMatrix, f: Callable | None = None)
         return float(cross.max())
     if method == "SL":
         return float(cross.min())
-    return float(cross.sum() / cross.size)
+    return float(checked_sum(cross) / cross.size)
 
 
 def union_diameter_rule(A, B, D: DistanceMatrix) -> float:
@@ -160,16 +164,23 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
     first argmin ``nn[i]`` of V[i, j] over live j > i and its value
     ``mind[i]``; the first row attaining ``min(mind)`` and its cached column
     are then the lexicographically least minimal pair.  A merge rewrites one
-    row and column and rescans only rows whose cached neighbour was merged,
-    so a typical run takes O(n^2) time; memory is O(n^2) (V, plus the
-    cross-sum matrix for AL).
+    row and column and rescans only rows whose cached neighbour was merged.
+    Memory is O(n^2): V, plus the cross-sum matrix for AL or the
+    eccentricity matrix for MM.
 
     CL/SL rows are updated by max/min, so their stored values are exact
     originals from D.  AL keeps exact cross-distance sums and divides at
     lookup; it raises ``PreconditionError`` when a live sum overflows
-    float64.  MM and custom values are recomputed from the point matrix for
-    the merged cluster against every other live cluster, custom as
-    ``f(merged, other, D)``.
+    float64.  MM keeps ``E[x, s]``, the largest distance from point x to the
+    live cluster at slot s (folded by max), each point's slot ``owner``, and
+    ``r[x] = E[x, owner[x]]``, x's eccentricity in its own cluster.  A
+    centre z's eccentricity over A u C is ``max(E[z, a], E[z, c])``, so
+    MM(A u C) is the smaller of the best centre in A, one (|A|, n) array
+    operation, and the best centre in C, a group-min of ``max(E[y, a], r[y])``
+    by owner.  That is O(n·|A|) work per merge, and every value is a min/max
+    of entries of D, so it equals the minimax over the union bit for bit.
+    Custom values are recomputed as ``f(merged, other, D)`` against every
+    other live cluster.
     """
     n = D.n
     if callable(method):
@@ -180,7 +191,7 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
         raise PreconditionError(f"unknown linkage method {method!r}")
 
     M = D.full
-    members: list[frozenset[int]] = [frozenset([i]) for i in range(n)]
+    members: list[frozenset[int]] = [frozenset([i]) for i in range(n)]  # custom only
     ids = list(range(n))
     if method == "custom":
         V = np.full((n, n), np.inf)
@@ -193,6 +204,10 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
         V = M.copy()
         np.fill_diagonal(V, np.inf)
     S = M.copy() if method == "AL" else None  # exact cross-distance sums
+    if method == "MM":
+        E = M.copy()             # E[x, s]: farthest point of slot s from x
+        owner = np.arange(n)     # point -> slot of its live cluster
+        r = np.zeros(n)          # r[x] = E[x, owner[x]]
     sizes = np.ones(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     nn = np.full(n, -1, dtype=np.intp)  # -1: retired slot, or the last row
@@ -218,7 +233,6 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
             active[b] = False
             nn[b], mind[b] = -1, np.inf
             sizes[a] += sizes[b]
-            members[a] = members[a] | members[b]
 
             if method == "CL":
                 row = np.maximum(V[a], V[b])
@@ -228,14 +242,24 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
                 S[a] += S[b]
                 S[:, a] = S[a]
                 row = S[a] / (sizes[a] * sizes)
+            elif method == "MM":
+                E[:, a] = np.maximum(E[:, a], E[:, b])
+                owner[owner == b] = a
+                pts = np.flatnonzero(owner == a)
+                r[pts] = E[pts, a]
+                # centres x in A: max(E[x, a], E[x, c]), least over x
+                sub = E[pts]
+                np.maximum(sub, r[pts, None], out=sub)
+                row = sub.min(axis=0)
+                # centres y in C: max(E[y, a], r[y]), least over C's points
+                in_c = np.full(n, np.inf)
+                np.minimum.at(in_c, owner, np.maximum(E[:, a], r))
+                np.minimum(row, in_c, out=row)
             else:
+                members[a] = members[a] | members[b]
                 row = np.full(n, np.inf)
                 for c in np.flatnonzero(active):
-                    if c == a:
-                        continue
-                    if method == "MM":
-                        row[c] = _minimax(members[a] | members[c], D)
-                    else:
+                    if c != a:
                         row[c] = float(f(members[a], members[c], D))
                 if np.isnan(row).any():
                     raise PreconditionError("pair function returned NaN")

@@ -27,6 +27,7 @@ __all__ = [
     "as_cluster",
     "validate_metric",
     "cohesion",
+    "checked_sum",
     "clustering_score",
     "load_instance",
     "dump_instance",
@@ -342,14 +343,19 @@ def cohesion(measure: str, S: Iterable[int], D: DistanceMatrix) -> float:
         return float(sub.max())
     if measure == "avg":
         m = len(S)
-        with np.errstate(over="ignore"):
-            total = sub.sum()  # counts ordered pairs
-        if not np.isfinite(total):  # finite distances whose sum is not
-            raise PreconditionError(
-                "the sum of a cluster's distances overflows float64")
-        return float(total / (m * (m - 1)))
+        return float(checked_sum(sub) / (m * (m - 1)))  # sub counts ordered pairs
     ecc = sub.max(axis=1)
     return float(ecc.min())
+
+
+def checked_sum(block: np.ndarray) -> np.float64:
+    """Sum of a block of distances; raises ``PreconditionError`` when finite
+    distances sum past float64's range."""
+    with np.errstate(over="ignore"):
+        total = block.sum()
+    if not np.isfinite(total):
+        raise PreconditionError("the sum of a cluster's distances overflows float64")
+    return total
 
 
 class ClusterMatrix:

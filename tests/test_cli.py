@@ -150,6 +150,16 @@ class TestOverflow:
         for written in out_dir.iterdir():
             assert "Infinity" not in written.read_text(), written.name
 
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(OVERFLOW_INSTANCE))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert run_cli("--out-dir", out_dir, "run", "--instance", path,
+                       "--method", "CL", "--k", 2) == 2
+        assert "overflows float64" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("k", [[], ["--k", 2]], ids=["no-k", "k2"])
     def test_al_cross_sum_overflow_is_usage_error(self, tmp_path, capsys, k):
         path = tmp_path / "huge.json"

@@ -275,6 +275,20 @@ class TestClusterAudit:
                        "tag recount {0: 1, 3: 2}"},
         ]
 
+    def test_records_name_the_points_the_audit_classified(self):
+        # on the ledger fake the members map empties leaf 4, but owner still
+        # gives it point 4: the record names the points the audit classified
+        D = line_metric([0.0, 29.0, 15.0, 36.0, 23.0, 33.0])
+        dg = run_linkage("CL", D)
+        trace = alg2_trace(D, losing(dg, 4, 4), [[0, 4], [1, 3], [2, 5]])
+        assert audit_records(trace.records[1]) == [
+            {"assertion": "clusters-structure", "iteration": 2,
+             "detail": "cluster [4] lies inside family 0 but is tagged ('pure', 3)"},
+            {"assertion": "clusters-structure", "iteration": 2,
+             "detail": "pure-count ledger {0: 2, 3: 3} disagrees with "
+                       "tag recount {0: 1, 3: 3}"},
+        ]
+
     def test_cluster_left_pure_by_a_dead_family(self):
         # the collapse at iteration 3 misses {0, 3, 6}, which still lost
         # point 6, so family 0 dies with a pure cluster; merging it at

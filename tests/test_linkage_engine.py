@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linkcert.linkage_engine as linkage_engine
 from linkcert import (
     Dendrogram,
     DistanceMatrix,
@@ -57,6 +58,14 @@ class TestLinkageDistance:
         assert linkage_distance(union_diameter_rule, {0}, {1, 2}, line4) == 10.0
         assert linkage_distance("custom", {0}, {1, 2}, line4,
                                 f=union_diameter_rule) == 10.0
+
+    def test_al_cross_sum_overflow_is_precondition_error(self, recwarn):
+        # finite distances whose cross sum is not, as in run_linkage("AL")
+        D = DistanceMatrix(4, np.full(6, 1e308))
+        with pytest.raises(PreconditionError, match="overflows float64"):
+            linkage_distance("AL", {0, 1}, {2, 3}, D)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert linkage_distance("AL", {0}, {1}, D) == 1e308
 
     def test_rejects_overlap(self, line4):
         with pytest.raises(PreconditionError):
@@ -247,6 +256,10 @@ def _eccentric_rule(A, B, D):
 ALL_RULES = ("CL", "SL", "AL", "MM", union_diameter_rule, _eccentric_rule)
 
 
+# a geometric line: every point is farther from the rest than their spread
+CHAIN = line_metric(2.0 ** np.arange(25))
+
+
 def _tie_heavy_instances():
     rng = np.random.default_rng(5)
     yield "line", line_metric(np.arange(25.0))
@@ -259,6 +272,7 @@ def _tie_heavy_instances():
     M = np.full((40, 40), 3.0)
     np.fill_diagonal(M, 0.0)
     yield "all-equal", DistanceMatrix.from_full(M)
+    yield "chain", CHAIN  # one cluster absorbs every point
 
 
 class TestAgainstReferenceEngine:
@@ -285,6 +299,33 @@ class TestAgainstReferenceEngine:
                 D = gen_random_metric(n, seed)
                 assert _merge_bits(run_linkage(method, D)) == \
                     _merge_bits(reference_linkage(method, D)), (n, seed)
+
+    @given(st.integers(2, 30), st.integers(1, 3), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_mm_on_tied_non_metric_integers(self, n, top, seed):
+        """Small integer entries tie heavily and break the triangle inequality,
+        so the best centre of a union often lies in the other cluster."""
+        rng = np.random.default_rng(seed)
+        M = np.triu(rng.integers(0, top + 1, size=(n, n)), 1).astype(float)
+        D = DistanceMatrix.from_full(M + M.T)
+        assert _merge_bits(run_linkage("MM", D)) == \
+            _merge_bits(reference_linkage("MM", D))
+
+    def test_chain_instance_is_a_chain(self):
+        for method in ("CL", "MM"):
+            dg = run_linkage(method, CHAIN)
+            assert [m.right for m in dg.merges] == list(range(1, CHAIN.n))
+
+    def test_mm_is_folded_not_recomputed_per_pair(self, monkeypatch):
+        """MM rows come from the engine's own state, never from ``_minimax``."""
+        D = gen_single_link_adversary(20, 8.0, 0.5).D
+        expected = _merge_bits(reference_linkage("MM", D))
+
+        def recompute(U, D):
+            raise AssertionError("MM value recomputed from a point set")
+
+        monkeypatch.setattr(linkage_engine, "_minimax", recompute)
+        assert _merge_bits(run_linkage("MM", D)) == expected
 
     def test_asymmetric_rule_argument_order_matters(self):
         """The asymmetric rule really tells f(A, B) from f(B, A) apart."""
