@@ -31,7 +31,6 @@ from .opt_oracles import (
     opt_dm_threshold,
     opt_score,
     opt_scores,
-    partitions_into_k,
     stirling2,
 )
 from .family_certificates import Alg1Trace, alg1_bound, alg1_trace

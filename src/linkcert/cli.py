@@ -31,9 +31,10 @@ from .instance_lab import (
     load_target,
     write_adversary,
 )
-from .linkage_engine import METHODS, Dendrogram, extract_clustering, run_linkage
+from .linkage_engine import METHODS, extract_clustering, run_linkage
 from .metric_core import (
     CLUSTERING_SCORES,
+    Clustering,
     DistanceMatrix,
     PreconditionError,
     ResourceGuardError,
@@ -96,8 +97,7 @@ def _write_failures(out_dir: str, command: str, failures: list[dict]) -> str:
     return path
 
 
-def _achieved(dg: Dendrogram, D: DistanceMatrix, k: int) -> dict:
-    C = extract_clustering(dg, k)
+def _achieved(C: Clustering, D: DistanceMatrix) -> dict:
     return {score: clustering_score(score, C, D) for score in CLUSTERING_SCORES}
 
 
@@ -134,7 +134,7 @@ def cmd_run(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     if args.k is not None:  # cut and score first: a failing run writes no file
         C = extract_clustering(dg, args.k)
-        scores = _achieved(dg, D, args.k)
+        scores = _achieved(C, D)
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     dpath = os.path.join(args.out_dir, f"{stem}.{args.method}.dendrogram.json")
     write_json(dg.to_json(), dpath)
@@ -169,7 +169,7 @@ def certify(D: DistanceMatrix, method: str, k: int, targets: dict | None,
     Returns (report, traces, failures); ``report.instance`` holds only n.
     """
     dg = run_linkage(method, D)
-    achieved = _achieved(dg, D, k)
+    achieved = _achieved(extract_clustering(dg, k), D)
     report = BoundReport(instance={"n": D.n}, method=method, k=k,
                          achieved=achieved)
     traces, failures = {}, []

@@ -2,12 +2,15 @@
 
 This is the second certificate replayed along a CL run, against a target
 k-clustering scored by its LARGEST block diameter.  Families exist only for
-multi-point target blocks and snapshot their point set, diameter and cluster
-count at creation.  Singleton target blocks seed the exclusion set.  While
-merges replay, a graph over live families grows edges whenever a merged pair
-touches two families; connected components are tracked together with the
-"tree edges" that first connected them (those become the spanning-tree
-certificate when a component collapses into a new family).
+multi-point target blocks and snapshot their clusters, diameter and phi at
+creation; a live family's point set is read off the point -> family map.
+Singleton target blocks seed the exclusion set, which is the set of live
+clusters tagged excluded (a cluster's tag is its family, nonpure or
+excluded).  While merges replay, a graph over live families grows edges
+whenever a merged pair touches two families; connected components are
+tracked together with the "tree edges" that first connected them (those
+become the spanning-tree certificate when a component collapses into a new
+family).
 
 Cluster purity: a cluster is pure w.r.t. a live family F while all its
 points lie in Pts(F) and it has not entered the exclusion set; entering the
@@ -32,6 +35,11 @@ checked by ``within_bound``; the spanning-tree and sum checks are exact).
 The cluster classification is checked in one place, over arrays (point ->
 family, point -> live cluster, cluster -> tag) in O(n) numpy work per
 iteration; the same pass names each offending live cluster in its record.
+
+Each iteration runs as named phases of one replay state: start audit, merge,
+pure-count evolution, case dispatch, exclusion additions, collapse (cases
+a/b) or removal (case c), and the budget.  Collapse and removal share one
+family-death step.
 """
 
 from __future__ import annotations
@@ -60,11 +68,11 @@ __all__ = [
 
 @dataclass
 class Alg2Family:
-    """A family with creation-time snapshots (points, diameter, cluster count)."""
+    """A family with creation-time snapshots (clusters, diameter, phi).  A live
+    family's point set is the replay's point -> family map, not a field."""
 
     id: int
     clusters: frozenset[int]     # cluster ids at creation
-    points: frozenset[int]
     diam: float
     phi: int
 
@@ -173,7 +181,8 @@ class Alg2Trace(Replay):
                 "ok": self.ok}
 
 
-# Cluster tags: a family id f >= 0 means pure w.r.t. f.
+# Cluster tags: a family id f >= 0 means pure w.r.t. f.  The exclusion set is
+# the set of live clusters tagged EXCLUDED; dead clusters keep stale tags.
 NONPURE, EXCLUDED = -1, -2
 
 
@@ -182,98 +191,154 @@ def _tag(v: int) -> tuple:
     return ("pure", v) if v >= 0 else ("nonpure",) if v == NONPURE else ("excluded",)
 
 
-def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
-    """Replay the pure-cluster graph construction along the first n-k merges."""
-    target = replay_target(D, dg, target)
-    n, k = D.n, target.k
-    members = dg.members_map()
-    cm = ClusterMatrix(D)
-    max_diam = clustering_score("max-diam", target, D)
+def _ids(points) -> np.ndarray:
+    return np.fromiter(points, dtype=np.intp, count=len(points))
 
-    def ids(points) -> np.ndarray:
-        return np.fromiter(points, dtype=np.intp, count=len(points))
 
-    families: dict[int, Alg2Family] = {}
-    tag = np.full(2 * n - 1, NONPURE, dtype=np.intp)   # cluster -> tag
-    counts: dict[int, int] = {}      # live family -> its number of pure clusters
-    p2f = np.full(n, -1, dtype=np.intp)                # point -> family, -1 for none
-    owner = np.arange(n)                               # point -> live cluster
-    comps: dict[int, ComponentState] = {}
-    fam2comp: dict[int, int] = {}
-    E: set[int] = set()
-    additions: list[dict] = []
-    spanning_certs: list[SpanningTreeCert] = []
-    trace_failures: list[dict] = []
-    active: set[int] = set(range(n))
-    edge_set: set[tuple[int, int]] = set()   # simple edges of the live graph
-    next_fid = 0
-    next_comp = 0
+class _Alg2Replay:
+    """The replay's state, advanced one merge at a time by named phases.
 
-    for block in target.blocks:
-        if len(block) == 1:
-            (x,) = block
-            E.add(x)
-            tag[x] = EXCLUDED
-            continue
-        fam = Alg2Family(id=next_fid, clusters=frozenset(block),
-                         points=frozenset(block), diam=cm.diam(block),
-                         phi=1)
-        families[next_fid] = fam
-        counts[next_fid] = len(block)
-        for x in block:
-            tag[x] = next_fid
-            p2f[x] = next_fid
-        comps[next_comp] = ComponentState(families={next_fid})
-        fam2comp[next_fid] = next_comp
-        next_comp += 1
-        if k >= 2 and not within_bound(fam.diam, max_diam):
-            trace_failures.append({
-                "assertion": "family-growth-bound", "iteration": 0,
-                "detail": f"initial family {fam.id}: diam {fam.diam!r} > "
-                          f"max-diam(target) {max_diam!r}",
-            })
-        next_fid += 1
+    Each fact has one owner: ``tag`` (cluster -> family id, NONPURE or
+    EXCLUDED) holds purity and the exclusion set, ``p2f`` (point -> live
+    family, -1 for none) the live families' point sets, ``counts`` each live
+    family's number of pure clusters, ``owner`` (point -> live cluster) the
+    audit's view of the clusters, and ``comps``/``fam2comp`` the components.
+    ``members`` is the dendrogram's own view, which the merge step reads.
+    """
 
-    def start_assertions(t: int, failures: list[dict]) -> dict:
+    def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
+        self.target = replay_target(D, dg, target)
+        self.n, self.k = n, k = D.n, self.target.k
+        self.members = dg.members_map()
+        self.cm = ClusterMatrix(D)
+        self.max_diam = clustering_score("max-diam", self.target, D)
+        self.families: dict[int, Alg2Family] = {}    # every family ever, by id
+        self.tag = np.full(2 * n - 1, NONPURE, dtype=np.intp)
+        self.counts: dict[int, int] = {}
+        self.p2f = np.full(n, -1, dtype=np.intp)
+        self.owner = np.arange(n)
+        self.comps: dict[int, ComponentState] = {}
+        self.fam2comp: dict[int, int] = {}
+        self.next_comp = 0
+        self.additions: list[dict] = []
+        self.spanning_certs: list[SpanningTreeCert] = []
+        self.active: set[int] = set(range(n))
+        self.edge_set: set[tuple[int, int]] = set()   # simple edges of the live graph
+        self.records: list[Alg2IterationRecord] = []
+        self.born: list[float] = []
+
+        self.t, self.failures = 0, []     # iteration 0: the initial families
+        for block in self.target.blocks:
+            if len(block) == 1:
+                self.tag[_ids(block)] = EXCLUDED
+                continue
+            fam = self._new_family(block, block, phi=1)
+            if k >= 2 and not within_bound(fam.diam, self.max_diam):
+                self.fail("family-growth-bound",
+                          f"initial family {fam.id}: diam {fam.diam!r} > "
+                          f"max-diam(target) {self.max_diam!r}")
+        self.trace_failures = self.failures
+
+    def fail(self, assertion: str, detail: str) -> None:
+        self.failures.append({"assertion": assertion, "iteration": self.t,
+                              "detail": detail})
+
+    def _new_family(self, clusters, points, phi: int) -> Alg2Family:
+        """A live family of the given pure clusters, alone in a new component."""
+        fid = len(self.families)
+        fam = self.families[fid] = Alg2Family(
+            id=fid, clusters=frozenset(clusters), diam=self.cm.diam(clusters), phi=phi)
+        self.counts[fid] = len(clusters)
+        self.tag[_ids(clusters)] = fid
+        self.p2f[_ids(points)] = fid
+        self.comps[self.next_comp] = ComponentState(families={fid})
+        self.fam2comp[fid] = self.next_comp
+        self.next_comp += 1
+        return fam
+
+    def _kill_component(self, comp_id: int) -> None:
+        """The component's families die.  A sound replay leaves no live cluster
+        pure w.r.t. a dying family; one a broken state leaves behind becomes
+        nonpure, so the next audit reports it and no merge reads a dead
+        family's count.  Family ids are never reused, so once ``p2f`` forgets
+        a family no merge can touch it again."""
+        for f in self.comps.pop(comp_id).families:
+            del self.counts[f]
+            del self.fam2comp[f]
+            self.tag[self.tag == f] = NONPURE
+            self.p2f[self.p2f == f] = -1
+
+    def step(self, t: int, g: int, g2: int, u: int) -> None:
+        """Iteration t merges g and g2 into u: the phases in order, then the
+        iteration's record."""
+        self.t, self.failures, self.events = t, [], []
+        self.assertions = self.start_audit()
+        pure_start = dict(self.counts)
+        tag_g, tag_g2 = self.merge(g, g2, u)
+        self.evolution(pure_start, tag_g, tag_g2, u)
+        case, comp_id = self.dispatch()
+        self.exclusions(case, comp_id, pure_start)
+        if case in ("a", "b"):
+            self.collapse(case, comp_id)
+        elif case == "c":
+            (f,) = self.comps[comp_id].families
+            self._kill_component(comp_id)
+            self.events.append({"type": "removed", "iteration": t, "family": f})
+        excluded = len(self.active.intersection(np.flatnonzero(self.tag == EXCLUDED).tolist()))
+        self.budget(excluded)
+        counts = self.counts
+        self.records.append(Alg2IterationRecord(
+            iteration=t, case=case,
+            roots=[self.families[f].summary(counts[f]) for f in sorted(counts)],
+            assertions=self.assertions,
+            exclusion_set_size=excluded,
+            components=[{
+                "families": sorted(c.families),
+                "pure_counts": {str(f): counts[f] for f in sorted(c.families)},
+            } for _, c in sorted(self.comps.items())],
+            events=self.events,
+            failures=self.failures,
+        ))
+
+    # ------------------------------------------------------------ phases
+
+    def start_audit(self) -> dict:
+        """The two-pure-clusters lemma, and every live cluster classified as
+        excluded, pure inside its family, or nonpure inside one component."""
+        counts, tag, p2f, fam2comp = self.counts, self.tag, self.p2f, self.fam2comp
         ok_l1 = True
-        for comp in comps.values():
+        for comp in self.comps.values():
             rich = [f for f in comp.families if counts[f] >= 2]
             need = 1 if len(comp.families) == 1 else 2
             if len(rich) < need:
                 ok_l1 = False
-                failures.append({
-                    "assertion": "two-pure-clusters", "iteration": t,
-                    "detail": f"component {sorted(comp.families)} has only "
-                              f"{len(rich)} families with >=2 pure clusters",
-                })
+                self.fail("two-pure-clusters",
+                          f"component {sorted(comp.families)} has only "
+                          f"{len(rich)} families with >=2 pure clusters")
         # The cluster audit reads point sets through ``owner``, which follows
         # ``members`` because every merge joins two live clusters.
-        live = ids(active)
+        live = _ids(self.active)
         lt = tag[live]
         # smallest and largest family, and component, over each cluster's points
-        comp = np.full(next_fid + 1, -1, dtype=np.intp)   # comp[-1] for p2f = -1
+        comp = np.full(len(self.families) + 1, -1, dtype=np.intp)  # comp[-1] for p2f = -1
         comp[list(fam2comp)] = list(fam2comp.values())
         spans = []
         for per_point in (p2f, comp[p2f]):
-            lo = np.full(tag.size, n, dtype=np.intp)
+            lo = np.full(tag.size, self.n, dtype=np.intp)
             hi = np.full(tag.size, -1, dtype=np.intp)
-            np.minimum.at(lo, owner, per_point)
-            np.maximum.at(hi, owner, per_point)
+            np.minimum.at(lo, self.owner, per_point)
+            np.maximum.at(hi, self.owner, per_point)
             spans.append((lo[live], hi[live]))
         (flo, fhi), (clo, chi) = spans
         one_family = flo == fhi
-        excluded = lt == EXCLUDED
-        wrong = ~excluded & ((flo < 0)                      # orphaned points
-                             | (one_family & (lt != flo))   # not pure w.r.t. it
-                             | (~one_family & ((lt != NONPURE)   # spans families:
-                                               | (clo < 0) | (clo != chi))))
-        wrong[excluded] = [h not in E for h in live[excluded].tolist()]
+        wrong = (lt != EXCLUDED) & ((flo < 0)                   # orphaned points
+                                    | (one_family & (lt != flo))  # not pure w.r.t. it
+                                    | (~one_family & ((lt != NONPURE)   # spans families:
+                                                      | (clo < 0) | (clo != chi))))
         for i in np.flatnonzero(wrong).tolist():
             h, tag_h = int(live[i]), int(lt[i])
-            pts = np.flatnonzero(owner == h)  # the points classified above
-            if tag_h == EXCLUDED:
-                detail = f"cluster {h} tagged excluded but not in the set"
-            elif flo[i] < 0 or fhi[i] < 0:
+            pts = np.flatnonzero(self.owner == h)  # the points classified above
+            if flo[i] < 0 or fhi[i] < 0:
                 detail = (f"cluster {pts.tolist()} touches orphaned "
                           "points but is not excluded")
             elif one_family[i]:
@@ -284,328 +349,229 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
                 comp_ids = {fam2comp[f] for f in touched}
                 detail = (f"cluster {pts.tolist()} (tag {_tag(tag_h)}) "
                           f"spans families {touched} in {len(comp_ids)} components")
-            failures.append({"assertion": "clusters-structure", "iteration": t,
-                             "detail": detail})
-        seen = np.bincount(lt[lt >= 0], minlength=next_fid)
-        ledger_ok = (all(seen[f] == c for f, c in counts.items())
-                     and seen.sum() == sum(counts.values()))
+            self.fail("clusters-structure", detail)
+        pure = lt[lt >= 0]
+        seen = np.bincount(pure, minlength=len(self.families)).tolist()
+        ledger_ok = seen == [counts.get(f, 0) for f in range(len(seen))]
         if not ledger_ok:
             recount = dict.fromkeys(counts, 0)
-            for f in lt[lt >= 0].tolist():
+            for f in pure.tolist():
                 recount[f] = recount.get(f, 0) + 1
-            failures.append({
-                "assertion": "clusters-structure", "iteration": t,
-                "detail": f"pure-count ledger {counts} disagrees with "
-                          f"tag recount {recount}",
-            })
+            self.fail("clusters-structure",
+                      f"pure-count ledger {counts} disagrees with tag recount {recount}")
         return {"two_pure_clusters": ok_l1,
                 "clusters_structure": bool(ledger_ok and not wrong.any())}
 
-    records: list[Alg2IterationRecord] = []
-    born: list[float] = []
-
-    for t in range(1, n - k + 1):
-        failures: list[dict] = []
-        events: list[dict] = []
-        assertions = start_assertions(t, failures)
-        pure_start = dict(counts)
-
-        m = dg.merges[t - 1]
-        g, g2, u = m.left, m.right, m.result
-        active.remove(g)
-        active.remove(g2)
-        active.add(u)
-        born.append(cm.merge(g, g2, u))
-        tag_g, tag_g2 = int(tag[g]), int(tag[g2])
-        owner[ids(members[u])] = u
-
-        absorbed = g in E or g2 in E
+    def merge(self, g: int, g2: int, u: int) -> tuple[int, int]:
+        """Replace g and g2 by u: its tag, the pure counts, and -- unless an
+        excluded cluster absorbs the other -- the graph edges the merge adds
+        and the components it joins.  Returns the tags of g and g2."""
+        self.active.remove(g)
+        self.active.remove(g2)
+        self.active.add(u)
+        self.born.append(self.cm.merge(g, g2, u))
+        tag_g, tag_g2 = int(self.tag[g]), int(self.tag[g2])
+        self.owner[_ids(self.members[u])] = u
+        absorbed = EXCLUDED in (tag_g, tag_g2)
+        self.tag[u] = EXCLUDED if absorbed else tag_g if tag_g == tag_g2 else NONPURE
+        for f in {tg for tg in (tag_g, tag_g2) if tg >= 0}:
+            self.counts[f] -= 1
         if absorbed:
-            E.discard(g)
-            E.discard(g2)
-            E.add(u)
-            tag[u] = EXCLUDED
-            for tg in (tag_g, tag_g2):
-                if tg >= 0:
-                    counts[tg] -= 1
-            events.append({"type": "absorbed", "iteration": t,
-                           "cluster": sorted(members[u])})
+            self.events.append({"type": "absorbed", "iteration": self.t,
+                                "cluster": sorted(self.members[u])})
         else:
-            A = set(p2f[ids(members[g])].tolist())
-            B = set(p2f[ids(members[g2])].tolist())
-            if -1 in A or -1 in B or not A or not B:
-                failures.append({
-                    "assertion": "clusters-structure", "iteration": t,
-                    "detail": "merged non-excluded cluster touches orphaned points",
-                })
-                A.discard(-1)
-                B.discard(-1)
-            if tag_g >= 0 and tag_g == tag_g2:
-                tag[u] = tag_g
-                counts[tag_g] -= 1
-            else:
-                tag[u] = NONPURE
-                for tg in (tag_g, tag_g2):
-                    if tg >= 0:
-                        counts[tg] -= 1
-            for side, fams in (("left", A), ("right", B)):
-                if len({fam2comp[f] for f in fams}) > 1:
-                    failures.append({
-                        "assertion": "clusters-structure", "iteration": t,
-                        "detail": f"{side} cluster touches several components",
-                    })
-            new_edges = sorted(
-                {(min(a, b), max(a, b)) for a in A for b in B if a != b}
-                - edge_set
-            )
-            for e in new_edges:
-                edge_set.add(e)
-                events.append({"type": "edge", "iteration": t, "endpoints": list(e)})
-            ca = fam2comp[min(A)] if A else None
-            cb = fam2comp[min(B)] if B else None
-            if ca is not None and cb is not None and ca != cb:
-                endpoints = min(
-                    (tuple(sorted((a, b))) for a in A for b in B),
-                )
-                tree_edge = {"iteration": t,
-                             "weight": born[-1],
-                             "endpoints": list(endpoints)}
-                events.append({"type": "edge", "iteration": t,
-                               "endpoints": list(endpoints),
-                               "tree_edge": True,
-                               "weight": tree_edge["weight"]})
-                compa, compb = comps[ca], comps[cb]
-                compa.families |= compb.families
-                compa.events = compa.events + compb.events + [tree_edge]
-                for f in compb.families:
-                    fam2comp[f] = ca
-                del comps[cb]
+            self._link(g, g2)
+        return tag_g, tag_g2
 
-        # four-case evolution of pure counts (exact integer bookkeeping)
-        delta = {f: counts[f] - pure_start[f]
-                 for f in pure_start if counts.get(f) != pure_start[f]}
-        pg = tag_g if tag_g >= 0 else None
-        pg2 = tag_g2 if tag_g2 >= 0 else None
-        if pg is None and pg2 is None:
-            evol_ok = delta == {}
-            evol_case = "none-pure"
-        elif pg is not None and pg2 is not None and pg == pg2:
-            evol_ok = delta == {pg: -1} and int(tag[u]) == pg
+    def _link(self, g: int, g2: int) -> None:
+        """Edges between the families g and g2 touch; a first edge between
+        two components is a tree edge and joins them."""
+        t, fam2comp = self.t, self.fam2comp
+        A = set(self.p2f[_ids(self.members[g])].tolist())
+        B = set(self.p2f[_ids(self.members[g2])].tolist())
+        if -1 in A or -1 in B or not A or not B:
+            self.fail("clusters-structure",
+                      "merged non-excluded cluster touches orphaned points")
+            A.discard(-1)
+            B.discard(-1)
+        for side, fams in (("left", A), ("right", B)):
+            if len({fam2comp[f] for f in fams}) > 1:
+                self.fail("clusters-structure", f"{side} cluster touches several components")
+        new_edges = sorted({(min(a, b), max(a, b)) for a in A for b in B if a != b}
+                           - self.edge_set)
+        self.edge_set.update(new_edges)
+        for e in new_edges:
+            self.events.append({"type": "edge", "iteration": t, "endpoints": list(e)})
+        if not (A and B):
+            return
+        ca, cb = fam2comp[min(A)], fam2comp[min(B)]
+        if ca == cb:
+            return
+        endpoints = list(min(tuple(sorted((a, b))) for a in A for b in B))
+        tree_edge = {"iteration": t, "weight": self.born[-1], "endpoints": endpoints}
+        self.events.append({"type": "edge", "iteration": t, "endpoints": endpoints,
+                            "tree_edge": True, "weight": tree_edge["weight"]})
+        compa, compb = self.comps[ca], self.comps.pop(cb)
+        compa.families |= compb.families
+        compa.events = compa.events + compb.events + [tree_edge]
+        for f in compb.families:
+            fam2comp[f] = ca
+
+    def evolution(self, pure_start: dict, tag_g: int, tag_g2: int, u: int) -> None:
+        """The four-case evolution of pure counts (exact integer bookkeeping):
+        each pure family among the merged pair's tags loses one pure cluster,
+        and no other count moves."""
+        delta = {f: self.counts[f] - pure_start[f]
+                 for f in pure_start if self.counts[f] != pure_start[f]}
+        pure = [tg for tg in (tag_g, tag_g2) if tg >= 0]
+        evol_case = ("none-pure", "one-pure", "both-pure-different")[len(pure)]
+        evol_ok = delta == {f: -1 for f in pure}
+        if len(pure) == 2 and pure[0] == pure[1]:
             evol_case = "both-pure-same"
-            if pure_start[pg] >= 2 and u in E:
-                evol_ok = False
-        elif pg is not None and pg2 is not None:
-            evol_ok = delta == {pg: -1, pg2: -1}
-            evol_case = "both-pure-different"
-        else:
-            f = pg if pg is not None else pg2
-            evol_ok = delta == {f: -1}
-            evol_case = "one-pure"
-        assertions["families_evolution"] = evol_ok
+            evol_ok = evol_ok and int(self.tag[u]) == pure[0]
+        self.assertions["families_evolution"] = evol_ok
         if not evol_ok:
-            failures.append({
-                "assertion": "families-evolution", "iteration": t,
-                "detail": f"case {evol_case}: count deltas {delta}",
-            })
+            self.fail("families-evolution", f"case {evol_case}: count deltas {delta}")
 
-        # case dispatch on the post-merge state
+    def dispatch(self) -> tuple[str | None, int | None]:
+        """Which of cases a, b, c fires on the post-merge state (at most one)."""
         fired: list[tuple[str, int]] = []
-        for cid_, comp in sorted(comps.items()):
-            rich = [f for f in comp.families if counts[f] > 1]
+        for cid, comp in sorted(self.comps.items()):
+            rich = [f for f in comp.families if self.counts[f] > 1]
             if len(comp.families) > 1 and len(rich) == 1:
-                fired.append(("a", cid_))
+                fired.append(("a", cid))
             elif len(comp.families) > 1 and not rich:
-                fired.append(("b", cid_))
+                fired.append(("b", cid))
             elif len(comp.families) == 1 and not rich:
-                fired.append(("c", cid_))
-        assertions["case_exclusivity"] = len(fired) <= 1
+                fired.append(("c", cid))
+        self.assertions["case_exclusivity"] = len(fired) <= 1
         if len(fired) > 1:
-            failures.append({
-                "assertion": "case-exclusivity", "iteration": t,
-                "detail": f"cases fired simultaneously: {fired}",
-            })
+            self.fail("case-exclusivity", f"cases fired simultaneously: {fired}")
         case, comp_id = fired[0] if fired else (None, None)
         if case:
-            events.append({"type": f"case_{case}", "iteration": t,
-                           "component": sorted(comps[comp_id].families)})
+            self.events.append({"type": f"case_{case}", "iteration": self.t,
+                                "component": sorted(self.comps[comp_id].families)})
+        return case, comp_id
 
-        # exclusion additions
-        additions_ok = True
-        dropped = sorted(f for f in counts
-                         if pure_start.get(f, 0) > 1 and counts[f] == 1)
-
-        def exclude_last_pure(f: int, site: str) -> None:
-            nonlocal additions_ok
-            cands = [h for h in active if int(tag[h]) == f]
-            if len(cands) != 1:
-                additions_ok = False
-                failures.append({
-                    "assertion": "exclusion-additions", "iteration": t,
-                    "detail": f"family {f} should have exactly one pure cluster, "
-                              f"found {len(cands)}",
-                })
-                return
-            (h,) = cands
-            tag[h] = EXCLUDED
-            E.add(h)
-            counts[f] = 0
-            rec = {"site": site, "iteration": t, "family": f,
-                   "cluster": sorted(members[h])}
-            additions.append(rec)
-            events.append({"type": "exclusion_add", **rec})
-
+    def exclusions(self, case: str | None, comp_id: int | None, pure_start: dict) -> None:
+        """Families that dropped from >1 to one pure cluster send it to the
+        exclusion set (site addLr1); under case b only the component's
+        smallest such family does (site addLr2)."""
+        dropped = sorted(f for f in self.counts
+                         if pure_start[f] > 1 and self.counts[f] == 1)
         if case != "b":
-            for f in dropped:
-                exclude_last_pure(f, "addLr1")
+            sites = [(f, "addLr1") for f in dropped]
         else:
-            comp = comps[comp_id]
-            two_at_start = sorted(f for f in comp.families
-                                  if pure_start.get(f, 0) >= 2)
+            fams = self.comps[comp_id].families
+            two_at_start = sorted(f for f in fams if pure_start[f] >= 2)
             fc_b_ok = (len(two_at_start) == 2
                        and all(pure_start[f] == 2 for f in two_at_start)
                        and dropped == two_at_start)
-            assertions["case_b_structure"] = fc_b_ok
+            self.assertions["case_b_structure"] = fc_b_ok
             if not fc_b_ok:
-                start_counts = {f: pure_start.get(f) for f in sorted(comp.families)}
-                failures.append({
-                    "assertion": "case-b-structure", "iteration": t,
-                    "detail": f"pure counts at start {start_counts}, "
-                              f"dropped now: {dropped}",
-                })
-            cand_b = [f for f in dropped if f in comp.families]
-            if cand_b:
-                exclude_last_pure(min(cand_b), "addLr2")
-        assertions["additions"] = additions_ok
+                start_counts = {f: pure_start[f] for f in sorted(fams)}
+                self.fail("case-b-structure", f"pure counts at start {start_counts}, "
+                                              f"dropped now: {dropped}")
+            cand_b = [f for f in dropped if f in fams]
+            sites = [(min(cand_b), "addLr2")] if cand_b else []
+        additions_ok = True
+        for f, site in sites:
+            cands = [h for h in self.active if int(self.tag[h]) == f]
+            if len(cands) != 1:
+                additions_ok = False
+                self.fail("exclusion-additions",
+                          f"family {f} should have exactly one pure cluster, "
+                          f"found {len(cands)}")
+                continue
+            (h,) = cands
+            self.tag[h] = EXCLUDED
+            self.counts[f] = 0
+            rec = {"site": site, "iteration": self.t, "family": f,
+                   "cluster": sorted(self.members[h])}
+            self.additions.append(rec)
+            self.events.append({"type": "exclusion_add", **rec})
+        self.assertions["additions"] = additions_ok
 
-        # component collapse into a new family
-        if case in ("a", "b"):
-            comp = comps[comp_id]
-            comp_fams = sorted(comp.families)
-            union_pts = frozenset().union(*(families[f].points for f in comp_fams))
-            fc_members = sorted(h for h in active
-                                if h not in E and members[h] <= union_pts)
-            assertions["fc_size"] = len(fc_members) >= 2
-            if len(fc_members) < 2:
-                failures.append({
-                    "assertion": "fc-size", "iteration": t,
-                    "detail": f"new family would hold {len(fc_members)} clusters",
-                })
+    def collapse(self, case: str, comp_id: int) -> None:
+        """Cases a and b: the component's families collapse into a new family
+        F_C of the live non-excluded clusters inside their points, certified
+        by the component's tree edges."""
+        t, assertions = self.t, self.assertions
+        comp = self.comps[comp_id]
+        comp_fams = sorted(comp.families)
+        in_comp = np.zeros(len(self.families) + 1, dtype=bool)   # in_comp[-1] for p2f = -1
+        in_comp[comp_fams] = True
+        union_pts = set(np.flatnonzero(in_comp[self.p2f]).tolist())
+        fc_members = sorted(h for h in self.active if self.tag[h] != EXCLUDED
+                            and self.members[h] <= union_pts)
+        assertions["fc_size"] = len(fc_members) >= 2
+        if len(fc_members) < 2:
+            self.fail("fc-size", f"new family would hold {len(fc_members)} clusters")
 
-            # lifetime exclusion sites per family (family ids are never reused)
-            sites: dict[int, list[str]] = {f: [] for f in comp_fams}
-            for e in additions:
-                if e["family"] in sites:
-                    sites[e["family"]].append(e["site"])
-            if case == "a":
-                rich = [f for f in comp_fams if counts[f] > 1]
-                with_events = {f for f in comp_fams if sites[f]}
-                ls_ok = (len(rich) == 1
-                         and with_events == set(comp_fams) - set(rich)
-                         and all(len(sites[f]) == 1 for f in with_events))
-            else:
-                site2 = {f for f in comp_fams if "addLr2" in sites[f]}
-                site1 = {f for f in comp_fams if "addLr1" in sites[f]}
-                none_ = {f for f in comp_fams if not sites[f]}
-                ls_ok = (len(site2) == 1 and len(none_) == 1
-                         and len(site1) == len(comp_fams) - 2
-                         and all(len(sites[f]) == 1 for f in site1 | site2))
-            assertions["ls_addition"] = ls_ok
-            if not ls_ok:
-                failures.append({
-                    "assertion": "ls-addition", "iteration": t,
-                    "detail": f"lifetime additions per family: {sites}",
-                })
+        # lifetime exclusion sites per family (family ids are never reused)
+        sites: dict[int, list[str]] = {f: [] for f in comp_fams}
+        for e in self.additions:
+            if e["family"] in sites:
+                sites[e["family"]].append(e["site"])
+        if case == "a":
+            rich = [f for f in comp_fams if self.counts[f] > 1]
+            with_events = {f for f in comp_fams if sites[f]}
+            ls_ok = (len(rich) == 1
+                     and with_events == set(comp_fams) - set(rich)
+                     and all(len(sites[f]) == 1 for f in with_events))
+        else:
+            site2 = {f for f in comp_fams if "addLr2" in sites[f]}
+            site1 = {f for f in comp_fams if "addLr1" in sites[f]}
+            none_ = {f for f in comp_fams if not sites[f]}
+            ls_ok = (len(site2) == 1 and len(none_) == 1
+                     and len(site1) == len(comp_fams) - 2
+                     and all(len(sites[f]) == 1 for f in site1 | site2))
+        assertions["ls_addition"] = ls_ok
+        if not ls_ok:
+            self.fail("ls-addition", f"lifetime additions per family: {sites}")
 
-            fc_pts = frozenset().union(*(members[h] for h in fc_members))
-            fam = Alg2Family(
-                id=next_fid, clusters=frozenset(fc_members), points=fc_pts,
-                diam=cm.diam(fc_members),
-                phi=sum(families[f].phi for f in comp_fams),
-            )
-            families[next_fid] = fam
+        fam = self._new_family(
+            fc_members, [p for h in fc_members for p in self.members[h]],
+            phi=sum(self.families[f].phi for f in comp_fams))
+        cert = SpanningTreeCert(
+            fc_id=fam.id, iteration=t, families=comp_fams,
+            edges=list(comp.events),
+            dm=sorted(self.families[f].diam for f in comp_fams),
+        )
+        self.spanning_certs.append(cert)
+        st_fail = spanning_tree_check(cert)
+        sd_fail = fc_diameter_check(cert, fam.diam)
+        assertions["spanning_tree"] = not st_fail
+        assertions["sum_diam"] = not sd_fail
+        self.failures.extend(st_fail)
+        self.failures.extend(sd_fail)
+        bound = growth_bound(self.k, self.max_diam, fam.phi)
+        assertions["family_bound"] = within_bound(fam.diam, bound)
+        if not assertions["family_bound"]:
+            self.fail("family-growth-bound", f"family {fam.id}: diam {fam.diam!r} > "
+                                             f"max-diam * phi^alpha {bound!r}")
+        self._kill_component(comp_id)
+        self.events.append({"type": "fc_created", "iteration": t, "family": fam.id,
+                            "clusters": [sorted(self.members[h]) for h in fc_members],
+                            "component": comp_fams, "phi": fam.phi, "diam": fam.diam})
 
-            cert = SpanningTreeCert(
-                fc_id=next_fid, iteration=t, families=comp_fams,
-                edges=list(comp.events),
-                dm=sorted(families[f].diam for f in comp_fams),
-            )
-            spanning_certs.append(cert)
-            st_fail = spanning_tree_check(cert)
-            sd_fail = fc_diameter_check(cert, fam.diam)
-            assertions["spanning_tree"] = not st_fail
-            assertions["sum_diam"] = not sd_fail
-            failures.extend(st_fail)
-            failures.extend(sd_fail)
-            bound = growth_bound(k, max_diam, fam.phi)
-            assertions["family_bound"] = within_bound(fam.diam, bound)
-            if not assertions["family_bound"]:
-                failures.append({
-                    "assertion": "family-growth-bound", "iteration": t,
-                    "detail": f"family {fam.id}: diam {fam.diam!r} > "
-                              f"max-diam * phi^alpha {bound!r}",
-                })
+    def budget(self, excluded: int) -> None:
+        """At most k exclusion additions ever, and at most k excluded clusters."""
+        ok = len(self.additions) <= self.k and excluded <= self.k
+        self.assertions["exclusion_budget"] = ok
+        if not ok:
+            self.fail("exclusion-budget", f"{len(self.additions)} additions, "
+                                          f"|E| = {excluded}, k = {self.k}")
 
-            for f in comp_fams:
-                del counts[f]
-                del fam2comp[f]
-            del comps[comp_id]
-            edge_set = {e for e in edge_set
-                        if e[0] not in comp.families and e[1] not in comp.families}
-            counts[next_fid] = len(fc_members)
-            # A sound replay leaves no live cluster pure w.r.t. a family that
-            # dies; one a broken state leaves behind becomes nonpure, so the
-            # next audit reports it and no merge reads a dead family's count.
-            for f in comp_fams:
-                tag[tag == f] = NONPURE
-            for h in fc_members:
-                tag[h] = next_fid
-            for p in union_pts:
-                p2f[p] = next_fid if p in fc_pts else -1
-            comps[next_comp] = ComponentState(families={next_fid})
-            fam2comp[next_fid] = next_comp
-            events.append({"type": "fc_created", "iteration": t,
-                           "family": next_fid,
-                           "clusters": [sorted(members[h]) for h in fc_members],
-                           "component": comp_fams, "phi": fam.phi,
-                           "diam": fam.diam})
-            next_comp += 1
-            next_fid += 1
-        elif case == "c":
-            comp = comps[comp_id]
-            (f,) = comp.families
-            del counts[f]
-            del fam2comp[f]
-            del comps[comp_id]
-            tag[tag == f] = NONPURE   # as at a collapse
-            for p in families[f].points:
-                if p2f[p] == f:
-                    p2f[p] = -1
-            events.append({"type": "removed", "iteration": t, "family": f})
 
-        budget_ok = len(additions) <= k and len(E) <= k
-        assertions["exclusion_budget"] = budget_ok
-        if not budget_ok:
-            failures.append({
-                "assertion": "exclusion-budget", "iteration": t,
-                "detail": f"{len(additions)} additions, |E| = {len(E)}, k = {k}",
-            })
-
-        records.append(Alg2IterationRecord(
-            iteration=t, case=case,
-            roots=[families[f].summary(counts[f]) for f in sorted(counts)],
-            assertions=assertions,
-            exclusion_set_size=len(E),
-            components=[{
-                "families": sorted(c.families),
-                "pure_counts": {str(f): counts[f] for f in sorted(c.families)},
-            } for _, c in sorted(comps.items())],
-            events=events,
-            failures=failures,
-        ))
-
-    return Alg2Trace(n=n, k=k, target=target, records=records,
-                     failures=trace_failures, born=born, families=families,
-                     spanning_certs=spanning_certs, additions=additions)
+def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
+    """Replay the pure-cluster graph construction along the first n-k merges."""
+    r = _Alg2Replay(D, dg, target)
+    for t, m in enumerate(dg.merges[: r.n - r.k], 1):
+        r.step(t, m.left, m.right, m.result)
+    return Alg2Trace(n=r.n, k=r.k, target=r.target, records=r.records,
+                     failures=r.trace_failures, born=r.born, families=r.families,
+                     spanning_certs=r.spanning_certs, additions=r.additions)
 
 
 def alg2_bound(trace: Alg2Trace, D: DistanceMatrix) -> BoundCheck:

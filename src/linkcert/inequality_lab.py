@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric_core import PreconditionError
+from .metric_core import PreconditionError, _seeded_rng
 
 __all__ = [
     "InapplicableSample",
@@ -218,7 +218,7 @@ def sample_ineq_avg(n_samples: int, seed: int = 0) -> BatchIneqResult:
     """
     if n_samples < 1:
         raise PreconditionError("n_samples must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     a = rng.uniform(0.0, 10.0, n_samples) * 10.0 ** rng.integers(-2, 3, n_samples)
     b = rng.uniform(0.0, 10.0, n_samples) * 10.0 ** rng.integers(-2, 3, n_samples)
     x = 1.0 + rng.uniform(0.0, 9.0, n_samples) * 10.0 ** rng.integers(-2, 3, n_samples)
@@ -247,7 +247,7 @@ def sample_ineq_2(n_samples: int, seed: int = 0) -> BatchIneqResult:
     """
     if n_samples < 1:
         raise PreconditionError("n_samples must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     lengths = rng.integers(2, MAX_LEN + 1, n_samples)
     result = BatchIneqResult(name="ineq-2", samples=n_samples)
     for ell in range(2, MAX_LEN + 1):

@@ -32,6 +32,7 @@ from .metric_core import (
     PreconditionError,
     _BLOCK_ELEMENTS,
     _row_blocks,
+    _seeded_rng,
     dump_instance,
     validate_metric,
     write_json,
@@ -77,10 +78,13 @@ def gen_single_link_adversary(k: int, B: float, eps: float,
     """
     if k < 3:
         raise PreconditionError(f"k must be at least 3, got {k}")
-    if B <= 0:
-        raise PreconditionError(f"B must be positive, got {B}")
+    if not (B > 0 and math.isfinite(B)):
+        raise PreconditionError(f"B must be positive and finite, got {B}")
     if not 0 < eps < B / 2:
         raise PreconditionError(f"eps must lie in (0, B/2), got {eps}")
+    if not math.isfinite(max(2 * B, (k - 2) * (B - eps))):
+        raise PreconditionError(
+            f"B={B} with k={k} gives distances that overflow float64")
     auto = d_out is None
     if auto:
         d_out = max(2 * B, math.ceil((k - 2) * (B - eps) / 2) + eps)
@@ -120,7 +124,7 @@ def gen_random_euclidean(n: int, dim: int, seed: int) -> DistanceMatrix:
     """n uniform points in the unit cube of the given dimension."""
     if n < 1 or dim < 1:
         raise PreconditionError("n and dim must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     return DistanceMatrix.from_points(rng.random((n, dim)))
 
 
@@ -133,7 +137,7 @@ def gen_random_metric(n: int, seed: int) -> DistanceMatrix:
     """
     if n < 1:
         raise PreconditionError("n must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     W = rng.uniform(0.1, 1.1, size=(n, n))
     W = np.minimum(W, W.T)
     np.fill_diagonal(W, 0.0)

@@ -32,6 +32,7 @@ from .metric_core import (
     DistanceMatrix,
     PreconditionError,
     StructuralError,
+    _seeded_rng,
     as_cluster,
     checked_sum,
     cohesion,
@@ -423,7 +424,7 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
         raise PreconditionError("need at least two points")
     if sample_pairs < 1:
         raise PreconditionError("sample_pairs must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     report = AlignmentReport(samples=sample_pairs)
     for s in range(sample_pairs):
         perm = rng.permutation(n)

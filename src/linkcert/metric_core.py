@@ -50,6 +50,14 @@ class ResourceGuardError(RuntimeError):
     """A computation would exceed its configured size guard."""
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of every seeded routine; a negative seed, which numpy
+    rejects, is a usage error that names it."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def tri_size(n: int) -> int:
     return n * (n - 1) // 2
 

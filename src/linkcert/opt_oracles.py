@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .metric_core import (
     Clustering,
@@ -41,7 +40,6 @@ from .metric_core import (
 
 __all__ = [
     "OracleResult",
-    "partitions_into_k",
     "opt_score",
     "opt_scores",
     "opt_dm_threshold",
@@ -92,41 +90,6 @@ def _check_guard(n: int, k: int, n_max: int) -> None:
             f"(S({n},{k}) = {stirling2(n, k)} partitions); "
             "raise n_max (--n-max-oracle) to force it"
         )
-
-
-def partitions_into_k(n: int, k: int,
-                      n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every partition of 0..n-1 into exactly k blocks.
-
-    Restricted-growth order: point 0 opens block 0, and each later point
-    tries existing blocks in index order before opening a new one.  Blocks
-    arrive sorted by their smallest member.  Yields S(n, k) partitions.
-    """
-    _check_guard(n, k, n_max)
-    blocks: list[list[int]] = [[0]]
-
-    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == n:
-            if len(blocks) == k:
-                yield tuple(tuple(b) for b in blocks)
-            return
-        remaining = n - i
-        used = len(blocks)
-        if remaining > k - used:  # room to reuse an existing block
-            for b in blocks:
-                b.append(i)
-                yield from rec(i + 1)
-                b.pop()
-        if used < k:
-            blocks.append([i])
-            yield from rec(i + 1)
-            blocks.pop()
-
-    if n == 1:
-        if k == 1:
-            yield ((0,),)
-        return
-    yield from rec(1)
 
 
 def opt_scores(D: DistanceMatrix, k: int,

@@ -4,11 +4,13 @@ Every partition of 0..n-1 into k blocks is visited and scored, in
 restricted-growth order, with no branch-and-bound.  It is slow but obviously
 exhaustive, so the production ``linkcert.opt_oracles.opt_scores`` is tested
 against it value bit by value bit, witness by witness and count by count.
+``partitions_into_k`` is the same walk as a plain generator of partitions.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from linkcert.metric_core import Clustering, DistanceMatrix, clustering_score
 from linkcert.opt_oracles import DEFAULT_N_MAX, OracleResult, _check_guard
@@ -85,3 +87,38 @@ def reference_opt_scores(D: DistanceMatrix, k: int,
                                   witness=witness, enumerated=count,
                                   scored=count)
     return out
+
+
+def partitions_into_k(n: int, k: int,
+                      n_max: int = DEFAULT_N_MAX) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield every partition of 0..n-1 into exactly k blocks.
+
+    Restricted-growth order: point 0 opens block 0, and each later point
+    tries existing blocks in index order before opening a new one.  Blocks
+    arrive sorted by their smallest member.  Yields S(n, k) partitions.
+    """
+    _check_guard(n, k, n_max)
+    blocks: list[list[int]] = [[0]]
+
+    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if i == n:
+            if len(blocks) == k:
+                yield tuple(tuple(b) for b in blocks)
+            return
+        remaining = n - i
+        used = len(blocks)
+        if remaining > k - used:  # room to reuse an existing block
+            for b in blocks:
+                b.append(i)
+                yield from rec(i + 1)
+                b.pop()
+        if used < k:
+            blocks.append([i])
+            yield from rec(i + 1)
+            blocks.pop()
+
+    if n == 1:
+        if k == 1:
+            yield ((0,),)
+        return
+    yield from rec(1)

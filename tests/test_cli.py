@@ -80,6 +80,43 @@ class TestGenerate:
         assert d0["dist"] != d1["dist"]
 
 
+def written_files(out_dir: Path) -> list[Path]:
+    return [p for p in out_dir.rglob("*") if p.is_file()] if out_dir.exists() else []
+
+
+class TestBadArguments:
+    """Arguments that numpy or ``math`` would reject exit 2 with a message
+    naming them, and no file is written."""
+
+    @pytest.mark.parametrize("k, B", [(3, "inf"), (4, "1e308"), (3, "nan")])
+    def test_adversary_base_distance(self, tmp_path, capsys, k, B):
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "generate", "adversary",
+                       "--k", k, "--B", B) == 2
+        assert capsys.readouterr().err.startswith("error: B")
+        assert written_files(out) == []
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["generate", "euclidean", "--n", 5], id="euclidean"),
+        pytest.param(["generate", "metric", "--n", 5], id="metric"),
+        pytest.param(["inequalities", "--samples", 10, "--i-max", 10],
+                     id="inequalities"),
+    ])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "--seed", -1, *argv) == 2
+        assert "seed" in capsys.readouterr().err
+        assert written_files(out) == []
+
+    def test_negative_seed_in_sweep_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[grid]\nns = 5\nseeds = -1\n")
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "sweep", "--config", cfg) == 2
+        assert "seed" in capsys.readouterr().err
+        assert written_files(out) == []
+
+
 class TestRun:
     def test_dendrogram_and_scores(self, tmp_path, euclidean_instance, capsys):
         assert run_cli("--out-dir", tmp_path, "run", "--instance",

@@ -343,7 +343,8 @@ class TestDiameterOwner:
         for e in edges:
             assert e["weight"] == born[e["iteration"] - 1]
         for fam in trace.families.values():
-            assert fam.diam == (cohesion("diam", fam.points, D) if fam.points else 0.0)
+            points = frozenset().union(*(members[c] for c in fam.clusters))
+            assert fam.diam == (cohesion("diam", points, D) if points else 0.0)
         return len(edges)
 
     def test_own_cut_oracle_and_interleaved_targets(self):

@@ -14,10 +14,10 @@ from linkcert import (
     opt_score,
     opt_scores,
 )
-from linkcert.opt_oracles import partitions_into_k, stirling2
+from linkcert.opt_oracles import stirling2
 
 from .conftest import line_metric
-from .reference_oracle import reference_opt_scores
+from .reference_oracle import partitions_into_k, reference_opt_scores
 from .test_acceptance import GRID_SHAPE, K_RANGE, _grid_instance
 
 
