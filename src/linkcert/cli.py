@@ -97,6 +97,13 @@ def _write_failures(out_dir: str, command: str, failures: list[dict]) -> str:
     return path
 
 
+def _out_path(out_dir: str, name: str) -> str:
+    """``name`` in the output directory, which is created only here, when an
+    output is about to be written: a rejected call leaves no directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def _achieved(C: Clustering, D: DistanceMatrix) -> dict:
     return {score: clustering_score(score, C, D) for score in CLUSTERING_SCORES}
 
@@ -104,23 +111,22 @@ def _achieved(C: Clustering, D: DistanceMatrix) -> dict:
 # ---------------------------------------------------------------- generate
 
 def cmd_generate(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     if args.kind == "adversary":
         inst = gen_single_link_adversary(args.k, args.B, args.eps)
-        path = os.path.join(
+        path = _out_path(
             args.out_dir, f"adversary_k{args.k}_B{fmt(args.B)}_eps{fmt(args.eps)}.json")
         sidecar = write_adversary(inst, path)
         print(json.dumps({"instance": path, "sidecar": sidecar,
                           "n": inst.n, "d_out": inst.d_out}))
     elif args.kind == "euclidean":
         D = gen_random_euclidean(args.n, args.dim, args.seed)
-        path = os.path.join(
+        path = _out_path(
             args.out_dir, f"euclidean_n{args.n}_d{args.dim}_s{args.seed}.json")
         dump_instance(D, path)
         print(json.dumps({"instance": path, "n": D.n}))
     else:
         D = gen_random_metric(args.n, args.seed)
-        path = os.path.join(args.out_dir, f"metric_n{args.n}_s{args.seed}.json")
+        path = _out_path(args.out_dir, f"metric_n{args.n}_s{args.seed}.json")
         dump_instance(D, path)
         print(json.dumps({"instance": path, "n": D.n}))
     return EXIT_OK
@@ -131,18 +137,16 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     D = load_instance(args.instance)
     dg = run_linkage(args.method, D)
-    os.makedirs(args.out_dir, exist_ok=True)
     if args.k is not None:  # cut and score first: a failing run writes no file
         C = extract_clustering(dg, args.k)
         scores = _achieved(C, D)
     stem = os.path.splitext(os.path.basename(args.instance))[0]
-    dpath = os.path.join(args.out_dir, f"{stem}.{args.method}.dendrogram.json")
+    dpath = _out_path(args.out_dir, f"{stem}.{args.method}.dendrogram.json")
     write_json(dg.to_json(), dpath)
     out = {"instance": args.instance, "method": args.method,
            "dendrogram": dpath, "merges": len(dg.merges)}
     if args.k is not None:
-        cpath = os.path.join(args.out_dir,
-                             f"{stem}.{args.method}.k{args.k}.clustering.json")
+        cpath = _out_path(args.out_dir, f"{stem}.{args.method}.k{args.k}.clustering.json")
         write_json(C.to_json(), cpath)
         out["k"] = args.k
         out["clustering"] = cpath
@@ -228,7 +232,6 @@ def _oracle_targets(D: DistanceMatrix, k: int, n_max: int) -> dict:
 
 def cmd_certify(args) -> int:
     D = load_instance(args.instance)
-    os.makedirs(args.out_dir, exist_ok=True)
     if args.target == "oracle":
         targets = _oracle_targets(D, args.k, args.n_max_oracle)
     else:
@@ -241,14 +244,13 @@ def cmd_certify(args) -> int:
     report.instance = {"path": args.instance, "n": D.n, "target": args.target}
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     for name, trace in traces.items():
-        tpath = os.path.join(args.out_dir,
-                             f"{stem}.{args.method}.k{args.k}.{name}_trace.json")
-        write_json(trace.to_json(), tpath)
-    rpath = os.path.join(args.out_dir, f"{stem}.{args.method}.k{args.k}.report.json")
-    with open(rpath, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(report.to_json(), indent=2))
+        write_json(trace.to_json(), _out_path(
+            args.out_dir, f"{stem}.{args.method}.k{args.k}.{name}_trace.json"))
+    text = json.dumps(report.to_json(), indent=2)
+    with open(_out_path(args.out_dir, f"{stem}.{args.method}.k{args.k}.report.json"),
+              "w") as fh:
+        fh.write(text + "\n")
+    print(text)
     if failures:
         raise AssertionFailures(failures)
     return EXIT_OK
@@ -381,8 +383,7 @@ def cmd_sweep(args) -> int:
     rows = sorted((row for rows in per_unit for row in rows),
                   key=lambda r: (r["generator"], r["n"], r["dim"] or 0, r["seed"],
                                  r["method"], r["k"]))
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, csv_name)
+    path = _out_path(args.out_dir, csv_name)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -419,19 +420,18 @@ def _samples_csv(path: str, samples) -> None:
 
 
 def cmd_inequalities(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     avg = inequality_lab.sample_ineq_avg(args.samples, seed=args.seed)
     two = inequality_lab.sample_ineq_2(args.samples, seed=args.seed + 1)
     sup = inequality_lab.alpha_sup(args.i_max)
-    _samples_csv(os.path.join(args.out_dir, "ineq_avg_extremes.csv"), avg.extremes)
-    _samples_csv(os.path.join(args.out_dir, "ineq_2_extremes.csv"), two.extremes)
+    _samples_csv(_out_path(args.out_dir, "ineq_avg_extremes.csv"), avg.extremes)
+    _samples_csv(_out_path(args.out_dir, "ineq_2_extremes.csv"), two.extremes)
     failures = []
     for batch in (avg, two):
         for s in batch.failures:
             failures.append({"assertion": batch.name, "inputs": s.inputs,
                              "lhs": s.lhs, "rhs": s.rhs, "slack": s.slack})
         if batch.failures:
-            _samples_csv(os.path.join(args.out_dir, f"{batch.name}_failures.csv"),
+            _samples_csv(_out_path(args.out_dir, f"{batch.name}_failures.csv"),
                          batch.failures)
     if not (sup.argmax == 4 and sup.tail_ok
             and math.isclose(sup.value, inequality_lab.ALPHA_CAP, rel_tol=1e-12)):

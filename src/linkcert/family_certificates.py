@@ -12,11 +12,15 @@ sets at every creation.  Each node stores its leaf ids, the concatenation
 of its children's, so the re-check is one exact ``math.fsum`` over <= k
 leaf diameters.
 
-Family diameters come from a ``metric_core.ClusterMatrix`` folded along the
-merges, never from a rescan of point sets, so the replay costs O(n^2): b-sub2
-keeps its point set and so its diameter, every other new family reads the
-matrix over its clusters.  ``Replay.born`` keeps each born cluster's diameter
-for the bound check.
+Both certificate replays run on one private replay state (``_ReplayState``):
+it validates the target, folds a ``metric_core.ClusterMatrix`` along the
+merges (``Replay.born`` keeps each born cluster's diameter for the bound
+check), and drives one merge loop that gives each iteration its own failure
+list.  Here each merge runs three phases: the root audit (p3, p4), the case
+choice with the fold, and the rewrite of the one or two root families.  Family
+diameters are read from the matrix, never from a rescan of point sets, so the
+replay costs O(n^2): b-sub2 keeps its point set and so its diameter, every
+other new family reads the matrix over its clusters when it is created.
 
 Per-iteration assertions:
   p3  at least one root family holds more than one cluster,
@@ -52,21 +56,6 @@ __all__ = [
     "alg1_trace",
     "alg1_bound",
 ]
-
-
-def replay_target(D: DistanceMatrix, dg: Dendrogram, target) -> Clustering:
-    """Check a replay's inputs (a CL dendrogram over D whose first n-k merges
-    join live cluster ids) and validate the target."""
-    if dg.method != "CL":
-        raise PreconditionError(f"certificates require a CL dendrogram, got {dg.method!r}")
-    if dg.n != D.n:
-        raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
-    if isinstance(target, Clustering):
-        Clustering.from_blocks(target.blocks, D.n)  # validates; keeps the block order
-    else:
-        target = Clustering.from_blocks(target, D.n)
-    extract_clustering(dg, target.k)  # StructuralError on a merged or unknown id
-    return target
 
 
 def count_assertions(assertion_dicts) -> tuple[int, int]:
@@ -163,151 +152,167 @@ class Alg1Trace(Replay):
         return {**super().to_json(), "final": self.final_assertions, "ok": self.ok}
 
 
-def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
-    """Replay the family-forest construction along the first n-k CL merges."""
-    target = replay_target(D, dg, target)
-    n, k = D.n, target.k
-    cm = ClusterMatrix(D)
+class _ReplayState:
+    """What both replays share: the validated target, ``n`` and ``k``, the
+    complete-link fold ``cm`` with ``born``, the records, and the failures of
+    the current iteration ``t``.  A subclass's ``step(g, g2, u)`` runs one
+    merge's phases and returns its record; ``run`` drives it along the first
+    n-k merges.  Failures outside any iteration (t = 0 before the first merge,
+    t = n-k+1 after the last) go to the trace's own list."""
 
-    avg_diam = clustering_score("avg-diam", target, D)
-    chain_rhs = k * avg_diam * k ** P_EXP
+    def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
+        if dg.method != "CL":
+            raise PreconditionError(f"certificates require a CL dendrogram, got {dg.method!r}")
+        if dg.n != D.n:
+            raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
+        if isinstance(target, Clustering):
+            Clustering.from_blocks(target.blocks, D.n)  # validates; keeps the block order
+        else:
+            target = Clustering.from_blocks(target, D.n)
+        extract_clustering(dg, target.k)  # StructuralError on a merged or unknown id
+        self.target, self.n, self.k = target, D.n, target.k
+        self.merges = dg.merges[: self.n - self.k]
+        self.cm = ClusterMatrix(D)
+        self.born: list[float] = []
+        self.records: list = []
+        self.t = 0
+        self.failures = self.trace_failures = []
 
-    forest: dict[int, FamilyNode] = {}
-    fam_of: dict[int, int] = {}      # live cluster id -> root family id
-    roots: set[int] = set()
-    next_fid = 0
+    def fail(self, assertion: str, detail: str) -> None:
+        self.failures.append({"assertion": assertion, "iteration": self.t,
+                              "detail": detail})
 
-    def new_family(clusters, phi, phi_sigma, diam, created_at, children) -> FamilyNode:
-        nonlocal next_fid
-        leaves = tuple(l for c in children for l in forest[c].leaves) or (next_fid,)
-        node = FamilyNode(id=next_fid, clusters=frozenset(clusters), parent=None,
-                          phi=phi, phi_sigma=phi_sigma, diam=diam,
-                          created_at=created_at, children=tuple(children),
-                          leaves=leaves)
-        next_fid += 1
-        forest[node.id] = node
-        roots.add(node.id)
+    def run(self) -> None:
+        for self.t, m in enumerate(self.merges, 1):
+            self.failures = []
+            self.records.append(self.step(m.left, m.right, m.result))
+        self.t, self.failures = len(self.merges) + 1, self.trace_failures
+
+    def result(self, cls, **extra) -> Replay:
+        return cls(n=self.n, k=self.k, target=self.target, records=self.records,
+                   failures=self.trace_failures, born=self.born, **extra)
+
+
+class _Alg1Replay(_ReplayState):
+    """The family forest, advanced one merge at a time: root audit, case
+    choice with the fold, and the rewrite of the one or two root families the
+    merge touched.  ``fam_of`` maps each live cluster to its root family."""
+
+    def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
+        super().__init__(D, dg, target)
+        k = self.k
+        self.chain_rhs = k * clustering_score("avg-diam", self.target, D) * k ** P_EXP
+        self.forest: dict[int, FamilyNode] = {}
+        self.fam_of: dict[int, int] = {}
+        self.roots: set[int] = set()
+        for block in self.target.blocks:
+            self._new_family(block)
+
+    def _new_family(self, clusters, children: tuple[FamilyNode, ...] = (),
+                    diam: float | None = None) -> None:
+        """A root family over ``clusters`` with the given children (an initial
+        family has none, and is its own leaf), created at iteration t.  This
+        is the one place a family's diameter is read from ``cm``; only b-sub2,
+        whose point set is its child's, hands the child's in.  phi and
+        phi_sigma add up the children's, and both sums are re-checked
+        against the leaves."""
+        fid = len(self.forest)
+        diam = self.cm.diam(clusters) if diam is None else diam
+        leaves = tuple(l for c in children for l in c.leaves) or (fid,)
+        phi, phi_sigma = 1, diam
+        if children:   # phi_sigma is A's, or A's + B's: the sum starts at A's
+            phi = sum(c.phi for c in children)
+            phi_sigma = sum((c.phi_sigma for c in children[1:]), children[0].phi_sigma)
+        node = self.forest[fid] = FamilyNode(
+            id=fid, clusters=frozenset(clusters), parent=None, phi=phi,
+            phi_sigma=phi_sigma, diam=diam, created_at=self.t,
+            children=tuple(c.id for c in children), leaves=leaves)
+        self.roots.add(fid)
         for c in children:
-            forest[c].parent = node.id
-            roots.discard(c)
+            c.parent = fid
+            self.roots.discard(c.id)
         for c in clusters:
-            fam_of[c] = node.id
-        return node
-
-    for block in target.blocks:
-        d = cm.diam(block)
-        new_family(sorted(block), phi=1, phi_sigma=d, diam=d, created_at=0,
-                   children=())
-
-    trace_failures: list[dict] = []
-    records: list[Alg1IterationRecord] = []
-    born: list[float] = []
-
-    def creation_checks(node: FamilyNode, iteration: int, failures: list[dict]) -> None:
-        if node.phi != len(node.leaves):
-            failures.append({
-                "assertion": "phi-additivity", "iteration": iteration,
-                "detail": f"family {node.id}: phi={node.phi}, leaves={len(node.leaves)}",
-            })
-        direct = math.fsum(forest[l].diam for l in node.leaves)
+            self.fam_of[c] = fid
+        if node.phi != len(leaves):
+            self.fail("phi-additivity", f"family {fid}: phi={node.phi}, leaves={len(leaves)}")
+        direct = math.fsum(self.forest[l].diam for l in leaves)
         if not math.isclose(node.phi_sigma, direct, rel_tol=1e-12, abs_tol=1e-12):
-            failures.append({
-                "assertion": "phi-sigma-additivity", "iteration": iteration,
-                "detail": f"family {node.id}: stored={node.phi_sigma!r}, leaf sum={direct!r}",
-            })
+            self.fail("phi-sigma-additivity",
+                      f"family {fid}: stored={node.phi_sigma!r}, leaf sum={direct!r}")
 
-    def root_assertions(iteration: int, check_p3: bool = True):
-        snap = [forest[r].summary() for r in sorted(roots)]
-        p3 = any(forest[r].regular for r in roots)
-        p4 = True
-        failures: list[dict] = []
+    def step(self, g: int, g2: int, u: int) -> Alg1IterationRecord:
+        roots, assertions = self.root_audit()
+        case, A, B, ga, gb = self.choose(g, g2, u)
+        self.rewrite(case, A, B, ga, gb, u)
+        return Alg1IterationRecord(iteration=self.t, case=case, roots=roots,
+                                   assertions=assertions, failures=self.failures)
+
+    # ------------------------------------------------------------ phases
+
+    def root_audit(self, check_p3: bool = True) -> tuple[list[dict], dict]:
+        """The root families' summaries, p3 (unless ``check_p3`` is off) and
+        the p4 chain of every regular root."""
+        roots = [self.forest[r] for r in sorted(self.roots)]
+        p3 = any(node.regular for node in roots)
         if check_p3 and not p3:
-            failures.append({"assertion": "p3", "iteration": iteration,
-                             "detail": "no regular root family"})
-        for r in sorted(roots):
-            node = forest[r]
+            self.fail("p3", "no regular root family")
+        p4 = True
+        for node in roots:
             if not node.regular:
                 continue
             mid = node.phi_sigma * node.phi ** P_EXP
             if not within_bound(node.diam, mid):
                 p4 = False
-                failures.append({
-                    "assertion": "p4", "iteration": iteration,
-                    "detail": f"family {r}: diam {node.diam!r} > "
-                              f"phi_sigma*phi^p {mid!r}",
-                })
-            if not within_bound(mid, chain_rhs):
+                self.fail("p4", f"family {node.id}: diam {node.diam!r} > "
+                                f"phi_sigma*phi^p {mid!r}")
+            if not within_bound(mid, self.chain_rhs):
                 p4 = False
-                failures.append({
-                    "assertion": "p4", "iteration": iteration,
-                    "detail": f"family {r}: phi_sigma*phi^p {mid!r} > "
-                              f"k*avg-diam*k^p {chain_rhs!r}",
-                })
-        return snap, p3, p4, failures
+                self.fail("p4", f"family {node.id}: phi_sigma*phi^p {mid!r} > "
+                                f"k*avg-diam*k^p {self.chain_rhs!r}")
+        return [node.summary() for node in roots], {"p3": p3, "p4": p4}
 
-    for t in range(1, n - k + 1):
-        m = dg.merges[t - 1]
-        snap, p3, p4, failures = root_assertions(t)
-        g, g2, u = m.left, m.right, m.result
-
-        fa, fb = fam_of.pop(g), fam_of.pop(g2)
-        ga, gb = g, g2
-        if len(forest[fa].clusters) < len(forest[fb].clusters):
-            fa, fb, ga, gb = fb, fa, gb, ga
-        A, Bf = forest[fa], forest[fb]
-
-        if len(Bf.clusters) == 1 and len(A.clusters) > 1:
+    def choose(self, g: int, g2: int, u: int) -> tuple[str, FamilyNode, FamilyNode, int, int]:
+        """Fold u = g | g2 into ``cm`` and pick the structural case.  Returns
+        the case, the larger root family A (by cluster count) and the other
+        one B, with the merged cluster ga in A and gb in B."""
+        self.born.append(self.cm.merge(g, g2, u))
+        A, B = self.forest[self.fam_of.pop(g)], self.forest[self.fam_of.pop(g2)]
+        if len(A.clusters) < len(B.clusters):
+            A, B, g, g2 = B, A, g2, g
+        if len(B.clusters) == 1 and len(A.clusters) > 1:
             case = "a"
-        elif fa == fb:
+        elif A is B:
             case = "b-sub2"
-        elif len(A.clusters) == 1 and len(Bf.clusters) == 1:
+        elif len(A.clusters) == 1:
             case = "b-sub1"
         else:
             case = "b-sub3"
-        diam_u = cm.merge(g, g2, u)
-        born.append(diam_u)
+        return case, A, B, g, g2
 
+    def rewrite(self, case: str, A: FamilyNode, B: FamilyNode, ga: int, gb: int,
+                u: int) -> None:
+        """Case a splits u's new family off A; b-sub2 keeps A's point set and
+        so its diameter; b-sub1 and b-sub3 fuse A and B."""
         if case == "a":
-            rest = A.clusters - {ga}
-            nf = new_family(rest, phi=A.phi, phi_sigma=A.phi_sigma,
-                            diam=cm.diam(rest),
-                            created_at=t, children=(fa,))
-            nf2 = new_family([u], phi=Bf.phi, phi_sigma=Bf.phi_sigma, diam=diam_u,
-                             created_at=t, children=(fb,))
-            creation_checks(nf, t, failures)
-            creation_checks(nf2, t, failures)
+            self._new_family(A.clusters - {ga}, (A,))
+            self._new_family([u], (B,))
         elif case == "b-sub2":
-            nf = new_family((A.clusters - {ga, gb}) | {u}, phi=A.phi,
-                            phi_sigma=A.phi_sigma, diam=A.diam,
-                            created_at=t, children=(fa,))
-            creation_checks(nf, t, failures)
+            self._new_family((A.clusters - {ga, gb}) | {u}, (A,), diam=A.diam)
         elif case == "b-sub1":
-            nf = new_family([u], phi=A.phi + Bf.phi,
-                            phi_sigma=A.phi_sigma + Bf.phi_sigma, diam=diam_u,
-                            created_at=t, children=(fa, fb))
-            creation_checks(nf, t, failures)
+            self._new_family([u], (A, B))
         else:
-            fused = (A.clusters | Bf.clusters | {u}) - {ga, gb}
-            nf = new_family(fused, phi=A.phi + Bf.phi,
-                            phi_sigma=A.phi_sigma + Bf.phi_sigma,
-                            diam=cm.diam(fused),
-                            created_at=t, children=(fa, fb))
-            creation_checks(nf, t, failures)
+            self._new_family((A.clusters | B.clusters | {u}) - {ga, gb}, (A, B))
 
-        records.append(Alg1IterationRecord(
-            iteration=t, case=case, roots=snap,
-            assertions={"p3": p3, "p4": p4},
-            failures=failures,
-        ))
 
+def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
+    """Replay the family-forest construction along the first n-k CL merges."""
+    r = _Alg1Replay(D, dg, target)
+    r.run()
     # Final state: the per-cluster guarantee leans on p4 holding here too.
     # p3 is not asserted here -- once every target block has fully merged all
     # root families hold a single cluster, which is the intended end shape.
-    _, _, p4_final, final_failures = root_assertions(n - k + 1, check_p3=False)
-    trace_failures.extend(final_failures)
-    return Alg1Trace(n=n, k=k, target=target, records=records,
-                     failures=trace_failures, born=born, forest=forest,
-                     final_assertions={"p4": p4_final})
+    _, final = r.root_audit(check_p3=False)
+    return r.result(Alg1Trace, forest=r.forest, final_assertions={"p4": final["p4"]})
 
 
 @dataclass

@@ -36,10 +36,11 @@ The cluster classification is checked in one place, over arrays (point ->
 family, point -> live cluster, cluster -> tag) in O(n) numpy work per
 iteration; the same pass names each offending live cluster in its record.
 
-Each iteration runs as named phases of one replay state: start audit, merge,
-pure-count evolution, case dispatch, exclusion additions, collapse (cases
-a/b) or removal (case c), and the budget.  Collapse and removal share one
-family-death step.
+Each iteration runs as named phases on the replay state shared with the
+family forest (``family_certificates``, which owns the target checks, the
+cluster fold and the merge loop): start audit, merge, pure-count evolution,
+case dispatch, exclusion additions, collapse (cases a/b) or removal (case c),
+and the budget.  Collapse and removal share one family-death step.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .family_certificates import BoundCheck, Replay, born_cluster_checks, replay_target
+from .family_certificates import BoundCheck, Replay, _ReplayState, born_cluster_checks
 from .inequality_lab import dm_bound, growth_bound, within_bound
 from .linkage_engine import Dendrogram
-from .metric_core import ClusterMatrix, DistanceMatrix, clustering_score
+from .metric_core import DistanceMatrix, clustering_score
 
 __all__ = [
     "Alg2Family",
@@ -195,7 +196,7 @@ def _ids(points) -> np.ndarray:
     return np.fromiter(points, dtype=np.intp, count=len(points))
 
 
-class _Alg2Replay:
+class _Alg2Replay(_ReplayState):
     """The replay's state, advanced one merge at a time by named phases.
 
     Each fact has one owner: ``tag`` (cluster -> family id, NONPURE or
@@ -207,10 +208,9 @@ class _Alg2Replay:
     """
 
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
-        self.target = replay_target(D, dg, target)
-        self.n, self.k = n, k = D.n, self.target.k
+        super().__init__(D, dg, target)
+        n, k = self.n, self.k
         self.members = dg.members_map()
-        self.cm = ClusterMatrix(D)
         self.max_diam = clustering_score("max-diam", self.target, D)
         self.families: dict[int, Alg2Family] = {}    # every family ever, by id
         self.tag = np.full(2 * n - 1, NONPURE, dtype=np.intp)
@@ -224,11 +224,8 @@ class _Alg2Replay:
         self.spanning_certs: list[SpanningTreeCert] = []
         self.active: set[int] = set(range(n))
         self.edge_set: set[tuple[int, int]] = set()   # simple edges of the live graph
-        self.records: list[Alg2IterationRecord] = []
-        self.born: list[float] = []
 
-        self.t, self.failures = 0, []     # iteration 0: the initial families
-        for block in self.target.blocks:
+        for block in self.target.blocks:   # iteration 0: the initial families
             if len(block) == 1:
                 self.tag[_ids(block)] = EXCLUDED
                 continue
@@ -237,11 +234,6 @@ class _Alg2Replay:
                 self.fail("family-growth-bound",
                           f"initial family {fam.id}: diam {fam.diam!r} > "
                           f"max-diam(target) {self.max_diam!r}")
-        self.trace_failures = self.failures
-
-    def fail(self, assertion: str, detail: str) -> None:
-        self.failures.append({"assertion": assertion, "iteration": self.t,
-                              "detail": detail})
 
     def _new_family(self, clusters, points, phi: int) -> Alg2Family:
         """A live family of the given pure clusters, alone in a new component."""
@@ -268,10 +260,10 @@ class _Alg2Replay:
             self.tag[self.tag == f] = NONPURE
             self.p2f[self.p2f == f] = -1
 
-    def step(self, t: int, g: int, g2: int, u: int) -> None:
+    def step(self, g: int, g2: int, u: int) -> Alg2IterationRecord:
         """Iteration t merges g and g2 into u: the phases in order, then the
         iteration's record."""
-        self.t, self.failures, self.events = t, [], []
+        self.events = []
         self.assertions = self.start_audit()
         pure_start = dict(self.counts)
         tag_g, tag_g2 = self.merge(g, g2, u)
@@ -283,12 +275,12 @@ class _Alg2Replay:
         elif case == "c":
             (f,) = self.comps[comp_id].families
             self._kill_component(comp_id)
-            self.events.append({"type": "removed", "iteration": t, "family": f})
+            self.events.append({"type": "removed", "iteration": self.t, "family": f})
         excluded = len(self.active.intersection(np.flatnonzero(self.tag == EXCLUDED).tolist()))
         self.budget(excluded)
         counts = self.counts
-        self.records.append(Alg2IterationRecord(
-            iteration=t, case=case,
+        return Alg2IterationRecord(
+            iteration=self.t, case=case,
             roots=[self.families[f].summary(counts[f]) for f in sorted(counts)],
             assertions=self.assertions,
             exclusion_set_size=excluded,
@@ -298,7 +290,7 @@ class _Alg2Replay:
             } for _, c in sorted(self.comps.items())],
             events=self.events,
             failures=self.failures,
-        ))
+        )
 
     # ------------------------------------------------------------ phases
 
@@ -567,11 +559,9 @@ class _Alg2Replay:
 def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     """Replay the pure-cluster graph construction along the first n-k merges."""
     r = _Alg2Replay(D, dg, target)
-    for t, m in enumerate(dg.merges[: r.n - r.k], 1):
-        r.step(t, m.left, m.right, m.result)
-    return Alg2Trace(n=r.n, k=r.k, target=r.target, records=r.records,
-                     failures=r.trace_failures, born=r.born, families=r.families,
-                     spanning_certs=r.spanning_certs, additions=r.additions)
+    r.run()
+    return r.result(Alg2Trace, families=r.families, spanning_certs=r.spanning_certs,
+                    additions=r.additions)
 
 
 def alg2_bound(trace: Alg2Trace, D: DistanceMatrix) -> BoundCheck:

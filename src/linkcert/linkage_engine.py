@@ -114,11 +114,11 @@ def _minimax(U: Iterable[int], D: DistanceMatrix) -> float:
     return float(sub.max(axis=1).min())
 
 
-def linkage_distance(method, A, B, D: DistanceMatrix, f: Callable | None = None) -> float:
+def linkage_distance(method, A, B, D: DistanceMatrix) -> float:
     """Method value between two disjoint nonempty clusters.
 
-    ``method`` is one of "CL", "SL", "AL", "MM", or "custom" (then ``f`` is
-    called as ``f(A, B, D)``); a bare callable is accepted as shorthand.
+    ``method`` is one of "CL", "SL", "AL", "MM", or a custom pair function,
+    called as ``method(A, B, D)``.
     """
     A = as_cluster(A, D.n)
     B = as_cluster(B, D.n)
@@ -126,10 +126,6 @@ def linkage_distance(method, A, B, D: DistanceMatrix, f: Callable | None = None)
         raise PreconditionError(f"clusters overlap on {sorted(A & B)}")
     if callable(method):
         return float(method(A, B, D))
-    if method == "custom":
-        if f is None:
-            raise PreconditionError("method 'custom' needs a pair function f")
-        return float(f(A, B, D))
     if method not in METHODS:
         raise PreconditionError(f"unknown linkage method {method!r}")
     if method == "MM":
@@ -155,7 +151,7 @@ def _scan_row(V: np.ndarray, i: int, nn: np.ndarray, mind: np.ndarray) -> None:
     mind[i] = row[j]
 
 
-def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrogram:
+def run_linkage(method, D: DistanceMatrix) -> Dendrogram:
     """Run the full agglomeration (n-1 merges) and return the dendrogram.
 
     One n x n value matrix V is updated in place.  A merged cluster keeps the
@@ -180,15 +176,14 @@ def run_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrog
     operation, and the best centre in C, a group-min of ``max(E[y, a], r[y])``
     by owner.  That is O(n·|A|) work per merge, and every value is a min/max
     of entries of D, so it equals the minimax over the union bit for bit.
-    Custom values are recomputed as ``f(merged, other, D)`` against every
-    other live cluster.
+    A callable ``method`` is a custom rule, and the dendrogram labels it
+    "custom": its values are recomputed as ``method(merged, other, D)``
+    against every other live cluster.
     """
     n = D.n
     if callable(method):
         f, method = method, "custom"
-    if method == "custom" and f is None:
-        raise PreconditionError("method 'custom' needs a pair function f")
-    if method != "custom" and method not in METHODS:
+    elif method not in METHODS:
         raise PreconditionError(f"unknown linkage method {method!r}")
 
     M = D.full

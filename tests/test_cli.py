@@ -116,6 +116,23 @@ class TestBadArguments:
         assert "seed" in capsys.readouterr().err
         assert written_files(out) == []
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["generate", "adversary", "--k", 3, "--B", "inf"], id="generate"),
+        pytest.param(["run", "--method", "CL", "--k", 99, "--instance"], id="run"),
+        pytest.param(["certify", "--k", 99, "--instance"], id="certify"),
+        pytest.param(["certify", "--k", 2, "--target", "/nonexistent.json",
+                      "--instance"], id="certify-target"),
+        pytest.param(["inequalities", "--samples", 0], id="inequalities"),
+    ])
+    def test_rejected_call_creates_no_out_dir(self, tmp_path, euclidean_instance,
+                                              capsys, argv):
+        if argv[-1] == "--instance":
+            argv = [*argv, euclidean_instance]
+        out = tmp_path / "fresh" / "out"
+        assert run_cli("--out-dir", out, *argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestRun:
     def test_dendrogram_and_scores(self, tmp_path, euclidean_instance, capsys):
@@ -183,9 +200,7 @@ class TestOverflow:
         assert captured.err.startswith("error: ")
         assert "overflows float64" in captured.err
         assert "Infinity" not in captured.out
-        assert not list(out_dir.glob("*.report.json"))
-        for written in out_dir.iterdir():
-            assert "Infinity" not in written.read_text(), written.name
+        assert not out_dir.exists()   # the call is rejected before any write
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -207,9 +222,7 @@ class TestOverflow:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "overflows float64" in captured.err
-        assert not list(out_dir.glob("*.dendrogram.json"))
-        written = list(out_dir.iterdir()) if out_dir.exists() else []
-        assert all("Infinity" not in p.read_text() for p in written)
+        assert not out_dir.exists()
 
 
 class TestCertify:

@@ -7,7 +7,10 @@ must leave every one of them unchanged.  A change in output bits has to be
 explained and the digest updated deliberately.
 
 The lost-point fakes (from ``TestClusterAudit``) hash the alg2 trace alone:
-they exercise the audit's record text and order.
+they exercise the audit's record text and order.  Two alg1 cases hash the
+alg1 trace with its ``alg1_bound`` failures: a hand-made merge order (from
+``TestForgedMergeOrder``) and a non-metric instance whose p4 and per-cluster
+records fail, including the final p4 after the last merge.
 """
 
 import hashlib
@@ -18,7 +21,11 @@ import pytest
 
 from linkcert import (
     Clustering,
+    Dendrogram,
     DistanceMatrix,
+    MergeRecord,
+    alg1_bound,
+    alg1_trace,
     alg2_trace,
     extract_clustering,
     gen_single_link_adversary,
@@ -90,11 +97,33 @@ def test_adversary(k):
     assert certify_digest(inst.D, k, same_target(inst.target)) == ADVERSARY[k]
 
 
+NON_METRIC = DistanceMatrix(n=4, packed=np.array([2.0, 1.0, 1000.0, 1000.0, 1000.0, 2.0]))
+
+
 def test_failing_non_metric_specimen():
-    D = DistanceMatrix(n=4, packed=np.array([2.0, 1.0, 1000.0, 1000.0, 1000.0, 2.0]))
     target = Clustering.from_blocks([[0, 1], [2, 3]], 4)
-    assert certify_digest(D, 2, same_target(target)) == (
+    assert certify_digest(NON_METRIC, 2, same_target(target)) == (
         "62b682b6a9b353a16d99236cb9a84145c876bdffe1ca0d3c5a1254d70eddacaa")
+
+
+def alg1_digest(D: DistanceMatrix, dg: Dendrogram, target) -> str:
+    trace = alg1_trace(D, dg, target)
+    return digest(trace.to_json(), alg1_bound(trace, D).failures)
+
+
+def test_alg1_forged_merge_order():
+    merges = [(1, 2), (0, 4), (3, 5)]
+    dg = Dendrogram(n=4, method="CL", merges=tuple(
+        MergeRecord(left=a, right=b, value=0.0, result=4 + i, iteration=i + 1)
+        for i, (a, b) in enumerate(merges)))
+    assert alg1_digest(line_metric([1.5, 0.0, 3.0, 100.0]), dg, [[0], [1, 2, 3]]) == (
+        "b474cd5c4dca7e60ec4c0308be869f88ca48daf61e19000e3e23a8437deb58fb")
+
+
+def test_alg1_non_metric_failures():
+    dg = run_linkage("CL", NON_METRIC)
+    assert alg1_digest(NON_METRIC, dg, [[0, 1], [2, 3]]) == (
+        "d2fd6afddc1ec587b206e64662bfe40fa176a0f4334989447ae128fb3ba13b1f")
 
 
 # positions, fake cluster h, lost point p, target blocks, digest

@@ -1,5 +1,7 @@
-"""Every name a ``linkcert`` module imports is read by that module, and
-every name in its ``__all__`` is defined by the module itself.
+"""Every name a ``linkcert`` module imports is read by that module, every
+name in its ``__all__`` is defined by the module itself, and every
+module-level ``_private`` def, class or constant is read somewhere in the
+package.
 
 pyflakes would catch the first, but it is not a dependency; the standard
 library's ``ast`` is enough.  A name listed in the module's ``__all__``
@@ -57,6 +59,37 @@ def foreign_exports(source: str) -> list[str]:
     return [name for name in exported(tree) if name not in defined]
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_private`` (not dunder) defs, classes and assigned
+    names, each with its line."""
+    found: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def dead_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module of ``sources`` reads, as a
+    loaded name or an attribute (an import alone is not a read)."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+    return [f"{mod} line {line}: {name}" for mod, tree in sorted(trees.items())
+            for name, line in sorted(private_definitions(tree).items(),
+                                     key=lambda item: item[1])
+            if name not in read]
+
+
 MODULES = sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})
 
 
@@ -68,6 +101,27 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_all_names_are_defined_here(path):
     assert foreign_exports(path.read_text()) == []
+
+
+def test_no_dead_private_helpers():
+    assert dead_privates({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_checker_sees_dead_privates():
+    sources = {
+        "a.py": ("import numpy as np\n"
+                 "_USED, _DEAD = 1, 2\n"
+                 "_SHARED: int = 3\n"
+                 "__version__ = '0'\n"
+                 "def _helper():\n    return _USED\n"
+                 "def _unused():\n    return np.zeros(1)\n"
+                 "class _Orphan:\n    def _method(self):\n        pass\n"
+                 "def public():\n    return _helper()\n"),
+        "b.py": ("from .a import _DEAD\nfrom . import a\n"
+                 "def g():\n    return a._SHARED\n"),
+    }
+    assert dead_privates(sources) == [
+        "a.py line 2: _DEAD", "a.py line 7: _unused", "a.py line 9: _Orphan"]
 
 
 def test_checker_sees_unused_names():

@@ -56,8 +56,10 @@ class TestLinkageDistance:
 
     def test_custom_callable(self, line4):
         assert linkage_distance(union_diameter_rule, {0}, {1, 2}, line4) == 10.0
-        assert linkage_distance("custom", {0}, {1, 2}, line4,
-                                f=union_diameter_rule) == 10.0
+        with pytest.raises(PreconditionError, match="unknown linkage method 'custom'"):
+            linkage_distance("custom", {0}, {1, 2}, line4)
+        with pytest.raises(PreconditionError, match="unknown linkage method 'custom'"):
+            run_linkage("custom", line4)
 
     def test_al_cross_sum_overflow_is_precondition_error(self, recwarn):
         # finite distances whose cross sum is not, as in run_linkage("AL")
