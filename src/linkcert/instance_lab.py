@@ -31,6 +31,7 @@ from .metric_core import (
     DistanceMatrix,
     PreconditionError,
     _BLOCK_ELEMENTS,
+    _minplus_rows,
     _row_blocks,
     _seeded_rng,
     dump_instance,
@@ -151,8 +152,7 @@ def _minplus_closure(W: np.ndarray, budget: int = _BLOCK_ELEMENTS) -> np.ndarray
     while True:
         T = np.empty_like(W)
         for lo, hi in _row_blocks(n, budget):
-            T[lo:hi] = np.minimum(W[lo:hi],
-                                  (W[lo:hi, :, None] + W[None, :, :]).min(axis=1))
+            T[lo:hi] = np.minimum(W[lo:hi], _minplus_rows(W, lo, hi))
         if np.array_equal(T, W):
             return W
         W = T

@@ -287,9 +287,16 @@ def validate_metric(D: DistanceMatrix, tau: float = 1e-9) -> list[tuple[int, int
     i.e. the slack ``tau`` is relative, so verdicts are invariant under
     rescaling all distances.  Each violated inequality is reported once,
     canonically with i < k.  Sets ``D.metric_checked`` as a side effect.
+
+    The scan first screens each block of rows i with the min-plus row minimum
+    ``min_j d(i,j) + d(j,k)`` and runs the exact test above only on blocks
+    where some ``d(i,k)`` exceeds it.  No violated triple slips past: the
+    slack is >= 0 (or NaN, for 0 * inf), so a flagged triple has
+    ``d(i,k) > d(i,j) + d(j,k)`` in float, and then ``d(i,k)`` exceeds the
+    minimum too.  ``tau`` must be finite and nonnegative.
     """
-    if tau < 0:
-        raise PreconditionError("tau must be nonnegative")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise PreconditionError(f"tau must be finite and nonnegative, got {tau!r}")
     n = D.n
     if n <= 2:
         D.metric_checked = True
@@ -310,18 +317,35 @@ def _row_blocks(n: int, budget: int = _BLOCK_ELEMENTS):
         yield lo, min(n, lo + step)
 
 
+def _minplus_rows(W: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the min-plus square of W: out[i, k] = min over j of
+    W[i, j] + W[j, k], through one (hi - lo, n, n) temporary."""
+    # A sum that overflows to inf never undercuts a finite entry, so the
+    # minimum and every verdict drawn from it stay right without the warning.
+    with np.errstate(over="ignore"):
+        return (W[lo:hi, :, None] + W[None, :, :]).min(axis=1)
+
+
 def _triangle_violations(M: np.ndarray, tau: float,
                          budget: int = _BLOCK_ELEMENTS) -> list[tuple[int, int, int]]:
     """Violating triples (i, j, k), i < k, sorted; scanned by blocks of i-rows
-    so the temporaries hold about ``budget`` elements instead of n^3."""
+    so the temporaries hold about ``budget`` elements instead of n^3.  Only
+    blocks with some d(i,k) above its min-plus row minimum can hold one (see
+    ``validate_metric``), so only those get the exact scan."""
     n = M.shape[0]
     out = []
     for lo, hi in _row_blocks(n, budget):
-        # lhs[i, k] vs d(i,j)+d(j,k) for every midpoint j
-        via = M[lo:hi, :, None] + M[None, :, :]     # via[i, j, k] = d(i,j) + d(j,k)
-        lhs = M[lo:hi, None, :]                      # lhs[i, ., k] = d(i,k)
-        slack = tau * np.maximum(lhs, via)
-        bad = lhs > via + slack                      # bad[i, j, k]
+        if not (M[lo:hi] > _minplus_rows(M, lo, hi)).any():
+            continue
+        # Overflow rounds a sum to inf, which no finite d(i,k) exceeds, and
+        # tau = 0 times that inf is NaN, which compares false: both verdicts
+        # are right, so their warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # lhs[i, k] vs d(i,j)+d(j,k) for every midpoint j
+            via = M[lo:hi, :, None] + M[None, :, :]     # via[i, j, k] = d(i,j) + d(j,k)
+            lhs = M[lo:hi, None, :]                      # lhs[i, ., k] = d(i,k)
+            slack = tau * np.maximum(lhs, via)
+            bad = lhs > via + slack                      # bad[i, j, k]
         for i, j, k in np.argwhere(bad):
             i, j, k = int(i) + lo, int(j), int(k)
             if i < k and j != i and j != k:

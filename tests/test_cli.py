@@ -66,6 +66,19 @@ class TestGenerate:
         assert sidecar["k"] == 4
         assert len(sidecar["target"]) == 4
 
+    def test_adversary_near_the_float_limit_is_quiet(self, tmp_path):
+        """d_out = 1.6e308, so the metric check's sums overflow; the verdict
+        stands (no finite distance exceeds inf) and nothing reaches stderr."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "linkcert.cli", "--out-dir", str(tmp_path),
+             "generate", "adversary", "--k", "3", "--B", "8e307", "--eps", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        out = json.loads(proc.stdout)
+        assert out["d_out"] == 1.6e308
+        assert json.loads(Path(out["instance"]).read_text())["n"] == 5
+
     def test_adversary_requires_k(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("--out-dir", tmp_path, "generate", "adversary")

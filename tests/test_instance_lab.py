@@ -19,6 +19,7 @@ from linkcert import (
     validate_metric,
     write_adversary,
 )
+from linkcert import instance_lab
 from linkcert.instance_lab import _minplus_closure
 
 
@@ -53,6 +54,23 @@ class TestAdversaryConstruction:
         for k in (3, 5, 8, 20):
             inst = gen_single_link_adversary(k, 1000.0, 1.0)
             assert validate_metric(inst.D, tau=0.0) == []
+
+    def test_auto_d_out_runs_its_self_check_on_every_call(self, monkeypatch):
+        """A default-d_out instance is validated on every call, and a reported
+        violation is an internal error; an explicit d_out skips the check."""
+        calls = []
+
+        def broken(D, tau=1e-9):
+            calls.append(tau)
+            return [(0, 2, 1)]
+
+        monkeypatch.setattr(instance_lab, "validate_metric", broken)
+        for k in (3, 3, 20):
+            with pytest.raises(AssertionError, match="internal error"):
+                gen_single_link_adversary(k, 1000.0, 1.0)
+        assert calls == [0.0, 0.0, 0.0]
+        gen_single_link_adversary(8, 100.0, 1.0, d_out=200.0)
+        assert len(calls) == 3
 
     def test_literal_2b_override_breaks_triangle(self):
         """With d_out forced to 2B, long bridge hops shortcut through the far

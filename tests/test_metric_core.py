@@ -137,6 +137,24 @@ class TestDistanceMatrix:
         assert D.labels == ["a", "b"]
 
 
+def assert_blocks_match_one_pass(M: np.ndarray, tau: float):
+    """Check the screened, blocked scan against one unscreened n^3 pass at
+    budgets from one row per block to the whole matrix; return the triples."""
+    n = M.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        via = M[:, :, None] + M[None, :, :]
+        lhs = M[:, None, :]
+        bad = lhs > via + tau * np.maximum(lhs, via)
+    one_pass = sorted((int(i), int(j), int(k)) for i, j, k in np.argwhere(bad)
+                      if i < k and j != i and j != k)
+    for budget in (1, n * n, 3 * n * n, n ** 3):
+        assert _triangle_violations(M, tau, budget) == one_pass
+    D = DistanceMatrix.from_full(M)
+    assert validate_metric(D, tau) == one_pass
+    assert D.metric_checked is (not one_pass)
+    return one_pass
+
+
 class TestValidateMetric:
     def test_line_metric_is_exact_metric(self, line4):
         assert validate_metric(line4, tau=0.0) == []
@@ -171,15 +189,57 @@ class TestValidateMetric:
             M = np.minimum(M, M.T)
             np.fill_diagonal(M, 0.0)
             M[0, -1] = M[-1, 0] = 11.0  # at least one violated triangle
-            via = M[:, :, None] + M[None, :, :]
-            lhs = M[:, None, :]
-            bad = lhs > via + tau * np.maximum(lhs, via)
-            one_pass = sorted((int(i), int(j), int(k)) for i, j, k in np.argwhere(bad)
-                              if i < k and j != i and j != k)
-            assert one_pass
-            for budget in (1, n * n, 3 * n * n, n ** 3):
-                assert _triangle_violations(M, tau, budget) == one_pass
-            assert validate_metric(DistanceMatrix.from_full(M), tau) == one_pass
+            assert assert_blocks_match_one_pass(M, tau)
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-9])
+    def test_screen_keeps_violations_in_the_last_rows(self, tau):
+        """Only the last rows hold a violation, so a screen that looks at the
+        wrong rows, or drops what it flags, reports nothing."""
+        for n in (5, 9, 14):
+            M = line_metric(np.arange(n, dtype=float)).full.copy()
+            M[-2, -1] = M[-1, -2] = 3.5
+            assert assert_blocks_match_one_pass(M, tau) == [(n - 2, n - 3, n - 1)]
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-9])
+    @pytest.mark.parametrize("raised, violated", [(2.0, False), (2.5, True)])
+    def test_screen_on_an_all_equal_metric(self, tau, raised, violated):
+        """Every sum ties every other; one entry raised to the tie (2) or past it."""
+        n = 9
+        M = np.ones((n, n))
+        np.fill_diagonal(M, 0.0)
+        M[3, 6] = M[6, 3] = raised
+        found = assert_blocks_match_one_pass(M, tau)
+        assert found == ([(3, j, 6) for j in range(n) if j not in (3, 6)]
+                         if violated else [])
+
+    @pytest.mark.parametrize("tau, violated", [(1e-9, False), (0.0, True)])
+    def test_screen_near_the_boundary(self, tau, violated):
+        """d(0,2) = 2 + 2e-12 exceeds d(0,1) + d(1,2) = 2, so the screen flags
+        it, and the exact test decides: inside the slack at tau=1e-9 only."""
+        n = 7
+        M = line_metric(np.arange(n, dtype=float)).full.copy()
+        M[0, 2] = M[2, 0] = 2.0 + 2e-12
+        found = assert_blocks_match_one_pass(M, tau)
+        assert found == ([(0, 1, 2)] if violated else [])
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-9])
+    def test_screen_where_sums_overflow(self, tau):
+        """Entries near 1e308 sum to inf; no finite entry exceeds that, while
+        a violation among small entries is still found."""
+        n = 8
+        M = np.full((n, n), 1.5e308)
+        np.fill_diagonal(M, 0.0)
+        assert assert_blocks_match_one_pass(M, tau) == []
+        M[0, 1] = M[1, 0] = 1e308
+        M[0, 2] = M[2, 0] = M[1, 2] = M[2, 1] = 1.0
+        assert assert_blocks_match_one_pass(M, tau) == [(0, 2, 1)]
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0])
+    def test_rejects_tau_that_is_not_finite_and_nonnegative(self, tau):
+        D = DistanceMatrix(n=3, packed=np.array([1.0, 10.0, 1.0]))
+        with pytest.raises(PreconditionError, match="tau"):
+            validate_metric(D, tau=tau)
+        assert D.metric_checked is None
 
     def test_tiny_instances_vacuous(self):
         assert validate_metric(DistanceMatrix(n=1, packed=np.zeros(0))) == []
