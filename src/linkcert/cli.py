@@ -282,8 +282,10 @@ def _config_get(getter, section: str, key: str, fallback):
             f"bad value for {key!r} in [{section}] of sweep config: {exc}") from None
 
 
-def _sweep_units(cfg: configparser.ConfigParser) -> list[dict]:
-    """One unit of work per (generator, n, dim, seed, k), all methods inside."""
+def _sweep_units(cfg: configparser.ConfigParser, n_max_oracle: int) -> list[dict]:
+    """One unit of work per (generator, n, dim, seed, k), all methods inside.
+    The config's ``n_max`` selects the oracle cells; the oracle itself runs
+    under the process-wide guard ``n_max_oracle``."""
     if not cfg.has_section("grid"):
         raise PreconditionError("sweep config has no [grid] section")
     grid = cfg["grid"]
@@ -315,7 +317,7 @@ def _sweep_units(cfg: configparser.ConfigParser) -> list[dict]:
                             "generator": gen, "n": n, "dim": dim,
                             "seed": seed, "k": k, "methods": methods,
                             "oracle": oracle_on and n <= oracle_n_max,
-                            "oracle_n_max": oracle_n_max,
+                            "n_max_oracle": n_max_oracle,
                             "certificates": certs_on and n <= oracle_n_max,
                         })
     units.sort(key=lambda u: (u["generator"], u["n"], u["dim"], u["seed"], u["k"]))
@@ -328,7 +330,7 @@ def _sweep_unit(unit: dict) -> list[dict]:
         D = gen_random_euclidean(unit["n"], unit["dim"], unit["seed"])
     else:
         D = gen_random_metric(unit["n"], unit["seed"])
-    targets = (_oracle_targets(D, unit["k"], unit["oracle_n_max"])
+    targets = (_oracle_targets(D, unit["k"], unit["n_max_oracle"])
                if unit["oracle"] else None)
     rows = []
     for method in unit["methods"]:
@@ -370,7 +372,7 @@ def cmd_sweep(args) -> int:
     try:
         if not cfg.read(args.config):
             raise PreconditionError(f"cannot read sweep config {args.config!r}")
-        units = _sweep_units(cfg)
+        units = _sweep_units(cfg, args.n_max_oracle)
         csv_name = cfg.get("output", "csv", fallback="sweep.csv")
     except configparser.Error as exc:  # no section header, duplicates, bad '%'
         raise PreconditionError(f"malformed sweep config: {exc}") from None

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 from .inequality_lab import P_EXP, avg_bound, within_bound
-from .linkage_engine import Dendrogram, extract_clustering
+from .linkage_engine import Dendrogram
 from .metric_core import (
     ClusterMatrix,
     Clustering,
@@ -165,11 +165,11 @@ class _ReplayState:
             raise PreconditionError(f"certificates require a CL dendrogram, got {dg.method!r}")
         if dg.n != D.n:
             raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
-        if isinstance(target, Clustering):
-            Clustering.from_blocks(target.blocks, D.n)  # validates; keeps the block order
-        else:
-            target = Clustering.from_blocks(target, D.n)
-        extract_clustering(dg, target.k)  # StructuralError on a merged or unknown id
+        target = (target.require_n(D.n) if isinstance(target, Clustering)
+                  else Clustering.from_blocks(target, D.n))
+        if len(dg.merges) < D.n - target.k:
+            raise PreconditionError(f"dendrogram has {len(dg.merges)} merges, "
+                                    f"need {D.n - target.k} for k={target.k}")
         self.target, self.n, self.k = target, D.n, target.k
         self.merges = dg.merges[: self.n - self.k]
         self.cm = ClusterMatrix(D)

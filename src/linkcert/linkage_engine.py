@@ -19,6 +19,7 @@ merged.  Only custom rules call a pair function for every live pair.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -70,9 +71,28 @@ class MergeRecord:
 
 @dataclass(frozen=True)
 class Dendrogram:
+    """Merges over points 0..n-1.  Construction raises ``StructuralError``
+    naming the first merge t that does not record iteration t, join two
+    distinct live cluster ids and create id n-1+t."""
+
     n: int
     method: str
     merges: tuple[MergeRecord, ...]
+
+    def __post_init__(self):
+        live = set(range(self.n))
+        for t, m in enumerate(self.merges, 1):
+            if m.iteration != t:
+                raise StructuralError(f"merge at iteration {t} is recorded as {m.iteration}")
+            for cid in (m.left, m.right):
+                if cid not in live:
+                    raise StructuralError(f"merge at iteration {t} uses cluster id {cid}, "
+                                          "which is unknown or already merged")
+                live.remove(cid)
+            if m.result != self.n - 1 + t:
+                raise StructuralError(f"merge at iteration {t} creates cluster id "
+                                      f"{m.result}, not {self.n - 1 + t}")
+            live.add(m.result)
 
     def members_map(self) -> dict[int, frozenset[int]]:
         """Point set of every cluster id appearing in the dendrogram."""
@@ -91,15 +111,32 @@ class Dendrogram:
     @classmethod
     def from_json(cls, data: Sequence[dict], method: str = "CL",
                   n: int | None = None) -> "Dendrogram":
+        """Inverse of ``to_json``.  A record that is not an object with
+        integer ``left``, ``right`` and ``iteration`` and a finite number
+        ``value`` raises ``StructuralError`` naming its index."""
         if n is None:
             n = len(data) + 1
         merges = []
-        for rec in data:
-            it = int(rec["iteration"])
-            merges.append(MergeRecord(left=int(rec["left"]), right=int(rec["right"]),
-                                      value=float(rec["value"]),
+        for i, rec in enumerate(data):
+            if not (isinstance(rec, dict) and all(key in rec for key in _RECORD_KEYS)):
+                raise StructuralError(
+                    f"merge record {i} must be an object with keys "
+                    "'left', 'right', 'value' and 'iteration'")
+            left, right, it, value = (rec[key] for key in _RECORD_KEYS)
+            for x in (left, right, it):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise StructuralError(f"merge record {i}: ids and iteration "
+                                          f"must be integers, got {x!r}")
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and math.isfinite(value)):
+                raise StructuralError(
+                    f"merge record {i}: value must be a finite number, got {value!r}")
+            merges.append(MergeRecord(left=left, right=right, value=float(value),
                                       result=n - 1 + it, iteration=it))
         return cls(n=n, method=method, merges=tuple(merges))
+
+
+_RECORD_KEYS = ("left", "right", "iteration", "value")
 
 
 def _cross_block(A: frozenset[int], B: frozenset[int], D: DistanceMatrix) -> np.ndarray:
@@ -294,33 +331,9 @@ def extract_clustering(dg: Dendrogram, k: int) -> Clustering:
             f"dendrogram has {len(dg.merges)} merges, need {n - k} for k={k}"
         )
     active: dict[int, frozenset[int]] = {i: frozenset([i]) for i in range(n)}
-    for m in _live_merges(dg, n - k):
+    for m in dg.merges[:n - k]:
         active[m.result] = active.pop(m.left) | active.pop(m.right)
     return Clustering.from_blocks(active.values(), n)
-
-
-def _live_merges(dg: Dendrogram, steps: int):
-    """Yield the first ``steps`` merges of ``dg``; raise ``StructuralError``
-    before yielding one that uses an unknown or already merged cluster id, or
-    creates an id outside n..2n-2 or one created before."""
-    n = dg.n
-    live, created = set(range(n)), set()
-    for m in dg.merges[:steps]:
-        for cid in (m.left, m.right):
-            if cid not in live:
-                raise StructuralError(
-                    f"merge at iteration {m.iteration} uses cluster id {cid}, "
-                    "which is unknown or already merged"
-                )
-            live.remove(cid)
-        if not n <= m.result < 2 * n - 1 or m.result in created:
-            raise StructuralError(
-                f"merge at iteration {m.iteration} creates cluster id {m.result}, "
-                f"which is outside {n}..{2 * n - 2} or was created before"
-            )
-        created.add(m.result)
-        live.add(m.result)
-        yield m
 
 
 def check_merge_monotonicity(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
@@ -330,13 +343,12 @@ def check_merge_monotonicity(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
     equals the max cross distance between the merged pair, and (2) union
     diameters are nondecreasing in j.  Both sides of each comparison are
     maxima of entries of D, so comparisons are exact.  Returns one record per
-    violated claim: {iteration, claim, expected, observed}.  A merge of an
-    unknown or already merged id raises ``StructuralError``.
+    violated claim: {iteration, claim, expected, observed}.
     """
     cm = ClusterMatrix(D)
     violations: list[dict] = []
     prev_diam = None
-    for m in _live_merges(dg, len(dg.merges)):
+    for m in dg.merges:
         cross_max = cm.cross([m.left], [m.right])
         diam_u = cm.merge(m.left, m.right, m.result)
         if diam_u != cross_max:
@@ -401,18 +413,21 @@ class AlignmentReport:
         return not self.violations
 
 
+_ALIGNMENT_RTOL = 1e-12  # final-ulp slack; much tighter than inequality_lab.RTOL
+
+
 def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
-                    sample_pairs: int, seed: int = 0,
-                    rtol: float = 1e-12) -> AlignmentReport:
+                    sample_pairs: int, seed: int = 0) -> AlignmentReport:
     """Probe whether a pair function and a cohesion cost fit together.
 
     On random disjoint cluster pairs (A, B) three conditions are sampled:
       (i)   min cross distance <= f(A,B) <= diam(A u B)
       (ii)  singletons cost exactly 0
       (iii) cost(A u B) <= max{cost(A), cost(B), f(A,B)}
-    Float comparisons are ``within_bound`` with a tiny relative slack ``rtol``
-    (mean-based costs can overshoot pure maxima by final-ulp rounding); every
-    fourth sample forces |A| = 1 so condition (ii) is exercised.
+    Float comparisons are ``within_bound`` with a tiny relative slack
+    ``_ALIGNMENT_RTOL`` (mean-based costs can overshoot pure maxima by
+    final-ulp rounding); every fourth sample forces |A| = 1 so condition (ii)
+    is exercised.
     """
     n = D.n
     if n < 2:
@@ -430,10 +445,10 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
         fab = float(f(A, B, D))
         cross = _cross_block(A, B, D)
         lo, hi = float(cross.min()), cohesion("diam", A | B, D)
-        if not within_bound(lo, fab, rtol):
+        if not within_bound(lo, fab, _ALIGNMENT_RTOL):
             report.violations.append({"condition": "i-lower", "A": sorted(A),
                                       "B": sorted(B), "lhs": lo, "rhs": fab})
-        if not within_bound(fab, hi, rtol):
+        if not within_bound(fab, hi, _ALIGNMENT_RTOL):
             report.violations.append({"condition": "i-upper", "A": sorted(A),
                                       "B": sorted(B), "lhs": fab, "rhs": hi})
         for side in (A, B):
@@ -443,7 +458,7 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
                                           "lhs": float(cost(side, D)), "rhs": 0.0})
         cu = float(cost(A | B, D))
         bound = max(float(cost(A, D)), float(cost(B, D)), fab)
-        if not within_bound(cu, bound, rtol):
+        if not within_bound(cu, bound, _ALIGNMENT_RTOL):
             report.violations.append({"condition": "iii", "A": sorted(A),
                                       "B": sorted(B), "lhs": cu, "rhs": bound})
     return report

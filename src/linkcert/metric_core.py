@@ -249,31 +249,39 @@ def as_cluster(members: Iterable[int], n: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Clustering:
-    """A partition of 0..n-1 into k nonempty blocks."""
+    """A partition of 0..n-1 into k nonempty blocks; construction raises
+    ``StructuralError`` on anything else."""
 
     blocks: tuple[frozenset[int], ...]
+
+    def __post_init__(self):
+        if not self.blocks:
+            raise StructuralError("a clustering needs at least one block")
+        # a point in two blocks makes n exceed the number of distinct points
+        if not all(self.blocks) or set().union(*self.blocks) != set(range(self.n)):
+            raise StructuralError(
+                "blocks must partition 0..n-1 exactly (overlap or missing points)")
 
     @property
     def k(self) -> int:
         return len(self.blocks)
 
+    @property
+    def n(self) -> int:
+        return sum(len(b) for b in self.blocks)
+
+    def require_n(self, n: int) -> "Clustering":
+        """This clustering, after checking that it covers exactly n points."""
+        if self.n != n:
+            raise StructuralError(
+                f"clustering covers {self.n} points but the instance has {n}")
+        return self
+
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int) -> "Clustering":
-        bl = tuple(as_cluster(b, n) for b in blocks)
-        if not bl:
-            raise StructuralError("a clustering needs at least one block")
-        seen: set[int] = set()
-        total = 0
-        for b in bl:
-            total += len(b)
-            seen |= b
-        if total != n or seen != set(range(n)):
-            raise StructuralError(
-                "blocks must partition 0..n-1 exactly (overlap or missing points)"
-            )
-        # canonical order: by smallest member
-        bl = tuple(sorted(bl, key=min))
-        return cls(blocks=bl)
+        """Blocks normalised by ``as_cluster``, in canonical order (by min member)."""
+        bl = sorted((as_cluster(b, n) for b in blocks), key=min)
+        return cls(blocks=tuple(bl)).require_n(n)
 
     def to_json(self) -> list[list[int]]:
         return [sorted(b) for b in self.blocks]
@@ -433,12 +441,7 @@ def clustering_score(score: str, C: Clustering, D: DistanceMatrix) -> float:
     """
     if score not in CLUSTERING_SCORES:
         raise PreconditionError(f"unknown clustering score {score!r}")
-    total = sum(len(b) for b in C.blocks)
-    if total != D.n:
-        raise StructuralError(
-            f"clustering covers {total} points but the instance has {D.n}"
-        )
-    Clustering.from_blocks(C.blocks, D.n)  # re-validate partition structure
+    C.require_n(D.n)
     if score == "max-diam":
         return max(cohesion("diam", b, D) for b in C.blocks)
     if score == "avg-diam":

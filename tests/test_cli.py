@@ -16,6 +16,7 @@ from linkcert import (
     dump_instance,
     gen_random_euclidean,
     gen_random_metric,
+    instance_lab,
 )
 
 
@@ -470,6 +471,18 @@ csv = out.csv
             assert (row["bound_ok"] != "false" and row["cert_ok"] != "false") \
                 == (code == 0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_oracle_runs_under_the_global_guard(self, tmp_path, capsys, workers):
+        """[oracle] n_max only selects cells: a selected cell above the
+        process-wide --n-max-oracle exits 4, as `certify` does."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.CONFIG.replace("[oracle]\n", "[oracle]\nn_max = 12\n"))
+        assert run_cli("--out-dir", tmp_path, "--workers", workers, "--n-max-oracle", 6,
+                       "sweep", "--config", cfg) == 4
+        assert "resource guard: n=7 exceeds the oracle guard n_max=6" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[grid]\nmethods = ward\n")
@@ -550,12 +563,15 @@ class TestBenchmarkTracing:
         tracing = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, tracing)  # for @dataclass
         spec.loader.exec_module(tracing)
+        before = [dict(vars(m)) for m in (cli, instance_lab)]
         original = cli.alg2_bound
         with tracing.traced(tracing.Tracer()) as tracer:
             assert cli.alg2_bound is not original
             assert run_cli("--out-dir", tmp_path, "certify", "--instance",
                            euclidean_instance, "--k", 3) == 0
         assert cli.alg2_bound is original
+        # leaving the block restores every patched name
+        assert [dict(vars(m)) for m in (cli, instance_lab)] == before
         names = {s.name for s in tracer.spans}
         assert {"family_certificates.alg1_trace", "family_certificates.alg1_bound",
                 "graph_certificates.alg2_trace",

@@ -271,14 +271,13 @@ class TestPreconditionsAndSerialisation:
             alg1_trace(line4, dg, target)
 
     def test_rejects_forged_merge_ids(self):
-        # iteration 2 merges point 0 again, which iteration 1 already merged
-        D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0, 31.0])
+        # iteration 2 merges point 0 again, which iteration 1 already merged:
+        # the dendrogram cannot be built, so no replay ever sees it
         merges = [(0, 1), (0, 2), (3, 4), (7, 8), (9, 5)]
-        dg = Dendrogram(n=6, method="CL", merges=tuple(
-            MergeRecord(left=a, right=b, value=0.0, result=6 + i, iteration=i + 1)
-            for i, (a, b) in enumerate(merges)))
         with pytest.raises(StructuralError, match="iteration 2 uses cluster id 0\\b"):
-            alg1_trace(D, dg, [[0, 1, 2], [3, 4, 5]])
+            Dendrogram(n=6, method="CL", merges=tuple(
+                MergeRecord(left=a, right=b, value=0.0, result=6 + i, iteration=i + 1)
+                for i, (a, b) in enumerate(merges)))
 
     def test_rejects_size_mismatch(self, line4):
         from linkcert import StructuralError

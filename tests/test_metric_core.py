@@ -259,6 +259,16 @@ class TestClustering:
             Clustering.from_blocks([[0, 1]], 3)  # missing point
         with pytest.raises(StructuralError):
             Clustering.from_blocks([[0, 1], []], 2)  # empty block
+        with pytest.raises(StructuralError, match="partition"):
+            Clustering.from_blocks([[0, 1], [1]], 3)  # overlap with the right count
+
+    @pytest.mark.parametrize("blocks", [
+        [], [[0, 1], [1]], [[0], [2]], [[0, 1], []], [[1], [2]],
+    ])
+    def test_construction_checks_the_partition(self, blocks):
+        """A clustering built without ``from_blocks`` is checked too."""
+        with pytest.raises(StructuralError):
+            Clustering(blocks=tuple(frozenset(b) for b in blocks))
 
     def test_as_cluster_bounds(self):
         with pytest.raises(StructuralError):
