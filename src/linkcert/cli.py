@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import json
 import math
@@ -105,7 +106,7 @@ def _out_path(out_dir: str, name: str) -> str:
 
 
 def _achieved(C: Clustering, D: DistanceMatrix) -> dict:
-    return {score: clustering_score(score, C, D) for score in CLUSTERING_SCORES}
+    return clustering_score(CLUSTERING_SCORES, C, D)
 
 
 # ---------------------------------------------------------------- generate
@@ -466,7 +467,11 @@ def cmd_oracle(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    ``parse_args`` leaves it unchanged and returns a fresh namespace.  Each
+    subcommand's ``cmd_*`` function is bound when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="linkcert",
         description="Linkage clustering with replayable guarantee certificates.",
@@ -538,7 +543,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (PreconditionError, StructuralError, FileNotFoundError,
+    except (PreconditionError, StructuralError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

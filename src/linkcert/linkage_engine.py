@@ -72,8 +72,10 @@ class MergeRecord:
 @dataclass(frozen=True)
 class Dendrogram:
     """Merges over points 0..n-1.  Construction raises ``StructuralError``
-    naming the first merge t that does not record iteration t, join two
-    distinct live cluster ids and create id n-1+t."""
+    at the first bad merge: one whose ids or iteration are not integers
+    (named ``merge record i``, its index in ``merges``), or merge t that does
+    not record iteration t, join two distinct live cluster ids and create id
+    n-1+t (named ``merge at iteration t``)."""
 
     n: int
     method: str
@@ -82,6 +84,12 @@ class Dendrogram:
     def __post_init__(self):
         live = set(range(self.n))
         for t, m in enumerate(self.merges, 1):
+            # True and 1.0 would pass the id tests below as 1, and then be
+            # written to JSON as true and 1.0, which from_json rejects
+            for x in (m.left, m.right, m.result, m.iteration):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise StructuralError(f"merge record {t - 1}: ids and iteration "
+                                          f"must be integers, got {x!r}")
             if m.iteration != t:
                 raise StructuralError(f"merge at iteration {t} is recorded as {m.iteration}")
             for cid in (m.left, m.right):
@@ -113,7 +121,8 @@ class Dendrogram:
                   n: int | None = None) -> "Dendrogram":
         """Inverse of ``to_json``.  A record that is not an object with
         integer ``left``, ``right`` and ``iteration`` and a finite number
-        ``value`` raises ``StructuralError`` naming its index."""
+        ``value`` raises ``StructuralError`` naming its index; the integer
+        test is the constructor's."""
         if n is None:
             n = len(data) + 1
         merges = []
@@ -123,16 +132,14 @@ class Dendrogram:
                     f"merge record {i} must be an object with keys "
                     "'left', 'right', 'value' and 'iteration'")
             left, right, it, value = (rec[key] for key in _RECORD_KEYS)
-            for x in (left, right, it):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise StructuralError(f"merge record {i}: ids and iteration "
-                                          f"must be integers, got {x!r}")
             if not (isinstance(value, (int, float)) and not isinstance(value, bool)
                     and math.isfinite(value)):
                 raise StructuralError(
                     f"merge record {i}: value must be a finite number, got {value!r}")
+            # record i is merge i+1, which creates id n+i; a record whose
+            # iteration says otherwise fails construction
             merges.append(MergeRecord(left=left, right=right, value=float(value),
-                                      result=n - 1 + it, iteration=it))
+                                      result=n + i, iteration=it))
         return cls(n=n, method=method, merges=tuple(merges))
 
 

@@ -36,6 +36,9 @@ __all__ = [
 
 COHESION_MEASURES = ("diam", "avg", "radius")
 CLUSTERING_SCORES = ("max-diam", "avg-diam", "max-avg", "max-radius")
+_SCORE_MEASURES = {"max-diam": "diam", "avg-diam": "diam", "max-avg": "avg",
+                   "max-radius": "radius"}
+_SUM_OVERFLOW = "the sum of a cluster's distances overflows float64"
 
 
 class StructuralError(ValueError):
@@ -257,8 +260,19 @@ class Clustering:
     def __post_init__(self):
         if not self.blocks:
             raise StructuralError("a clustering needs at least one block")
+        points = set().union(*self.blocks)
+        # True and 1.0 hash like 1, so only a type test rejects them (a set
+        # of exact ints passes it at C speed); an odd id that equals another
+        # id fails the partition test.  ``from_blocks`` has already turned
+        # numpy integers into ints.
+        if not set(map(type, points)) <= {int}:
+            bad = [x for b in self.blocks for x in b
+                   if not isinstance(x, int) or isinstance(x, bool)]
+            if bad:
+                raise StructuralError(
+                    f"cluster point ids must be integers, got {bad[0]!r}")
         # a point in two blocks makes n exceed the number of distinct points
-        if not all(self.blocks) or set().union(*self.blocks) != set(range(self.n)):
+        if not all(self.blocks) or points != set(range(self.n)):
             raise StructuralError(
                 "blocks must partition 0..n-1 exactly (overlap or missing points)")
 
@@ -375,17 +389,33 @@ def cohesion(measure: str, S: Iterable[int], D: DistanceMatrix) -> float:
     S = as_cluster(S, D.n)
     if measure not in COHESION_MEASURES:
         raise PreconditionError(f"unknown cohesion measure {measure!r}")
+    value = _block_cohesion(S, D, (measure,))[measure]
+    if math.isinf(value):  # only an avg whose sum overflowed
+        raise PreconditionError(_SUM_OVERFLOW)
+    return value
+
+
+def _block_cohesion(S: frozenset[int], D: DistanceMatrix,
+                    measures: tuple[str, ...]) -> dict[str, float]:
+    """The given measures of a validated cluster, all read from one submatrix
+    of its sorted ids.  An ``avg`` whose distance sum overflows float64 comes
+    back as inf, for the caller to raise on."""
     if len(S) == 1:
-        return 0.0
+        return dict.fromkeys(measures, 0.0)
     idx = np.fromiter(sorted(S), dtype=np.intp)
     sub = D.full[np.ix_(idx, idx)]
-    if measure == "diam":
-        return float(sub.max())
-    if measure == "avg":
-        m = len(S)
-        return float(checked_sum(sub) / (m * (m - 1)))  # sub counts ordered pairs
-    ecc = sub.max(axis=1)
-    return float(ecc.min())
+    out = {}
+    for measure in measures:
+        if measure == "diam":
+            out[measure] = float(sub.max())
+        elif measure == "avg":
+            m = len(S)
+            with np.errstate(over="ignore"):
+                total = sub.sum()
+            out[measure] = float(total / (m * (m - 1)))  # sub counts ordered pairs
+        else:
+            out[measure] = float(sub.max(axis=1).min())
+    return out
 
 
 def checked_sum(block: np.ndarray) -> np.float64:
@@ -394,7 +424,7 @@ def checked_sum(block: np.ndarray) -> np.float64:
     with np.errstate(over="ignore"):
         total = block.sum()
     if not np.isfinite(total):
-        raise PreconditionError("the sum of a cluster's distances overflows float64")
+        raise PreconditionError(_SUM_OVERFLOW)
     return total
 
 
@@ -433,26 +463,38 @@ class ClusterMatrix:
         return float(self.W[np.ix_(self._slots(A), self._slots(B))].max())
 
 
-def clustering_score(score: str, C: Clustering, D: DistanceMatrix) -> float:
+def clustering_score(score, C: Clustering, D: DistanceMatrix):
     """Aggregate a cohesion measure over the blocks of a clustering.
 
     ``max-diam``/``max-avg``/``max-radius`` take the worst block;
-    ``avg-diam`` averages block diameters (sum of diameters / k).
+    ``avg-diam`` averages block diameters (sum of diameters / k).  ``score``
+    is one name, or a tuple of names scored together as ``{name: value}``
+    from one submatrix per block.  An overflowing sum raises
+    ``PreconditionError`` for the first name, in the given order, that has one.
     """
-    if score not in CLUSTERING_SCORES:
-        raise PreconditionError(f"unknown clustering score {score!r}")
+    single = isinstance(score, str)
+    names = (score,) if single else tuple(score)
+    for name in names:
+        if name not in CLUSTERING_SCORES:
+            raise PreconditionError(f"unknown clustering score {name!r}")
     C.require_n(D.n)
-    if score == "max-diam":
-        return max(cohesion("diam", b, D) for b in C.blocks)
-    if score == "avg-diam":
-        try:
-            return math.fsum(cohesion("diam", b, D) for b in C.blocks) / C.k
-        except OverflowError:  # finite diameters whose sum is not
-            raise PreconditionError(
-                "the sum of block diameters overflows float64") from None
-    if score == "max-avg":
-        return max(cohesion("avg", b, D) for b in C.blocks)
-    return max(cohesion("radius", b, D) for b in C.blocks)
+    # a Clustering's blocks were checked when it was built
+    measures = tuple(dict.fromkeys(_SCORE_MEASURES[name] for name in names))
+    per_block = [_block_cohesion(b, D, measures) for b in C.blocks]
+    out = {}
+    for name in names:
+        values = [v[_SCORE_MEASURES[name]] for v in per_block]
+        if name == "avg-diam":
+            try:
+                out[name] = math.fsum(values) / C.k
+            except OverflowError:  # finite diameters whose sum is not
+                raise PreconditionError(
+                    "the sum of block diameters overflows float64") from None
+        else:
+            out[name] = max(values)
+            if math.isinf(out[name]):  # only an avg whose sum overflowed
+                raise PreconditionError(_SUM_OVERFLOW)
+    return out[score] if single else out
 
 
 def load_instance(path) -> DistanceMatrix:

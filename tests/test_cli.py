@@ -1,5 +1,6 @@
 """Tests for the command-line harness (run in-process via main(argv))."""
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -146,6 +147,75 @@ class TestBadArguments:
         assert run_cli("--out-dir", out, *argv) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+class TestUnreadablePaths:
+    """A path the operating system refuses, or a file that is not UTF-8,
+    exits 2 with a message, not with a traceback."""
+
+    def test_instance_is_a_directory(self, tmp_path, capsys):
+        assert run_cli("--out-dir", tmp_path / "out", "run", "--method", "CL",
+                       "--instance", tmp_path) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_target_is_a_directory(self, tmp_path, euclidean_instance, capsys):
+        assert run_cli("--out-dir", tmp_path / "out", "certify", "--k", 2,
+                       "--instance", euclidean_instance, "--target", tmp_path) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_out_dir_is_a_file(self, tmp_path, euclidean_instance, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli("--out-dir", out, "run", "--method", "CL",
+                       "--instance", euclidean_instance) == 2
+        assert "File exists" in capsys.readouterr().err
+
+    def test_out_dir_is_below_a_file(self, tmp_path, euclidean_instance, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli("--out-dir", out / "x", "run", "--method", "CL",
+                       "--instance", euclidean_instance) == 2
+        assert "Not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["instance", "target", "config"])
+    def test_file_is_not_utf8(self, tmp_path, euclidean_instance, capsys, role):
+        bad = tmp_path / "latin1"
+        bad.write_bytes('{"n": 2, "dist": [1.0]} # \xe9'.encode("latin-1"))
+        argv = {"instance": ["run", "--method", "CL", "--instance", bad],
+                "target": ["certify", "--k", 2, "--instance", euclidean_instance,
+                           "--target", bad],
+                "config": ["sweep", "--config", bad]}[role]
+        assert run_cli("--out-dir", tmp_path / "out", *argv) == 2
+        assert "can't decode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestParser:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_omitted_flags_take_their_defaults(self, tmp_path, euclidean_instance,
+                                               capsys):
+        # both flags were set by the call before
+        assert run_cli("--out-dir", tmp_path, "--n-max-oracle", 4, "certify",
+                       "--method", "MM", "--k", 2, "--instance", euclidean_instance) == 4
+        assert run_cli("--out-dir", tmp_path, "certify", "--k", 2,
+                       "--instance", euclidean_instance) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "CL"
+
+    def test_parser_is_built_once(self, tmp_path, euclidean_instance, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counted(parser, **kwargs):
+            builds.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+        for method in ("CL", "SL", "MM"):
+            assert run_cli("--out-dir", tmp_path, "run", "--method", method,
+                           "--instance", euclidean_instance) == 0
+        assert builds == ["linkcert"]
 
 
 class TestRun:

@@ -293,6 +293,17 @@ class TestDendrogramStructure:
             C = extract_clustering(dg, n - steps)
             assert set(C.blocks) == {members[c] for c in live}
 
+    @pytest.mark.parametrize("record", [
+        MergeRecord(True, 0, 1.0, 2, 1), MergeRecord(0, 1.0, 1.0, 2, 1),
+        MergeRecord(0, 1, 1.0, 2.0, 1), MergeRecord(0, 1, 1.0, 2, True),
+    ])
+    def test_construction_rejects_a_non_integer_id(self, record):
+        """``True`` and ``1.0`` pass the live-id test as 1, and would be
+        written to JSON as a dendrogram that ``from_json`` rejects."""
+        with pytest.raises(StructuralError,
+                           match="^merge record 0: ids and iteration must be integers"):
+            Dendrogram(n=2, method="CL", merges=(record,))
+
     GOOD = {"left": 0, "right": 1, "value": 1.0, "iteration": 1}
 
     @pytest.mark.parametrize("record", [

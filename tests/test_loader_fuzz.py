@@ -1,8 +1,10 @@
-"""Fuzzing of the instance and target loaders through the command line.
+"""Fuzzing of the instance, target and sweep config loaders through the
+command line.
 
-Whatever JSON value an instance or target file holds, ``linkcert`` exits 0,
-2 or 3 and lets no other exception escape.  Examples are derandomized and
-bounded, so the run is deterministic and takes a few seconds.
+Whatever JSON value an instance or target file holds, and whatever bytes an
+instance, target or sweep config file holds, ``linkcert`` exits 0, 2 or 3
+and lets no other exception escape.  Examples are derandomized and bounded,
+so the run is deterministic and takes a few seconds.
 """
 
 import json
@@ -55,24 +57,49 @@ def workdir(tmp_path_factory):
     return path
 
 
-def run(workdir, name, value, *argv):
+def run(workdir, name, content: bytes, *argv):
     path = workdir / name
-    path.write_text(json.dumps(value))
+    path.write_bytes(content)
     return cli.main(["--out-dir", str(workdir / "out"), *argv])
+
+
+def run_instance(workdir, content: bytes) -> int:
+    return run(workdir, "fuzz_inst.json", content, "run", "--method", "CL",
+               "--k", "2", "--instance", str(workdir / "fuzz_inst.json"))
+
+
+def run_target(workdir, content: bytes) -> int:
+    return run(workdir, "fuzz_target.json", content, "certify", "--k", "2",
+               "--instance", str(workdir / "inst.json"),
+               "--target", str(workdir / "fuzz_target.json"))
 
 
 @FUZZ
 @given(value=instances)
 def test_instance_files(workdir, value):
-    code = run(workdir, "fuzz_inst.json", value, "run", "--method", "CL",
-               "--k", "2", "--instance", str(workdir / "fuzz_inst.json"))
-    assert code in (0, 2, 3)
+    assert run_instance(workdir, json.dumps(value).encode()) in (0, 2, 3)
 
 
 @FUZZ
 @given(value=targets)
 def test_target_files(workdir, value):
-    code = run(workdir, "fuzz_target.json", value, "certify", "--k", "2",
-               "--instance", str(workdir / "inst.json"),
-               "--target", str(workdir / "fuzz_target.json"))
+    assert run_target(workdir, json.dumps(value).encode()) in (0, 2, 3)
+
+
+@FUZZ
+@given(content=st.binary(max_size=64))
+def test_instance_bytes(workdir, content):
+    assert run_instance(workdir, content) in (0, 2, 3)
+
+
+@FUZZ
+@given(content=st.binary(max_size=64))
+def test_target_bytes(workdir, content):
+    assert run_target(workdir, content) in (0, 2, 3)
+
+
+@FUZZ
+@given(content=st.binary(max_size=64))
+def test_sweep_config_bytes(workdir, content):
+    code = run(workdir, "fuzz.ini", content, "sweep", "--config", str(workdir / "fuzz.ini"))
     assert code in (0, 2, 3)

@@ -15,14 +15,23 @@ from linkcert import (
     clustering_score,
     cohesion,
     dump_instance,
+    extract_clustering,
+    gen_single_link_adversary,
     load_instance,
+    run_linkage,
     tri_index,
     tri_size,
     validate_metric,
 )
-from linkcert.metric_core import ClusterMatrix, _triangle_violations, as_cluster
+from linkcert.metric_core import (
+    CLUSTERING_SCORES,
+    ClusterMatrix,
+    _triangle_violations,
+    as_cluster,
+)
 
 from .conftest import line_metric
+from .test_acceptance import GRID_SHAPE, K_RANGE, _grid_instance
 
 
 class TestPackedTriangle:
@@ -284,6 +293,12 @@ class TestClustering:
         with pytest.raises(StructuralError):
             Clustering.from_blocks(blocks, 6)
 
+    @pytest.mark.parametrize("odd", [True, 1.0], ids=["bool", "float"])
+    def test_construction_rejects_non_integer_ids(self, odd):
+        """``True`` and ``1.0`` hash like 1, so only a type test rejects them."""
+        with pytest.raises(StructuralError, match="must be integers"):
+            Clustering(blocks=(frozenset({0}), frozenset({odd})))
+
     def test_accepts_numpy_integers(self):
         C = Clustering.from_blocks([np.arange(3), [np.int32(3), 4, np.int64(5)]], 6)
         assert C.to_json() == [[0, 1, 2], [3, 4, 5]]
@@ -418,6 +433,113 @@ class TestClusteringScore:
             v1 = clustering_score(score, C, D)
             v2 = clustering_score(score, C, D2)
             assert math.isclose(v2, lam * v1, rel_tol=1e-12)
+
+
+def score_by_cohesion(name: str, C: Clustering, D: DistanceMatrix) -> float:
+    """One score from its own per-block ``cohesion`` calls."""
+    measure = {"max-diam": "diam", "avg-diam": "diam", "max-avg": "avg",
+               "max-radius": "radius"}[name]
+    values = [cohesion(measure, b, D) for b in C.blocks]
+    if name != "avg-diam":
+        return max(values)
+    try:
+        return math.fsum(values) / C.k
+    except OverflowError:
+        raise PreconditionError("the sum of block diameters overflows float64") from None
+
+
+def _bits(scores: dict) -> list:
+    return [(name, np.float64(v).tobytes()) for name, v in scores.items()]
+
+
+def _outcome(fn):
+    """Scores as bits, or the type and message of the error raised."""
+    try:
+        return _bits(fn())
+    except PreconditionError as exc:
+        return (PreconditionError, str(exc))
+
+
+def _random_partition(n: int, k: int, rng) -> Clustering:
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(labels)
+    return Clustering.from_blocks(
+        [np.flatnonzero(labels == b) for b in range(k)], n)
+
+
+def _tied_metric(n: int, seed: int) -> DistanceMatrix:
+    """Distances drawn from {1, 2}: a metric in which most pairs tie."""
+    rng = np.random.default_rng(seed)
+    M = np.triu(rng.integers(1, 3, size=(n, n)).astype(float), 1)
+    return DistanceMatrix.from_full(M + M.T)
+
+
+OVERFLOW_CASES = [
+    # both sums overflow: the avg-diam message comes first
+    pytest.param(4, [1e308] * 6, [[0, 1], [2, 3]], id="both"),
+    # one block: its diameter fits, its ordered-pair sum does not
+    pytest.param(4, [1e308] * 6, [[0, 1, 2, 3]], id="max-avg-only"),
+    # three pairs at 0.8e308 (packed indices 0, 5, 14) and 1.0 between
+    # them: each pair sum fits, the diameter sum does not
+    pytest.param(6, [0.8e308 if i in (0, 5, 14) else 1.0 for i in range(15)],
+                 [[0, 1], [2, 3], [4, 5]], id="avg-diam-only"),
+    # the CL cut of an instance in test_cli's malformed instances
+    pytest.param(4, [1e308, 1.5e308, 1.5e308, 1.5e308, 1.5e308, 1e308],
+                 [[0, 1], [2, 3]], id="cli-case"),
+    # large sums that still fit score as before
+    pytest.param(3, [2.0 ** 1020] * 3, [[0, 1, 2]], id="fits"),
+]
+
+
+class TestOneSubmatrixScores:
+    """Scoring a clustering reads each block's submatrix once for all four
+    scores; every value keeps the bits of the per-block ``cohesion`` path,
+    and the first overflow raised is the one that path raises first."""
+
+    @staticmethod
+    def check(C, D, names=CLUSTERING_SCORES):
+        """The scores of ``names`` together, then each alone, against
+        ``score_by_cohesion`` called name by name."""
+        expected = _outcome(lambda: {name: score_by_cohesion(name, C, D)
+                                     for name in names})
+        assert _outcome(lambda: clustering_score(names, C, D)) == expected
+        for name in names:
+            assert _outcome(lambda: {name: clustering_score(name, C, D)}) == \
+                _outcome(lambda: {name: score_by_cohesion(name, C, D)})
+
+    def test_acceptance_grid(self):
+        rng = np.random.default_rng(0)
+        for n, count in GRID_SHAPE:
+            for idx in range(count):
+                D = _grid_instance(n, idx)
+                dg = run_linkage("CL", D)
+                for k in K_RANGE:
+                    for C in (extract_clustering(dg, k), _random_partition(n, k, rng)):
+                        assert _bits(clustering_score(CLUSTERING_SCORES, C, D)) == \
+                            _bits({name: score_by_cohesion(name, C, D)
+                                   for name in CLUSTERING_SCORES})
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_heavy_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        for D in (_tied_metric(9, seed), gen_single_link_adversary(seed + 3, 8.0, 1.0).D):
+            for k in range(1, min(D.n, 6) + 1):
+                for method in ("CL", "SL", "AL", "MM"):
+                    self.check(extract_clustering(run_linkage(method, D), k), D)
+                self.check(_random_partition(D.n, k, rng), D)
+
+    @pytest.mark.parametrize("n, dist, blocks", OVERFLOW_CASES)
+    def test_overflow_instances(self, n, dist, blocks, recwarn):
+        self.check(Clustering.from_blocks(blocks, n), DistanceMatrix(n, dist))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_first_error_follows_the_order_of_names(self):
+        D = DistanceMatrix(4, np.full(6, 1e308))
+        C = Clustering.from_blocks([[0, 1], [2, 3]], 4)
+        with pytest.raises(PreconditionError, match="sum of block diameters"):
+            clustering_score(CLUSTERING_SCORES, C, D)
+        with pytest.raises(PreconditionError, match="sum of a cluster's distances"):
+            clustering_score(("max-avg", "avg-diam"), C, D)
 
 
 class TestLineMetricHelper:
