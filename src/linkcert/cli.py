@@ -172,8 +172,9 @@ def certify(D: DistanceMatrix, method: str, k: int, targets: dict | None,
     so oracle witnesses and a target file take the same path.  With
     ``replay``, a CL run replays both certificates against the targets.
     Returns (report, traces, failures); ``report.instance`` holds only n.
+    The engine stops at the cut: everything here reads the first n-k merges.
     """
-    dg = run_linkage(method, D)
+    dg = run_linkage(method, D, k)
     achieved = _achieved(extract_clustering(dg, k), D)
     report = BoundReport(instance={"n": D.n}, method=method, k=k,
                          achieved=achieved)
@@ -377,6 +378,8 @@ def cmd_sweep(args) -> int:
         csv_name = cfg.get("output", "csv", fallback="sweep.csv")
     except configparser.Error as exc:  # no section header, duplicates, bad '%'
         raise PreconditionError(f"malformed sweep config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"cannot decode sweep config {args.config}: {exc}") from None
     if args.workers > 1 and len(units) > 1:
         with Pool(processes=args.workers) as pool:
             per_unit = pool.map(_sweep_unit, units)
@@ -543,8 +546,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (PreconditionError, StructuralError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (PreconditionError, StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,6 +22,15 @@ diameters are read from the matrix, never from a rescan of point sets, so the
 replay costs O(n^2): b-sub2 keeps its point set and so its diameter, every
 other new family reads the matrix over its clusters when it is created.
 
+The root audit runs at every iteration over every root family, so it is
+paid once per root per iteration.  A family's summary and its p4 verdict
+depend only on its own fields and the replay's fixed chain bound, so each is
+computed at the family's first audit and kept per family id: an iteration
+then costs one sort of the root ids and a lookup per root, and a family's p4
+failure records are emitted again at every audit it is a root in.  Records
+of different iterations share the kept summary dicts, so trace records are
+read-only.
+
 Per-iteration assertions:
   p3  at least one root family holds more than one cluster,
   p4  every regular root F (more than one cluster) satisfies the chain
@@ -109,7 +118,8 @@ class Replay:
     and ``born[t - 1]``, the diameter of the cluster born at iteration t.
 
     Record dataclasses declare their fields in JSON key order, so a record
-    serialises as ``vars(record)``.  ``born`` is not serialised.
+    serialises as ``vars(record)``.  ``born`` is not serialised.  Records are
+    read-only: records of different iterations may share objects.
     """
 
     n: int
@@ -196,7 +206,8 @@ class _ReplayState:
 class _Alg1Replay(_ReplayState):
     """The family forest, advanced one merge at a time: root audit, case
     choice with the fold, and the rewrite of the one or two root families the
-    merge touched.  ``fam_of`` maps each live cluster to its root family."""
+    merge touched.  ``fam_of`` maps each live cluster to its root family, and
+    ``audits`` each family audited so far to its summary and p4 details."""
 
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
         super().__init__(D, dg, target)
@@ -205,6 +216,7 @@ class _Alg1Replay(_ReplayState):
         self.forest: dict[int, FamilyNode] = {}
         self.fam_of: dict[int, int] = {}
         self.roots: set[int] = set()
+        self.audits: dict[int, tuple[dict, tuple[str, ...]]] = {}
         for block in self.target.blocks:
             self._new_family(block)
 
@@ -251,25 +263,36 @@ class _Alg1Replay(_ReplayState):
 
     def root_audit(self, check_p3: bool = True) -> tuple[list[dict], dict]:
         """The root families' summaries, p3 (unless ``check_p3`` is off) and
-        the p4 chain of every regular root."""
-        roots = [self.forest[r] for r in sorted(self.roots)]
-        p3 = any(node.regular for node in roots)
+        the p4 chain of every regular root.  A root's p4 failures are failed
+        again, in root order, at every audit it is a root in."""
+        audits = [self._family_audit(r) for r in sorted(self.roots)]
+        p3 = any(summary["regular"] for summary, _ in audits)
         if check_p3 and not p3:
             self.fail("p3", "no regular root family")
         p4 = True
-        for node in roots:
-            if not node.regular:
-                continue
-            mid = node.phi_sigma * node.phi ** P_EXP
-            if not within_bound(node.diam, mid):
+        for _, p4_details in audits:
+            for detail in p4_details:
                 p4 = False
-                self.fail("p4", f"family {node.id}: diam {node.diam!r} > "
-                                f"phi_sigma*phi^p {mid!r}")
-            if not within_bound(mid, self.chain_rhs):
-                p4 = False
-                self.fail("p4", f"family {node.id}: phi_sigma*phi^p {mid!r} > "
-                                f"k*avg-diam*k^p {self.chain_rhs!r}")
-        return [node.summary() for node in roots], {"p3": p3, "p4": p4}
+                self.fail("p4", detail)
+        return [summary for summary, _ in audits], {"p3": p3, "p4": p4}
+
+    def _family_audit(self, fid: int) -> tuple[dict, tuple[str, ...]]:
+        """Family ``fid``'s summary and the details of its failed p4 checks,
+        computed at its first audit and kept: a family never changes, and
+        ``chain_rhs`` is fixed for the replay."""
+        audit = self.audits.get(fid)
+        if audit is None:
+            node, details = self.forest[fid], []
+            if node.regular:
+                mid = node.phi_sigma * node.phi ** P_EXP
+                if not within_bound(node.diam, mid):
+                    details.append(f"family {fid}: diam {node.diam!r} > "
+                                   f"phi_sigma*phi^p {mid!r}")
+                if not within_bound(mid, self.chain_rhs):
+                    details.append(f"family {fid}: phi_sigma*phi^p {mid!r} > "
+                                   f"k*avg-diam*k^p {self.chain_rhs!r}")
+            audit = self.audits[fid] = (node.summary(), tuple(details))
+        return audit
 
     def choose(self, g: int, g2: int, u: int) -> tuple[str, FamilyNode, FamilyNode, int, int]:
         """Fold u = g | g2 into ``cm`` and pick the structural case.  Returns

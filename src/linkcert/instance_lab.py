@@ -20,7 +20,6 @@ in one block: avg diameter (2B + eps)/k, while the single-linkage block
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from .metric_core import (
     PreconditionError,
     _BLOCK_ELEMENTS,
     _minplus_rows,
+    _read_json,
     _row_blocks,
     _seeded_rng,
     dump_instance,
@@ -172,8 +172,7 @@ def write_adversary(inst: AdversaryInstance, path) -> str:
 
 def load_target(path, n: int) -> Clustering:
     """Read a target clustering: bare [[ids]] or a sidecar with key 'target'."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("target")
     if not isinstance(data, list):

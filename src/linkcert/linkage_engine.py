@@ -20,6 +20,7 @@ merged.  Only custom rules call a pair function for every live pair.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -195,8 +196,18 @@ def _scan_row(V: np.ndarray, i: int, nn: np.ndarray, mind: np.ndarray) -> None:
     mind[i] = row[j]
 
 
-def run_linkage(method, D: DistanceMatrix) -> Dendrogram:
-    """Run the full agglomeration (n-1 merges) and return the dendrogram.
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise PreconditionError(f"k must be in 1..{n}, got {k}")
+
+
+def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
+    """Run the agglomeration until ``k`` clusters remain and return the
+    dendrogram of its n-k merges; the default k=1 is the full run.  Each merge
+    depends only on the merges before it, so the result is a prefix of the
+    full run's dendrogram, bit for bit, and AL raises on an overflowing sum
+    exactly when the full run does.  A k outside 1..n raises
+    ``PreconditionError``, as ``extract_clustering`` does.
 
     One n x n value matrix V is updated in place.  A merged cluster keeps the
     slot of its smaller min-member and the other slot is retired (its column
@@ -225,6 +236,7 @@ def run_linkage(method, D: DistanceMatrix) -> Dendrogram:
     against every other live cluster.
     """
     n = D.n
+    _check_k(n, k)
     if callable(method):
         f, method = method, "custom"
     elif method not in METHODS:
@@ -258,9 +270,16 @@ def run_linkage(method, D: DistanceMatrix) -> Dendrogram:
     merges: list[MergeRecord] = []
     # Only AL's sums can overflow.  A live sum that does stays inf through
     # every later fold, so it reaches a merge value, which is checked after
-    # the loop; retired and diagonal sums are never read.
+    # the loop; retired and diagonal sums are never read.  A live sum adds at
+    # most n^2/4 distances, so when max(D)·n^2 is within float64 none can
+    # overflow (the spare factor 4 covers rounding) and AL stops at the cut
+    # too; otherwise it runs all n-1 merges, so that it raises exactly when
+    # the full run does.
+    last = n - k
+    if method == "AL" and M.max() > sys.float_info.max / (n * n):
+        last = n - 1
     with np.errstate(over="ignore") if method == "AL" else nullcontext():
-        for it in range(1, n):
+        for it in range(1, last + 1):
             a = int(mind.argmin())
             if mind[a] == np.inf:  # every live pair is at inf: take the first two
                 a, b = (int(c) for c in np.flatnonzero(active)[:2])
@@ -325,14 +344,13 @@ def run_linkage(method, D: DistanceMatrix) -> Dendrogram:
 
     if method == "AL" and any(m.value == np.inf for m in merges):
         raise PreconditionError("the sum of a cluster's distances overflows float64")
-    return Dendrogram(n=n, method=method, merges=tuple(merges))
+    return Dendrogram(n=n, method=method, merges=tuple(merges[:n - k]))
 
 
 def extract_clustering(dg: Dendrogram, k: int) -> Clustering:
     """The k-clustering reached after n-k merges (1 <= k <= n)."""
     n = dg.n
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k must be in 1..{n}, got {k}")
+    _check_k(n, k)
     if len(dg.merges) < n - k:
         raise PreconditionError(
             f"dendrogram has {len(dg.merges)} merges, need {n - k} for k={k}"

@@ -497,9 +497,19 @@ def clustering_score(score, C: Clustering, D: DistanceMatrix):
     return out[score] if single else out
 
 
-def load_instance(path) -> DistanceMatrix:
+def _read_json(path):
+    """The JSON value in file ``path``.  A file that is not UTF-8, not JSON,
+    or nested too deeply for the decoder raises ``StructuralError`` naming
+    the file."""
     with open(path) as fh:
-        return DistanceMatrix.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise StructuralError(f"cannot decode {path}: {exc}") from None
+
+
+def load_instance(path) -> DistanceMatrix:
+    return DistanceMatrix.from_json(_read_json(path))
 
 
 def dump_instance(D: DistanceMatrix, path) -> None:

@@ -186,7 +186,24 @@ class TestUnreadablePaths:
                            "--target", bad],
                 "config": ["sweep", "--config", bad]}[role]
         assert run_cli("--out-dir", tmp_path / "out", *argv) == 2
-        assert "can't decode" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "can't decode" in err and str(bad) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [b'{"n": 2, "dist": [1.0', b"[" * 100_000],
+                             ids=["truncated", "deeply-nested"])
+    @pytest.mark.parametrize("role", ["instance", "target"])
+    def test_file_is_not_json(self, tmp_path, euclidean_instance, capsys, role,
+                              content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = {"instance": ["run", "--method", "CL", "--instance", bad],
+                "target": ["certify", "--k", 2, "--instance", euclidean_instance,
+                           "--target", bad]}[role]
+        assert run_cli("--out-dir", tmp_path / "out", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot decode {bad}: ")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 
@@ -295,6 +312,23 @@ class TestOverflow:
                        "--method", "CL", "--k", 2) == 2
         assert "overflows float64" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    def test_al_certify_overflow_before_the_cut(self, tmp_path, capsys):
+        # the cross sums overflow at merges 1 and 2, before the cut at k=3
+        M = [[0.0 if i == j else 0.9e308 for j in range(6)] for i in range(6)]
+        for i, j, d in [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 0.5e308), (0, 2, 0.45e308),
+                        (0, 3, 0.45e308), (1, 2, 0.45e308), (1, 3, 0.45e308)]:
+            M[i][j] = M[j][i] = d
+        path = tmp_path / "six.json"
+        dump_instance(DistanceMatrix.from_full(M), path)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps([[0, 1], [2, 3], [4, 5]]))
+        out_dir = tmp_path / "out"
+        assert run_cli("--out-dir", out_dir, "certify", "--instance", path,
+                       "--method", "AL", "--k", 3, "--target", target) == 2
+        assert capsys.readouterr().err == (
+            "error: the sum of a cluster's distances overflows float64\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("k", [[], ["--k", 2]], ids=["no-k", "k2"])
     def test_al_cross_sum_overflow_is_usage_error(self, tmp_path, capsys, k):

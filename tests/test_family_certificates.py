@@ -200,6 +200,37 @@ class TestFalsifiability:
         bc = alg1_bound(trace, D)
         assert not bc.ok
 
+    def test_p4_failure_is_reported_at_every_audit_while_root(self):
+        D = fused_blocks_specimen()
+        trace = alg1_trace(D, run_linkage("CL", D, 4), FUSED_BLOCKS)
+        assert [r.case for r in trace.records] == ["b-sub3", "b-sub2", "b-sub2", "b-sub1"]
+        assert [[s["id"] for s in r.roots] for r in trace.records] == [
+            [0, 1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]]
+        mid = 4.0 * 2 ** P_EXP   # phi_sigma = d(0,1) + d(2,3), phi = 2
+        detail = f"family 4: diam 1000.0 > phi_sigma*phi^p {mid!r}"
+        # iterations 2-4, then the final audit after the last merge
+        assert trace.all_failures() == [
+            {"assertion": "p4", "iteration": t, "detail": detail} for t in (2, 3, 4, 5)]
+        assert [r.assertions["p4"] for r in trace.records] == [True, False, False, False]
+        assert trace.final_assertions == {"p4": False}
+
+
+def fused_blocks_specimen() -> DistanceMatrix:
+    """Eight points, target blocks {0,1} {2,3} {4,5} {6,7}, not a metric.  The
+    first CL merge (0,2) fuses the first two blocks' families into family 4,
+    whose diameter d(1,3) = 1000 breaks p4's first step.  The next three
+    merges stay inside {4,5} and {6,7}, so family 4 stays a root to the cut."""
+    M = np.full((8, 8), 100.0)
+    np.fill_diagonal(M, 0.0)
+    for (i, j), d in {(0, 2): 1.0, (0, 1): 2.0, (2, 3): 2.0, (1, 3): 1000.0,
+                      (4, 5): 3.0, (6, 7): 3.5, (4, 6): 5.0, (4, 7): 5.0,
+                      (5, 6): 5.0, (5, 7): 5.0}.items():
+        M[i, j] = M[j, i] = d
+    return DistanceMatrix.from_full(M)
+
+
+FUSED_BLOCKS = [[0, 1], [2, 3], [4, 5], [6, 7]]
+
 
 class TestForestInvariants:
     def test_phi_equals_leaf_count_and_sigma_matches(self):
@@ -285,6 +316,22 @@ class TestPreconditionsAndSerialisation:
         target = Clustering.from_blocks([[0, 1], [2]], 3)
         with pytest.raises(StructuralError):
             alg1_trace(line4, dg, target)
+
+    @pytest.mark.parametrize("trace_fn", [alg1_trace, graph_certificates.alg2_trace])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_reads_exactly_the_merges_up_to_the_cut(self, trace_fn, k):
+        """A dendrogram cut at k holds the n-k merges a replay reads, and
+        replays as the full one does; one merge fewer is rejected."""
+        D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0, 31.0])
+        target = Clustering.from_blocks([range(i, 6, k) for i in range(k)], 6)
+        cut = run_linkage("CL", D, k)
+        assert len(cut.merges) == 6 - k
+        assert trace_fn(D, cut, target).to_json() == \
+            trace_fn(D, run_linkage("CL", D), target).to_json()
+        short = Dendrogram(n=6, method="CL", merges=cut.merges[:-1])
+        with pytest.raises(PreconditionError,
+                           match=f"^dendrogram has {5 - k} merges, need {6 - k} for k={k}$"):
+            trace_fn(D, short, target)
 
     def test_to_json_shape(self, line4):
         _, _, trace = traced(line4, [[0, 1], [2, 3]])

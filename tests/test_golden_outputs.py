@@ -10,7 +10,12 @@ The lost-point fakes (from ``TestClusterAudit``) hash the alg2 trace alone:
 they exercise the audit's record text and order.  Two alg1 cases hash the
 alg1 trace with its ``alg1_bound`` failures: a hand-made merge order (from
 ``TestForgedMergeOrder``) and a non-metric instance whose p4 and per-cluster
-records fail, including the final p4 after the last merge.
+records fail, including the final p4 after the last merge.  A third hashes
+a family whose p4 failure repeats at every audit while it stays a root.
+
+One case runs the command line: ``certify`` of the single-link adversary at
+k=12 against its sidecar target hashes the files it writes.  There the engine
+stops at the cut, after 11 of the 22 merges.
 """
 
 import hashlib
@@ -32,9 +37,11 @@ from linkcert import (
     opt_scores,
     run_linkage,
 )
+from linkcert import cli
 from linkcert.cli import certify
 
 from .conftest import line_metric
+from .test_family_certificates import FUSED_BLOCKS, fused_blocks_specimen
 from .test_graph_certificates import losing
 
 
@@ -97,6 +104,19 @@ def test_adversary(k):
     assert certify_digest(inst.D, k, same_target(inst.target)) == ADVERSARY[k]
 
 
+def test_adversary_certify_against_its_sidecar(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # the report names the instance by this path
+    assert cli.main(["--out-dir", "adv", "generate", "adversary", "--k", "12"]) == 0
+    stem = "adv/adversary_k12_B100_eps1"
+    assert cli.main(["--out-dir", "out", "certify", "--k", "12", "--instance",
+                     f"{stem}.json", "--target", f"{stem}.target.json"]) == 0
+    written = hashlib.sha256()
+    for path in sorted((tmp_path / "out").iterdir()):
+        written.update(path.read_bytes())
+    assert written.hexdigest() == (
+        "c25f3bd69c80204b969a975d5737b421f948f81c4ae5fc3235362da7a66d9c50")
+
+
 NON_METRIC = DistanceMatrix(n=4, packed=np.array([2.0, 1.0, 1000.0, 1000.0, 1000.0, 2.0]))
 
 
@@ -124,6 +144,12 @@ def test_alg1_non_metric_failures():
     dg = run_linkage("CL", NON_METRIC)
     assert alg1_digest(NON_METRIC, dg, [[0, 1], [2, 3]]) == (
         "d2fd6afddc1ec587b206e64662bfe40fa176a0f4334989447ae128fb3ba13b1f")
+
+
+def test_alg1_repeated_p4_failures():
+    D = fused_blocks_specimen()
+    assert alg1_digest(D, run_linkage("CL", D), FUSED_BLOCKS) == (
+        "5ec52904c6747410b0d0d0b67b75c0847ac31d5a290f03453c9e802f316f668a")
 
 
 # positions, fake cluster h, lost point p, target blocks, digest

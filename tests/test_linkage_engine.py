@@ -450,6 +450,61 @@ class TestAgainstReferenceEngine:
             assert np.sort(Z[:, 2]).tobytes() == np.array(heights).tobytes()
 
 
+def _cut_instances():
+    for n, count in GRID_SHAPE:
+        for idx in range(count):
+            yield f"grid n={n} #{idx}", _grid_instance(n, idx)
+    yield from _tie_heavy_instances()
+
+
+class TestStopAtTheCut:
+    """``run_linkage(method, D, k)`` stops when k clusters remain, and its
+    merges are the full run's first n-k, bit for bit."""
+
+    @pytest.mark.parametrize("method", ("CL", "SL", "AL", "MM", _eccentric_rule))
+    def test_prefix_of_the_full_run(self, method):
+        for name, D in _cut_instances():
+            full = _merge_bits(run_linkage(method, D))
+            for k in range(1, D.n + 1):
+                assert _merge_bits(run_linkage(method, D, k)) == full[:D.n - k], (name, k)
+
+    def test_al_overflow_before_the_cut_raises(self):
+        # the cross sums overflow during merges 1 and 2; an AL run that lost
+        # them would take (4, 5) at 0.5e308 over {0,1} u {2,3} at 0.45e308
+        M = np.full((6, 6), 0.9e308)
+        M[0, 1] = M[2, 3] = 1.0
+        M[4, 5] = 0.5e308
+        M[:2, 2:4] = 0.45e308
+        M = np.triu(M, 1)
+        D = DistanceMatrix.from_full(M + M.T)
+        for k in range(1, 7):
+            with pytest.raises(PreconditionError, match="overflows float64"):
+                run_linkage("AL", D, k)
+
+    def test_al_overflow_past_the_cut_raises(self):
+        # merge 1 joins {0, 1}; the cross sum overflows only at merge 2
+        M = np.full((4, 4), 0.9e308)
+        M[0, 1] = M[1, 0] = M[2, 3] = M[3, 2] = 1.0
+        np.fill_diagonal(M, 0.0)
+        D = DistanceMatrix.from_full(M)
+        for k in (1, 3, 4):
+            with pytest.raises(PreconditionError, match="overflows float64"):
+                run_linkage("AL", D, k)
+
+    def test_al_near_the_float_limit_is_a_prefix(self):
+        # max(D)·n^2 is past float64, so AL runs to the end; no sum overflows
+        D = random_symmetric(8, 5)
+        D = DistanceMatrix(8, D.packed * 2e306)
+        full = _merge_bits(run_linkage("AL", D))
+        for k in range(1, 9):
+            assert _merge_bits(run_linkage("AL", D, k)) == full[:8 - k], k
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_out_of_range(self, line4, k):
+        with pytest.raises(PreconditionError, match=f"^k must be in 1..4, got {k}$"):
+            run_linkage("CL", line4, k)
+
+
 class TestMergeMonotonicity:
     def test_real_cl_runs_are_clean_euclidean(self):
         for seed in range(30):
