@@ -44,6 +44,7 @@ from .metric_core import (
     dump_instance,
     load_instance,
     write_json,
+    write_line,
 )
 from .opt_oracles import DEFAULT_N_MAX, opt_score, opt_scores
 
@@ -246,12 +247,10 @@ def cmd_certify(args) -> int:
     report.instance = {"path": args.instance, "n": D.n, "target": args.target}
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     for name, trace in traces.items():
-        write_json(trace.to_json(), _out_path(
+        trace.write(_out_path(
             args.out_dir, f"{stem}.{args.method}.k{args.k}.{name}_trace.json"))
     text = json.dumps(report.to_json(), indent=2)
-    with open(_out_path(args.out_dir, f"{stem}.{args.method}.k{args.k}.report.json"),
-              "w") as fh:
-        fh.write(text + "\n")
+    write_line(text, _out_path(args.out_dir, f"{stem}.{args.method}.k{args.k}.report.json"))
     print(text)
     if failures:
         raise AssertionFailures(failures)

@@ -28,8 +28,9 @@ depend only on its own fields and the replay's fixed chain bound, so each is
 computed at the family's first audit and kept per family id: an iteration
 then costs one sort of the root ids and a lookup per root, and a family's p4
 failure records are emitted again at every audit it is a root in.  Records
-of different iterations share the kept summary dicts, so trace records are
-read-only.
+of different iterations share the kept summary dicts, and one assertion dict
+per (p3, p4) verdict, so trace records are read-only.  ``Replay.write``
+encodes each shared dict once per trace, not once per record that lists it.
 
 Per-iteration assertions:
   p3  at least one root family holds more than one cluster,
@@ -54,6 +55,8 @@ from .metric_core import (
     DistanceMatrix,
     PreconditionError,
     clustering_score,
+    encode_json,
+    write_line,
 )
 
 __all__ = [
@@ -111,6 +114,13 @@ class Alg1IterationRecord:
     failures: list[dict] = field(default_factory=list)
 
 
+# A placeholder string no trace holds, and its JSON text.  ``Replay.write``
+# checks the count of slots it finds, so a trace that does hold it is still
+# written right.
+_SLOT = "\x00"
+_SLOT_TEXT = encode_json(_SLOT)
+
+
 @dataclass
 class Replay:
     """What both certificate replays return: per-iteration records (each with
@@ -119,7 +129,8 @@ class Replay:
 
     Record dataclasses declare their fields in JSON key order, so a record
     serialises as ``vars(record)``.  ``born`` is not serialised.  Records are
-    read-only: records of different iterations may share objects.
+    read-only: records of different iterations share their root summaries and
+    assertion dicts, and ``write`` encodes each shared dict once.
     """
 
     n: int
@@ -145,6 +156,44 @@ class Replay:
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "target": self.target.to_json(),
                 "iterations": [dict(vars(r)) for r in self.records]}
+
+    def write(self, path) -> None:
+        """Write ``json.dumps(self.to_json())`` and a newline to ``path``.
+
+        A trace lists every root family at every iteration, so its records
+        repeat a few shared dicts (root summaries, assertion dicts) many
+        times.  Each shared dict is encoded once, keyed by identity (the
+        trace keeps it alive): one encoder call writes the distinct dicts,
+        another the rest of the trace with a slot in place of each record's
+        roots and assertions, and the dicts' texts are spliced into the slots.
+        """
+        doc = self.to_json()
+        index: dict[int, int] = {}     # id of a shared dict -> its position
+        distinct = [_SLOT]             # the shared dicts, each followed by a slot
+        rows = []                      # per record: its roots' positions, then its assertions'
+        for record in doc["iterations"]:    # fresh copies: slots go in place
+            row = []
+            for obj in (*record["roots"], record["assertions"]):
+                i = index.get(id(obj))
+                if i is None:
+                    i = index[id(obj)] = len(index)
+                    distinct += (obj, _SLOT)
+                row.append(i)
+            rows.append(row)
+            record["roots"] = record["assertions"] = _SLOT
+        # each dict's text sits between two slots as ", <text>, "
+        texts = [t[2:-2] for t in encode_json(distinct).split(_SLOT_TEXT)[1:-1]]
+        pieces = encode_json(doc).split(_SLOT_TEXT)
+        if len(texts) != len(index) or len(pieces) != 2 * len(rows) + 1:
+            # a string in the trace spells the slot: encode the trace whole
+            write_line(encode_json(self.to_json()), path)
+            return
+        out = [pieces[0]]
+        # Both record types declare roots before assertions.
+        for row, after_roots, after_assertions in zip(rows, pieces[1::2], pieces[2::2]):
+            out += ("[", ", ".join([texts[i] for i in row[:-1]]), "]", after_roots,
+                    texts[row[-1]], after_assertions)
+        write_line("".join(out), path)
 
 
 @dataclass
@@ -217,6 +266,7 @@ class _Alg1Replay(_ReplayState):
         self.fam_of: dict[int, int] = {}
         self.roots: set[int] = set()
         self.audits: dict[int, tuple[dict, tuple[str, ...]]] = {}
+        self.verdicts: dict[tuple[bool, bool], dict] = {}   # (p3, p4) -> one shared dict
         for block in self.target.blocks:
             self._new_family(block)
 
@@ -274,7 +324,8 @@ class _Alg1Replay(_ReplayState):
             for detail in p4_details:
                 p4 = False
                 self.fail("p4", detail)
-        return [summary for summary, _ in audits], {"p3": p3, "p4": p4}
+        verdict = self.verdicts.setdefault((p3, p4), {"p3": p3, "p4": p4})
+        return [summary for summary, _ in audits], verdict
 
     def _family_audit(self, fid: int) -> tuple[dict, tuple[str, ...]]:
         """Family ``fid``'s summary and the details of its failed p4 checks,

@@ -41,6 +41,12 @@ family forest (``family_certificates``, which owns the target checks, the
 cluster fold and the merge loop): start audit, merge, pure-count evolution,
 case dispatch, exclusion additions, collapse (cases a/b) or removal (case c),
 and the budget.  Collapse and removal share one family-death step.
+
+A record lists every live family's summary, so a trace repeats few distinct
+summaries many times.  Each summary is built once per (family id, pure
+count) and each finished assertion dict is interned by its items (all its
+values are bools), so records of different iterations share read-only dicts
+and ``Replay.write`` encodes each of them once per trace.
 """
 
 from __future__ import annotations
@@ -224,6 +230,8 @@ class _Alg2Replay(_ReplayState):
         self.spanning_certs: list[SpanningTreeCert] = []
         self.active: set[int] = set(range(n))
         self.edge_set: set[tuple[int, int]] = set()   # simple edges of the live graph
+        self.summaries: dict[tuple[int, int], dict] = {}   # (family, pure) -> summary
+        self.verdicts: dict[tuple, dict] = {}   # assertion items -> one shared dict
 
         for block in self.target.blocks:   # iteration 0: the initial families
             if len(block) == 1:
@@ -279,10 +287,12 @@ class _Alg2Replay(_ReplayState):
         excluded = len(self.active.intersection(np.flatnonzero(self.tag == EXCLUDED).tolist()))
         self.budget(excluded)
         counts = self.counts
+        assertions = self.verdicts.setdefault(tuple(self.assertions.items()),
+                                              self.assertions)
         return Alg2IterationRecord(
             iteration=self.t, case=case,
-            roots=[self.families[f].summary(counts[f]) for f in sorted(counts)],
-            assertions=self.assertions,
+            roots=[self._summary(f, counts[f]) for f in sorted(counts)],
+            assertions=assertions,
             exclusion_set_size=excluded,
             components=[{
                 "families": sorted(c.families),
@@ -291,6 +301,14 @@ class _Alg2Replay(_ReplayState):
             events=self.events,
             failures=self.failures,
         )
+
+    def _summary(self, f: int, pure: int) -> dict:
+        """Family f's root summary at ``pure`` pure clusters, built once: a
+        family's snapshot never changes, so records share the dict."""
+        summary = self.summaries.get((f, pure))
+        if summary is None:
+            summary = self.summaries[f, pure] = self.families[f].summary(pure)
+        return summary
 
     # ------------------------------------------------------------ phases
 

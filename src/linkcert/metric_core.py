@@ -31,7 +31,9 @@ __all__ = [
     "clustering_score",
     "load_instance",
     "dump_instance",
+    "encode_json",
     "write_json",
+    "write_line",
 ]
 
 COHESION_MEASURES = ("diam", "avg", "radius")
@@ -516,9 +518,19 @@ def dump_instance(D: DistanceMatrix, path) -> None:
     write_json(D.to_json(), path)
 
 
+# Every document the program writes is a tree, or a DAG of shared read-only
+# records, that it built itself, so the encoder skips the cycle check.  It
+# writes the bytes of ``json.dumps``, with the same C encoder.
+encode_json = json.JSONEncoder(check_circular=False).encode
+
+
 def write_json(obj, path) -> None:
-    """``obj`` as one unindented JSON line.  ``json.dumps`` runs the C encoder,
-    ``json.dump`` the pure-Python one; both write the same bytes."""
+    """``obj`` as one unindented JSON line: ``json.dumps(obj)`` and a newline."""
+    write_line(encode_json(obj), path)
+
+
+def write_line(text: str, path) -> None:
+    """``text`` and a newline, as the whole file ``path``."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj))
+        fh.write(text)
         fh.write("\n")

@@ -185,6 +185,24 @@ class TestSpanningTreeChecker:
         assert any(f["assertion"] == "tree-weight"
                    for f in spanning_tree_check(cert))
 
+    def test_single_edge_is_held_to_the_smallest_dm(self):
+        # |C| = 2: the one edge must sit below DM_1, not DM_2
+        cert = SpanningTreeCert(
+            fc_id=9, iteration=3, families=[1, 2],
+            edges=[{"iteration": 1, "weight": 5.5, "endpoints": [1, 2]}],
+            dm=[5.0, 6.0])
+        assert [f["assertion"] for f in spanning_tree_check(cert)] == ["tree-weight"]
+
+    def test_third_edge_is_held_to_the_second_dm(self):
+        # sorted weights 4, 5, 5.5 against DM 5, 6, 7, 8: w(3) <= DM_2 holds
+        cert = SpanningTreeCert(
+            fc_id=9, iteration=3, families=[1, 2, 3, 4],
+            edges=[{"iteration": 1, "weight": 5.5, "endpoints": [3, 4]},
+                   {"iteration": 2, "weight": 4.0, "endpoints": [1, 2]},
+                   {"iteration": 3, "weight": 5.0, "endpoints": [2, 3]}],
+            dm=[5.0, 6.0, 7.0, 8.0])
+        assert spanning_tree_check(cert) == []
+
     def test_diameter_rule(self):
         cert = self.base_cert()
         # |C| = 3: bound = (5+6+7) + smallest one = 23
@@ -215,6 +233,17 @@ def losing(dg: Dendrogram, h: int, p: int) -> Dendrogram:
             return members
 
     return LosingDendrogram(n=dg.n, method="CL", merges=dg.merges)
+
+
+def gaining(dg: Dendrogram, h: int, p: int) -> Dendrogram:
+    """``dg`` with a members map whose cluster ``h`` has gained point ``p``."""
+    class GainingDendrogram(Dendrogram):
+        def members_map(self):
+            members = super().members_map()
+            members[h] = members[h] | {p}
+            return members
+
+    return GainingDendrogram(n=dg.n, method="CL", merges=dg.merges)
 
 
 def audit_records(record) -> list[dict]:
@@ -305,6 +334,23 @@ class TestClusterAudit:
             {"assertion": "two-pure-clusters", "iteration": 4,
              "detail": "component [4] has only 0 families with >=2 pure clusters"},
             {"assertion": "clusters-structure", "iteration": 4, "detail": orphan},
+        ]
+
+    def test_cluster_of_an_initial_family_that_gains_a_point(self):
+        # Family 0 is always an initial family, whose points keep it while it
+        # lives: a lost point only shrinks the clusters the audit sees, so no
+        # losing fake flags a ('pure', 0) tag.  Here {0, 4}, pure w.r.t.
+        # family 0, takes point 1 from leaf 1 of family 1 and spans both
+        D = line_metric([39.0, 14.0, 26.0, 0.0, 37.0])
+        dg = run_linkage("CL", D)
+        assert (dg.merges[0].left, dg.merges[0].right) == (0, 4)
+        trace = alg2_trace(D, gaining(dg, 5, 1), [[0, 2, 4], [1, 3]])
+        assert trace.all_failures() == [
+            {"assertion": "clusters-structure", "iteration": 2,
+             "detail": "cluster [] touches orphaned points but is not excluded"},
+            {"assertion": "clusters-structure", "iteration": 2,
+             "detail": "cluster [0, 1, 4] (tag ('pure', 0)) spans families "
+                       "[0, 1] in 2 components"},
         ]
 
     def test_verdict_matches_records_on_lost_point_fakes(self):
