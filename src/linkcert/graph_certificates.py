@@ -32,9 +32,16 @@ one component's territory), the addition-budget cap, and -- at every family
 creation -- the spanning-tree weight bounds, the diameter-sum bound, and the
 growth bound diam(F) <= max-diam(target) * phi(F)^alpha_k (``growth_bound``,
 checked by ``within_bound``; the spanning-tree and sum checks are exact).
-The cluster classification is checked in one place, over arrays (point ->
-family, point -> live cluster, cluster -> tag) in O(n) numpy work per
-iteration; the same pass names each offending live cluster in its record.
+The cluster classification is kept, not recomputed at every iteration.  A
+plain merge reclassifies only the cluster it creates, whose points are
+exactly the merged pair's, in O(|u|) numpy work; an exclusion only the
+cluster it excludes.  A phase that rewrites many clusters' inputs (a family's
+birth or death, a component join, or a merge that takes points from a third
+cluster, which only a forged members map does) has the next audit
+reclassify every live cluster in one array pass over point -> (component,
+family) key, point -> live cluster and cluster -> tag.  Only a failed
+verdict rereads point sets, to name each offending live cluster in its
+record.
 
 Each iteration runs as named phases on the replay state shared with the
 family forest (``family_certificates``, which owns the target checks, the
@@ -52,6 +59,7 @@ and ``Replay.write`` encodes each of them once per trace.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,6 +210,25 @@ def _ids(points) -> np.ndarray:
     return np.fromiter(points, dtype=np.intp, count=len(points))
 
 
+# Span sentinels of a cluster with no points: lo > hi, and hi < 0.
+_NO_LO, _NO_HI = np.iinfo(np.intp).max, -2
+
+
+def _misfits(tag, lo, hi, width):
+    """Whether the audit rejects a live cluster (elementwise over arrays, or
+    on ints), from its tag and the smallest and largest point key over its
+    points.  A point's key is component * width + family, or -1 for an
+    orphaned point, so lo == hi means one family and lo // width the smallest
+    component.  A cluster that is not excluded is rejected if it holds no
+    points (the sentinels), touches an orphaned point, lies inside one family
+    it is not pure w.r.t., or spans families while tagged pure or across
+    components."""
+    return (tag != EXCLUDED) & ((lo < 0) | (hi < 0)
+                                | ((lo == hi) & (tag != lo % width))
+                                | ((lo != hi) & ((tag != NONPURE)
+                                                 | (lo // width != hi // width))))
+
+
 class _Alg2Replay(_ReplayState):
     """The replay's state, advanced one merge at a time by named phases.
 
@@ -211,6 +238,14 @@ class _Alg2Replay(_ReplayState):
     family's number of pure clusters, ``owner`` (point -> live cluster) the
     audit's view of the clusters, and ``comps``/``fam2comp`` the components.
     ``members`` is the dendrogram's own view, which the merge step reads.
+
+    The audit's kept state is derived from those and only cached here:
+    ``wrong`` (the live clusters the classification rejects), ``pure_seen``
+    (family -> live clusters tagged with it, no zero entries), ``excluded``
+    (live clusters tagged EXCLUDED) and ``key`` (family -> point key, see
+    ``_misfits``).  A merge and an exclusion update it for the one cluster
+    they change; a phase that rewrites more sets ``stale``, and ``_refresh``
+    recomputes all of it in one pass (``_recount``) before it is next read.
     """
 
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
@@ -232,6 +267,11 @@ class _Alg2Replay(_ReplayState):
         self.edge_set: set[tuple[int, int]] = set()   # simple edges of the live graph
         self.summaries: dict[tuple[int, int], dict] = {}   # (family, pure) -> summary
         self.verdicts: dict[tuple, dict] = {}   # assertion items -> one shared dict
+        self.wrong: set[int] = set()
+        self.pure_seen: dict[int, int] = {}
+        self.excluded = 0
+        self.key = np.full(1, -1, dtype=np.intp)
+        self.stale = True
 
         for block in self.target.blocks:   # iteration 0: the initial families
             if len(block) == 1:
@@ -254,6 +294,7 @@ class _Alg2Replay(_ReplayState):
         self.comps[self.next_comp] = ComponentState(families={fid})
         self.fam2comp[fid] = self.next_comp
         self.next_comp += 1
+        self.stale = True
         return fam
 
     def _kill_component(self, comp_id: int) -> None:
@@ -267,6 +308,7 @@ class _Alg2Replay(_ReplayState):
             del self.fam2comp[f]
             self.tag[self.tag == f] = NONPURE
             self.p2f[self.p2f == f] = -1
+        self.stale = True
 
     def step(self, g: int, g2: int, u: int) -> Alg2IterationRecord:
         """Iteration t merges g and g2 into u: the phases in order, then the
@@ -284,8 +326,7 @@ class _Alg2Replay(_ReplayState):
             (f,) = self.comps[comp_id].families
             self._kill_component(comp_id)
             self.events.append({"type": "removed", "iteration": self.t, "family": f})
-        excluded = len(self.active.intersection(np.flatnonzero(self.tag == EXCLUDED).tolist()))
-        self.budget(excluded)
+        self.budget()
         counts = self.counts
         assertions = self.verdicts.setdefault(tuple(self.assertions.items()),
                                               self.assertions)
@@ -293,7 +334,7 @@ class _Alg2Replay(_ReplayState):
             iteration=self.t, case=case,
             roots=[self._summary(f, counts[f]) for f in sorted(counts)],
             assertions=assertions,
-            exclusion_set_size=excluded,
+            exclusion_set_size=self.excluded,
             components=[{
                 "families": sorted(c.families),
                 "pure_counts": {str(f): counts[f] for f in sorted(c.families)},
@@ -315,7 +356,7 @@ class _Alg2Replay(_ReplayState):
     def start_audit(self) -> dict:
         """The two-pure-clusters lemma, and every live cluster classified as
         excluded, pure inside its family, or nonpure inside one component."""
-        counts, tag, p2f, fam2comp = self.counts, self.tag, self.p2f, self.fam2comp
+        counts = self.counts
         ok_l1 = True
         for comp in self.comps.values():
             rich = [f for f in comp.families if counts[f] >= 2]
@@ -325,67 +366,106 @@ class _Alg2Replay(_ReplayState):
                 self.fail("two-pure-clusters",
                           f"component {sorted(comp.families)} has only "
                           f"{len(rich)} families with >=2 pure clusters")
-        # The cluster audit reads point sets through ``owner``, which follows
-        # ``members`` because every merge joins two live clusters.
-        live = _ids(self.active)
-        lt = tag[live]
-        # smallest and largest family, and component, over each cluster's points
-        comp = np.full(len(self.families) + 1, -1, dtype=np.intp)  # comp[-1] for p2f = -1
-        comp[list(fam2comp)] = list(fam2comp.values())
-        spans = []
-        for per_point in (p2f, comp[p2f]):
-            lo = np.full(tag.size, self.n, dtype=np.intp)
-            hi = np.full(tag.size, -1, dtype=np.intp)
-            np.minimum.at(lo, self.owner, per_point)
-            np.maximum.at(hi, self.owner, per_point)
-            spans.append((lo[live], hi[live]))
-        (flo, fhi), (clo, chi) = spans
-        one_family = flo == fhi
-        wrong = (lt != EXCLUDED) & ((flo < 0)                   # orphaned points
-                                    | (one_family & (lt != flo))  # not pure w.r.t. it
-                                    | (~one_family & ((lt != NONPURE)   # spans families:
-                                                      | (clo < 0) | (clo != chi))))
-        for i in np.flatnonzero(wrong).tolist():
-            h, tag_h = int(live[i]), int(lt[i])
-            pts = np.flatnonzero(self.owner == h)  # the points classified above
-            if flo[i] < 0 or fhi[i] < 0:
-                detail = (f"cluster {pts.tolist()} touches orphaned "
-                          "points but is not excluded")
-            elif one_family[i]:
-                detail = (f"cluster {pts.tolist()} lies inside family "
-                          f"{int(flo[i])} but is tagged {_tag(tag_h)}")
-            else:
-                touched = sorted(set(p2f[pts].tolist()))
-                comp_ids = {fam2comp[f] for f in touched}
-                detail = (f"cluster {pts.tolist()} (tag {_tag(tag_h)}) "
-                          f"spans families {touched} in {len(comp_ids)} components")
-            self.fail("clusters-structure", detail)
-        pure = lt[lt >= 0]
-        seen = np.bincount(pure, minlength=len(self.families)).tolist()
-        ledger_ok = seen == [counts.get(f, 0) for f in range(len(seen))]
+        self._refresh()
+        if self.wrong:   # records in ``active`` order
+            for h in self.active:
+                if h in self.wrong:
+                    self.fail("clusters-structure", self._misfit_detail(h))
+        ledger_ok = self.pure_seen == {f: c for f, c in counts.items() if c}
         if not ledger_ok:
             recount = dict.fromkeys(counts, 0)
-            for f in pure.tolist():
-                recount[f] = recount.get(f, 0) + 1
+            for h in self.active:
+                f = int(self.tag[h])
+                if f >= 0:
+                    recount[f] = recount.get(f, 0) + 1
             self.fail("clusters-structure",
                       f"pure-count ledger {counts} disagrees with tag recount {recount}")
         return {"two_pure_clusters": ok_l1,
-                "clusters_structure": bool(ledger_ok and not wrong.any())}
+                "clusters_structure": ledger_ok and not self.wrong}
+
+    def _refresh(self) -> None:
+        """Bring the kept audit state up to date after a phase that set
+        ``stale``."""
+        if self.stale:
+            self.key, self.wrong, self.pure_seen, self.excluded = self._recount()
+            self.stale = False
+
+    def _recount(self) -> tuple[np.ndarray, set[int], dict[int, int], int]:
+        """The audit's state from scratch, in one array pass over the live
+        clusters: the point keys per family, the rejected live clusters, the
+        live pure clusters per family, and the live excluded clusters.  The
+        point sets are read through ``owner``, which follows ``members``
+        because every merge joins two live clusters."""
+        fams = _ids(self.fam2comp)
+        width = len(self.families) + 1
+        key = np.full(width, -1, dtype=np.intp)   # key[-1] for p2f = -1
+        key[fams] = _ids(self.fam2comp.values()) * width + fams
+        point_key = key[self.p2f]
+        lo = np.full(self.tag.size, _NO_LO, dtype=np.intp)
+        hi = np.full(self.tag.size, _NO_HI, dtype=np.intp)
+        np.minimum.at(lo, self.owner, point_key)
+        np.maximum.at(hi, self.owner, point_key)
+        live = _ids(self.active)
+        lt = self.tag[live]
+        wrong = _misfits(lt, lo[live], hi[live], width)
+        pure = dict(Counter(lt[lt >= 0].tolist()))
+        return (key, set(live[wrong].tolist()), pure,
+                int(np.count_nonzero(lt == EXCLUDED)))
+
+    def _misfit_detail(self, h: int) -> str:
+        """The record text for live cluster h, which the audit rejects."""
+        pts = np.flatnonzero(self.owner == h)
+        if not pts.size:
+            return f"live cluster {h} holds no points but is not excluded"
+        touched = sorted(set(self.p2f[pts].tolist()))
+        if touched[0] < 0:
+            return f"cluster {pts.tolist()} touches orphaned points but is not excluded"
+        tag_h = _tag(int(self.tag[h]))
+        if len(touched) == 1:
+            return f"cluster {pts.tolist()} lies inside family {touched[0]} but is tagged {tag_h}"
+        comp_ids = {self.fam2comp[f] for f in touched}
+        return (f"cluster {pts.tolist()} (tag {tag_h}) "
+                f"spans families {touched} in {len(comp_ids)} components")
+
+    def _tally(self, tag: int, delta: int) -> None:
+        """A live cluster tagged ``tag`` appears (+1) or goes (-1)."""
+        if tag == EXCLUDED:
+            self.excluded += delta
+        elif tag >= 0:
+            seen = self.pure_seen.pop(tag, 0) + delta
+            if seen:
+                self.pure_seen[tag] = seen
 
     def merge(self, g: int, g2: int, u: int) -> tuple[int, int]:
-        """Replace g and g2 by u: its tag, the pure counts, and -- unless an
-        excluded cluster absorbs the other -- the graph edges the merge adds
-        and the components it joins.  Returns the tags of g and g2."""
+        """Replace g and g2 by u: its tag, the pure counts, u's audit verdict,
+        and -- unless an excluded cluster absorbs the other -- the graph edges
+        the merge adds and the components it joins.  Returns the tags of g
+        and g2."""
         self.active.remove(g)
         self.active.remove(g2)
         self.active.add(u)
         self.born.append(self.cm.merge(g, g2, u))
         tag_g, tag_g2 = int(self.tag[g]), int(self.tag[g2])
-        self.owner[_ids(self.members[u])] = u
+        pts = _ids(self.members[u])
+        old = self.owner[pts]
+        self.owner[pts] = u
         absorbed = EXCLUDED in (tag_g, tag_g2)
-        self.tag[u] = EXCLUDED if absorbed else tag_g if tag_g == tag_g2 else NONPURE
+        tag_u = EXCLUDED if absorbed else tag_g if tag_g == tag_g2 else NONPURE
+        self.tag[u] = tag_u
         for f in {tg for tg in (tag_g, tag_g2) if tg >= 0}:
             self.counts[f] -= 1
+        self._tally(tag_g, -1)
+        self._tally(tag_g2, -1)
+        self._tally(tag_u, 1)
+        self.wrong.discard(g)
+        self.wrong.discard(g2)
+        if ((old == g) | (old == g2)).all():   # no third cluster lost a point
+            point_key = self.key[self.p2f[pts]]
+            if _misfits(tag_u, int(point_key.min(initial=_NO_LO)),
+                        int(point_key.max(initial=_NO_HI)), self.key.size):
+                self.wrong.add(u)
+        else:
+            self.stale = True
         if absorbed:
             self.events.append({"type": "absorbed", "iteration": self.t,
                                 "cluster": sorted(self.members[u])})
@@ -426,6 +506,7 @@ class _Alg2Replay(_ReplayState):
         compa.events = compa.events + compb.events + [tree_edge]
         for f in compb.families:
             fam2comp[f] = ca
+        self.stale = True
 
     def evolution(self, pure_start: dict, tag_g: int, tag_g2: int, u: int) -> None:
         """The four-case evolution of pure counts (exact integer bookkeeping):
@@ -495,6 +576,9 @@ class _Alg2Replay(_ReplayState):
                 continue
             (h,) = cands
             self.tag[h] = EXCLUDED
+            self._tally(f, -1)
+            self._tally(EXCLUDED, 1)
+            self.wrong.discard(h)
             self.counts[f] = 0
             rec = {"site": site, "iteration": self.t, "family": f,
                    "cluster": sorted(self.members[h])}
@@ -565,8 +649,10 @@ class _Alg2Replay(_ReplayState):
                             "clusters": [sorted(self.members[h]) for h in fc_members],
                             "component": comp_fams, "phi": fam.phi, "diam": fam.diam})
 
-    def budget(self, excluded: int) -> None:
+    def budget(self) -> None:
         """At most k exclusion additions ever, and at most k excluded clusters."""
+        self._refresh()
+        excluded = self.excluded
         ok = len(self.additions) <= self.k and excluded <= self.k
         self.assertions["exclusion_budget"] = ok
         if not ok:

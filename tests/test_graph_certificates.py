@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linkcert import (
     Clustering,
@@ -31,10 +32,16 @@ from linkcert import (
     run_linkage,
     spanning_tree_check,
 )
-from linkcert.graph_certificates import SpanningTreeCert
+from linkcert.graph_certificates import (
+    EXCLUDED,
+    NONPURE,
+    Alg2Trace,
+    SpanningTreeCert,
+    _Alg2Replay,
+)
 from linkcert.inequality_lab import ALPHA_CAP
 
-from .conftest import line_metric
+from .conftest import METRICS, line_metric
 
 
 def traced(D, target_blocks):
@@ -255,8 +262,9 @@ def audit_records(record) -> list[dict]:
 
 class TestClusterAudit:
     """The per-iteration audit of every live cluster against the point ->
-    family map.  One array pass gives the verdict and names each offending
-    live cluster in its record; members maps that lose a point make it fire."""
+    family map.  The verdict is kept across merges, and each offending live
+    cluster is named in its record; members maps that lose or gain a point
+    make it fire."""
 
     def test_lost_point_is_reported(self):
         D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0])
@@ -340,23 +348,26 @@ class TestClusterAudit:
         # Family 0 is always an initial family, whose points keep it while it
         # lives: a lost point only shrinks the clusters the audit sees, so no
         # losing fake flags a ('pure', 0) tag.  Here {0, 4}, pure w.r.t.
-        # family 0, takes point 1 from leaf 1 of family 1 and spans both
+        # family 0, takes point 1 from leaf 1 of family 1 and spans both;
+        # leaf 1 is left live with no points
         D = line_metric([39.0, 14.0, 26.0, 0.0, 37.0])
         dg = run_linkage("CL", D)
         assert (dg.merges[0].left, dg.merges[0].right) == (0, 4)
         trace = alg2_trace(D, gaining(dg, 5, 1), [[0, 2, 4], [1, 3]])
         assert trace.all_failures() == [
             {"assertion": "clusters-structure", "iteration": 2,
-             "detail": "cluster [] touches orphaned points but is not excluded"},
+             "detail": "live cluster 1 holds no points but is not excluded"},
             {"assertion": "clusters-structure", "iteration": 2,
              "detail": "cluster [0, 1, 4] (tag ('pure', 0)) spans families "
                        "[0, 1] in 2 components"},
         ]
 
     def test_verdict_matches_records_on_lost_point_fakes(self):
-        """On seeded fakes, the verdict is False exactly when the audit wrote
-        a record, and no replay raises."""
-        flagged = 0
+        """On seeded fakes whose members map loses or gains a point, the
+        verdict is False exactly when the audit wrote a record, the kept
+        audit state matches a recount at every phase that reads it, and no
+        replay raises."""
+        flagged = dict.fromkeys(("losing", "gaining"), 0)
         for seed in range(40):
             rng = np.random.default_rng(seed + 2100)
             n = int(rng.integers(5, 11))
@@ -366,12 +377,94 @@ class TestClusterAudit:
             labels = rng.permutation(np.arange(n) % k)
             blocks = [np.flatnonzero(labels == b).tolist() for b in range(k)]
             h = n + int(rng.integers(0, n - k))
-            p = int(rng.choice(sorted(dg.members_map()[h])))
-            trace = alg2_trace(D, losing(dg, h, p), blocks)
-            for r in trace.records:
-                assert r.assertions["clusters_structure"] is (not audit_records(r))
-                flagged += not r.assertions["clusters_structure"]
-        assert flagged > 0  # the fakes did break the structure
+            inside = sorted(dg.members_map()[h])
+            outside = sorted(set(range(n)).difference(inside))
+            for fake, points in ((losing, inside), (gaining, outside)):
+                p = int(rng.choice(points))
+                trace = checked_trace(D, fake(dg, h, p), blocks)
+                for r in trace.records:
+                    assert r.assertions["clusters_structure"] is (not audit_records(r))
+                    flagged[fake.__name__] += not r.assertions["clusters_structure"]
+        assert all(flagged.values())  # the fakes did break the structure
+
+
+def reference_audit(r: _Alg2Replay) -> list:
+    """The audit's kept state read off the replay's own facts one live
+    cluster at a time, with plain sets: the rejected live clusters, the live
+    pure clusters per family, and the live excluded clusters."""
+    wrong, pure, excluded = set(), {}, 0
+    for h in r.active:
+        tag = int(r.tag[h])
+        points = [p for p in range(r.n) if r.owner[p] == h]
+        fams = {int(r.p2f[p]) for p in points}
+        if tag == EXCLUDED:
+            excluded += 1
+            continue
+        if tag >= 0:
+            pure[tag] = pure.get(tag, 0) + 1
+        if not points or -1 in fams:
+            wrong.add(h)
+        elif len(fams) == 1 and fams != {tag}:
+            wrong.add(h)
+        elif len(fams) > 1 and (tag != NONPURE or len({r.fam2comp[f] for f in fams}) > 1):
+            wrong.add(h)
+    return [wrong, pure, excluded]
+
+
+class CheckedReplay(_Alg2Replay):
+    """The replay with its kept audit state (rejected clusters, pure tally,
+    excluded count, point keys) compared after every audit and every budget
+    against the full array recount and against ``reference_audit``."""
+
+    def start_audit(self) -> dict:
+        verdict = super().start_audit()
+        self.check()
+        return verdict
+
+    def budget(self) -> None:
+        super().budget()
+        self.check()
+
+    def check(self) -> None:
+        key, *recount = self._recount()
+        assert np.array_equal(self.key, key)
+        assert [self.wrong, self.pure_seen, self.excluded] == recount
+        assert recount == reference_audit(self)
+
+
+def checked_trace(D, dg, target) -> Alg2Trace:
+    """``alg2_trace`` on ``CheckedReplay``, whose trace must be the same."""
+    r = CheckedReplay(D, dg, target)
+    r.run()
+    trace = r.result(Alg2Trace, families=r.families, spanning_certs=r.spanning_certs,
+                     additions=r.additions)
+    assert trace.to_json() == alg2_trace(D, dg, target).to_json()
+    return trace
+
+
+@st.composite
+def cl_runs(draw):
+    """A CL run on a Euclidean, closure or tied metric at n <= 40, with its
+    own cut, an interleaved target or (n <= 9) an oracle target."""
+    kind = draw(st.sampled_from(["own-cut", "interleaved", "oracle"]))
+    n = draw(st.integers(2, 9 if kind == "oracle" else 40))
+    D = METRICS[draw(st.sampled_from(sorted(METRICS)))](n, draw(st.integers(0, 10_000)))
+    k = draw(st.integers(1, n))
+    dg = run_linkage("CL", D)
+    if kind == "own-cut":
+        target = extract_clustering(dg, k)
+    elif kind == "oracle":
+        target = opt_score("max-diam", D, k).witness
+    else:
+        target = Clustering.from_blocks([range(i, n, k) for i in range(k)], n)
+    return D, dg, target
+
+
+@settings(derandomize=True, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=cl_runs())
+def test_kept_audit_matches_a_recount(run):
+    checked_trace(*run)
 
 
 class TestDiameterOwner:

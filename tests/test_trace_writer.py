@@ -22,15 +22,13 @@ from linkcert import (
     alg1_trace,
     alg2_trace,
     extract_clustering,
-    gen_random_euclidean,
-    gen_random_metric,
     gen_single_link_adversary,
     run_linkage,
 )
 from linkcert.family_certificates import Alg1IterationRecord, Replay
 from linkcert.cli import certify
 
-from .conftest import line_metric
+from .conftest import METRICS, line_metric
 from .test_family_certificates import FUSED_BLOCKS, fused_blocks_specimen
 from .test_golden_outputs import (
     ADVERSARY,
@@ -142,18 +140,6 @@ def test_alg2_records_share_summaries_across_iterations():
               if any(s is t for s in a.roots for t in b.roots)]
     assert shared
     assert len({id(r.assertions) for r in alg2.records}) < len(alg2.records)
-
-
-def tied_metric(n: int, seed: int):
-    """Integer points on a short line: many equal distances, some zero."""
-    return line_metric(np.random.default_rng(seed).integers(0, 6, n))
-
-
-METRICS = {
-    "euclidean": lambda n, seed: gen_random_euclidean(n, 2, seed=seed),
-    "closure": lambda n, seed: gen_random_metric(n, seed=seed),
-    "tied": tied_metric,
-}
 
 
 @st.composite
