@@ -18,17 +18,22 @@ merges (``Replay.born`` keeps each born cluster's diameter for the bound
 check), and drives one merge loop that gives each iteration its own failure
 list.  Here each merge runs three phases: the root audit (p3, p4), the case
 choice with the fold, and the rewrite of the one or two root families.  Family
-diameters are read from the matrix, never from a rescan of point sets, so the
-replay costs O(n^2): b-sub2 keeps its point set and so its diameter, every
-other new family reads the matrix over its clusters when it is created.
+diameters are never read from a rescan of point sets, so the replay costs
+O(n^2): the initial families take the target's block diameters, which
+``metric_core.clustering_score`` keeps (``block_diameters``), a one-cluster
+family takes the diameter of the cluster just born (``born[-1]``), b-sub2
+keeps its point set and so its diameter, and every other new family reads
+the matrix over its clusters when it is created.
 
-The root audit runs at every iteration over every root family, so it is
-paid once per root per iteration.  A family's summary and its p4 verdict
-depend only on its own fields and the replay's fixed chain bound, so each is
-computed at the family's first audit and kept per family id: an iteration
-then costs one sort of the root ids and a lookup per root, and a family's p4
-failure records are emitted again at every audit it is a root in.  Records
-of different iterations share the kept summary dicts, and one assertion dict
+The root audit runs at every iteration over every root family.  A family's
+summary and its p4 verdict depend only on its own fields and the replay's
+fixed chain bound, so both are computed when the family is created, and the
+replay keeps the root list across merges: the root summaries in id order,
+the count of regular roots, and the p4 details of the failing roots.  A new
+family's id is the largest yet, so it joins at the end, and its children
+leave.  An audit then costs a copy of the root list, and a failing root's
+p4 records are emitted again at every audit it is a root in.  Records of
+different iterations share the kept summary dicts, and one assertion dict
 per (p3, p4) verdict, so trace records are read-only.  ``Replay.write``
 encodes each shared dict once per trace, not once per record that lists it.
 
@@ -54,6 +59,7 @@ from .metric_core import (
     Clustering,
     DistanceMatrix,
     PreconditionError,
+    block_diameters,
     clustering_score,
     encode_json,
     write_line,
@@ -255,8 +261,12 @@ class _ReplayState:
 class _Alg1Replay(_ReplayState):
     """The family forest, advanced one merge at a time: root audit, case
     choice with the fold, and the rewrite of the one or two root families the
-    merge touched.  ``fam_of`` maps each live cluster to its root family, and
-    ``audits`` each family audited so far to its summary and p4 details."""
+    merge touched.  ``fam_of`` maps each live cluster to its root family.
+
+    The root list is kept across merges, updated only where a family is
+    created: ``roots`` maps each root id to its summary, in id order,
+    ``regular`` counts the regular roots, and ``p4_fails`` maps each root
+    that fails p4 to its details, in id order."""
 
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
         super().__init__(D, dg, target)
@@ -264,20 +274,21 @@ class _Alg1Replay(_ReplayState):
         self.chain_rhs = k * clustering_score("avg-diam", self.target, D) * k ** P_EXP
         self.forest: dict[int, FamilyNode] = {}
         self.fam_of: dict[int, int] = {}
-        self.roots: set[int] = set()
-        self.audits: dict[int, tuple[dict, tuple[str, ...]]] = {}
+        self.roots: dict[int, dict] = {}
+        self.regular = 0
+        self.p4_fails: dict[int, tuple[str, ...]] = {}
         self.verdicts: dict[tuple[bool, bool], dict] = {}   # (p3, p4) -> one shared dict
-        for block in self.target.blocks:
-            self._new_family(block)
+        for block, diam in zip(self.target.blocks, block_diameters(self.target, D)):
+            self._new_family(block, diam=diam)
 
     def _new_family(self, clusters, children: tuple[FamilyNode, ...] = (),
                     diam: float | None = None) -> None:
         """A root family over ``clusters`` with the given children (an initial
         family has none, and is its own leaf), created at iteration t.  This
-        is the one place a family's diameter is read from ``cm``; only b-sub2,
-        whose point set is its child's, hands the child's in.  phi and
-        phi_sigma add up the children's, and both sums are re-checked
-        against the leaves."""
+        is the one place a family's diameter is read from ``cm``, unless the
+        caller hands in one it already holds.  phi and phi_sigma add up the
+        children's, and both sums are re-checked against the leaves.  The
+        family joins the kept root list, and its children leave it."""
         fid = len(self.forest)
         diam = self.cm.diam(clusters) if diam is None else diam
         leaves = tuple(l for c in children for l in c.leaves) or (fid,)
@@ -289,10 +300,16 @@ class _Alg1Replay(_ReplayState):
             id=fid, clusters=frozenset(clusters), parent=None, phi=phi,
             phi_sigma=phi_sigma, diam=diam, created_at=self.t,
             children=tuple(c.id for c in children), leaves=leaves)
-        self.roots.add(fid)
         for c in children:
             c.parent = fid
-            self.roots.discard(c.id)
+            del self.roots[c.id]
+            self.regular -= c.regular
+            self.p4_fails.pop(c.id, None)
+        self.roots[fid] = node.summary()
+        self.regular += node.regular
+        details = self._p4_details(node)
+        if details:
+            self.p4_fails[fid] = details
         for c in clusters:
             self.fam_of[c] = fid
         if node.phi != len(leaves):
@@ -313,42 +330,39 @@ class _Alg1Replay(_ReplayState):
 
     def root_audit(self, check_p3: bool = True) -> tuple[list[dict], dict]:
         """The root families' summaries, p3 (unless ``check_p3`` is off) and
-        the p4 chain of every regular root.  A root's p4 failures are failed
-        again, in root order, at every audit it is a root in."""
-        audits = [self._family_audit(r) for r in sorted(self.roots)]
-        p3 = any(summary["regular"] for summary, _ in audits)
+        the p4 chain of every regular root, all read off the kept root list.
+        A root's p4 failures are failed again, in root order, at every audit
+        it is a root in."""
+        p3 = self.regular > 0
         if check_p3 and not p3:
             self.fail("p3", "no regular root family")
-        p4 = True
-        for _, p4_details in audits:
-            for detail in p4_details:
-                p4 = False
+        for details in self.p4_fails.values():
+            for detail in details:
                 self.fail("p4", detail)
+        p4 = not self.p4_fails
         verdict = self.verdicts.setdefault((p3, p4), {"p3": p3, "p4": p4})
-        return [summary for summary, _ in audits], verdict
+        return list(self.roots.values()), verdict
 
-    def _family_audit(self, fid: int) -> tuple[dict, tuple[str, ...]]:
-        """Family ``fid``'s summary and the details of its failed p4 checks,
-        computed at its first audit and kept: a family never changes, and
-        ``chain_rhs`` is fixed for the replay."""
-        audit = self.audits.get(fid)
-        if audit is None:
-            node, details = self.forest[fid], []
-            if node.regular:
-                mid = node.phi_sigma * node.phi ** P_EXP
-                if not within_bound(node.diam, mid):
-                    details.append(f"family {fid}: diam {node.diam!r} > "
-                                   f"phi_sigma*phi^p {mid!r}")
-                if not within_bound(mid, self.chain_rhs):
-                    details.append(f"family {fid}: phi_sigma*phi^p {mid!r} > "
-                                   f"k*avg-diam*k^p {self.chain_rhs!r}")
-            audit = self.audits[fid] = (node.summary(), tuple(details))
-        return audit
+    def _p4_details(self, node: FamilyNode) -> tuple[str, ...]:
+        """The details of the family's failed p4 checks, computed once: a
+        family never changes, and ``chain_rhs`` is fixed for the replay."""
+        details = []
+        if node.regular:
+            mid = node.phi_sigma * node.phi ** P_EXP
+            if not within_bound(node.diam, mid):
+                details.append(f"family {node.id}: diam {node.diam!r} > "
+                               f"phi_sigma*phi^p {mid!r}")
+            if not within_bound(mid, self.chain_rhs):
+                details.append(f"family {node.id}: phi_sigma*phi^p {mid!r} > "
+                               f"k*avg-diam*k^p {self.chain_rhs!r}")
+        return tuple(details)
 
     def choose(self, g: int, g2: int, u: int) -> tuple[str, FamilyNode, FamilyNode, int, int]:
         """Fold u = g | g2 into ``cm`` and pick the structural case.  Returns
         the case, the larger root family A (by cluster count) and the other
-        one B, with the merged cluster ga in A and gb in B."""
+        one B, with the merged cluster ga in A and gb in B.  On equal cluster
+        counts A is the family of the left cluster g, so a fusion lists the
+        left cluster's family first among its children."""
         self.born.append(self.cm.merge(g, g2, u))
         A, B = self.forest[self.fam_of.pop(g)], self.forest[self.fam_of.pop(g2)]
         if len(A.clusters) < len(B.clusters):
@@ -366,14 +380,15 @@ class _Alg1Replay(_ReplayState):
     def rewrite(self, case: str, A: FamilyNode, B: FamilyNode, ga: int, gb: int,
                 u: int) -> None:
         """Case a splits u's new family off A; b-sub2 keeps A's point set and
-        so its diameter; b-sub1 and b-sub3 fuse A and B."""
+        so its diameter; b-sub1 and b-sub3 fuse A and B.  A family of the one
+        cluster u has u's diameter, just folded into ``born``."""
         if case == "a":
             self._new_family(A.clusters - {ga}, (A,))
-            self._new_family([u], (B,))
+            self._new_family([u], (B,), diam=self.born[-1])
         elif case == "b-sub2":
             self._new_family((A.clusters - {ga, gb}) | {u}, (A,), diam=A.diam)
         elif case == "b-sub1":
-            self._new_family([u], (A, B))
+            self._new_family([u], (A, B), diam=self.born[-1])
         else:
             self._new_family((A.clusters | B.clusters | {u}) - {ga, gb}, (A, B))
 

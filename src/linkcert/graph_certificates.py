@@ -53,7 +53,12 @@ A record lists every live family's summary, so a trace repeats few distinct
 summaries many times.  Each summary is built once per (family id, pure
 count) and each finished assertion dict is interned by its items (all its
 values are bools), so records of different iterations share read-only dicts
-and ``Replay.write`` encodes each of them once per trace.
+and ``Replay.write`` encodes each of them once per trace.  The list itself is
+kept across merges, as a map from live family to summary in id order, and
+changes only where a pure count does: a family's birth or death, a merge of
+a pure cluster, and an exclusion.  Family diameters come from the cluster
+fold, except the initial families', which are the target's block diameters
+that ``metric_core.clustering_score`` keeps (``block_diameters``).
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ import numpy as np
 from .family_certificates import BoundCheck, Replay, _ReplayState, born_cluster_checks
 from .inequality_lab import dm_bound, growth_bound, within_bound
 from .linkage_engine import Dendrogram
-from .metric_core import DistanceMatrix, clustering_score
+from .metric_core import DistanceMatrix, block_diameters, clustering_score
 
 __all__ = [
     "Alg2Family",
@@ -238,6 +243,9 @@ class _Alg2Replay(_ReplayState):
     family's number of pure clusters, ``owner`` (point -> live cluster) the
     audit's view of the clusters, and ``comps``/``fam2comp`` the components.
     ``members`` is the dendrogram's own view, which the merge step reads.
+    ``roots`` (live family -> its summary at its pure count, in id order)
+    follows ``counts`` through ``_set_count``; a new family's id is the
+    largest yet, so both dicts stay in id order.
 
     The audit's kept state is derived from those and only cached here:
     ``wrong`` (the live clusters the classification rejects), ``pure_seen``
@@ -256,6 +264,7 @@ class _Alg2Replay(_ReplayState):
         self.families: dict[int, Alg2Family] = {}    # every family ever, by id
         self.tag = np.full(2 * n - 1, NONPURE, dtype=np.intp)
         self.counts: dict[int, int] = {}
+        self.roots: dict[int, dict] = {}
         self.p2f = np.full(n, -1, dtype=np.intp)
         self.owner = np.arange(n)
         self.comps: dict[int, ComponentState] = {}
@@ -273,22 +282,23 @@ class _Alg2Replay(_ReplayState):
         self.key = np.full(1, -1, dtype=np.intp)
         self.stale = True
 
-        for block in self.target.blocks:   # iteration 0: the initial families
+        # iteration 0: the initial families
+        for block, diam in zip(self.target.blocks, block_diameters(self.target, D)):
             if len(block) == 1:
                 self.tag[_ids(block)] = EXCLUDED
                 continue
-            fam = self._new_family(block, block, phi=1)
+            fam = self._new_family(block, block, phi=1, diam=diam)
             if k >= 2 and not within_bound(fam.diam, self.max_diam):
                 self.fail("family-growth-bound",
                           f"initial family {fam.id}: diam {fam.diam!r} > "
                           f"max-diam(target) {self.max_diam!r}")
 
-    def _new_family(self, clusters, points, phi: int) -> Alg2Family:
+    def _new_family(self, clusters, points, phi: int, diam: float) -> Alg2Family:
         """A live family of the given pure clusters, alone in a new component."""
         fid = len(self.families)
         fam = self.families[fid] = Alg2Family(
-            id=fid, clusters=frozenset(clusters), diam=self.cm.diam(clusters), phi=phi)
-        self.counts[fid] = len(clusters)
+            id=fid, clusters=frozenset(clusters), diam=diam, phi=phi)
+        self._set_count(fid, len(clusters))
         self.tag[_ids(clusters)] = fid
         self.p2f[_ids(points)] = fid
         self.comps[self.next_comp] = ComponentState(families={fid})
@@ -305,6 +315,7 @@ class _Alg2Replay(_ReplayState):
         a family no merge can touch it again."""
         for f in self.comps.pop(comp_id).families:
             del self.counts[f]
+            del self.roots[f]
             del self.fam2comp[f]
             self.tag[self.tag == f] = NONPURE
             self.p2f[self.p2f == f] = -1
@@ -332,7 +343,7 @@ class _Alg2Replay(_ReplayState):
                                               self.assertions)
         return Alg2IterationRecord(
             iteration=self.t, case=case,
-            roots=[self._summary(f, counts[f]) for f in sorted(counts)],
+            roots=list(self.roots.values()),
             assertions=assertions,
             exclusion_set_size=self.excluded,
             components=[{
@@ -350,6 +361,12 @@ class _Alg2Replay(_ReplayState):
         if summary is None:
             summary = self.summaries[f, pure] = self.families[f].summary(pure)
         return summary
+
+    def _set_count(self, f: int, pure: int) -> None:
+        """Live family f now has ``pure`` pure clusters; its root summary
+        follows."""
+        self.counts[f] = pure
+        self.roots[f] = self._summary(f, pure)
 
     # ------------------------------------------------------------ phases
 
@@ -453,7 +470,7 @@ class _Alg2Replay(_ReplayState):
         tag_u = EXCLUDED if absorbed else tag_g if tag_g == tag_g2 else NONPURE
         self.tag[u] = tag_u
         for f in {tg for tg in (tag_g, tag_g2) if tg >= 0}:
-            self.counts[f] -= 1
+            self._set_count(f, self.counts[f] - 1)
         self._tally(tag_g, -1)
         self._tally(tag_g2, -1)
         self._tally(tag_u, 1)
@@ -579,7 +596,7 @@ class _Alg2Replay(_ReplayState):
             self._tally(f, -1)
             self._tally(EXCLUDED, 1)
             self.wrong.discard(h)
-            self.counts[f] = 0
+            self._set_count(f, 0)
             rec = {"site": site, "iteration": self.t, "family": f,
                    "cluster": sorted(self.members[h])}
             self.additions.append(rec)
@@ -626,7 +643,8 @@ class _Alg2Replay(_ReplayState):
 
         fam = self._new_family(
             fc_members, [p for h in fc_members for p in self.members[h]],
-            phi=sum(self.families[f].phi for f in comp_fams))
+            phi=sum(self.families[f].phi for f in comp_fams),
+            diam=self.cm.diam(fc_members))
         cert = SpanningTreeCert(
             fc_id=fam.id, iteration=t, families=comp_fams,
             edges=list(comp.events),

@@ -150,12 +150,15 @@ _RECORD_KEYS = ("left", "right", "iteration", "value")
 def _cross_block(A: frozenset[int], B: frozenset[int], D: DistanceMatrix) -> np.ndarray:
     ia = np.fromiter(sorted(A), dtype=np.intp)
     ib = np.fromiter(sorted(B), dtype=np.intp)
-    return D.full[np.ix_(ia, ib)]
+    # ``M[ia][:, ib]`` comes back in Fortran order, and AL's sum over a block
+    # that is not symmetric would then add in another order: two takes keep
+    # the C order of ``np.ix_``, and so every bit
+    return D.full.take(ia, 0).take(ib, 1)
 
 
 def _minimax(U: Iterable[int], D: DistanceMatrix) -> float:
     iu = np.fromiter(sorted(U), dtype=np.intp)
-    sub = D.full[np.ix_(iu, iu)]
+    sub = D.full.take(iu, 0).take(iu, 1)
     return float(sub.max(axis=1).min())
 
 

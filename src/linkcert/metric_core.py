@@ -4,12 +4,20 @@ Distances for ``n`` points (ids ``0..n-1``) are kept as a packed lower triangle
 in row-major order: entry ``(i, j)`` with ``i < j`` sits at index
 ``j*(j-1)/2 + i``.  A full symmetric matrix view is materialised once on
 demand and cached; all bulk work happens through numpy on that view.
+
+``clustering_score`` owns the per-block values of a clustering: each block's
+diameter, average distance and radius are read from one submatrix the first
+time the clustering is scored, and kept on the ``DistanceMatrix``, keyed
+weakly by the ``Clustering``.  Later scores and ``block_diameters`` of that
+clustering, or of an equal one, are lookups; the values go when the
+clustering does, so ``cohesion`` on arbitrary sets keeps nothing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -29,6 +37,7 @@ __all__ = [
     "cohesion",
     "checked_sum",
     "clustering_score",
+    "block_diameters",
     "load_instance",
     "dump_instance",
     "encode_json",
@@ -92,7 +101,10 @@ class DistanceMatrix:
         Result of the last triangle-inequality validation (None = never run).
 
     The distance data is immutable after construction by convention;
-    ``metric_checked`` and the cached full view are the only mutable state.
+    ``metric_checked``, the cached full view and the kept block values of
+    scored clusterings (``clustering_score``) are the only mutable state.
+    The kept values are a cache: a pickled or copied matrix starts without
+    them.
     """
 
     n: int
@@ -100,6 +112,8 @@ class DistanceMatrix:
     labels: list[str] | None = None
     metric_checked: bool | None = None
     _full: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _scored: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.packed = np.asarray(self.packed, dtype=np.float64)
@@ -123,9 +137,20 @@ class DistanceMatrix:
                 f"got {len(self.labels)} labels for {self.n} points"
             )
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_scored"]   # weak references do not pickle
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._scored = weakref.WeakKeyDictionary()
+
     @classmethod
     def from_full(cls, matrix, labels=None) -> "DistanceMatrix":
-        """Build from a full square matrix, checking shape/symmetry/diagonal."""
+        """Build from a full square matrix, checking shape/symmetry/diagonal.
+        A ``-0.0`` on the diagonal is accepted and stored as ``+0.0``, the
+        zero every other reader of a point's distance to itself returns."""
         M = np.asarray(matrix, dtype=np.float64)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {M.shape}")
@@ -142,6 +167,7 @@ class DistanceMatrix:
             raise StructuralError(f"nonzero diagonal at pair ({i}, {i}): {M[i, i]!r}")
         dm = cls(n=n, packed=_pack(M), labels=list(labels) if labels else None)
         dm._full = M.copy()
+        np.fill_diagonal(dm._full, 0.0)
         return dm
 
     @classmethod
@@ -405,7 +431,9 @@ def _block_cohesion(S: frozenset[int], D: DistanceMatrix,
     if len(S) == 1:
         return dict.fromkeys(measures, 0.0)
     idx = np.fromiter(sorted(S), dtype=np.intp)
-    sub = D.full[np.ix_(idx, idx)]
+    # two takes gather the C-ordered submatrix ``np.ix_`` does, at about half
+    # its cost (see ``linkage_engine._cross_block`` for why not ``M[idx][:, idx]``)
+    sub = D.full.take(idx, 0).take(idx, 1)
     out = {}
     for measure in measures:
         if measure == "diam":
@@ -458,11 +486,30 @@ class ClusterMatrix:
     def diam(self, clusters) -> float:
         """Diameter of the union of the given live clusters; 0.0 for none."""
         idx = self._slots(clusters)
-        return float(self.W[np.ix_(idx, idx)].max()) if idx.size else 0.0
+        return float(self.W.take(idx, 0).take(idx, 1).max()) if idx.size else 0.0
 
     def cross(self, A, B) -> float:
         """Largest distance between two nonempty sets of live clusters."""
-        return float(self.W[np.ix_(self._slots(A), self._slots(B))].max())
+        return float(self.W.take(self._slots(A), 0).take(self._slots(B), 1).max())
+
+
+def _block_values(C: Clustering, D: DistanceMatrix) -> dict[str, tuple[float, ...]]:
+    """Every cohesion measure of every block of C, in block order: read from
+    one submatrix per block at the first call for C (or an equal clustering)
+    and kept on D until C is dropped.  An overflowed ``avg`` is kept as inf,
+    so every score that reads it raises."""
+    kept = D._scored.get(C)
+    if kept is None:
+        per_block = [_block_cohesion(b, D, COHESION_MEASURES) for b in C.blocks]
+        kept = D._scored[C] = {m: tuple(v[m] for v in per_block)
+                               for m in COHESION_MEASURES}
+    return kept
+
+
+def block_diameters(C: Clustering, D: DistanceMatrix) -> tuple[float, ...]:
+    """The diameter of each block of C, in block order; the values
+    ``clustering_score`` reads, so both agree bit for bit."""
+    return _block_values(C.require_n(D.n), D)["diam"]
 
 
 def clustering_score(score, C: Clustering, D: DistanceMatrix):
@@ -470,22 +517,21 @@ def clustering_score(score, C: Clustering, D: DistanceMatrix):
 
     ``max-diam``/``max-avg``/``max-radius`` take the worst block;
     ``avg-diam`` averages block diameters (sum of diameters / k).  ``score``
-    is one name, or a tuple of names scored together as ``{name: value}``
-    from one submatrix per block.  An overflowing sum raises
-    ``PreconditionError`` for the first name, in the given order, that has one.
+    is one name, or a tuple of names scored together as ``{name: value}``.
+    The block values are gathered once per clustering and kept on D (see
+    ``_block_values``).  An overflowing sum raises ``PreconditionError`` for
+    the first name, in the given order, that has one.
     """
     single = isinstance(score, str)
     names = (score,) if single else tuple(score)
     for name in names:
         if name not in CLUSTERING_SCORES:
             raise PreconditionError(f"unknown clustering score {name!r}")
-    C.require_n(D.n)
     # a Clustering's blocks were checked when it was built
-    measures = tuple(dict.fromkeys(_SCORE_MEASURES[name] for name in names))
-    per_block = [_block_cohesion(b, D, measures) for b in C.blocks]
+    kept = _block_values(C.require_n(D.n), D)
     out = {}
     for name in names:
-        values = [v[_SCORE_MEASURES[name]] for v in per_block]
+        values = kept[_SCORE_MEASURES[name]]
         if name == "avg-diam":
             try:
                 out[name] = math.fsum(values) / C.k

@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from linkcert import DistanceMatrix, gen_random_euclidean, gen_random_metric
+from linkcert import (
+    Clustering,
+    DistanceMatrix,
+    extract_clustering,
+    gen_random_euclidean,
+    gen_random_metric,
+    opt_score,
+    run_linkage,
+)
 
 
 def line_metric(positions) -> DistanceMatrix:
@@ -27,6 +36,24 @@ METRICS = {
     "closure": lambda n, seed: gen_random_metric(n, seed=seed),
     "tied": tied_metric,
 }
+
+
+@st.composite
+def cl_runs(draw):
+    """A CL run on a Euclidean, closure or tied metric at n <= 40, with its
+    own cut, an interleaved target or (n <= 9) an oracle target."""
+    kind = draw(st.sampled_from(["own-cut", "interleaved", "oracle"]))
+    n = draw(st.integers(2, 9 if kind == "oracle" else 40))
+    D = METRICS[draw(st.sampled_from(sorted(METRICS)))](n, draw(st.integers(0, 10_000)))
+    k = draw(st.integers(1, n))
+    dg = run_linkage("CL", D)
+    if kind == "own-cut":
+        target = extract_clustering(dg, k)
+    elif kind == "oracle":
+        target = opt_score("max-diam", D, k).witness
+    else:
+        target = Clustering.from_blocks([range(i, n, k) for i in range(k)], n)
+    return D, dg, target
 
 
 @pytest.fixture

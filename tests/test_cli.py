@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,13 @@ from linkcert import (
     DistanceMatrix,
     cli,
     dump_instance,
+    extract_clustering,
     gen_random_euclidean,
     gen_random_metric,
+    gen_single_link_adversary,
     instance_lab,
+    metric_core,
+    run_linkage,
 )
 
 
@@ -443,6 +448,49 @@ class TestCertify:
     def test_oracle_guard_exits_4(self, tmp_path, euclidean_instance):
         assert run_cli("--out-dir", tmp_path, "--n-max-oracle", 7, "certify",
                        "--instance", euclidean_instance, "--k", 3) == 4
+
+
+class TestCertifyGathersOnce:
+    """``certify`` reads each block of each distinct clustering it scores from
+    one submatrix: the CL cut's blocks, and the targets' blocks, whose values
+    the reference scores, both replays and both bound checks then share."""
+
+    @staticmethod
+    def gathered(monkeypatch, fn) -> Counter:
+        """The multi-point blocks gathered while ``fn`` runs, with counts."""
+        calls, gather = Counter(), metric_core._block_cohesion
+
+        def counting(S, D, measures):
+            calls[S] += len(S) > 1
+            return gather(S, D, measures)
+
+        monkeypatch.setattr(metric_core, "_block_cohesion", counting)
+        fn()
+        return +calls
+
+    @staticmethod
+    def once_each(*clusterings) -> Counter:
+        return Counter(b for C in dict.fromkeys(clusterings)
+                       for b in C.blocks if len(b) > 1)
+
+    def test_adversary_k100(self, monkeypatch):
+        inst = gen_single_link_adversary(100, 100.0, 1.0)
+        targets = {"avg-diam": inst.target, "max-diam": inst.target}
+        calls = self.gathered(monkeypatch, lambda: cli.certify(inst.D, "CL", 100, targets))
+        cut = extract_clustering(run_linkage("CL", inst.D, 100), 100)
+        assert calls == self.once_each(cut, inst.target)
+
+    def test_oracle_cell(self, monkeypatch):
+        D, k = gen_random_euclidean(12, 2, seed=0), 4
+        targets = {}
+
+        def run():
+            targets.update(cli._oracle_targets(D, k, 12))
+            cli.certify(D, "CL", k, targets)
+
+        calls = self.gathered(monkeypatch, run)
+        cut = extract_clustering(run_linkage("CL", D, k), k)
+        assert calls == self.once_each(cut, targets["avg-diam"], targets["max-diam"])
 
 
 class TestOracle:

@@ -9,9 +9,11 @@ diam <= k^(log2 3) * avg-diam(target), which `alg1_bound` checks directly.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from linkcert import (
     Clustering,
@@ -32,9 +34,10 @@ from linkcert import (
     opt_score,
     run_linkage,
 )
+from linkcert.family_certificates import Alg1Trace, _Alg1Replay
 from linkcert.inequality_lab import P_EXP
 
-from .conftest import line_metric
+from .conftest import cl_runs, line_metric
 
 P = math.log(3) / math.log(2) - 1  # ~0.585
 
@@ -51,6 +54,13 @@ def family_points(dg, node):
     """A family's point set, rebuilt from its clusters."""
     members = dg.members_map()
     return sorted(frozenset().union(*(members[c] for c in node.clusters)))
+
+
+def labelled_cl(n, merges) -> Dendrogram:
+    """A dendrogram labelled CL that merges the given pairs in order."""
+    return Dendrogram(n=n, method="CL", merges=tuple(
+        MergeRecord(left=a, right=b, value=0.0, result=n + i, iteration=i + 1)
+        for i, (a, b) in enumerate(merges)))
 
 
 def traced(D, target_blocks, k=None):
@@ -171,10 +181,7 @@ class TestForgedMergeOrder:
 
     def test_merged_cluster_keeps_the_larger_diameter(self):
         D = line_metric([1.5, 0.0, 3.0, 100.0])
-        merges = [(1, 2), (0, 4), (3, 5)]
-        dg = Dendrogram(n=4, method="CL", merges=tuple(
-            MergeRecord(left=a, right=b, value=0.0, result=4 + i, iteration=i + 1)
-            for i, (a, b) in enumerate(merges)))
+        dg = labelled_cl(4, [(1, 2), (0, 4), (3, 5)])
         trace = alg1_trace(D, dg, [[0], [1, 2, 3]])
         assert [r.case for r in trace.records] == ["b-sub2", "a"]
         newest = trace.forest[max(trace.forest)]
@@ -214,6 +221,26 @@ class TestFalsifiability:
         assert [r.assertions["p4"] for r in trace.records] == [True, False, False, False]
         assert trace.final_assertions == {"p4": False}
 
+    def test_p4_failures_of_several_roots_come_in_root_order(self):
+        """Two fusions that each break p4 leave two failing roots at once;
+        every audit reports them by ascending family id."""
+        M = np.full((8, 8), 100.0)
+        np.fill_diagonal(M, 0.0)
+        for (i, j), d in {(0, 2): 1.0, (4, 6): 1.5, (0, 1): 2.0, (2, 3): 2.0,
+                          (1, 2): 2.5, (0, 3): 2.5, (1, 3): 1000.0,
+                          (4, 5): 2.0, (6, 7): 2.0, (5, 6): 2.5, (4, 7): 2.5,
+                          (5, 7): 1000.0}.items():
+            M[i, j] = M[j, i] = d
+        D = DistanceMatrix.from_full(M)
+        trace = checked_alg1_trace(D, run_linkage("CL", D, 4), FUSED_BLOCKS)
+        assert [r.case for r in trace.records] == ["b-sub3", "b-sub3", "b-sub2", "b-sub2"]
+        assert [[s["id"] for s in r.roots] for r in trace.records] == [
+            [0, 1, 2, 3], [2, 3, 4], [4, 5], [5, 6]]
+        mid = 4.0 * 2 ** P_EXP   # each fusion: phi_sigma = 2 + 2, phi = 2
+        assert [(f["iteration"], f["detail"]) for f in trace.all_failures()] == [
+            (t, f"family {fid}: diam 1000.0 > phi_sigma*phi^p {mid!r}")
+            for t, fid in ((2, 4), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6), (5, 7))]
+
 
 def fused_blocks_specimen() -> DistanceMatrix:
     """Eight points, target blocks {0,1} {2,3} {4,5} {6,7}, not a metric.  The
@@ -230,6 +257,70 @@ def fused_blocks_specimen() -> DistanceMatrix:
 
 
 FUSED_BLOCKS = [[0, 1], [2, 3], [4, 5], [6, 7]]
+
+
+class TestTieRule:
+    """On equal cluster counts the family of the merge's left cluster is A,
+    so it comes first among a fusion's children and leaves.  The trace
+    bytes cannot see this order; only the forest does."""
+
+    @pytest.mark.parametrize("merges, children", [([(0, 1)], (0, 1)),
+                                                  ([(1, 0)], (1, 0))])
+    def test_b_sub1_children_follow_the_left_cluster(self, line4, merges, children):
+        trace = alg1_trace(line4, labelled_cl(4, merges), [[0], [1], [2, 3]])
+        assert [r.case for r in trace.records] == ["b-sub1"]
+        assert trace.forest[3].children == trace.forest[3].leaves == children
+
+    @pytest.mark.parametrize("merges, children", [([(0, 2), (1, 3)], (0, 1)),
+                                                  ([(2, 0), (3, 1)], (1, 0))])
+    def test_b_sub3_children_follow_the_left_cluster(self, merges, children):
+        D = line_metric([0.0, 10.0, 1.0, 11.0])
+        trace = alg1_trace(D, labelled_cl(4, merges), [[0, 1], [2, 3]])
+        assert [r.case for r in trace.records] == ["b-sub3", "b-sub2"]
+        assert trace.forest[2].children == trace.forest[2].leaves == children
+        assert trace.forest[3].leaves == children
+
+
+class CheckedAlg1Replay(_Alg1Replay):
+    """The replay with its kept root list compared after every step against
+    a recount from the forest: the root ids in id order, their summaries, the
+    regular count and the failing roots' p4 details.  A root's summary stays
+    one object while it is a root."""
+
+    def __init__(self, *args):
+        self.seen: dict[int, dict] = {}
+        super().__init__(*args)
+        self.check()
+
+    def step(self, g, g2, u):
+        record = super().step(g, g2, u)
+        self.check()
+        return record
+
+    def check(self) -> None:
+        roots = [f for f, node in self.forest.items() if node.parent is None]
+        assert list(self.roots) == roots
+        for f in roots:
+            assert self.roots[f] == self.forest[f].summary()
+            assert self.seen.setdefault(f, self.roots[f]) is self.roots[f]
+        assert self.regular == sum(self.forest[f].regular for f in roots)
+        assert self.p4_fails == {f: d for f in roots
+                                 if (d := self._p4_details(self.forest[f]))}
+
+
+def checked_alg1_trace(D, dg, target) -> Alg1Trace:
+    """``alg1_trace`` on ``CheckedAlg1Replay``, whose trace must be the same."""
+    with mock.patch.object(family_certificates, "_Alg1Replay", CheckedAlg1Replay):
+        trace = alg1_trace(D, dg, target)
+    assert trace.to_json() == alg1_trace(D, dg, target).to_json()
+    return trace
+
+
+@settings(derandomize=True, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=cl_runs())
+def test_kept_roots_match_a_recount(run):
+    checked_alg1_trace(*run)
 
 
 class TestForestInvariants:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from linkcert import (
     Clustering,
@@ -41,7 +41,7 @@ from linkcert.graph_certificates import (
 )
 from linkcert.inequality_lab import ALPHA_CAP
 
-from .conftest import METRICS, line_metric
+from .conftest import cl_runs, line_metric
 
 
 def traced(D, target_blocks):
@@ -414,7 +414,8 @@ def reference_audit(r: _Alg2Replay) -> list:
 class CheckedReplay(_Alg2Replay):
     """The replay with its kept audit state (rejected clusters, pure tally,
     excluded count, point keys) compared after every audit and every budget
-    against the full array recount and against ``reference_audit``."""
+    against the full array recount and against ``reference_audit``, and its
+    kept root list against the summaries of the live families' counts."""
 
     def start_audit(self) -> dict:
         verdict = super().start_audit()
@@ -430,6 +431,9 @@ class CheckedReplay(_Alg2Replay):
         assert np.array_equal(self.key, key)
         assert [self.wrong, self.pure_seen, self.excluded] == recount
         assert recount == reference_audit(self)
+        # the same summary objects, in id order
+        assert list(map(id, self.roots.values())) == [
+            id(self._summary(f, self.counts[f])) for f in sorted(self.counts)]
 
 
 def checked_trace(D, dg, target) -> Alg2Trace:
@@ -440,24 +444,6 @@ def checked_trace(D, dg, target) -> Alg2Trace:
                      additions=r.additions)
     assert trace.to_json() == alg2_trace(D, dg, target).to_json()
     return trace
-
-
-@st.composite
-def cl_runs(draw):
-    """A CL run on a Euclidean, closure or tied metric at n <= 40, with its
-    own cut, an interleaved target or (n <= 9) an oracle target."""
-    kind = draw(st.sampled_from(["own-cut", "interleaved", "oracle"]))
-    n = draw(st.integers(2, 9 if kind == "oracle" else 40))
-    D = METRICS[draw(st.sampled_from(sorted(METRICS)))](n, draw(st.integers(0, 10_000)))
-    k = draw(st.integers(1, n))
-    dg = run_linkage("CL", D)
-    if kind == "own-cut":
-        target = extract_clustering(dg, k)
-    elif kind == "oracle":
-        target = opt_score("max-diam", D, k).witness
-    else:
-        target = Clustering.from_blocks([range(i, n, k) for i in range(k)], n)
-    return D, dg, target
 
 
 @settings(derandomize=True, deadline=None, max_examples=80,

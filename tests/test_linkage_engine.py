@@ -92,6 +92,21 @@ class TestLinkageDistance:
         assert sl <= al * (1 + 1e-12)
         assert al <= cl * (1 + 1e-12)
 
+    def test_values_keep_the_bits_of_a_c_ordered_block(self):
+        """AL sums its cross block in C order, the order of the ``np.ix_``
+        gather, whatever the blocks' sizes and interleaving."""
+        D = gen_random_metric(60, seed=2)
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            ids = rng.permutation(60)
+            cut = int(rng.integers(10, 50))
+            A, B = sorted(map(int, ids[:cut])), sorted(map(int, ids[cut:]))
+            block = D.full[np.ix_(A, B)]
+            for method, value in (("CL", block.max()), ("SL", block.min()),
+                                  ("AL", block.sum() / block.size)):
+                assert np.float64(linkage_distance(method, A, B, D)).tobytes() == \
+                    np.float64(value).tobytes(), method
+
 
 class TestRunLinkage:
     def test_cl_line_merges(self, line4):

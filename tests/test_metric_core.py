@@ -1,7 +1,10 @@
 """Tests for distance matrices, clusterings, cohesion, and scores."""
 
+import copy
+import gc
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from linkcert import (
     cohesion,
     dump_instance,
     extract_clustering,
+    gen_random_euclidean,
     gen_single_link_adversary,
     load_instance,
     run_linkage,
@@ -28,6 +32,7 @@ from linkcert.metric_core import (
     ClusterMatrix,
     _triangle_violations,
     as_cluster,
+    block_diameters,
 )
 
 from .conftest import line_metric
@@ -540,6 +545,63 @@ class TestOneSubmatrixScores:
             clustering_score(CLUSTERING_SCORES, C, D)
         with pytest.raises(PreconditionError, match="sum of a cluster's distances"):
             clustering_score(("max-avg", "avg-diam"), C, D)
+
+
+def _stripes(n: int, k: int) -> Clustering:
+    return Clustering.from_blocks([range(i, n, k) for i in range(k)], n)
+
+
+class TestKeptBlockValues:
+    """A clustering's block values are gathered once and kept on the matrix
+    that scored it, keyed weakly by the clustering."""
+
+    def test_a_scaled_copy_scores_its_own_distances(self):
+        D, C = gen_random_euclidean(9, 2, seed=3), _stripes(9, 3)
+        scores = clustering_score(CLUSTERING_SCORES, C, D)
+        assert block_diameters(C, D) == tuple(cohesion("diam", b, D) for b in C.blocks)
+        D2 = D.scaled(2)
+        assert clustering_score(CLUSTERING_SCORES, C, D2) == \
+            {name: 2 * v for name, v in scores.items()}
+        assert block_diameters(C, D2) == tuple(2 * v for v in block_diameters(C, D))
+
+    def test_a_dropped_clustering_leaves_nothing_kept(self):
+        D, C = gen_random_euclidean(9, 2, seed=3), _stripes(9, 3)
+        clustering_score("max-diam", C, D)
+        assert len(D._scored) == 1
+        del C
+        gc.collect()
+        assert len(D._scored) == 0
+        cohesion("diam", {0, 1, 2}, D)
+        assert len(D._scored) == 0
+
+    def test_a_scored_matrix_pickles_and_copies(self):
+        D, C = gen_random_euclidean(9, 2, seed=3), _stripes(9, 3)
+        scores = clustering_score(CLUSTERING_SCORES, C, D)
+        for twin in (pickle.loads(pickle.dumps(D)), copy.deepcopy(D), copy.copy(D)):
+            assert twin.n == D.n and np.array_equal(twin.full, D.full)
+            assert len(twin._scored) == 0
+            assert clustering_score(CLUSTERING_SCORES, C, twin) == scores
+
+    def test_an_overflowing_avg_raises_on_every_call(self):
+        D = DistanceMatrix(4, np.full(6, 1e308))
+        C = Clustering.from_blocks([[0], [1, 2, 3]], 4)
+        for _ in range(3):
+            with pytest.raises(PreconditionError, match="overflows float64"):
+                clustering_score("max-avg", C, D)
+            assert clustering_score("max-diam", C, D) == 1e308
+
+    def test_a_negative_zero_diagonal_is_stored_as_zero(self):
+        M = line_metric([0.0, 1.0, 3.0]).full.copy()
+        np.fill_diagonal(M, -0.0)
+        D = DistanceMatrix.from_full(M)
+        assert np.signbit(np.diagonal(M)).all()   # the caller's matrix is kept
+        assert not np.signbit(np.diagonal(D.full)).any()
+        cm = ClusterMatrix(D)
+        diams = block_diameters(Clustering.from_blocks([[0], [1], [2]], 3), D)
+        for s in range(3):
+            assert np.float64(cm.diam([s])).tobytes() == \
+                np.float64(cohesion("diam", {s}, D)).tobytes() == \
+                np.float64(diams[s]).tobytes()
 
 
 class TestLineMetricHelper:
