@@ -107,7 +107,7 @@ def _out_path(out_dir: str, name: str) -> str:
 
 
 def _achieved(C: Clustering, D: DistanceMatrix) -> dict:
-    return clustering_score(CLUSTERING_SCORES, C, D)
+    return {name: clustering_score(name, C, D) for name in CLUSTERING_SCORES}
 
 
 # ---------------------------------------------------------------- generate
@@ -439,7 +439,8 @@ def cmd_inequalities(args) -> int:
             _samples_csv(_out_path(args.out_dir, f"{batch.name}_failures.csv"),
                          batch.failures)
     if not (sup.argmax == 4 and sup.tail_ok
-            and math.isclose(sup.value, inequality_lab.ALPHA_CAP, rel_tol=1e-12)):
+            and math.isclose(sup.value, inequality_lab.ALPHA_CAP,
+                             rel_tol=inequality_lab.FINE_RTOL)):
         failures.append({"assertion": "alpha-sup",
                          "argmax": sup.argmax, "value": sup.value,
                          "tail_ok": sup.tail_ok})

@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .inequality_lab import P_EXP, avg_bound, within_bound
+from .inequality_lab import FINE_RTOL, P_EXP, avg_bound, within_bound
 from .linkage_engine import Dendrogram
 from .metric_core import (
     ClusterMatrix,
@@ -315,7 +315,7 @@ class _Alg1Replay(_ReplayState):
         if node.phi != len(leaves):
             self.fail("phi-additivity", f"family {fid}: phi={node.phi}, leaves={len(leaves)}")
         direct = math.fsum(self.forest[l].diam for l in leaves)
-        if not math.isclose(node.phi_sigma, direct, rel_tol=1e-12, abs_tol=1e-12):
+        if not math.isclose(node.phi_sigma, direct, rel_tol=FINE_RTOL, abs_tol=FINE_RTOL):
             self.fail("phi-sigma-additivity",
                       f"family {fid}: stored={node.phi_sigma!r}, leaf sum={direct!r}")
 

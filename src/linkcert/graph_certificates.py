@@ -50,15 +50,16 @@ case dispatch, exclusion additions, collapse (cases a/b) or removal (case c),
 and the budget.  Collapse and removal share one family-death step.
 
 A record lists every live family's summary, so a trace repeats few distinct
-summaries many times.  Each summary is built once per (family id, pure
-count) and each finished assertion dict is interned by its items (all its
-values are bools), so records of different iterations share read-only dicts
-and ``Replay.write`` encodes each of them once per trace.  The list itself is
-kept across merges, as a map from live family to summary in id order, and
-changes only where a pure count does: a family's birth or death, a merge of
-a pure cluster, and an exclusion.  Family diameters come from the cluster
-fold, except the initial families', which are the target's block diameters
-that ``metric_core.clustering_score`` keeps (``block_diameters``).
+summaries many times.  A summary is built when its family's pure count changes
+(counts only fall, so once per count), and each finished assertion dict is
+interned by its items (all its values are bools), so records of different
+iterations share read-only dicts and ``Replay.write`` encodes each of them
+once per trace.  The list itself is kept across merges, as a map from live
+family to summary in id order, and changes only where a pure count does: a
+family's birth or death, a merge of a pure cluster, and an exclusion.  Family
+diameters come from the cluster fold, except the initial families', which are
+the target's block diameters that ``metric_core.clustering_score`` keeps
+(``block_diameters``).
 """
 
 from __future__ import annotations
@@ -274,7 +275,6 @@ class _Alg2Replay(_ReplayState):
         self.spanning_certs: list[SpanningTreeCert] = []
         self.active: set[int] = set(range(n))
         self.edge_set: set[tuple[int, int]] = set()   # simple edges of the live graph
-        self.summaries: dict[tuple[int, int], dict] = {}   # (family, pure) -> summary
         self.verdicts: dict[tuple, dict] = {}   # assertion items -> one shared dict
         self.wrong: set[int] = set()
         self.pure_seen: dict[int, int] = {}
@@ -354,19 +354,11 @@ class _Alg2Replay(_ReplayState):
             failures=self.failures,
         )
 
-    def _summary(self, f: int, pure: int) -> dict:
-        """Family f's root summary at ``pure`` pure clusters, built once: a
-        family's snapshot never changes, so records share the dict."""
-        summary = self.summaries.get((f, pure))
-        if summary is None:
-            summary = self.summaries[f, pure] = self.families[f].summary(pure)
-        return summary
-
     def _set_count(self, f: int, pure: int) -> None:
         """Live family f now has ``pure`` pure clusters; its root summary
-        follows."""
+        follows.  Records share the summary until the count changes again."""
         self.counts[f] = pure
-        self.roots[f] = self._summary(f, pure)
+        self.roots[f] = self.families[f].summary(pure)
 
     # ------------------------------------------------------------ phases
 

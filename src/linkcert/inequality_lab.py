@@ -1,8 +1,9 @@
-"""The guarantee exponents, the bound formulas, and the one tolerance.
+"""The guarantee exponents, the bound formulas, and the tolerances.
 
-The only owner of ``P_EXP``, ``ALPHA_CAP``, ``RTOL``, ``alpha_k``, the bounds
-k^{log2 3} * avg-diam (``avg_bound``: CL, AL, MM) and k^{alpha_k} * max-diam
-(``dm_bound``: CL; ``growth_bound`` per family), and ``within_bound``.
+The only owner of ``P_EXP``, ``ALPHA_CAP``, ``RTOL``, ``FINE_RTOL``,
+``alpha_k``, the bounds k^{log2 3} * avg-diam (``avg_bound``: CL, AL, MM) and
+k^{alpha_k} * max-diam (``dm_bound``: CL; ``growth_bound`` per family), and
+``within_bound``.
 
 Two parametric inequalities are checked, plus the supremum scan that pins
 down the exponent cap:
@@ -40,6 +41,7 @@ __all__ = [
     "P_EXP",
     "ALPHA_CAP",
     "RTOL",
+    "FINE_RTOL",
     "within_bound",
     "avg_bound",
     "dm_bound",
@@ -56,6 +58,7 @@ __all__ = [
 P_EXP = math.log(3) / math.log(2) - 1  # p of ineq-avg and of the phi bound chain
 ALPHA_CAP = math.log(6) / math.log(4)  # sup of log_i(2i-2), reached at i = 4
 RTOL = 1e-9
+FINE_RTOL = 1e-12  # final-ulp slack, where both sides differ only by rounding
 N_EXTREMES = 10  # tightest samples a batch keeps
 MAX_LEN = 10     # longest list sample_ineq_2 draws
 

@@ -27,16 +27,19 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .inequality_lab import within_bound
+from .inequality_lab import FINE_RTOL, within_bound
 from .metric_core import (
     ClusterMatrix,
     Clustering,
     DistanceMatrix,
     PreconditionError,
     StructuralError,
+    _block_cohesion,
+    _finite,
     _seeded_rng,
+    _submatrix,
+    _sum,
     as_cluster,
-    checked_sum,
     cohesion,
 )
 
@@ -148,18 +151,11 @@ _RECORD_KEYS = ("left", "right", "iteration", "value")
 
 
 def _cross_block(A: frozenset[int], B: frozenset[int], D: DistanceMatrix) -> np.ndarray:
-    ia = np.fromiter(sorted(A), dtype=np.intp)
-    ib = np.fromiter(sorted(B), dtype=np.intp)
-    # ``M[ia][:, ib]`` comes back in Fortran order, and AL's sum over a block
-    # that is not symmetric would then add in another order: two takes keep
-    # the C order of ``np.ix_``, and so every bit
-    return D.full.take(ia, 0).take(ib, 1)
+    return _submatrix(D.full, sorted(A), sorted(B))
 
 
 def _minimax(U: Iterable[int], D: DistanceMatrix) -> float:
-    iu = np.fromiter(sorted(U), dtype=np.intp)
-    sub = D.full.take(iu, 0).take(iu, 1)
-    return float(sub.max(axis=1).min())
+    return _block_cohesion(frozenset(U), D, ("radius",))["radius"]
 
 
 def linkage_distance(method, A, B, D: DistanceMatrix) -> float:
@@ -183,7 +179,7 @@ def linkage_distance(method, A, B, D: DistanceMatrix) -> float:
         return float(cross.max())
     if method == "SL":
         return float(cross.min())
-    return float(checked_sum(cross) / cross.size)
+    return _finite(float(_sum(cross) / cross.size))
 
 
 def union_diameter_rule(A, B, D: DistanceMatrix) -> float:
@@ -345,8 +341,8 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
             for i in redo:
                 _scan_row(V, int(i), nn, mind)
 
-    if method == "AL" and any(m.value == np.inf for m in merges):
-        raise PreconditionError("the sum of a cluster's distances overflows float64")
+    if method == "AL":
+        _finite(max((m.value for m in merges), default=0.0))
     return Dendrogram(n=n, method=method, merges=tuple(merges[:n - k]))
 
 
@@ -441,9 +437,6 @@ class AlignmentReport:
         return not self.violations
 
 
-_ALIGNMENT_RTOL = 1e-12  # final-ulp slack; much tighter than inequality_lab.RTOL
-
-
 def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
                     sample_pairs: int, seed: int = 0) -> AlignmentReport:
     """Probe whether a pair function and a cohesion cost fit together.
@@ -452,10 +445,9 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
       (i)   min cross distance <= f(A,B) <= diam(A u B)
       (ii)  singletons cost exactly 0
       (iii) cost(A u B) <= max{cost(A), cost(B), f(A,B)}
-    Float comparisons are ``within_bound`` with a tiny relative slack
-    ``_ALIGNMENT_RTOL`` (mean-based costs can overshoot pure maxima by
-    final-ulp rounding); every fourth sample forces |A| = 1 so condition (ii)
-    is exercised.
+    Float comparisons are ``within_bound`` with the final-ulp slack
+    ``FINE_RTOL`` (mean-based costs can overshoot pure maxima by rounding);
+    every fourth sample forces |A| = 1 so condition (ii) is exercised.
     """
     n = D.n
     if n < 2:
@@ -473,10 +465,10 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
         fab = float(f(A, B, D))
         cross = _cross_block(A, B, D)
         lo, hi = float(cross.min()), cohesion("diam", A | B, D)
-        if not within_bound(lo, fab, _ALIGNMENT_RTOL):
+        if not within_bound(lo, fab, FINE_RTOL):
             report.violations.append({"condition": "i-lower", "A": sorted(A),
                                       "B": sorted(B), "lhs": lo, "rhs": fab})
-        if not within_bound(fab, hi, _ALIGNMENT_RTOL):
+        if not within_bound(fab, hi, FINE_RTOL):
             report.violations.append({"condition": "i-upper", "A": sorted(A),
                                       "B": sorted(B), "lhs": fab, "rhs": hi})
         for side in (A, B):
@@ -486,7 +478,7 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
                                           "lhs": float(cost(side, D)), "rhs": 0.0})
         cu = float(cost(A | B, D))
         bound = max(float(cost(A, D)), float(cost(B, D)), fab)
-        if not within_bound(cu, bound, _ALIGNMENT_RTOL):
+        if not within_bound(cu, bound, FINE_RTOL):
             report.violations.append({"condition": "iii", "A": sorted(A),
                                       "B": sorted(B), "lhs": cu, "rhs": bound})
     return report

@@ -2,8 +2,11 @@
 
 Distances for ``n`` points (ids ``0..n-1``) are kept as a packed lower triangle
 in row-major order: entry ``(i, j)`` with ``i < j`` sits at index
-``j*(j-1)/2 + i``.  A full symmetric matrix view is materialised once on
-demand and cached; all bulk work happens through numpy on that view.
+``j*(j-1)/2 + i``.  ``DistanceMatrix`` owns that storage: it stores ``-0.0``
+as ``+0.0`` and builds the full symmetric matrix once, at construction; all
+bulk work happens through numpy on that view.  ``_submatrix`` owns every
+gather of a block from it, and ``_sum``, ``_finite`` and ``_SUM_OVERFLOW`` the
+rule for a distance sum past float64's range: inf while kept, raised when read.
 
 ``clustering_score`` owns the per-block values of a clustering: each block's
 diameter, average distance and radius are read from one submatrix the first
@@ -35,7 +38,6 @@ __all__ = [
     "as_cluster",
     "validate_metric",
     "cohesion",
-    "checked_sum",
     "clustering_score",
     "block_diameters",
     "load_instance",
@@ -97,26 +99,25 @@ class DistanceMatrix:
         Lower triangle, row-major, length n(n-1)/2, float64.
     labels : list of str, optional
         Display names; purely cosmetic.
-    metric_checked : bool or None
-        Result of the last triangle-inequality validation (None = never run).
 
-    The distance data is immutable after construction by convention;
-    ``metric_checked``, the cached full view and the kept block values of
-    scored clusterings (``clustering_score``) are the only mutable state.
-    The kept values are a cache: a pickled or copied matrix starts without
-    them.
+    ``packed`` is stored with every ``-0.0`` as ``+0.0``, and ``full``, the
+    (n, n) symmetric matrix with a zero diagonal, is built from it once.
+    The distance data is immutable after construction by convention; the
+    kept block values of scored clusterings (``clustering_score``) are the
+    only mutable state.  They are a cache: a pickled or copied matrix starts
+    without them.
     """
 
     n: int
     packed: np.ndarray
     labels: list[str] | None = None
-    metric_checked: bool | None = None
-    _full: np.ndarray | None = field(default=None, repr=False, compare=False)
+    full: np.ndarray = field(init=False, repr=False, compare=False)
     _scored: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.packed = np.asarray(self.packed, dtype=np.float64)
+        self.packed = np.array(self.packed, dtype=np.float64)   # never the caller's
+        self.packed += 0.0   # stores -0.0 as +0.0 and keeps every other value
         if self.n < 1:
             raise StructuralError(f"need at least one point, got n={self.n}")
         if self.packed.shape != (tri_size(self.n),):
@@ -136,6 +137,11 @@ class DistanceMatrix:
             raise StructuralError(
                 f"got {len(self.labels)} labels for {self.n} points"
             )
+        self.full = M = np.zeros((self.n, self.n), dtype=np.float64)
+        for j in range(1, self.n):
+            row = self.packed[tri_size(j):tri_size(j + 1)]
+            M[j, :j] = row
+            M[:j, j] = row
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -148,9 +154,8 @@ class DistanceMatrix:
 
     @classmethod
     def from_full(cls, matrix, labels=None) -> "DistanceMatrix":
-        """Build from a full square matrix, checking shape/symmetry/diagonal.
-        A ``-0.0`` on the diagonal is accepted and stored as ``+0.0``, the
-        zero every other reader of a point's distance to itself returns."""
+        """Build from a full square matrix, checking shape/symmetry/diagonal;
+        only the lower triangle is kept, so a ``-0.0`` diagonal is accepted."""
         M = np.asarray(matrix, dtype=np.float64)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {M.shape}")
@@ -165,10 +170,7 @@ class DistanceMatrix:
         if diag.size:
             i = int(diag[0])
             raise StructuralError(f"nonzero diagonal at pair ({i}, {i}): {M[i, i]!r}")
-        dm = cls(n=n, packed=_pack(M), labels=list(labels) if labels else None)
-        dm._full = M.copy()
-        np.fill_diagonal(dm._full, 0.0)
-        return dm
+        return cls(n=n, packed=_pack(M), labels=list(labels) if labels else None)
 
     @classmethod
     def from_points(cls, points) -> "DistanceMatrix":
@@ -181,18 +183,6 @@ class DistanceMatrix:
         np.fill_diagonal(M, 0.0)
         M = np.maximum(M, M.T)  # exact symmetry regardless of summation order
         return cls.from_full(M)
-
-    @property
-    def full(self) -> np.ndarray:
-        """Full symmetric (n, n) view; built once and cached."""
-        if self._full is None:
-            M = np.zeros((self.n, self.n), dtype=np.float64)
-            for j in range(1, self.n):
-                row = self.packed[tri_size(j):tri_size(j + 1)]
-                M[j, :j] = row
-                M[:j, j] = row
-            self._full = M
-        return self._full
 
     def d(self, i: int, j: int) -> float:
         if i == j:
@@ -336,7 +326,7 @@ def validate_metric(D: DistanceMatrix, tau: float = 1e-9) -> list[tuple[int, int
     ``d(i,k) > d(i,j) + d(j,k) + tau * max(d(i,k), d(i,j) + d(j,k))``,
     i.e. the slack ``tau`` is relative, so verdicts are invariant under
     rescaling all distances.  Each violated inequality is reported once,
-    canonically with i < k.  Sets ``D.metric_checked`` as a side effect.
+    canonically with i < k.
 
     The scan first screens each block of rows i with the min-plus row minimum
     ``min_j d(i,j) + d(j,k)`` and runs the exact test above only on blocks
@@ -347,13 +337,7 @@ def validate_metric(D: DistanceMatrix, tau: float = 1e-9) -> list[tuple[int, int
     """
     if not (math.isfinite(tau) and tau >= 0):
         raise PreconditionError(f"tau must be finite and nonnegative, got {tau!r}")
-    n = D.n
-    if n <= 2:
-        D.metric_checked = True
-        return []
-    out = _triangle_violations(D.full, tau)
-    D.metric_checked = not out
-    return out
+    return _triangle_violations(D.full, tau) if D.n > 2 else []
 
 
 _BLOCK_ELEMENTS = 1 << 20  # size of one block of an (n, n, n) temporary
@@ -417,8 +401,31 @@ def cohesion(measure: str, S: Iterable[int], D: DistanceMatrix) -> float:
     S = as_cluster(S, D.n)
     if measure not in COHESION_MEASURES:
         raise PreconditionError(f"unknown cohesion measure {measure!r}")
-    value = _block_cohesion(S, D, (measure,))[measure]
-    if math.isinf(value):  # only an avg whose sum overflowed
+    return _finite(_block_cohesion(S, D, (measure,))[measure])
+
+
+def _submatrix(M: np.ndarray, rows, cols=None) -> np.ndarray:
+    """``M[np.ix_(rows, cols)]`` for sequences of indices (``cols`` defaults
+    to ``rows``), at about half its cost.  ``M[rows][:, cols]`` comes back in
+    Fortran order, and a sum over a block that is not symmetric would then
+    add in another order: two takes keep the C order of ``np.ix_``, and so
+    every bit."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = rows if cols is None else np.asarray(cols, dtype=np.intp)
+    return M.take(rows, 0).take(cols, 1)
+
+
+def _sum(block: np.ndarray) -> np.float64:
+    """Sum of a block of finite distances: inf, without numpy's warning, when
+    it passes float64's range, for ``_finite`` to raise on."""
+    with np.errstate(over="ignore"):
+        return block.sum()
+
+
+def _finite(value):
+    """``value``, drawn from a distance sum; ``PreconditionError`` when the
+    sum overflowed to inf."""
+    if math.isinf(value):
         raise PreconditionError(_SUM_OVERFLOW)
     return value
 
@@ -430,32 +437,17 @@ def _block_cohesion(S: frozenset[int], D: DistanceMatrix,
     back as inf, for the caller to raise on."""
     if len(S) == 1:
         return dict.fromkeys(measures, 0.0)
-    idx = np.fromiter(sorted(S), dtype=np.intp)
-    # two takes gather the C-ordered submatrix ``np.ix_`` does, at about half
-    # its cost (see ``linkage_engine._cross_block`` for why not ``M[idx][:, idx]``)
-    sub = D.full.take(idx, 0).take(idx, 1)
+    sub = _submatrix(D.full, sorted(S))
     out = {}
     for measure in measures:
         if measure == "diam":
             out[measure] = float(sub.max())
         elif measure == "avg":
             m = len(S)
-            with np.errstate(over="ignore"):
-                total = sub.sum()
-            out[measure] = float(total / (m * (m - 1)))  # sub counts ordered pairs
+            out[measure] = float(_sum(sub) / (m * (m - 1)))  # sub counts ordered pairs
         else:
             out[measure] = float(sub.max(axis=1).min())
     return out
-
-
-def checked_sum(block: np.ndarray) -> np.float64:
-    """Sum of a block of distances; raises ``PreconditionError`` when finite
-    distances sum past float64's range."""
-    with np.errstate(over="ignore"):
-        total = block.sum()
-    if not np.isfinite(total):
-        raise PreconditionError(_SUM_OVERFLOW)
-    return total
 
 
 class ClusterMatrix:
@@ -469,8 +461,8 @@ class ClusterMatrix:
         self.W = D.full.copy()
         self.slot = list(range(D.n)) + [0] * (D.n - 1)   # cluster id -> slot
 
-    def _slots(self, clusters) -> np.ndarray:
-        return np.fromiter((self.slot[c] for c in clusters), dtype=np.intp)
+    def _slots(self, clusters) -> list[int]:
+        return [self.slot[c] for c in clusters]
 
     def merge(self, g: int, g2: int, u: int) -> float:
         """Fold cluster u = g | g2 into W; returns diam(u)."""
@@ -486,11 +478,11 @@ class ClusterMatrix:
     def diam(self, clusters) -> float:
         """Diameter of the union of the given live clusters; 0.0 for none."""
         idx = self._slots(clusters)
-        return float(self.W.take(idx, 0).take(idx, 1).max()) if idx.size else 0.0
+        return float(_submatrix(self.W, idx).max()) if idx else 0.0
 
     def cross(self, A, B) -> float:
         """Largest distance between two nonempty sets of live clusters."""
-        return float(self.W.take(self._slots(A), 0).take(self._slots(B), 1).max())
+        return float(_submatrix(self.W, self._slots(A), self._slots(B)).max())
 
 
 def _block_values(C: Clustering, D: DistanceMatrix) -> dict[str, tuple[float, ...]]:
@@ -512,37 +504,25 @@ def block_diameters(C: Clustering, D: DistanceMatrix) -> tuple[float, ...]:
     return _block_values(C.require_n(D.n), D)["diam"]
 
 
-def clustering_score(score, C: Clustering, D: DistanceMatrix):
+def clustering_score(score: str, C: Clustering, D: DistanceMatrix) -> float:
     """Aggregate a cohesion measure over the blocks of a clustering.
 
     ``max-diam``/``max-avg``/``max-radius`` take the worst block;
-    ``avg-diam`` averages block diameters (sum of diameters / k).  ``score``
-    is one name, or a tuple of names scored together as ``{name: value}``.
-    The block values are gathered once per clustering and kept on D (see
-    ``_block_values``).  An overflowing sum raises ``PreconditionError`` for
-    the first name, in the given order, that has one.
+    ``avg-diam`` averages block diameters (sum of diameters / k).  The block
+    values are gathered once per clustering and kept on D (see
+    ``_block_values``), so scoring the other names costs lookups.  An
+    overflowing sum raises ``PreconditionError``.
     """
-    single = isinstance(score, str)
-    names = (score,) if single else tuple(score)
-    for name in names:
-        if name not in CLUSTERING_SCORES:
-            raise PreconditionError(f"unknown clustering score {name!r}")
+    if score not in CLUSTERING_SCORES:
+        raise PreconditionError(f"unknown clustering score {score!r}")
     # a Clustering's blocks were checked when it was built
-    kept = _block_values(C.require_n(D.n), D)
-    out = {}
-    for name in names:
-        values = kept[_SCORE_MEASURES[name]]
-        if name == "avg-diam":
-            try:
-                out[name] = math.fsum(values) / C.k
-            except OverflowError:  # finite diameters whose sum is not
-                raise PreconditionError(
-                    "the sum of block diameters overflows float64") from None
-        else:
-            out[name] = max(values)
-            if math.isinf(out[name]):  # only an avg whose sum overflowed
-                raise PreconditionError(_SUM_OVERFLOW)
-    return out[score] if single else out
+    values = _block_values(C.require_n(D.n), D)[_SCORE_MEASURES[score]]
+    if score != "avg-diam":
+        return _finite(max(values))
+    try:
+        return math.fsum(values) / C.k
+    except OverflowError:  # finite diameters whose sum is not
+        raise PreconditionError("the sum of block diameters overflows float64") from None
 
 
 def _read_json(path):

@@ -431,9 +431,9 @@ class CheckedReplay(_Alg2Replay):
         assert np.array_equal(self.key, key)
         assert [self.wrong, self.pure_seen, self.excluded] == recount
         assert recount == reference_audit(self)
-        # the same summary objects, in id order
-        assert list(map(id, self.roots.values())) == [
-            id(self._summary(f, self.counts[f])) for f in sorted(self.counts)]
+        # the summaries at the live counts, in id order
+        assert list(self.roots.items()) == [
+            (f, self.families[f].summary(self.counts[f])) for f in sorted(self.counts)]
 
 
 def checked_trace(D, dg, target) -> Alg2Trace:

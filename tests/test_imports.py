@@ -1,7 +1,7 @@
 """Every name a ``linkcert`` module imports is read by that module, every
-name in its ``__all__`` is defined by the module itself, and every
+name in its ``__all__`` is defined by the module itself, every
 module-level ``_private`` def, class or constant is read somewhere in the
-package.
+package, and only ``metric_core`` gathers blocks of a matrix itself.
 
 pyflakes would catch the first, but it is not a dependency; the standard
 library's ``ast`` is enough.  A name listed in the module's ``__all__``
@@ -90,6 +90,22 @@ def dead_privates(sources: dict[str, str]) -> list[str]:
             if name not in read]
 
 
+GATHERS = {"take", "ix_"}
+
+
+def foreign_gathers(source: str) -> list[str]:
+    """Lines that gather a block of a matrix themselves, through numpy's
+    ``take`` or ``ix_`` read as an attribute or imported by name, rather
+    than through ``metric_core._submatrix``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in GATHERS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in GATHERS]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 MODULES = sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})
 
 
@@ -101,6 +117,24 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_all_names_are_defined_here(path):
     assert foreign_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "metric_core.py"],
+                         ids=lambda p: p.name)
+def test_only_metric_core_gathers(path):
+    assert foreign_gathers(path.read_text()) == []
+
+
+def test_checker_sees_gathers():
+    source = ("import numpy as np\nfrom numpy import ix_, take\n"
+              "def f(M, i, j, take=None):\n"
+              "    a = M.take(i, 0).take(j, 1)\n"
+              "    b = M[np.ix_(i, j)]\n"
+              "    gather = M.take\n"
+              "    return a, b, gather, ix_(i, j), np.take(M, i), take\n")
+    assert foreign_gathers(source) == [
+        "line 2: ix_", "line 2: take", "line 4: take", "line 4: take",
+        "line 5: ix_", "line 6: take", "line 7: take"]
 
 
 def test_no_dead_private_helpers():

@@ -151,6 +151,30 @@ class TestDistanceMatrix:
         assert D.labels == ["a", "b"]
 
 
+def _negative_zero_instances():
+    """Points 0 and 1 at distance -0.0, given packed, in JSON and full."""
+    yield DistanceMatrix(3, np.array([-0.0, 1.0, 1.0]))
+    yield DistanceMatrix.from_json({"n": 3, "dist": [-0.0, 1.0, 1.0]})
+    M = line_metric([0.0, 0.0, 1.0]).full.copy()
+    M[0, 1] = M[1, 0] = -0.0
+    yield DistanceMatrix.from_full(M)
+
+
+@pytest.mark.parametrize("D", _negative_zero_instances(),
+                         ids=["packed", "json", "from_full"])
+def test_a_negative_zero_distance_reads_as_zero(D):
+    """A distance of -0.0 is stored as +0.0, so the CL merge value,
+    ``cohesion``, the complete-link fold and the instance JSON all give the
+    same zero."""
+    (first, _) = run_linkage("CL", D).merges
+    assert (first.left, first.right) == (0, 1)
+    cm = ClusterMatrix(D)
+    values = [first.value, cohesion("diam", {0, 1}, D), D.d(0, 1),
+              cm.cross([0], [1]), cm.merge(0, 1, 3), D.to_json()["dist"][0]]
+    assert [np.float64(v).tobytes() for v in values] == [np.float64(0.0).tobytes()] * 6
+    assert "-0.0" not in json.dumps(D.to_json())
+
+
 def assert_blocks_match_one_pass(M: np.ndarray, tau: float):
     """Check the screened, blocked scan against one unscreened n^3 pass at
     budgets from one row per block to the whole matrix; return the triples."""
@@ -163,16 +187,13 @@ def assert_blocks_match_one_pass(M: np.ndarray, tau: float):
                       if i < k and j != i and j != k)
     for budget in (1, n * n, 3 * n * n, n ** 3):
         assert _triangle_violations(M, tau, budget) == one_pass
-    D = DistanceMatrix.from_full(M)
-    assert validate_metric(D, tau) == one_pass
-    assert D.metric_checked is (not one_pass)
+    assert validate_metric(DistanceMatrix.from_full(M), tau) == one_pass
     return one_pass
 
 
 class TestValidateMetric:
     def test_line_metric_is_exact_metric(self, line4):
         assert validate_metric(line4, tau=0.0) == []
-        assert line4.metric_checked is True
 
     def test_detects_triangle_violation(self):
         # d(0,2)=10 but d(0,1)+d(1,2)=2: the triple (0,1,2) must be flagged
@@ -253,7 +274,7 @@ class TestValidateMetric:
         D = DistanceMatrix(n=3, packed=np.array([1.0, 10.0, 1.0]))
         with pytest.raises(PreconditionError, match="tau"):
             validate_metric(D, tau=tau)
-        assert D.metric_checked is None
+        assert validate_metric(D) == [(0, 1, 2)]
 
     def test_tiny_instances_vacuous(self):
         assert validate_metric(DistanceMatrix(n=1, packed=np.zeros(0))) == []
@@ -453,6 +474,11 @@ def score_by_cohesion(name: str, C: Clustering, D: DistanceMatrix) -> float:
         raise PreconditionError("the sum of block diameters overflows float64") from None
 
 
+def scores_of(names, C: Clustering, D: DistanceMatrix) -> dict:
+    """``clustering_score`` of each name in turn, in the given order."""
+    return {name: clustering_score(name, C, D) for name in names}
+
+
 def _bits(scores: dict) -> list:
     return [(name, np.float64(v).tobytes()) for name, v in scores.items()]
 
@@ -503,13 +529,15 @@ class TestOneSubmatrixScores:
 
     @staticmethod
     def check(C, D, names=CLUSTERING_SCORES):
-        """The scores of ``names`` together, then each alone, against
-        ``score_by_cohesion`` called name by name."""
+        """The scores of ``names`` in turn, then each as the first score of
+        a copy of D that keeps nothing, against ``score_by_cohesion`` called
+        name by name."""
         expected = _outcome(lambda: {name: score_by_cohesion(name, C, D)
                                      for name in names})
-        assert _outcome(lambda: clustering_score(names, C, D)) == expected
+        assert _outcome(lambda: scores_of(names, C, D)) == expected
         for name in names:
-            assert _outcome(lambda: {name: clustering_score(name, C, D)}) == \
+            fresh = copy.copy(D)
+            assert _outcome(lambda: {name: clustering_score(name, C, fresh)}) == \
                 _outcome(lambda: {name: score_by_cohesion(name, C, D)})
 
     def test_acceptance_grid(self):
@@ -520,7 +548,7 @@ class TestOneSubmatrixScores:
                 dg = run_linkage("CL", D)
                 for k in K_RANGE:
                     for C in (extract_clustering(dg, k), _random_partition(n, k, rng)):
-                        assert _bits(clustering_score(CLUSTERING_SCORES, C, D)) == \
+                        assert _bits(scores_of(CLUSTERING_SCORES, C, D)) == \
                             _bits({name: score_by_cohesion(name, C, D)
                                    for name in CLUSTERING_SCORES})
 
@@ -542,9 +570,15 @@ class TestOneSubmatrixScores:
         D = DistanceMatrix(4, np.full(6, 1e308))
         C = Clustering.from_blocks([[0, 1], [2, 3]], 4)
         with pytest.raises(PreconditionError, match="sum of block diameters"):
-            clustering_score(CLUSTERING_SCORES, C, D)
+            scores_of(CLUSTERING_SCORES, C, D)
         with pytest.raises(PreconditionError, match="sum of a cluster's distances"):
-            clustering_score(("max-avg", "avg-diam"), C, D)
+            scores_of(("max-avg", "avg-diam"), C, D)
+
+    @pytest.mark.parametrize("names", [CLUSTERING_SCORES, ("max-diam",), ["max-diam"]],
+                             ids=["all", "tuple", "list"])
+    def test_takes_one_name(self, names, line4):
+        with pytest.raises(PreconditionError, match="unknown clustering score"):
+            clustering_score(names, Clustering.from_blocks([[0, 1], [2, 3]], 4), line4)
 
 
 def _stripes(n: int, k: int) -> Clustering:
@@ -557,10 +591,10 @@ class TestKeptBlockValues:
 
     def test_a_scaled_copy_scores_its_own_distances(self):
         D, C = gen_random_euclidean(9, 2, seed=3), _stripes(9, 3)
-        scores = clustering_score(CLUSTERING_SCORES, C, D)
+        scores = scores_of(CLUSTERING_SCORES, C, D)
         assert block_diameters(C, D) == tuple(cohesion("diam", b, D) for b in C.blocks)
         D2 = D.scaled(2)
-        assert clustering_score(CLUSTERING_SCORES, C, D2) == \
+        assert scores_of(CLUSTERING_SCORES, C, D2) == \
             {name: 2 * v for name, v in scores.items()}
         assert block_diameters(C, D2) == tuple(2 * v for v in block_diameters(C, D))
 
@@ -576,11 +610,11 @@ class TestKeptBlockValues:
 
     def test_a_scored_matrix_pickles_and_copies(self):
         D, C = gen_random_euclidean(9, 2, seed=3), _stripes(9, 3)
-        scores = clustering_score(CLUSTERING_SCORES, C, D)
+        scores = scores_of(CLUSTERING_SCORES, C, D)
         for twin in (pickle.loads(pickle.dumps(D)), copy.deepcopy(D), copy.copy(D)):
             assert twin.n == D.n and np.array_equal(twin.full, D.full)
             assert len(twin._scored) == 0
-            assert clustering_score(CLUSTERING_SCORES, C, twin) == scores
+            assert scores_of(CLUSTERING_SCORES, C, twin) == scores
 
     def test_an_overflowing_avg_raises_on_every_call(self):
         D = DistanceMatrix(4, np.full(6, 1e308))
