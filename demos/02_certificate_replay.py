@@ -72,14 +72,22 @@ def main() -> None:
     #              b-sub1 = two singleton families fuse
     #              b-sub2 = a merge internal to one family
     #              b-sub3 = two families fuse, at least one regular
+    # The trace writes each family once, in the record of the iteration
+    # that creates it; the families it names as children stop being roots.
     t1 = alg1_trace(D, dg, target)
+    live = {s["id"]: s for s in t1.initial}
     for r in t1.records:
         roots = ", ".join(
             f"(id={s['id']} phi={s['phi']} phi_sigma={s['phi_sigma']:g} "
-            f"diam={s['diam']:g})" for s in r.roots)
+            f"diam={s['diam']:g})" for s in live.values())
         print(f"  iteration {r.iteration}: case {r.case}, "
               f"assertions {r.assertions}")
         print(f"    root families before the merge: {roots}")
+        for s in r.families:
+            for c in s["children"]:
+                del live[c]
+            live[s["id"]] = s
+            print(f"    new family {s['id']} from children {s['children']}")
     print(f"  final-state assertions: {t1.final_assertions}")
     p1, f1 = t1.assertion_counts
     print(f"  assertions passed/failed: {p1}/{f1}")

@@ -247,7 +247,7 @@ def cmd_certify(args) -> int:
     report.instance = {"path": args.instance, "n": D.n, "target": args.target}
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     for name, trace in traces.items():
-        trace.write(_out_path(
+        write_json(trace.to_json(), _out_path(
             args.out_dir, f"{stem}.{args.method}.k{args.k}.{name}_trace.json"))
     text = json.dumps(report.to_json(), indent=2)
     write_line(text, _out_path(args.out_dir, f"{stem}.{args.method}.k{args.k}.report.json"))

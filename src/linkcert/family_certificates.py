@@ -26,16 +26,18 @@ keeps its point set and so its diameter, and every other new family reads
 the matrix over its clusters when it is created.
 
 The root audit runs at every iteration over every root family.  A family's
-summary and its p4 verdict depend only on its own fields and the replay's
-fixed chain bound, so both are computed when the family is created, and the
-replay keeps the root list across merges: the root summaries in id order,
-the count of regular roots, and the p4 details of the failing roots.  A new
-family's id is the largest yet, so it joins at the end, and its children
-leave.  An audit then costs a copy of the root list, and a failing root's
-p4 records are emitted again at every audit it is a root in.  Records of
-different iterations share the kept summary dicts, and one assertion dict
-per (p3, p4) verdict, so trace records are read-only.  ``Replay.write``
-encodes each shared dict once per trace, not once per record that lists it.
+p4 verdict depends only on its own fields and the replay's fixed chain
+bound, so it is computed when the family is created, and the replay keeps
+the count of regular roots and the p4 details of the failing roots across
+merges.  A failing root's p4 records are emitted again at every audit it is
+a root in.
+
+Trace format (``"trace_version": 2``): each family is written once, in the
+record of the iteration that creates it (the initial families at the top
+level, beside ``target``), as its summary plus its ``children`` (A first).
+A family retires by appearing as a child, so the roots that iteration t
+audits are the families born before t that no family born before t names
+as a child.
 
 Per-iteration assertions:
   p3  at least one root family holds more than one cluster,
@@ -61,8 +63,6 @@ from .metric_core import (
     PreconditionError,
     block_diameters,
     clustering_score,
-    encode_json,
-    write_line,
 )
 
 __all__ = [
@@ -101,6 +101,7 @@ class FamilyNode:
         return len(self.clusters) > 1
 
     def summary(self) -> dict:
+        """The family as its trace writes it, once, at its creation."""
         return {
             "id": self.id,
             "size": len(self.clusters),
@@ -108,6 +109,7 @@ class FamilyNode:
             "phi_sigma": float(self.phi_sigma),
             "diam": float(self.diam),
             "regular": self.regular,
+            "children": list(self.children),
         }
 
 
@@ -115,33 +117,26 @@ class FamilyNode:
 class Alg1IterationRecord:
     iteration: int
     case: str | None
-    roots: list[dict]
+    families: list[dict]                 # the families this iteration creates
     assertions: dict
     failures: list[dict] = field(default_factory=list)
 
 
-# A placeholder string no trace holds, and its JSON text.  ``Replay.write``
-# checks the count of slots it finds, so a trace that does hold it is still
-# written right.
-_SLOT = "\x00"
-_SLOT_TEXT = encode_json(_SLOT)
-
-
 @dataclass
 class Replay:
-    """What both certificate replays return: per-iteration records (each with
-    its ``assertions`` and ``failures``) plus failures outside any iteration,
-    and ``born[t - 1]``, the diameter of the cluster born at iteration t.
+    """What both certificate replays return: the initial families' summaries,
+    per-iteration records (each with its ``assertions`` and ``failures``)
+    plus failures outside any iteration, and ``born[t - 1]``, the diameter of
+    the cluster born at iteration t.
 
     Record dataclasses declare their fields in JSON key order, so a record
-    serialises as ``vars(record)``.  ``born`` is not serialised.  Records are
-    read-only: records of different iterations share their root summaries and
-    assertion dicts, and ``write`` encodes each shared dict once.
+    serialises as ``vars(record)``.  ``born`` is not serialised.
     """
 
     n: int
     k: int
     target: Clustering
+    initial: list[dict]
     records: list
     failures: list[dict]
     born: list[float]
@@ -160,46 +155,9 @@ class Replay:
         return count_assertions(r.assertions for r in self.records)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "target": self.target.to_json(),
+        return {"trace_version": 2, "n": self.n, "k": self.k,
+                "target": self.target.to_json(), "families": self.initial,
                 "iterations": [dict(vars(r)) for r in self.records]}
-
-    def write(self, path) -> None:
-        """Write ``json.dumps(self.to_json())`` and a newline to ``path``.
-
-        A trace lists every root family at every iteration, so its records
-        repeat a few shared dicts (root summaries, assertion dicts) many
-        times.  Each shared dict is encoded once, keyed by identity (the
-        trace keeps it alive): one encoder call writes the distinct dicts,
-        another the rest of the trace with a slot in place of each record's
-        roots and assertions, and the dicts' texts are spliced into the slots.
-        """
-        doc = self.to_json()
-        index: dict[int, int] = {}     # id of a shared dict -> its position
-        distinct = [_SLOT]             # the shared dicts, each followed by a slot
-        rows = []                      # per record: its roots' positions, then its assertions'
-        for record in doc["iterations"]:    # fresh copies: slots go in place
-            row = []
-            for obj in (*record["roots"], record["assertions"]):
-                i = index.get(id(obj))
-                if i is None:
-                    i = index[id(obj)] = len(index)
-                    distinct += (obj, _SLOT)
-                row.append(i)
-            rows.append(row)
-            record["roots"] = record["assertions"] = _SLOT
-        # each dict's text sits between two slots as ", <text>, "
-        texts = [t[2:-2] for t in encode_json(distinct).split(_SLOT_TEXT)[1:-1]]
-        pieces = encode_json(doc).split(_SLOT_TEXT)
-        if len(texts) != len(index) or len(pieces) != 2 * len(rows) + 1:
-            # a string in the trace spells the slot: encode the trace whole
-            write_line(encode_json(self.to_json()), path)
-            return
-        out = [pieces[0]]
-        # Both record types declare roots before assertions.
-        for row, after_roots, after_assertions in zip(rows, pieces[1::2], pieces[2::2]):
-            out += ("[", ", ".join([texts[i] for i in row[:-1]]), "]", after_roots,
-                    texts[row[-1]], after_assertions)
-        write_line("".join(out), path)
 
 
 @dataclass
@@ -253,9 +211,10 @@ class _ReplayState:
             self.records.append(self.step(m.left, m.right, m.result))
         self.t, self.failures = len(self.merges) + 1, self.trace_failures
 
-    def result(self, cls, **extra) -> Replay:
-        return cls(n=self.n, k=self.k, target=self.target, records=self.records,
-                   failures=self.trace_failures, born=self.born, **extra)
+    def result(self, cls, initial: list[dict], **extra) -> Replay:
+        return cls(n=self.n, k=self.k, target=self.target, initial=initial,
+                   records=self.records, failures=self.trace_failures,
+                   born=self.born, **extra)
 
 
 class _Alg1Replay(_ReplayState):
@@ -263,10 +222,9 @@ class _Alg1Replay(_ReplayState):
     choice with the fold, and the rewrite of the one or two root families the
     merge touched.  ``fam_of`` maps each live cluster to its root family.
 
-    The root list is kept across merges, updated only where a family is
-    created: ``roots`` maps each root id to its summary, in id order,
-    ``regular`` counts the regular roots, and ``p4_fails`` maps each root
-    that fails p4 to its details, in id order."""
+    The audit's state is kept across merges, updated only where a family is
+    created: ``regular`` counts the regular roots, and ``p4_fails`` maps each
+    root that fails p4 to its details, in id order."""
 
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
         super().__init__(D, dg, target)
@@ -274,10 +232,8 @@ class _Alg1Replay(_ReplayState):
         self.chain_rhs = k * clustering_score("avg-diam", self.target, D) * k ** P_EXP
         self.forest: dict[int, FamilyNode] = {}
         self.fam_of: dict[int, int] = {}
-        self.roots: dict[int, dict] = {}
         self.regular = 0
         self.p4_fails: dict[int, tuple[str, ...]] = {}
-        self.verdicts: dict[tuple[bool, bool], dict] = {}   # (p3, p4) -> one shared dict
         for block, diam in zip(self.target.blocks, block_diameters(self.target, D)):
             self._new_family(block, diam=diam)
 
@@ -288,7 +244,7 @@ class _Alg1Replay(_ReplayState):
         is the one place a family's diameter is read from ``cm``, unless the
         caller hands in one it already holds.  phi and phi_sigma add up the
         children's, and both sums are re-checked against the leaves.  The
-        family joins the kept root list, and its children leave it."""
+        family becomes a root, and its children stop being roots."""
         fid = len(self.forest)
         diam = self.cm.diam(clusters) if diam is None else diam
         leaves = tuple(l for c in children for l in c.leaves) or (fid,)
@@ -302,10 +258,8 @@ class _Alg1Replay(_ReplayState):
             children=tuple(c.id for c in children), leaves=leaves)
         for c in children:
             c.parent = fid
-            del self.roots[c.id]
             self.regular -= c.regular
             self.p4_fails.pop(c.id, None)
-        self.roots[fid] = node.summary()
         self.regular += node.regular
         details = self._p4_details(node)
         if details:
@@ -320,28 +274,28 @@ class _Alg1Replay(_ReplayState):
                       f"family {fid}: stored={node.phi_sigma!r}, leaf sum={direct!r}")
 
     def step(self, g: int, g2: int, u: int) -> Alg1IterationRecord:
-        roots, assertions = self.root_audit()
+        assertions = self.root_audit()
         case, A, B, ga, gb = self.choose(g, g2, u)
+        first = len(self.forest)
         self.rewrite(case, A, B, ga, gb, u)
-        return Alg1IterationRecord(iteration=self.t, case=case, roots=roots,
-                                   assertions=assertions, failures=self.failures)
+        return Alg1IterationRecord(
+            iteration=self.t, case=case,
+            families=[self.forest[f].summary() for f in range(first, len(self.forest))],
+            assertions=assertions, failures=self.failures)
 
     # ------------------------------------------------------------ phases
 
-    def root_audit(self, check_p3: bool = True) -> tuple[list[dict], dict]:
-        """The root families' summaries, p3 (unless ``check_p3`` is off) and
-        the p4 chain of every regular root, all read off the kept root list.
-        A root's p4 failures are failed again, in root order, at every audit
-        it is a root in."""
+    def root_audit(self, check_p3: bool = True) -> dict:
+        """p3 (unless ``check_p3`` is off) and the p4 chain of every regular
+        root, read off the kept audit state.  A root's p4 failures are failed
+        again, in root order, at every audit it is a root in."""
         p3 = self.regular > 0
         if check_p3 and not p3:
             self.fail("p3", "no regular root family")
         for details in self.p4_fails.values():
             for detail in details:
                 self.fail("p4", detail)
-        p4 = not self.p4_fails
-        verdict = self.verdicts.setdefault((p3, p4), {"p3": p3, "p4": p4})
-        return list(self.roots.values()), verdict
+        return {"p3": p3, "p4": not self.p4_fails}
 
     def _p4_details(self, node: FamilyNode) -> tuple[str, ...]:
         """The details of the family's failed p4 checks, computed once: a
@@ -400,8 +354,9 @@ def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
     # Final state: the per-cluster guarantee leans on p4 holding here too.
     # p3 is not asserted here -- once every target block has fully merged all
     # root families hold a single cluster, which is the intended end shape.
-    _, final = r.root_audit(check_p3=False)
-    return r.result(Alg1Trace, forest=r.forest, final_assertions={"p4": final["p4"]})
+    final = r.root_audit(check_p3=False)
+    return r.result(Alg1Trace, initial=[r.forest[f].summary() for f in range(r.k)],
+                    forest=r.forest, final_assertions={"p4": final["p4"]})
 
 
 @dataclass

@@ -49,16 +49,17 @@ cluster fold and the merge loop): start audit, merge, pure-count evolution,
 case dispatch, exclusion additions, collapse (cases a/b) or removal (case c),
 and the budget.  Collapse and removal share one family-death step.
 
-A record lists every live family's summary, so a trace repeats few distinct
-summaries many times.  A summary is built when its family's pure count changes
-(counts only fall, so once per count), and each finished assertion dict is
-interned by its items (all its values are bools), so records of different
-iterations share read-only dicts and ``Replay.write`` encodes each of them
-once per trace.  The list itself is kept across merges, as a map from live
-family to summary in id order, and changes only where a pure count does: a
-family's birth or death, a merge of a pure cluster, and an exclusion.  Family
-diameters come from the cluster fold, except the initial families', which are
-the target's block diameters that ``metric_core.clustering_score`` keeps
+Trace format (``"trace_version": 2``): each family is written once, at its
+birth.  The initial families' summaries sit at the top level, beside
+``target``; a family born by a collapse is its ``fc_created`` event (its
+clusters, phi and diam).  A family starts with all its clusters pure, and a
+record lists in ``pure_counts`` only the counts that changed in its
+iteration, of families alive at its end.  A family dies through a
+``removed`` or ``fc_created`` event, with its component.  A component's id
+is the id of the family that founded it, and a record's ``join`` names the
+component that survives a join, then the one it absorbs.  Family diameters
+come from the cluster fold, except the initial families', which are the
+target's block diameters that ``metric_core.clustering_score`` keeps
 (``block_diameters``).
 """
 
@@ -97,9 +98,10 @@ class Alg2Family:
     diam: float
     phi: int
 
-    def summary(self, pure: int) -> dict:
+    def summary(self) -> dict:
+        """An initial family as its trace writes it, once."""
         return {"id": self.id, "size": len(self.clusters), "phi": self.phi,
-                "diam": float(self.diam), "pure": pure}
+                "diam": float(self.diam)}
 
 
 @dataclass
@@ -181,10 +183,10 @@ def fc_diameter_check(cert: SpanningTreeCert, fc_diam: float) -> list[dict]:
 class Alg2IterationRecord:
     iteration: int
     case: str | None
-    roots: list[dict]
     assertions: dict
     exclusion_set_size: int
-    components: list[dict]
+    pure_counts: dict[str, int]          # live family -> count, where it changed
+    join: list[int] | None               # surviving component, absorbed one
     events: list[dict]
     failures: list[dict] = field(default_factory=list)
 
@@ -244,9 +246,7 @@ class _Alg2Replay(_ReplayState):
     family's number of pure clusters, ``owner`` (point -> live cluster) the
     audit's view of the clusters, and ``comps``/``fam2comp`` the components.
     ``members`` is the dendrogram's own view, which the merge step reads.
-    ``roots`` (live family -> its summary at its pure count, in id order)
-    follows ``counts`` through ``_set_count``; a new family's id is the
-    largest yet, so both dicts stay in id order.
+    A new family's id is the largest yet, so ``counts`` stays in id order.
 
     The audit's kept state is derived from those and only cached here:
     ``wrong`` (the live clusters the classification rejects), ``pure_seen``
@@ -265,7 +265,6 @@ class _Alg2Replay(_ReplayState):
         self.families: dict[int, Alg2Family] = {}    # every family ever, by id
         self.tag = np.full(2 * n - 1, NONPURE, dtype=np.intp)
         self.counts: dict[int, int] = {}
-        self.roots: dict[int, dict] = {}
         self.p2f = np.full(n, -1, dtype=np.intp)
         self.owner = np.arange(n)
         self.comps: dict[int, ComponentState] = {}
@@ -275,7 +274,6 @@ class _Alg2Replay(_ReplayState):
         self.spanning_certs: list[SpanningTreeCert] = []
         self.active: set[int] = set(range(n))
         self.edge_set: set[tuple[int, int]] = set()   # simple edges of the live graph
-        self.verdicts: dict[tuple, dict] = {}   # assertion items -> one shared dict
         self.wrong: set[int] = set()
         self.pure_seen: dict[int, int] = {}
         self.excluded = 0
@@ -292,13 +290,14 @@ class _Alg2Replay(_ReplayState):
                 self.fail("family-growth-bound",
                           f"initial family {fam.id}: diam {fam.diam!r} > "
                           f"max-diam(target) {self.max_diam!r}")
+        self.initial = [fam.summary() for fam in self.families.values()]
 
     def _new_family(self, clusters, points, phi: int, diam: float) -> Alg2Family:
         """A live family of the given pure clusters, alone in a new component."""
         fid = len(self.families)
         fam = self.families[fid] = Alg2Family(
             id=fid, clusters=frozenset(clusters), diam=diam, phi=phi)
-        self._set_count(fid, len(clusters))
+        self.counts[fid] = len(clusters)
         self.tag[_ids(clusters)] = fid
         self.p2f[_ids(points)] = fid
         self.comps[self.next_comp] = ComponentState(families={fid})
@@ -315,7 +314,6 @@ class _Alg2Replay(_ReplayState):
         a family no merge can touch it again."""
         for f in self.comps.pop(comp_id).families:
             del self.counts[f]
-            del self.roots[f]
             del self.fam2comp[f]
             self.tag[self.tag == f] = NONPURE
             self.p2f[self.p2f == f] = -1
@@ -324,7 +322,7 @@ class _Alg2Replay(_ReplayState):
     def step(self, g: int, g2: int, u: int) -> Alg2IterationRecord:
         """Iteration t merges g and g2 into u: the phases in order, then the
         iteration's record."""
-        self.events = []
+        self.events, self.join = [], None
         self.assertions = self.start_audit()
         pure_start = dict(self.counts)
         tag_g, tag_g2 = self.merge(g, g2, u)
@@ -338,27 +336,16 @@ class _Alg2Replay(_ReplayState):
             self._kill_component(comp_id)
             self.events.append({"type": "removed", "iteration": self.t, "family": f})
         self.budget()
-        counts = self.counts
-        assertions = self.verdicts.setdefault(tuple(self.assertions.items()),
-                                              self.assertions)
         return Alg2IterationRecord(
             iteration=self.t, case=case,
-            roots=list(self.roots.values()),
-            assertions=assertions,
+            assertions=self.assertions,
             exclusion_set_size=self.excluded,
-            components=[{
-                "families": sorted(c.families),
-                "pure_counts": {str(f): counts[f] for f in sorted(c.families)},
-            } for _, c in sorted(self.comps.items())],
+            pure_counts={str(f): c for f, c in self.counts.items()
+                         if pure_start.get(f, c) != c},
+            join=self.join,
             events=self.events,
             failures=self.failures,
         )
-
-    def _set_count(self, f: int, pure: int) -> None:
-        """Live family f now has ``pure`` pure clusters; its root summary
-        follows.  Records share the summary until the count changes again."""
-        self.counts[f] = pure
-        self.roots[f] = self.families[f].summary(pure)
 
     # ------------------------------------------------------------ phases
 
@@ -462,7 +449,7 @@ class _Alg2Replay(_ReplayState):
         tag_u = EXCLUDED if absorbed else tag_g if tag_g == tag_g2 else NONPURE
         self.tag[u] = tag_u
         for f in {tg for tg in (tag_g, tag_g2) if tg >= 0}:
-            self._set_count(f, self.counts[f] - 1)
+            self.counts[f] -= 1
         self._tally(tag_g, -1)
         self._tally(tag_g2, -1)
         self._tally(tag_u, 1)
@@ -510,6 +497,7 @@ class _Alg2Replay(_ReplayState):
         tree_edge = {"iteration": t, "weight": self.born[-1], "endpoints": endpoints}
         self.events.append({"type": "edge", "iteration": t, "endpoints": endpoints,
                             "tree_edge": True, "weight": tree_edge["weight"]})
+        self.join = [ca, cb]
         compa, compb = self.comps[ca], self.comps.pop(cb)
         compa.families |= compb.families
         compa.events = compa.events + compb.events + [tree_edge]
@@ -588,7 +576,7 @@ class _Alg2Replay(_ReplayState):
             self._tally(f, -1)
             self._tally(EXCLUDED, 1)
             self.wrong.discard(h)
-            self._set_count(f, 0)
+            self.counts[f] = 0
             rec = {"site": site, "iteration": self.t, "family": f,
                    "cluster": sorted(self.members[h])}
             self.additions.append(rec)
@@ -674,8 +662,8 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     """Replay the pure-cluster graph construction along the first n-k merges."""
     r = _Alg2Replay(D, dg, target)
     r.run()
-    return r.result(Alg2Trace, families=r.families, spanning_certs=r.spanning_certs,
-                    additions=r.additions)
+    return r.result(Alg2Trace, initial=r.initial, families=r.families,
+                    spanning_certs=r.spanning_certs, additions=r.additions)
 
 
 def alg2_bound(trace: Alg2Trace, D: DistanceMatrix) -> BoundCheck:

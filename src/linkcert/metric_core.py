@@ -87,7 +87,7 @@ def tri_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-@dataclass
+@dataclass(eq=False)
 class DistanceMatrix:
     """Pairwise distances for n points.
 
@@ -102,10 +102,14 @@ class DistanceMatrix:
 
     ``packed`` is stored with every ``-0.0`` as ``+0.0``, and ``full``, the
     (n, n) symmetric matrix with a zero diagonal, is built from it once.
-    The distance data is immutable after construction by convention; the
-    kept block values of scored clusterings (``clustering_score``) are the
-    only mutable state.  They are a cache: a pickled or copied matrix starts
-    without them.
+    Both arrays are read-only, so the kept block values of scored
+    clusterings (``clustering_score``) cannot go stale; they are the only
+    mutable state, and a cache: a pickled or copied matrix starts without
+    them.
+
+    Matrices compare as values: equal ``n``, ``labels`` and ``packed``
+    bytes.  Every distance is finite and no zero is negative, so equal
+    bytes means equal distances, and the hash agrees with ``==``.
     """
 
     n: int
@@ -142,6 +146,20 @@ class DistanceMatrix:
             row = self.packed[tri_size(j):tri_size(j + 1)]
             M[j, :j] = row
             M[:j, j] = row
+        self._seal()
+
+    def _seal(self) -> None:
+        self.packed.setflags(write=False)
+        self.full.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, DistanceMatrix):
+            return NotImplemented
+        return (self.n == other.n and self.labels == other.labels
+                and self.packed.tobytes() == other.packed.tobytes())
+
+    def __hash__(self):
+        return hash((self.n, tuple(self.labels or ()), self.packed.tobytes()))
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -150,6 +168,7 @@ class DistanceMatrix:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._seal()           # unpickled and deep-copied arrays are writeable
         self._scored = weakref.WeakKeyDictionary()
 
     @classmethod
@@ -544,8 +563,8 @@ def dump_instance(D: DistanceMatrix, path) -> None:
     write_json(D.to_json(), path)
 
 
-# Every document the program writes is a tree, or a DAG of shared read-only
-# records, that it built itself, so the encoder skips the cycle check.  It
+# Every document the program writes is a tree that it built itself, so the
+# encoder skips the cycle check.  It
 # writes the bytes of ``json.dumps``, with the same C encoder.
 encode_json = json.JSONEncoder(check_circular=False).encode
 

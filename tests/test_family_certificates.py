@@ -37,6 +37,7 @@ from linkcert import (
 from linkcert.family_certificates import Alg1Trace, _Alg1Replay
 from linkcert.inequality_lab import P_EXP
 
+from . import trace_v1
 from .conftest import cl_runs, line_metric
 
 P = math.log(3) / math.log(2) - 1  # ~0.585
@@ -61,6 +62,12 @@ def labelled_cl(n, merges) -> Dendrogram:
     return Dendrogram(n=n, method="CL", merges=tuple(
         MergeRecord(left=a, right=b, value=0.0, result=n + i, iteration=i + 1)
         for i, (a, b) in enumerate(merges)))
+
+
+def root_ids(trace) -> list[list[int]]:
+    """Per record, the ids of the root families before its merge, read off
+    the trace's format 1 root lists."""
+    return [[s["id"] for s in rs] for rs in trace_v1.roots(trace.to_json())]
 
 
 def traced(D, target_blocks, k=None):
@@ -211,8 +218,7 @@ class TestFalsifiability:
         D = fused_blocks_specimen()
         trace = alg1_trace(D, run_linkage("CL", D, 4), FUSED_BLOCKS)
         assert [r.case for r in trace.records] == ["b-sub3", "b-sub2", "b-sub2", "b-sub1"]
-        assert [[s["id"] for s in r.roots] for r in trace.records] == [
-            [0, 1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]]
+        assert root_ids(trace) == [[0, 1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]]
         mid = 4.0 * 2 ** P_EXP   # phi_sigma = d(0,1) + d(2,3), phi = 2
         detail = f"family 4: diam 1000.0 > phi_sigma*phi^p {mid!r}"
         # iterations 2-4, then the final audit after the last merge
@@ -234,8 +240,7 @@ class TestFalsifiability:
         D = DistanceMatrix.from_full(M)
         trace = checked_alg1_trace(D, run_linkage("CL", D, 4), FUSED_BLOCKS)
         assert [r.case for r in trace.records] == ["b-sub3", "b-sub3", "b-sub2", "b-sub2"]
-        assert [[s["id"] for s in r.roots] for r in trace.records] == [
-            [0, 1, 2, 3], [2, 3, 4], [4, 5], [5, 6]]
+        assert root_ids(trace) == [[0, 1, 2, 3], [2, 3, 4], [4, 5], [5, 6]]
         mid = 4.0 * 2 ** P_EXP   # each fusion: phi_sigma = 2 + 2, phi = 2
         assert [(f["iteration"], f["detail"]) for f in trace.all_failures()] == [
             (t, f"family {fid}: diam 1000.0 > phi_sigma*phi^p {mid!r}")
@@ -282,13 +287,13 @@ class TestTieRule:
 
 
 class CheckedAlg1Replay(_Alg1Replay):
-    """The replay with its kept root list compared after every step against
-    a recount from the forest: the root ids in id order, their summaries, the
-    regular count and the failing roots' p4 details.  A root's summary stays
-    one object while it is a root."""
+    """The replay with its kept audit state compared after every step against
+    a recount from the forest: the regular count and the failing roots' p4
+    details.  ``recounts`` keeps the root list each audit sees, as the
+    summaries of the parentless families in id order."""
 
     def __init__(self, *args):
-        self.seen: dict[int, dict] = {}
+        self.recounts: list[list[dict]] = []
         super().__init__(*args)
         self.check()
 
@@ -299,20 +304,29 @@ class CheckedAlg1Replay(_Alg1Replay):
 
     def check(self) -> None:
         roots = [f for f, node in self.forest.items() if node.parent is None]
-        assert list(self.roots) == roots
-        for f in roots:
-            assert self.roots[f] == self.forest[f].summary()
-            assert self.seen.setdefault(f, self.roots[f]) is self.roots[f]
+        assert len(roots) <= self.k   # so p3 holds while a merge is left
+        self.recounts.append([
+            {k: v for k, v in self.forest[f].summary().items() if k != "children"}
+            for f in roots])
         assert self.regular == sum(self.forest[f].regular for f in roots)
         assert self.p4_fails == {f: d for f in roots
                                  if (d := self._p4_details(self.forest[f]))}
 
 
 def checked_alg1_trace(D, dg, target) -> Alg1Trace:
-    """``alg1_trace`` on ``CheckedAlg1Replay``, whose trace must be the same."""
-    with mock.patch.object(family_certificates, "_Alg1Replay", CheckedAlg1Replay):
+    """``alg1_trace`` on ``CheckedAlg1Replay``, whose trace must be the same,
+    and whose root lists must be the ones the trace's records rebuild."""
+    replays = []
+
+    def replay(*args):
+        replays.append(CheckedAlg1Replay(*args))
+        return replays[-1]
+
+    with mock.patch.object(family_certificates, "_Alg1Replay", replay):
         trace = alg1_trace(D, dg, target)
     assert trace.to_json() == alg1_trace(D, dg, target).to_json()
+    (r,) = replays
+    assert trace_v1.roots(trace.to_json()) == r.recounts[:-1]
     return trace
 
 

@@ -41,6 +41,7 @@ from linkcert.graph_certificates import (
 )
 from linkcert.inequality_lab import ALPHA_CAP
 
+from . import trace_v1
 from .conftest import cl_runs, line_metric
 
 
@@ -414,8 +415,14 @@ def reference_audit(r: _Alg2Replay) -> list:
 class CheckedReplay(_Alg2Replay):
     """The replay with its kept audit state (rejected clusters, pure tally,
     excluded count, point keys) compared after every audit and every budget
-    against the full array recount and against ``reference_audit``, and its
-    kept root list against the summaries of the live families' counts."""
+    against the full array recount and against ``reference_audit``.  At the
+    end of each step ``recounts`` keeps the root list (each live family's
+    summary at its count, in id order) and the component list, read off
+    ``counts`` and ``comps``."""
+
+    def __init__(self, *args):
+        self.recounts: list[tuple[list, list]] = []
+        super().__init__(*args)
 
     def start_audit(self) -> dict:
         verdict = super().start_audit()
@@ -425,24 +432,31 @@ class CheckedReplay(_Alg2Replay):
     def budget(self) -> None:
         super().budget()
         self.check()
+        counts = self.counts
+        self.recounts.append((
+            [{**self.families[f].summary(), "pure": counts[f]} for f in sorted(counts)],
+            [{"families": sorted(c.families),
+              "pure_counts": {str(f): counts[f] for f in sorted(c.families)}}
+             for _, c in sorted(self.comps.items())]))
 
     def check(self) -> None:
         key, *recount = self._recount()
         assert np.array_equal(self.key, key)
         assert [self.wrong, self.pure_seen, self.excluded] == recount
         assert recount == reference_audit(self)
-        # the summaries at the live counts, in id order
-        assert list(self.roots.items()) == [
-            (f, self.families[f].summary(self.counts[f])) for f in sorted(self.counts)]
 
 
 def checked_trace(D, dg, target) -> Alg2Trace:
-    """``alg2_trace`` on ``CheckedReplay``, whose trace must be the same."""
+    """``alg2_trace`` on ``CheckedReplay``, whose trace must be the same, and
+    whose root and component lists must be the ones the trace's records
+    rebuild."""
     r = CheckedReplay(D, dg, target)
     r.run()
-    trace = r.result(Alg2Trace, families=r.families, spanning_certs=r.spanning_certs,
-                     additions=r.additions)
-    assert trace.to_json() == alg2_trace(D, dg, target).to_json()
+    trace = r.result(Alg2Trace, initial=r.initial, families=r.families,
+                     spanning_certs=r.spanning_certs, additions=r.additions)
+    doc = trace.to_json()
+    assert doc == alg2_trace(D, dg, target).to_json()
+    assert list(zip(trace_v1.roots(doc), trace_v1.components(doc))) == r.recounts
     return trace
 
 

@@ -638,6 +638,48 @@ class TestKeptBlockValues:
                 np.float64(diams[s]).tobytes()
 
 
+class TestSealedMatrix:
+    """Both distance arrays are read-only once built, and matrices compare
+    and hash as values."""
+
+    @pytest.mark.parametrize("write", [
+        lambda D: D.packed.__setitem__(0, 9.0),
+        lambda D: D.full.__setitem__((0, 1), 9.0),
+        lambda D: np.fill_diagonal(D.full, 1.0),
+        lambda D: D.packed.__imul__(2.0),
+    ], ids=["packed", "full", "full-diagonal", "packed-in-place"])
+    def test_a_write_into_either_array_raises(self, write):
+        D = DistanceMatrix(3, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="read-only"):
+            write(D)
+        assert D.packed.tolist() == [1.0, 2.0, 3.0] and D.d(0, 1) == 1.0
+        assert D.full[0, 1] == 1.0 and D.full[0, 0] == 0.0
+
+    def test_the_caller_keeps_a_writeable_array(self):
+        packed = np.array([1.0, 2.0, 3.0])
+        D = DistanceMatrix(3, packed)
+        packed[0] = 9.0
+        assert packed.flags.writeable and D.d(0, 1) == 1.0
+
+    def test_equality_and_hash_are_by_value(self):
+        a, b = DistanceMatrix(3, [1.0, 2.0, 3.0]), DistanceMatrix(3, [1.0, 2.0, 3.0])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != DistanceMatrix(3, [1.0, 2.0, 4.0])
+        assert a != DistanceMatrix(3, [1.0, 2.0, 3.0], labels=["x", "y", "z"])
+        assert (a == [1.0, 2.0, 3.0]) is False and (a == 3) is False
+        assert DistanceMatrix(2, [-0.0]) == DistanceMatrix(2, [0.0])
+
+    def test_pickle_copy_and_scaled_stay_sealed_and_equal(self):
+        D = DistanceMatrix(3, [1.0, 2.0, 3.0], labels=["a", "b", "c"])
+        twins = (pickle.loads(pickle.dumps(D)), copy.copy(D), copy.deepcopy(D))
+        for twin in twins:
+            assert twin == D and hash(twin) == hash(D)
+        scaled = D.scaled(2.0)
+        assert scaled.packed.tolist() == [2.0, 4.0, 6.0] and scaled.labels == D.labels
+        for E in (*twins, scaled):
+            assert not E.packed.flags.writeable and not E.full.flags.writeable
+
+
 class TestLineMetricHelper:
     def test_line_metric_builder(self):
         D = line_metric([0.0, 5.0, 6.0])

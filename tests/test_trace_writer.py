@@ -1,12 +1,13 @@
-"""The trace writer: ``Replay.write`` writes ``json.dumps(trace.to_json())``
-and a newline, byte for byte.
+"""The trace files: ``certify`` writes ``json.dumps(trace.to_json())`` and a
+newline, byte for byte, through ``metric_core.write_json``.
 
-Records share read-only dicts (root summaries, assertion dicts), and the
-writer encodes each shared dict once and splices its text into every record
-that lists it.  The bytes are checked on every golden case, on the k=100
-single-link adversary, on the lost-point fakes (whose records carry
-failures), and on CL runs drawn by hypothesis over Euclidean,
-shortest-path closure and tied metrics.
+Trace format 2 writes each fact once: a family is born in exactly one
+place (the top-level ``families`` or one record), and retires at most once
+(as a child of a new alg1 family, or with its alg2 component), after its
+birth.  The bytes and the rule are checked on every golden case, on the
+k=100 single-link adversary, on the lost-point fakes (whose records carry
+failures), and on CL runs drawn by hypothesis over Euclidean, shortest-path
+closure and tied metrics.
 """
 
 import json
@@ -25,8 +26,8 @@ from linkcert import (
     gen_single_link_adversary,
     run_linkage,
 )
-from linkcert.family_certificates import Alg1IterationRecord, Replay
 from linkcert.cli import certify
+from linkcert.metric_core import write_json
 
 from .conftest import METRICS, line_metric
 from .test_family_certificates import FUSED_BLOCKS, fused_blocks_specimen
@@ -42,8 +43,44 @@ from .test_graph_certificates import losing
 
 
 def assert_written(trace, path) -> None:
-    trace.write(path)
+    write_json(trace.to_json(), path)
     assert path.read_text() == json.dumps(trace.to_json()) + "\n"
+
+
+def births_and_retirements(doc: dict) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(iteration, family id) of every birth and every retirement that a
+    format 2 trace document writes, in document order; iteration 0 is the
+    top-level ``families``."""
+    born = [(0, f["id"]) for f in doc["families"]]
+    retired = []
+    for r in doc["iterations"]:
+        t = r["iteration"]
+        if "final" in doc:      # alg1: a family retires as a child
+            for f in r["families"]:
+                retired += [(t, c) for c in f["children"]]
+                born.append((t, f["id"]))
+            continue
+        for e in r["events"]:   # alg2: with its component
+            if e["type"] == "fc_created":
+                born.append((t, e["family"]))
+                retired += [(t, f) for f in e["component"]]
+            elif e["type"] == "removed":
+                retired.append((t, e["family"]))
+    return born, retired
+
+
+def assert_written_once(trace) -> None:
+    """Every family id is born once, and retires at most once, in a later
+    iteration than its birth; an alg1 trace writes a birth for every node of
+    its forest."""
+    born, retired = births_and_retirements(trace.to_json())
+    birth = {f: t for t, f in born}
+    assert len(birth) == len(born)
+    assert sorted(birth) == list(range(len(born)))
+    if hasattr(trace, "forest"):
+        assert sorted(birth) == sorted(trace.forest)
+    assert len({f for _, f in retired}) == len(retired)
+    assert all(f in birth and birth[f] < t for t, f in retired)
 
 
 def certify_traces(D, k, targets) -> list:
@@ -96,6 +133,7 @@ def test_golden_cases(name, tmp_path):
     traces = GOLDEN[name]()
     for i, trace in enumerate(traces):
         assert_written(trace, tmp_path / f"{i}.json")
+        assert_written_once(trace)
     if name.startswith("lost-point"):
         assert not traces[0].ok      # failure records are written too
 
@@ -104,42 +142,10 @@ def test_adversary_k100(tmp_path):
     alg1, alg2 = adversary_traces(100)
     assert_written(alg1, tmp_path / "alg1.json")
     assert_written(alg2, tmp_path / "alg2.json")
-    roots = [s for r in alg1.records for s in r.roots]
-    assert len({id(s) for s in roots}) * 10 < len(roots)   # mostly shared
-
-
-def test_a_string_that_spells_the_slot_is_written_right(tmp_path):
-    """The writer marks each record's roots and assertions with a slot string;
-    a trace holding that string itself is still written byte for byte."""
-    target = Clustering.from_blocks([[0], [1]], 2)
-    shared = {"p3": True, "p4": True}
-    records = [Alg1IterationRecord(
-        iteration=t, case=None, roots=[], assertions=shared,
-        failures=[{"assertion": "p3", "iteration": t, "detail": detail}])
-        for t, detail in enumerate(["\x00", "x\x00"], 1)]
-    trace = Replay(n=2, k=2, target=target, records=records, failures=[], born=[])
-    assert_written(trace, tmp_path / "slot.json")
-
-
-def assert_interned(trace) -> None:
-    """Equal root summaries are one object, and so are equal assertion dicts;
-    every assertion value is a bool, so equal items mean equal text."""
-    roots = [s for r in trace.records for s in r.roots]
-    for objs in (roots, [r.assertions for r in trace.records]):
-        first = {}
-        for obj in objs:
-            assert first.setdefault(json.dumps(obj), obj) is obj
-    assert all(type(v) is bool for r in trace.records for v in r.assertions.values())
-
-
-def test_alg2_records_share_summaries_across_iterations():
-    alg1, alg2 = euclidean_traces("interleaved", 7)
-    assert_interned(alg1)
-    assert_interned(alg2)
-    shared = [(a, b) for a, b in zip(alg2.records, alg2.records[1:])
-              if any(s is t for s in a.roots for t in b.roots)]
-    assert shared
-    assert len({id(r.assertions) for r in alg2.records}) < len(alg2.records)
+    assert_written_once(alg1)
+    assert_written_once(alg2)
+    text = (tmp_path / "alg1.json").read_text()
+    assert text.count('"phi_sigma"') == len(alg1.forest)
 
 
 @st.composite
@@ -164,4 +170,4 @@ def test_cl_runs(run, tmp_path):
     _, traces, _ = certify(D, "CL", k, targets)
     for name, trace in traces.items():
         assert_written(trace, tmp_path / f"{name}.json")
-        assert_interned(trace)
+        assert_written_once(trace)
