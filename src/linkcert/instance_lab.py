@@ -147,7 +147,9 @@ def gen_random_metric(n: int, seed: int) -> DistanceMatrix:
 
 def _minplus_closure(W: np.ndarray, budget: int = _BLOCK_ELEMENTS) -> np.ndarray:
     """Iterate W <- min(W, W (min,+) W) to an exact fixpoint, by blocks of
-    rows so each step's temporary holds about ``budget`` elements, not n^3."""
+    rows through ``_minplus_rows``, so each step's temporaries hold about
+    ``budget`` elements at any n; the fold keeps every bit of the one-pass
+    square."""
     n = W.shape[0]
     while True:
         T = np.empty_like(W)

@@ -254,6 +254,17 @@ def gaining(dg: Dendrogram, h: int, p: int) -> Dendrogram:
     return GainingDendrogram(n=dg.n, method="CL", merges=dg.merges)
 
 
+def replacing(dg: Dendrogram, h: int, points) -> Dendrogram:
+    """``dg`` with a members map whose cluster ``h`` holds exactly ``points``."""
+    class ReplacingDendrogram(Dendrogram):
+        def members_map(self):
+            members = super().members_map()
+            members[h] = frozenset(points)
+            return members
+
+    return ReplacingDendrogram(n=dg.n, method="CL", merges=dg.merges)
+
+
 def audit_records(record) -> list[dict]:
     """The records the start-of-iteration cluster audit wrote (the merge step
     writes its own ``clusters-structure`` records, about the merged pair)."""
@@ -361,6 +372,43 @@ class TestClusterAudit:
             {"assertion": "clusters-structure", "iteration": 2,
              "detail": "cluster [0, 1, 4] (tag ('pure', 0)) spans families "
                        "[0, 1] in 2 components"},
+        ]
+
+    @pytest.mark.parametrize("leaf", [3, 4], ids=["left", "right"])
+    def test_merge_that_takes_a_point_from_a_third_cluster(self, leaf):
+        # {0, 1, 2} (cluster 9) takes the point of a leaf of family 1; the
+        # merge of leaves 3 and 4 at iteration 3 takes it back, so cluster 9
+        # is sound again at iteration 4.  The robbed leaf owns none of the
+        # merged points, so only the stolen-point guard, on either side of
+        # the merge, sends the audit to the recount that clears cluster 9
+        D = line_metric([7.0, 9.0, 7.0, 32.0, 34.0, 23.0, 1.0, 3.0])
+        dg = run_linkage("CL", D)
+        assert [(m.left, m.right) for m in dg.merges[1:3]] == [(8, 1), (3, 4)]
+        trace = alg2_trace(D, gaining(dg, 9, leaf), [[0, 1, 2, 5], [3, 4, 6, 7]])
+        assert trace.all_failures() == [
+            {"assertion": "clusters-structure", "iteration": 3,
+             "detail": f"live cluster {leaf} holds no points but is not excluded"},
+            {"assertion": "clusters-structure", "iteration": 3,
+             "detail": f"cluster [0, 1, 2, {leaf}] (tag ('pure', 0)) spans "
+                       "families [0, 1] in 2 components"},
+            {"assertion": "clusters-structure", "iteration": 5,
+             "detail": "left cluster touches several components"},
+        ]
+
+    def test_collapse_keeps_a_cluster_that_is_the_whole_component(self):
+        # the first merge {0, 2} is forged to hold all four points, which
+        # are exactly the points of the component that collapses under
+        # case b; F_C takes it, with leaf 3, which it robbed of its point
+        D = line_metric([0.0, 10.0, 1.0, 25.0])
+        dg = run_linkage("CL", D)
+        assert (dg.merges[0].left, dg.merges[0].right) == (0, 2)
+        trace = alg2_trace(D, replacing(dg, 4, range(4)), [[0, 1], [2, 3]])
+        assert [r.case for r in trace.records] == ["b", "c"]
+        (created,) = [e for e in trace.records[0].events if e["type"] == "fc_created"]
+        assert created["clusters"] == [[3], [0, 1, 2, 3]]
+        assert trace.all_failures() == [
+            {"assertion": "clusters-structure", "iteration": 2,
+             "detail": "live cluster 3 holds no points but is not excluded"},
         ]
 
     def test_verdict_matches_records_on_lost_point_fakes(self):

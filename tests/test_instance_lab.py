@@ -162,11 +162,23 @@ class TestRandomGenerators:
                 if np.array_equal(T, ref):
                     break
                 ref = T
-            for budget in (1, 2 * n * n, n ** 3):
+            for budget in (1, 2 * n, 2 * n + 1, n * n):
                 got = _minplus_closure(W, budget)
                 assert got.tobytes() == ref.tobytes()
             assert gen_random_metric(n, n).packed.tobytes() == \
                 DistanceMatrix.from_full(ref).packed.tobytes()
+
+    @pytest.mark.parametrize("j", [-20, 0, 20])
+    def test_closure_commutes_with_scaling(self, j):
+        """Scaling the weights by a power of two scales every sum exactly, so
+        the closure of the scaled weights is the scaled closure, bit for bit."""
+        for n in (2, 7, 30):
+            rng = np.random.default_rng(n)
+            W = rng.uniform(0.1, 1.1, size=(n, n))
+            W = np.minimum(W, W.T)
+            np.fill_diagonal(W, 0.0)
+            assert _minplus_closure(W * 2.0 ** j).tobytes() == \
+                (_minplus_closure(W) * 2.0 ** j).tobytes()
 
     def test_closure_positive_off_diagonal(self):
         D = gen_random_metric(10, 0)

@@ -5,6 +5,8 @@ import gc
 import json
 import math
 import pickle
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from linkcert import (
     dump_instance,
     extract_clustering,
     gen_random_euclidean,
+    gen_random_metric,
     gen_single_link_adversary,
     load_instance,
     run_linkage,
@@ -27,6 +30,7 @@ from linkcert import (
     tri_size,
     validate_metric,
 )
+from linkcert.instance_lab import _minplus_closure
 from linkcert.metric_core import (
     CLUSTERING_SCORES,
     ClusterMatrix,
@@ -177,7 +181,9 @@ def test_a_negative_zero_distance_reads_as_zero(D):
 
 def assert_blocks_match_one_pass(M: np.ndarray, tau: float):
     """Check the screened, blocked scan against one unscreened n^3 pass at
-    budgets from one row per block to the whole matrix; return the triples."""
+    budgets of one row, two rows (2n, and 2n + 1, which rounds down to two;
+    the last block is ragged when n is odd) and all rows per block; return
+    the triples."""
     n = M.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         via = M[:, :, None] + M[None, :, :]
@@ -185,7 +191,7 @@ def assert_blocks_match_one_pass(M: np.ndarray, tau: float):
         bad = lhs > via + tau * np.maximum(lhs, via)
     one_pass = sorted((int(i), int(j), int(k)) for i, j, k in np.argwhere(bad)
                       if i < k and j != i and j != k)
-    for budget in (1, n * n, 3 * n * n, n ** 3):
+    for budget in (1, 2 * n, 2 * n + 1, n * n):
         assert _triangle_violations(M, tau, budget) == one_pass
     assert validate_metric(DistanceMatrix.from_full(M), tau) == one_pass
     return one_pass
@@ -268,6 +274,66 @@ class TestValidateMetric:
         M[0, 1] = M[1, 0] = 1e308
         M[0, 2] = M[2, 0] = M[1, 2] = M[2, 1] = 1.0
         assert assert_blocks_match_one_pass(M, tau) == [(0, 2, 1)]
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-9])
+    def test_flagged_pairs_outnumber_one_chunk(self, tau):
+        """Every pair (i, k) with i + k even is stretched past the sum of two
+        unit legs, so a block flags more pairs than one chunk of the exact
+        test holds, at every budget: each chunk's triples are kept."""
+        n = 13
+        M = np.ones((n, n))
+        idx = np.arange(n)
+        M[(idx[:, None] + idx[None, :]) % 2 == 0] = 2.5
+        np.fill_diagonal(M, 0.0)
+        flagged = [(i, k) for i in range(n) for k in range(i + 1, n) if (i + k) % 2 == 0]
+        assert len(flagged) > n   # one block and one chunk of n pairs at budget n * n
+        found = assert_blocks_match_one_pass(M, tau)
+        assert {(i, k) for i, _, k in found} == set(flagged)
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-9])
+    @pytest.mark.parametrize("j", [-20, 0, 20])
+    def test_verdicts_are_invariant_under_scaling(self, tau, j):
+        """Scaling every distance by a power of two scales every sum and
+        every slack exactly, so the same triples are reported."""
+        M = line_metric(np.arange(9, dtype=float)).full.copy()
+        M[2, 7] = M[7, 2] = 6.0
+        for D in (gen_random_euclidean(40, 3, 5), gen_random_metric(30, 7),
+                  DistanceMatrix.from_full(M)):
+            assert validate_metric(D.scaled(2.0 ** j), tau) == validate_metric(D, tau)
+        assert validate_metric(DistanceMatrix.from_full(M), tau)
+
+    @pytest.mark.parametrize("case", ["euclidean", "stretched", "closure"])
+    def test_kernel_temporaries_stay_bounded(self, case):
+        """The min-plus kernel folds over midpoints and the exact test reads
+        chunks of flagged pairs, so a scan at n=300 or a closure at n=150
+        peaks far below one (rows, n, n) block (8 MB) above its start."""
+        if case == "closure":
+            rng = np.random.default_rng(150)
+            W = rng.uniform(0.1, 1.1, size=(150, 150))
+            W = np.minimum(W, W.T)
+            np.fill_diagonal(W, 0.0)
+            call = partial(_minplus_closure, W)
+        else:
+            D = gen_random_euclidean(300, 2, 3)
+            if case == "stretched":
+                M = D.full.copy()
+                M[0, 299] = M[299, 0] = 10.0
+                D = DistanceMatrix.from_full(M)
+            call = partial(validate_metric, D)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            found = call()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+        if case != "closure":
+            assert bool(found) == (case == "stretched")
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -1.0])
     def test_rejects_tau_that_is_not_finite_and_nonnegative(self, tau):
