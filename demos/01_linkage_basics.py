@@ -5,7 +5,7 @@ positions 0, 1, 10, 11: two tight pairs separated by a gap.  Shows how
 complete (CL), single (SL), average (AL), and minimax (MM) linkage value
 the same pair of clusters differently, how the deterministic tie rule
 picks a merge when values are equal, how to cut a dendrogram at k
-clusters, and how to plug in a custom pair rule.
+clusters, and how CL matches the min-union-diameter rule.
 
 Run from the repository root:  python3 demos/01_linkage_basics.py
 """
@@ -16,11 +16,12 @@ import numpy as np
 
 from linkcert import (
     DistanceMatrix,
+    PreconditionError,
+    check_rule_equivalence,
     clustering_score,
     extract_clustering,
     linkage_distance,
     run_linkage,
-    union_diameter_rule,
 )
 from linkcert.linkage_engine import TIE_RULE
 
@@ -96,15 +97,23 @@ def main() -> None:
     assert [sorted(b) for b in C.blocks] == [[0, 1], [2, 3]]
     assert clustering_score("max-diam", C, D) == 1.0
 
-    banner("custom pair rules")
-    # Any f(A, B, D) -> float works as a linkage rule.  The bundled
-    # union_diameter_rule values a pair by the diameter of the merged
-    # cluster; on this instance that reproduces the CL merge tree.
-    dg_custom = run_linkage(union_diameter_rule, D)
-    print_merges(dg_custom, "custom (union diameter)")
-    cl_tree = [(m.left, m.right) for m in run_linkage("CL", D).merges]
-    assert [(m.left, m.right) for m in dg_custom.merges] == cl_tree
-    print("  -> same merge tree as CL on this instance")
+    banner("CL is the min-union-diameter rule")
+    # The rule merges, at every step, the pair whose union has the least
+    # diameter.  With distinct distances it builds CL's tree:
+    # check_rule_equivalence folds CL's merges and checks the rule's pick
+    # before each one.  Points at 0, 1, 3, 10, 14 have ten distinct distances;
+    # the instance above is refused, since d(0,1) = d(10,11) = 1 tie.
+    F = DistanceMatrix.from_points(np.array([[p] for p in (0.0, 1.0, 3.0, 10.0, 14.0)]))
+    print_merges(run_linkage("CL", F), "CL on a line at 0, 1, 3, 10, 14")
+    res = check_rule_equivalence(F)
+    print(f"  the rule picks CL's pair at every merge: {res.identical}")
+    assert res.identical and res.divergence is None
+    try:
+        check_rule_equivalence(D)
+    except PreconditionError as exc:
+        print(f"  on the tied instance: {exc}")
+    else:
+        raise AssertionError("tied distances must be refused")
 
     print("\nall checks passed")
 

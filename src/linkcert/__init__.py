@@ -24,7 +24,6 @@ from .linkage_engine import (
     extract_clustering,
     linkage_distance,
     run_linkage,
-    union_diameter_rule,
 )
 from .opt_oracles import (
     OracleResult,

@@ -13,7 +13,6 @@ import argparse
 import configparser
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -93,10 +92,18 @@ def fmt(v) -> str:
 
 def _write_failures(out_dir: str, command: str, failures: list[dict]) -> str:
     path = os.path.join(out_dir, "failures.json")
-    with open(path, "w") as fh:
-        json.dump({"command": command, "failures": failures}, fh, indent=2)
-        fh.write("\n")
+    write_line(json.dumps({"command": command, "failures": failures}, indent=2), path)
     return path
+
+
+def _write_csv(path: str, cols: list[str], rows) -> None:
+    """A header of ``cols``, then one line per row with each value through
+    ``fmt``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=cols, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({c: fmt(row[c]) for c in cols})
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -389,13 +396,7 @@ def cmd_sweep(args) -> int:
                   key=lambda r: (r["generator"], r["n"], r["dim"] or 0, r["seed"],
                                  r["method"], r["k"]))
     path = _out_path(args.out_dir, csv_name)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({c: fmt(row[c]) for c in SWEEP_COLUMNS})
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_csv(path, SWEEP_COLUMNS, rows)
     failures = []
     for row in rows:
         if row["bound_ok"] is False:
@@ -416,12 +417,7 @@ def cmd_sweep(args) -> int:
 def _samples_csv(path: str, samples) -> None:
     """One row per sample; every sample of a batch has the same keys."""
     rows = [s.to_row() for s in samples]
-    cols = list(rows[0]) if rows else []
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols, lineterminator="\n")
-        writer.writeheader()
-        for r in rows:
-            writer.writerow({c: fmt(r[c]) for c in cols})
+    _write_csv(path, list(rows[0]) if rows else [], rows)
 
 
 def cmd_inequalities(args) -> int:

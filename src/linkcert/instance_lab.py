@@ -11,9 +11,11 @@ i for i = 2..k-1, and y_j -> id (k-1)+j for j = 1..k-1.  Distances:
     d(y_i, y_j)  = B + eps
     d(y, other)  = d_out = max(2B, ceil((k-2)(B-eps)/2) + eps)
 
-The default d_out keeps the instance an exact metric; passing an explicit
-d_out (e.g. 2B for large k) skips that guarantee and is useful as a
-triangle-violation specimen.  The target is {a, b}, each {x_i}, and all y's
+The default d_out keeps the instance an exact metric when its chain
+distances are exact in float64 (a rounded chain that breaks the triangle
+inequality raises ``PreconditionError``); passing an explicit d_out (e.g. 2B
+for large k) skips that guarantee and is useful as a triangle-violation
+specimen.  The target is {a, b}, each {x_i}, and all y's
 in one block: avg diameter (2B + eps)/k, while the single-linkage block
 {a, b, x_2..x_{k-1}} has diameter max(B, (k-2)(B-eps)).
 """
@@ -73,9 +75,12 @@ def gen_single_link_adversary(k: int, B: float, eps: float,
                               d_out: float | None = None) -> AdversaryInstance:
     """Build the separation instance for given k >= 3, B > 0, 0 < eps < B/2.
 
-    With d_out=None the metric property is validated at tau=0 and a failure
-    is an internal error.  An explicit d_out overrides the safe choice and
-    may break the triangle inequality (by design, for negative controls).
+    With d_out=None the metric property is validated at tau=0.  It holds
+    when the chain distances, multiples of B - eps, are exact in float64; a
+    rounded chain can break a triangle inequality, and that raises
+    ``PreconditionError`` naming the first violating triple.  An explicit
+    d_out overrides the safe choice and may break the triangle inequality (by
+    design, for negative controls).
     """
     if k < 3:
         raise PreconditionError(f"k must be at least 3, got {k}")
@@ -110,10 +115,10 @@ def gen_single_link_adversary(k: int, B: float, eps: float,
     if auto:
         bad = validate_metric(D, tau=0.0)
         if bad:
-            raise AssertionError(
-                f"internal error: adversary instance k={k} B={B} eps={eps} "
-                f"is not a metric, first violation {bad[0]}"
-            )
+            raise PreconditionError(
+                f"adversary instance k={k} B={B} eps={eps} is not a metric at "
+                f"tau=0: its chain distances, multiples of B - eps, are rounded in "
+                f"float64 and break the triangle inequality, first violation {bad[0]}")
     target = Clustering.from_blocks(
         [[0, 1]] + [[i] for i in xs] + [ys], n
     )

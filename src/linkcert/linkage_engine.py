@@ -1,11 +1,11 @@
 """Agglomerative linkage: engine, dendrograms, and replay-based checkers.
 
 Methods: CL (complete, max cross distance), SL (single, min cross), AL
-(average, mean cross), MM (minimax, best eccentricity over the union), or a
-custom pair function ``f(A, B, D)``.  Starting from singletons, each of the
-n-1 iterations merges the active pair with the smallest method value; ties
-(exact float equality) go to the lexicographically least pair keyed by
-(smaller min-member id, other min-member id).  The cluster born at iteration
+(average, mean cross) and MM (minimax, best eccentricity over the union).
+Starting from singletons, each of the n-1 iterations merges the active pair
+with the smallest method value; ties (exact float equality) go to the
+lexicographically least pair keyed by (smaller min-member id, other
+min-member id).  The cluster born at iteration
 j (1-based) gets id n-1+j; points are 0..n-1.
 
 The engine (Muellner's "generic" algorithm, arXiv:1109.2378) works in place
@@ -14,7 +14,7 @@ member i, and caches each row's nearest neighbour; memory is O(n^2).
 CL/SL/AL/MM fold the merged cluster's row from stored state in numpy: O(n)
 work per merge for CL/SL/AL, O(n·|A|) for MM when the merged cluster is A
 (O(n·Σ|A|) per run), plus rescans of rows whose cached neighbour was
-merged.  Only custom rules call a pair function for every live pair.
+merged.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "check_merge_monotonicity",
     "check_rule_equivalence",
     "check_alignment",
-    "union_diameter_rule",
 ]
 
 METHODS = ("CL", "SL", "AL", "MM")
@@ -159,17 +158,12 @@ def _minimax(U: Iterable[int], D: DistanceMatrix) -> float:
 
 
 def linkage_distance(method, A, B, D: DistanceMatrix) -> float:
-    """Method value between two disjoint nonempty clusters.
-
-    ``method`` is one of "CL", "SL", "AL", "MM", or a custom pair function,
-    called as ``method(A, B, D)``.
-    """
+    """Method value between two disjoint nonempty clusters; ``method`` is
+    one of ``METHODS``."""
     A = as_cluster(A, D.n)
     B = as_cluster(B, D.n)
     if A & B:
         raise PreconditionError(f"clusters overlap on {sorted(A & B)}")
-    if callable(method):
-        return float(method(A, B, D))
     if method not in METHODS:
         raise PreconditionError(f"unknown linkage method {method!r}")
     if method == "MM":
@@ -180,11 +174,6 @@ def linkage_distance(method, A, B, D: DistanceMatrix) -> float:
     if method == "SL":
         return float(cross.min())
     return _finite(float(_sum(cross) / cross.size))
-
-
-def union_diameter_rule(A, B, D: DistanceMatrix) -> float:
-    """Pair value = diameter of the merged cluster (a custom-rule example)."""
-    return cohesion("diam", set(A) | set(B), D)
 
 
 def _scan_row(V: np.ndarray, i: int, nn: np.ndarray, mind: np.ndarray) -> None:
@@ -230,30 +219,16 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
     operation, and the best centre in C, a group-min of ``max(E[y, a], r[y])``
     by owner.  That is O(n·|A|) work per merge, and every value is a min/max
     of entries of D, so it equals the minimax over the union bit for bit.
-    A callable ``method`` is a custom rule, and the dendrogram labels it
-    "custom": its values are recomputed as ``method(merged, other, D)``
-    against every other live cluster.
     """
     n = D.n
     _check_k(n, k)
-    if callable(method):
-        f, method = method, "custom"
-    elif method not in METHODS:
+    if method not in METHODS:
         raise PreconditionError(f"unknown linkage method {method!r}")
 
     M = D.full
-    members: list[frozenset[int]] = [frozenset([i]) for i in range(n)]  # custom only
     ids = list(range(n))
-    if method == "custom":
-        V = np.full((n, n), np.inf)
-        for i in range(n):
-            for j in range(i + 1, n):
-                V[i, j] = V[j, i] = f(members[i], members[j], D)
-        if np.isnan(V).any():
-            raise PreconditionError("pair function returned NaN")
-    else:
-        V = M.copy()
-        np.fill_diagonal(V, np.inf)
+    V = M.copy()
+    np.fill_diagonal(V, np.inf)
     S = M.copy() if method == "AL" else None  # exact cross-distance sums
     if method == "MM":
         E = M.copy()             # E[x, s]: farthest point of slot s from x
@@ -300,7 +275,7 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
                 S[a] += S[b]
                 S[:, a] = S[a]
                 row = S[a] / (sizes[a] * sizes)
-            elif method == "MM":
+            else:  # MM
                 E[:, a] = np.maximum(E[:, a], E[:, b])
                 owner[owner == b] = a
                 pts = np.flatnonzero(owner == a)
@@ -313,14 +288,6 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
                 in_c = np.full(n, np.inf)
                 np.minimum.at(in_c, owner, np.maximum(E[:, a], r))
                 np.minimum(row, in_c, out=row)
-            else:
-                members[a] = members[a] | members[b]
-                row = np.full(n, np.inf)
-                for c in np.flatnonzero(active):
-                    if c != a:
-                        row[c] = float(f(members[a], members[c], D))
-                if np.isnan(row).any():
-                    raise PreconditionError("pair function returned NaN")
             row[~active] = np.inf
             row[a] = np.inf
             V[a] = row
@@ -367,8 +334,11 @@ def check_merge_monotonicity(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
     equals the max cross distance between the merged pair, and (2) union
     diameters are nondecreasing in j.  Both sides of each comparison are
     maxima of entries of D, so comparisons are exact.  Returns one record per
-    violated claim: {iteration, claim, expected, observed}.
+    violated claim: {iteration, claim, expected, observed}.  A dendrogram
+    over another number of points than D raises ``PreconditionError``.
     """
+    if dg.n != D.n:
+        raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
     cm = ClusterMatrix(D)
     violations: list[dict] = []
     prev_diam = None
@@ -403,27 +373,37 @@ def check_rule_equivalence(D: DistanceMatrix) -> RuleEquivalenceResult:
     """Compare CL against the min-union-diameter agglomerative rule.
 
     Precondition: all pairwise distances are distinct (raises otherwise --
-    with ties the two rules' tie-breaking is incomparable).  Returns whether
-    the two dendrograms merge identical pairs at every iteration, plus the
-    first divergence if any.
+    with ties the two rules' tie-breaking is incomparable).  CL runs once and
+    its merges are folded through one ``ClusterMatrix``.  Before each merge
+    the rule picks, on the same live clusters, the pair with the least union
+    diameter ``max(W[s, s], W[t, t], W[s, t])``, ties going to the first pair
+    in row-major order over the live slots (the engine's tie rule).  Returns
+    whether that pick is CL's pair at every iteration, plus the first
+    divergence if any: its iteration and the two pairs' point sets.
     """
     if D.n < 2:
         raise PreconditionError("need at least two points")
     if np.unique(D.packed).size != D.packed.size:
         raise PreconditionError("pairwise distances must be distinct")
-    dg_cl = run_linkage("CL", D)
-    dg_ud = run_linkage(union_diameter_rule, D)
-    mem_cl = dg_cl.members_map()
-    mem_ud = dg_ud.members_map()
-    for mc, mu in zip(dg_cl.merges, dg_ud.merges):
-        pair_c = {mem_cl[mc.left], mem_cl[mc.right]}
-        pair_u = {mem_ud[mu.left], mem_ud[mu.right]}
-        if pair_c != pair_u:
+    cm = ClusterMatrix(D)
+    live = list(range(D.n))             # live slots, ascending: min members
+    points = [[i] for i in range(D.n)]  # slot -> sorted points of its cluster
+    for m in run_linkage("CL", D).merges:
+        U = _submatrix(cm.W, live)
+        d = U.diagonal().copy()
+        U = np.maximum(np.maximum(U, d[:, None]), d)  # union diameters
+        U[np.tril_indices(len(live))] = np.inf
+        i, j = divmod(int(U.argmin()), len(live))
+        a, b = sorted((cm.slot[m.left], cm.slot[m.right]))
+        if (live[i], live[j]) != (a, b):
             return RuleEquivalenceResult(False, {
-                "iteration": mc.iteration,
-                "cl_pair": [sorted(s) for s in pair_c],
-                "rule_pair": [sorted(s) for s in pair_u],
+                "iteration": m.iteration,
+                "cl_pair": [points[a], points[b]],
+                "rule_pair": [points[live[i]], points[live[j]]],
             })
+        cm.merge(m.left, m.right, m.result)
+        points[a] = sorted(points[a] + points[b])
+        live.remove(b)
     return RuleEquivalenceResult(True, None)
 
 
@@ -437,11 +417,13 @@ class AlignmentReport:
         return not self.violations
 
 
-def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
+def check_alignment(method: str, measure: str, D: DistanceMatrix,
                     sample_pairs: int, seed: int = 0) -> AlignmentReport:
-    """Probe whether a pair function and a cohesion cost fit together.
+    """Probe whether a linkage method and a cohesion measure fit together.
 
-    On random disjoint cluster pairs (A, B) three conditions are sampled:
+    With f = ``linkage_distance(method, ...)`` and cost = ``cohesion(measure,
+    ...)``, three conditions are sampled on random disjoint cluster pairs
+    (A, B):
       (i)   min cross distance <= f(A,B) <= diam(A u B)
       (ii)  singletons cost exactly 0
       (iii) cost(A u B) <= max{cost(A), cost(B), f(A,B)}
@@ -462,7 +444,7 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
         sb = int(rng.integers(1, n - sa + 1))
         A = frozenset(int(x) for x in perm[:sa])
         B = frozenset(int(x) for x in perm[sa:sa + sb])
-        fab = float(f(A, B, D))
+        fab = linkage_distance(method, A, B, D)
         cross = _cross_block(A, B, D)
         lo, hi = float(cross.min()), cohesion("diam", A | B, D)
         if not within_bound(lo, fab, FINE_RTOL):
@@ -472,12 +454,12 @@ def check_alignment(f: Callable, cost: Callable, D: DistanceMatrix,
             report.violations.append({"condition": "i-upper", "A": sorted(A),
                                       "B": sorted(B), "lhs": fab, "rhs": hi})
         for side in (A, B):
-            if len(side) == 1 and float(cost(side, D)) != 0.0:
+            if len(side) == 1 and cohesion(measure, side, D) != 0.0:
                 report.violations.append({"condition": "ii", "A": sorted(A),
                                           "B": sorted(B),
-                                          "lhs": float(cost(side, D)), "rhs": 0.0})
-        cu = float(cost(A | B, D))
-        bound = max(float(cost(A, D)), float(cost(B, D)), fab)
+                                          "lhs": cohesion(measure, side, D), "rhs": 0.0})
+        cu = cohesion(measure, A | B, D)
+        bound = max(cohesion(measure, A, D), cohesion(measure, B, D), fab)
         if not within_bound(cu, bound, FINE_RTOL):
             report.violations.append({"condition": "iii", "A": sorted(A),
                                       "B": sorted(B), "lhs": cu, "rhs": bound})

@@ -116,6 +116,18 @@ class TestBadArguments:
         assert capsys.readouterr().err.startswith("error: B")
         assert written_files(out) == []
 
+    @pytest.mark.parametrize("k", [10, 20, 100])
+    def test_adversary_with_a_rounded_chain(self, tmp_path, capsys, k):
+        """B - eps = 0.99 is not exact in float64, and the rounded chain
+        distances break a triangle inequality at tau=0."""
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "generate", "adversary",
+                       "--k", k, "--B", 1, "--eps", 0.01) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: adversary instance k={k} B=1.0 eps=0.01")
+        assert "first violation (" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["generate", "euclidean", "--n", 5], id="euclidean"),
         pytest.param(["generate", "metric", "--n", 5], id="metric"),
@@ -708,13 +720,17 @@ class TestBenchmarkTracing:
     """The traced benchmark run patches ``linkcert.cli`` by name and reads
     work counts off the replays; a rename must fail here, not in a bench run."""
 
-    def test_traced_certify(self, tmp_path, euclidean_instance, capsys,
-                            monkeypatch):
+    @pytest.fixture
+    def tracing(self, monkeypatch):
+        """``benchmarks/tracing.py``, loaded by path."""
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
         spec = importlib.util.spec_from_file_location("bench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, tracing)  # for @dataclass
         spec.loader.exec_module(tracing)
+        return tracing
+
+    def test_traced_certify(self, tmp_path, euclidean_instance, capsys, tracing):
         before = [dict(vars(m)) for m in (cli, instance_lab)]
         original = cli.alg2_bound
         with tracing.traced(tracing.Tracer()) as tracer:
@@ -730,6 +746,27 @@ class TestBenchmarkTracing:
                 "graph_certificates.alg2_bound"} <= names
         counts = tracer.counts()
         assert counts["families"] > 0 and counts["alg2_assertions"] > 0
+
+    def test_every_hook_is_swapped_in_and_restored(self, tmp_path, capsys, tracing):
+        """Inside the block each hooked name holds a wrapper, the adversary's
+        metric check included; after it, every name of both modules is its
+        very original object."""
+        modules = (cli, instance_lab)
+        before = [dict(vars(m)) for m in modules]
+        with tracing.traced(tracing.Tracer()) as tracer:
+            swapped = [{name for name, value in vars(m).items() if value is not old.get(name)}
+                       for m, old in zip(modules, before)]
+            assert run_cli("--out-dir", tmp_path, "generate", "adversary", "--k", 4) == 0
+        assert {"run_linkage", "gen_single_link_adversary"} <= swapped[0]
+        assert swapped[1] == {"validate_metric"}
+        for m, old in zip(modules, before):
+            assert vars(m).keys() == old.keys()
+            assert [name for name, value in old.items() if vars(m)[name] is not value] == []
+        spans = tracer.spans
+        assert [(s.name, spans[s.parent].name if s.parent >= 0 else None)
+                for s in spans] == [
+            ("instance_lab.gen_single_link_adversary", None),
+            ("metric_core.validate_metric", "instance_lab.gen_single_link_adversary")]
 
 
 class TestReadmeExamples:

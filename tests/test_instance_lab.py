@@ -57,7 +57,8 @@ class TestAdversaryConstruction:
 
     def test_auto_d_out_runs_its_self_check_on_every_call(self, monkeypatch):
         """A default-d_out instance is validated on every call, and a reported
-        violation is an internal error; an explicit d_out skips the check."""
+        violation is a ``PreconditionError`` naming the first violating
+        triple; an explicit d_out skips the check."""
         calls = []
 
         def broken(D, tau=1e-9):
@@ -66,7 +67,8 @@ class TestAdversaryConstruction:
 
         monkeypatch.setattr(instance_lab, "validate_metric", broken)
         for k in (3, 3, 20):
-            with pytest.raises(AssertionError, match="internal error"):
+            with pytest.raises(PreconditionError,
+                               match=r"not a metric .* first violation \(0, 2, 1\)$"):
                 gen_single_link_adversary(k, 1000.0, 1.0)
         assert calls == [0.0, 0.0, 0.0]
         gen_single_link_adversary(8, 100.0, 1.0, d_out=200.0)

@@ -20,8 +20,8 @@ from linkcert import (
     gen_single_link_adversary,
     linkage_distance,
     run_linkage,
-    union_diameter_rule,
 )
+from linkcert.linkage_engine import METHODS
 
 from .conftest import line_metric
 from .reference_engine import reference_linkage
@@ -55,11 +55,12 @@ class TestLinkageDistance:
         assert linkage_distance("MM", {0, 1}, {2, 3}, line4) == 10.0
 
     def test_custom_callable(self, line4):
-        assert linkage_distance(union_diameter_rule, {0}, {1, 2}, line4) == 10.0
-        with pytest.raises(PreconditionError, match="unknown linkage method 'custom'"):
-            linkage_distance("custom", {0}, {1, 2}, line4)
-        with pytest.raises(PreconditionError, match="unknown linkage method 'custom'"):
-            run_linkage("custom", line4)
+        """Only the names in ``METHODS`` are methods; a pair function is not."""
+        for method in (lambda A, B, M: 0.0, "custom"):
+            with pytest.raises(PreconditionError, match="^unknown linkage method"):
+                linkage_distance(method, {0}, {1, 2}, line4)
+            with pytest.raises(PreconditionError, match="^unknown linkage method"):
+                run_linkage(method, line4)
 
     def test_al_cross_sum_overflow_is_precondition_error(self, recwarn):
         # finite distances whose cross sum is not, as in run_linkage("AL")
@@ -158,13 +159,6 @@ class TestRunLinkage:
         dg = run_linkage("CL", D)
         assert [m.result for m in dg.merges] == [6, 7, 8, 9, 10]
         assert [m.iteration for m in dg.merges] == [1, 2, 3, 4, 5]
-
-    def test_custom_rule_values_are_union_diameters(self):
-        D = random_euclidean(7, seed=3)
-        dg = run_linkage(union_diameter_rule, D)
-        mm = dg.members_map()
-        for m in dg.merges:
-            assert m.value == cohesion("diam", mm[m.left] | mm[m.right], D)
 
     def test_requires_two_points(self):
         """One point is a finished dendrogram: no merges, and its one cut is {0}."""
@@ -355,14 +349,6 @@ def _merge_bits(dg):
             for m in dg.merges]
 
 
-def _eccentric_rule(A, B, D):
-    """Deliberately asymmetric pair value: farthest point of B from min(A)."""
-    return float(D.full[min(A), sorted(B)].max())
-
-
-ALL_RULES = ("CL", "SL", "AL", "MM", union_diameter_rule, _eccentric_rule)
-
-
 # a geometric line: every point is farther from the rest than their spread
 CHAIN = line_metric(2.0 ** np.arange(25))
 
@@ -385,7 +371,7 @@ def _tie_heavy_instances():
 class TestAgainstReferenceEngine:
     """The in-place engine reproduces the original engine merge for merge."""
 
-    @pytest.mark.parametrize("method", ALL_RULES)
+    @pytest.mark.parametrize("method", METHODS)
     def test_acceptance_grid(self, method):
         for n, count in GRID_SHAPE:
             for idx in range(count):
@@ -393,13 +379,13 @@ class TestAgainstReferenceEngine:
                 assert _merge_bits(run_linkage(method, D)) == \
                     _merge_bits(reference_linkage(method, D)), (n, idx)
 
-    @pytest.mark.parametrize("method", ALL_RULES)
+    @pytest.mark.parametrize("method", METHODS)
     def test_tie_heavy_instances(self, method):
         for name, D in _tie_heavy_instances():
             assert _merge_bits(run_linkage(method, D)) == \
                 _merge_bits(reference_linkage(method, D)), name
 
-    @pytest.mark.parametrize("method", ALL_RULES)
+    @pytest.mark.parametrize("method", METHODS)
     def test_random_metrics(self, method):
         for n in (2, 3, 5, 17, 33):
             for seed in range(3):
@@ -434,24 +420,6 @@ class TestAgainstReferenceEngine:
         monkeypatch.setattr(linkage_engine, "_minimax", recompute)
         assert _merge_bits(run_linkage("MM", D)) == expected
 
-    def test_asymmetric_rule_argument_order_matters(self):
-        """The asymmetric rule really tells f(A, B) from f(B, A) apart."""
-        D = gen_random_metric(12, 0)
-        swapped = lambda A, B, M: _eccentric_rule(B, A, M)
-        assert _merge_bits(run_linkage(_eccentric_rule, D)) != \
-            _merge_bits(run_linkage(swapped, D))
-
-    def test_all_pairs_at_infinity_take_the_first_two_live_slots(self):
-        D = line_metric([0.0, 1.0, 2.0, 3.0])
-        dg = run_linkage(lambda A, B, M: np.inf, D)
-        assert _merge_bits(dg) == _merge_bits(
-            reference_linkage(lambda A, B, M: np.inf, D))
-        assert [(m.left, m.right) for m in dg.merges] == [(0, 1), (4, 2), (5, 3)]
-
-    def test_nan_pair_value_is_rejected(self, line4):
-        with pytest.raises(PreconditionError):
-            run_linkage(lambda A, B, M: np.nan, line4)
-
     @pytest.mark.parametrize("method,scipy_method", [("CL", "complete"),
                                                      ("SL", "single")])
     def test_heights_match_scipy(self, method, scipy_method):
@@ -476,7 +444,7 @@ class TestStopAtTheCut:
     """``run_linkage(method, D, k)`` stops when k clusters remain, and its
     merges are the full run's first n-k, bit for bit."""
 
-    @pytest.mark.parametrize("method", ("CL", "SL", "AL", "MM", _eccentric_rule))
+    @pytest.mark.parametrize("method", METHODS)
     def test_prefix_of_the_full_run(self, method):
         for name, D in _cut_instances():
             full = _merge_bits(run_linkage(method, D))
@@ -559,6 +527,20 @@ class TestMergeMonotonicity:
             "iteration": 3, "claim": "union-diam-equals-cross-max",
             "expected": 6.0, "observed": 10.0}]
 
+    def test_longer_dendrogram_than_instance_is_precondition_error(self):
+        """Replayed on fewer points, the dendrogram's ids run off the matrix."""
+        dg = run_linkage("CL", random_euclidean(5, seed=1))
+        with pytest.raises(PreconditionError,
+                           match="^dendrogram is over 5 points, instance has 3$"):
+            check_merge_monotonicity(dg, line_metric([0.0, 1.0, 3.0]))
+
+    def test_shorter_dendrogram_than_instance_is_precondition_error(self):
+        """Replayed on more points, the dendrogram would report no violation."""
+        dg = run_linkage("CL", line_metric([0.0, 1.0, 3.0]))
+        with pytest.raises(PreconditionError,
+                           match="^dendrogram is over 3 points, instance has 5$"):
+            check_merge_monotonicity(dg, random_euclidean(5, seed=1))
+
     def test_forged_ids_are_structural_error(self):
         with pytest.raises(StructuralError, match="iteration 2 uses cluster id 1\\b"):
             Dendrogram(n=4, method="CL", merges=(
@@ -566,6 +548,25 @@ class TestMergeMonotonicity:
                 MergeRecord(1, 2, 9.0, 5, 2),
                 MergeRecord(5, 3, 11.0, 6, 3),
             ))
+
+
+def _union_diameter(A, B, D):
+    """The min-union-diameter rule's pair value, for the reference engine."""
+    return cohesion("diam", A | B, D)
+
+
+def _reference_verdict(dg, D):
+    """What ``check_rule_equivalence`` should report for the run ``dg``: the
+    first iteration at which its merged point sets differ from those of the
+    reference engine's own union-diameter agglomeration."""
+    ref = reference_linkage(_union_diameter, D)
+    mem, ref_mem = dg.members_map(), ref.members_map()
+    for m, r in zip(dg.merges, ref.merges):
+        pair = [sorted(mem[c]) for c in (m.left, m.right)]
+        rule = [sorted(ref_mem[c]) for c in (r.left, r.right)]
+        if pair != rule:
+            return False, {"iteration": m.iteration, "cl_pair": pair, "rule_pair": rule}
+    return True, None
 
 
 class TestRuleEquivalence:
@@ -580,45 +581,68 @@ class TestRuleEquivalence:
             res = check_rule_equivalence(D)
             assert res.identical, res.divergence
 
+    def test_verdict_matches_the_reference_engine(self):
+        """Metric or not, the fold gives the reference engine's verdict."""
+        for seed in range(10):
+            for D in (random_euclidean(9, seed), random_symmetric(9, seed)):
+                res = check_rule_equivalence(D)
+                assert (res.identical, res.divergence) == \
+                    _reference_verdict(run_linkage("CL", D), D), seed
+
+    @pytest.mark.parametrize("method", ["SL", "AL"])
+    def test_divergence_at_the_first_differing_merge(self, monkeypatch, method):
+        """Fed another method's run, the check stops at the first merge where
+        that run leaves the union-diameter rule, and names both pairs."""
+        for seed in range(5):
+            D = random_euclidean(10, seed + 100)
+            dg = run_linkage(method, D)
+            monkeypatch.setattr(linkage_engine, "run_linkage", lambda m, D: dg)
+            res = check_rule_equivalence(D)
+            expected = _reference_verdict(dg, D)
+            assert not res.identical
+            assert (res.identical, res.divergence) == expected, seed
+            # both rules take the closest pair first, so the fold is exercised
+            assert res.divergence["iteration"] > 1
+
 
 class TestAlignment:
     def test_cl_with_diam_aligned(self):
         D = random_euclidean(10, seed=5)
-        f = lambda A, B, M: linkage_distance("CL", A, B, M)
-        cost = lambda S, M: cohesion("diam", S, M)
-        assert check_alignment(f, cost, D, 300, seed=1).ok
+        assert check_alignment("CL", "diam", D, 300, seed=1).ok
 
     def test_mm_with_radius_aligned(self):
         D = random_euclidean(10, seed=6)
-        f = lambda A, B, M: linkage_distance("MM", A, B, M)
-        cost = lambda S, M: cohesion("radius", S, M)
-        assert check_alignment(f, cost, D, 300, seed=2).ok
+        assert check_alignment("MM", "radius", D, 300, seed=2).ok
 
     def test_al_with_avg_aligned_within_rtol(self):
         D = random_euclidean(10, seed=7)
-        f = lambda A, B, M: linkage_distance("AL", A, B, M)
-        cost = lambda S, M: cohesion("avg", S, M)
-        assert check_alignment(f, cost, D, 300, seed=3).ok
+        assert check_alignment("AL", "avg", D, 300, seed=3).ok
 
     def test_sl_with_diam_misaligned(self):
         # d(0,1)=1, d(1,2)=9, d(0,2)=10: for A={0}, B={1,2} the single-link
         # value is 1 but diam(A u B) = 10 > max(0, 9, 1), breaking condition iii
         D = DistanceMatrix(n=3, packed=np.array([1.0, 10.0, 9.0]))
-        f = lambda A, B, M: linkage_distance("SL", A, B, M)
-        cost = lambda S, M: cohesion("diam", S, M)
-        report = check_alignment(f, cost, D, 400, seed=4)
+        report = check_alignment("SL", "diam", D, 400, seed=4)
         assert not report.ok
         assert any(v["condition"] == "iii" for v in report.violations)
 
-    def test_singleton_cost_condition_exercised(self):
+    def test_singleton_cost_condition_exercised(self, monkeypatch):
         """Every fourth sample pins |A| = 1, so condition ii really fires."""
         D = random_euclidean(6, seed=8)
         calls = []
-        f = lambda A, B, M: linkage_distance("CL", A, B, M)
 
-        def cost(S, M):
+        def recorded(measure, S, M):
             calls.append(len(S))
-            return cohesion("diam", S, M)
+            return cohesion(measure, S, M)
 
-        check_alignment(f, cost, D, 40, seed=5)
+        monkeypatch.setattr(linkage_engine, "cohesion", recorded)
+        check_alignment("CL", "diam", D, 40, seed=5)
         assert 1 in calls
+
+    @pytest.mark.parametrize("method,measure,match", [
+        pytest.param("ward", "diam", "^unknown linkage method 'ward'$", id="method"),
+        pytest.param("CL", "median", "^unknown cohesion measure 'median'$", id="measure"),
+    ])
+    def test_unknown_names_are_rejected(self, method, measure, match):
+        with pytest.raises(PreconditionError, match=match):
+            check_alignment(method, measure, random_euclidean(5, seed=1), 10)
