@@ -12,14 +12,15 @@ sets at every creation.  Each node stores its leaf ids, the concatenation
 of its children's, so the re-check is one exact ``math.fsum`` over <= k
 leaf diameters.
 
-Both certificate replays run on one private replay state (``_ReplayState``):
-it validates the target, folds a ``metric_core.ClusterMatrix`` along the
-merges (``Replay.born`` keeps each born cluster's diameter for the bound
-check), and drives one merge loop that gives each iteration its own failure
-list.  Here each merge runs three phases: the root audit (p3, p4), the case
-choice with the fold, and the rewrite of the one or two root families.  Family
-diameters are never read from a rescan of point sets, so the replay costs
-O(n^2): the initial families take the target's block diameters, which
+Both certificate replays subclass ``Replay``, and each replay object is the
+trace it returns: ``Replay`` validates the target, folds a
+``metric_core.ClusterMatrix`` along the merges (``born`` keeps each born
+cluster's diameter for the bound check), and drives one merge loop that gives
+each iteration its own failure list.  Here, in ``Alg1Trace``, each merge
+runs three phases: the root audit (p3, p4), the case choice with the fold,
+and the rewrite of the one or two root families.  Family diameters are never
+read from a rescan of point sets, so the replay costs O(n^2): the initial
+families take the target's block diameters, which
 ``metric_core.clustering_score`` keeps (``block_diameters``), a one-cluster
 family takes the diameter of the cluster just born (``born[-1]``), b-sub2
 keeps its point set and so its diameter, and every other new family reads
@@ -122,66 +123,21 @@ class Alg1IterationRecord:
     failures: list[dict] = field(default_factory=list)
 
 
-@dataclass
 class Replay:
-    """What both certificate replays return: the initial families' summaries,
-    per-iteration records (each with its ``assertions`` and ``failures``)
-    plus failures outside any iteration, and ``born[t - 1]``, the diameter of
-    the cluster born at iteration t.
+    """What both certificate replays share, and what each returns as its
+    trace: the validated target, ``n`` and ``k``, the complete-link fold
+    ``cm``, per-iteration records (each with its ``assertions`` and
+    ``failures``), the initial families' summaries ``initial``, and
+    ``born[t - 1]``, the diameter of the cluster born at iteration t.  A
+    subclass's ``step(g, g2, u)`` runs one merge's phases and returns its
+    record; ``run`` drives it along the first n-k merges.  ``failures`` is
+    the current iteration t's list while ``run`` is in a merge, and otherwise
+    the trace's own list of failures outside any iteration (t = 0 before the
+    first merge, t = n-k+1 after the last).
 
     Record dataclasses declare their fields in JSON key order, so a record
     serialises as ``vars(record)``.  ``born`` is not serialised.
     """
-
-    n: int
-    k: int
-    target: Clustering
-    initial: list[dict]
-    records: list
-    failures: list[dict]
-    born: list[float]
-
-    def all_failures(self) -> list[dict]:
-        """Per-iteration failures in iteration order, then the replay's own."""
-        return [f for r in self.records for f in r.failures] + self.failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.all_failures()
-
-    @property
-    def assertion_counts(self) -> tuple[int, int]:
-        """(passed, failed) over all per-iteration assertions."""
-        return count_assertions(r.assertions for r in self.records)
-
-    def to_json(self) -> dict:
-        return {"trace_version": 2, "n": self.n, "k": self.k,
-                "target": self.target.to_json(), "families": self.initial,
-                "iterations": [dict(vars(r)) for r in self.records]}
-
-
-@dataclass
-class Alg1Trace(Replay):
-    forest: dict[int, FamilyNode]
-    final_assertions: dict
-
-    @property
-    def assertion_counts(self) -> tuple[int, int]:
-        """(passed, failed) over all per-iteration + final assertions."""
-        return count_assertions(
-            [*(r.assertions for r in self.records), self.final_assertions])
-
-    def to_json(self) -> dict:
-        return {**super().to_json(), "final": self.final_assertions, "ok": self.ok}
-
-
-class _ReplayState:
-    """What both replays share: the validated target, ``n`` and ``k``, the
-    complete-link fold ``cm`` with ``born``, the records, and the failures of
-    the current iteration ``t``.  A subclass's ``step(g, g2, u)`` runs one
-    merge's phases and returns its record; ``run`` drives it along the first
-    n-k merges.  Failures outside any iteration (t = 0 before the first merge,
-    t = n-k+1 after the last) go to the trace's own list."""
 
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
         if dg.method != "CL":
@@ -211,16 +167,30 @@ class _ReplayState:
             self.records.append(self.step(m.left, m.right, m.result))
         self.t, self.failures = len(self.merges) + 1, self.trace_failures
 
-    def result(self, cls, initial: list[dict], **extra) -> Replay:
-        return cls(n=self.n, k=self.k, target=self.target, initial=initial,
-                   records=self.records, failures=self.trace_failures,
-                   born=self.born, **extra)
+    def all_failures(self) -> list[dict]:
+        """Per-iteration failures in iteration order, then the replay's own."""
+        return [f for r in self.records for f in r.failures] + self.failures
+
+    @property
+    def ok(self) -> bool:
+        return not self.all_failures()
+
+    @property
+    def assertion_counts(self) -> tuple[int, int]:
+        """(passed, failed) over all per-iteration assertions."""
+        return count_assertions(r.assertions for r in self.records)
+
+    def to_json(self) -> dict:
+        return {"trace_version": 2, "n": self.n, "k": self.k,
+                "target": self.target.to_json(), "families": self.initial,
+                "iterations": [dict(vars(r)) for r in self.records]}
 
 
-class _Alg1Replay(_ReplayState):
+class Alg1Trace(Replay):
     """The family forest, advanced one merge at a time: root audit, case
     choice with the fold, and the rewrite of the one or two root families the
-    merge touched.  ``fam_of`` maps each live cluster to its root family.
+    merge touched.  ``fam_of`` maps each live cluster to its root family, and
+    ``final_assertions`` holds the audit after the last merge.
 
     The audit's state is kept across merges, updated only where a family is
     created: ``regular`` counts the regular roots, and ``p4_fails`` maps each
@@ -228,14 +198,31 @@ class _Alg1Replay(_ReplayState):
 
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
         super().__init__(D, dg, target)
-        k = self.k
-        self.chain_rhs = k * clustering_score("avg-diam", self.target, D) * k ** P_EXP
+        self.chain_rhs = avg_bound(self.k, clustering_score("avg-diam", self.target, D))
         self.forest: dict[int, FamilyNode] = {}
         self.fam_of: dict[int, int] = {}
         self.regular = 0
         self.p4_fails: dict[int, tuple[str, ...]] = {}
         for block, diam in zip(self.target.blocks, block_diameters(self.target, D)):
             self._new_family(block, diam=diam)
+        self.initial = [node.summary() for node in self.forest.values()]
+
+    def run(self) -> None:
+        super().run()
+        # Final state: the per-cluster guarantee leans on p4 holding here too.
+        # p3 is not asserted here -- once every target block has fully merged
+        # all root families hold a single cluster, which is the intended end
+        # shape.
+        self.final_assertions = {"p4": self.root_audit(check_p3=False)["p4"]}
+
+    @property
+    def assertion_counts(self) -> tuple[int, int]:
+        """(passed, failed) over all per-iteration + final assertions."""
+        return count_assertions(
+            [*(r.assertions for r in self.records), self.final_assertions])
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "final": self.final_assertions, "ok": self.ok}
 
     def _new_family(self, clusters, children: tuple[FamilyNode, ...] = (),
                     diam: float | None = None) -> None:
@@ -349,14 +336,9 @@ class _Alg1Replay(_ReplayState):
 
 def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:
     """Replay the family-forest construction along the first n-k CL merges."""
-    r = _Alg1Replay(D, dg, target)
-    r.run()
-    # Final state: the per-cluster guarantee leans on p4 holding here too.
-    # p3 is not asserted here -- once every target block has fully merged all
-    # root families hold a single cluster, which is the intended end shape.
-    final = r.root_audit(check_p3=False)
-    return r.result(Alg1Trace, initial=[r.forest[f].summary() for f in range(r.k)],
-                    forest=r.forest, final_assertions={"p4": final["p4"]})
+    trace = Alg1Trace(D, dg, target)
+    trace.run()
+    return trace
 
 
 @dataclass

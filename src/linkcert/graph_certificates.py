@@ -43,11 +43,12 @@ family) key, point -> live cluster and cluster -> tag.  Only a failed
 verdict rereads point sets, to name each offending live cluster in its
 record.
 
-Each iteration runs as named phases on the replay state shared with the
-family forest (``family_certificates``, which owns the target checks, the
-cluster fold and the merge loop): start audit, merge, pure-count evolution,
-case dispatch, exclusion additions, collapse (cases a/b) or removal (case c),
-and the budget.  Collapse and removal share one family-death step.
+Each iteration runs as named phases of ``Alg2Trace``, a subclass of the
+family forest's ``Replay`` (``family_certificates``, which owns the target
+checks, the cluster fold and the merge loop): start audit, merge, pure-count
+evolution, case dispatch, exclusion additions, collapse (cases a/b) or removal
+(case c), and the budget.  Collapse and removal share one family-death step.
+The replay object is the trace that ``alg2_trace`` returns.
 
 Trace format (``"trace_version": 2``): each family is written once, at its
 birth.  The initial families' summaries sit at the top level, beside
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .family_certificates import BoundCheck, Replay, _ReplayState, born_cluster_checks
+from .family_certificates import BoundCheck, Replay, born_cluster_checks
 from .inequality_lab import dm_bound, growth_bound, within_bound
 from .linkage_engine import Dendrogram
 from .metric_core import DistanceMatrix, block_diameters, clustering_score
@@ -191,19 +192,6 @@ class Alg2IterationRecord:
     failures: list[dict] = field(default_factory=list)
 
 
-@dataclass
-class Alg2Trace(Replay):
-    families: dict[int, Alg2Family]
-    spanning_certs: list[SpanningTreeCert]
-    additions: list[dict]
-
-    def to_json(self) -> dict:
-        return {**super().to_json(),
-                "spanning_tree_certs": [dict(vars(c)) for c in self.spanning_certs],
-                "exclusion_additions": self.additions,
-                "ok": self.ok}
-
-
 # Cluster tags: a family id f >= 0 means pure w.r.t. f.  The exclusion set is
 # the set of live clusters tagged EXCLUDED; dead clusters keep stale tags.
 NONPURE, EXCLUDED = -1, -2
@@ -237,8 +225,8 @@ def _misfits(tag, lo, hi, width):
                                                  | (lo // width != hi // width))))
 
 
-class _Alg2Replay(_ReplayState):
-    """The replay's state, advanced one merge at a time by named phases.
+class Alg2Trace(Replay):
+    """The pure-cluster graph, advanced one merge at a time by named phases.
 
     Each fact has one owner: ``tag`` (cluster -> family id, NONPURE or
     EXCLUDED) holds purity and the exclusion set, ``p2f`` (point -> live
@@ -247,6 +235,8 @@ class _Alg2Replay(_ReplayState):
     audit's view of the clusters, and ``comps``/``fam2comp`` the components.
     ``members`` is the dendrogram's own view, which the merge step reads.
     A new family's id is the largest yet, so ``counts`` stays in id order.
+    ``families`` keeps every family ever, ``spanning_certs`` the collapses'
+    certificates and ``additions`` the exclusion additions, in order.
 
     The audit's kept state is derived from those and only cached here:
     ``wrong`` (the live clusters the classification rejects), ``pure_seen``
@@ -269,7 +259,6 @@ class _Alg2Replay(_ReplayState):
         self.owner = np.arange(n)
         self.comps: dict[int, ComponentState] = {}
         self.fam2comp: dict[int, int] = {}
-        self.next_comp = 0
         self.additions: list[dict] = []
         self.spanning_certs: list[SpanningTreeCert] = []
         self.active: set[int] = set(range(n))
@@ -292,17 +281,23 @@ class _Alg2Replay(_ReplayState):
                           f"max-diam(target) {self.max_diam!r}")
         self.initial = [fam.summary() for fam in self.families.values()]
 
+    def to_json(self) -> dict:
+        return {**super().to_json(),
+                "spanning_tree_certs": [dict(vars(c)) for c in self.spanning_certs],
+                "exclusion_additions": self.additions,
+                "ok": self.ok}
+
     def _new_family(self, clusters, points, phi: int, diam: float) -> Alg2Family:
-        """A live family of the given pure clusters, alone in a new component."""
+        """A live family of the given pure clusters, alone in a new component
+        that takes its id."""
         fid = len(self.families)
         fam = self.families[fid] = Alg2Family(
             id=fid, clusters=frozenset(clusters), diam=diam, phi=phi)
         self.counts[fid] = len(clusters)
         self.tag[_ids(clusters)] = fid
         self.p2f[_ids(points)] = fid
-        self.comps[self.next_comp] = ComponentState(families={fid})
-        self.fam2comp[fid] = self.next_comp
-        self.next_comp += 1
+        self.comps[fid] = ComponentState(families={fid})
+        self.fam2comp[fid] = fid
         self.stale = True
         return fam
 
@@ -660,10 +655,9 @@ class _Alg2Replay(_ReplayState):
 
 def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     """Replay the pure-cluster graph construction along the first n-k merges."""
-    r = _Alg2Replay(D, dg, target)
-    r.run()
-    return r.result(Alg2Trace, initial=r.initial, families=r.families,
-                    spanning_certs=r.spanning_certs, additions=r.additions)
+    trace = Alg2Trace(D, dg, target)
+    trace.run()
+    return trace
 
 
 def alg2_bound(trace: Alg2Trace, D: DistanceMatrix) -> BoundCheck:

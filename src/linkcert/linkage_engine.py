@@ -422,14 +422,12 @@ def check_alignment(method: str, measure: str, D: DistanceMatrix,
     """Probe whether a linkage method and a cohesion measure fit together.
 
     With f = ``linkage_distance(method, ...)`` and cost = ``cohesion(measure,
-    ...)``, three conditions are sampled on random disjoint cluster pairs
-    (A, B):
-      (i)   min cross distance <= f(A,B) <= diam(A u B)
-      (ii)  singletons cost exactly 0
-      (iii) cost(A u B) <= max{cost(A), cost(B), f(A,B)}
-    Float comparisons are ``within_bound`` with the final-ulp slack
-    ``FINE_RTOL`` (mean-based costs can overshoot pure maxima by rounding);
-    every fourth sample forces |A| = 1 so condition (ii) is exercised.
+    ...)``, condition iii, cost(A u B) <= max{cost(A), cost(B), f(A,B)}, is
+    sampled on random disjoint cluster pairs (A, B).  The comparison is
+    ``within_bound`` with the final-ulp slack ``FINE_RTOL`` (mean-based costs
+    can overshoot pure maxima by rounding); every fourth sample forces
+    |A| = 1, where a singleton's zero cost leaves only f(A,B) to bound the
+    union (SL with diam breaks the condition there).
     """
     n = D.n
     if n < 2:
@@ -445,19 +443,6 @@ def check_alignment(method: str, measure: str, D: DistanceMatrix,
         A = frozenset(int(x) for x in perm[:sa])
         B = frozenset(int(x) for x in perm[sa:sa + sb])
         fab = linkage_distance(method, A, B, D)
-        cross = _cross_block(A, B, D)
-        lo, hi = float(cross.min()), cohesion("diam", A | B, D)
-        if not within_bound(lo, fab, FINE_RTOL):
-            report.violations.append({"condition": "i-lower", "A": sorted(A),
-                                      "B": sorted(B), "lhs": lo, "rhs": fab})
-        if not within_bound(fab, hi, FINE_RTOL):
-            report.violations.append({"condition": "i-upper", "A": sorted(A),
-                                      "B": sorted(B), "lhs": fab, "rhs": hi})
-        for side in (A, B):
-            if len(side) == 1 and cohesion(measure, side, D) != 0.0:
-                report.violations.append({"condition": "ii", "A": sorted(A),
-                                          "B": sorted(B),
-                                          "lhs": cohesion(measure, side, D), "rhs": 0.0})
         cu = cohesion(measure, A | B, D)
         bound = max(cohesion(measure, A, D), cohesion(measure, B, D), fab)
         if not within_bound(cu, bound, FINE_RTOL):

@@ -13,10 +13,9 @@ division by k are monotone, and ``max`` is exact.  So when a node has
 strictly beat either running best, and the subtree is skipped.  A tie never
 replaces a witness, so skipping tied partitions cannot change which one is
 first: both witnesses, their values and their order are those of the full
-enumeration.  Skipped partitions are still counted, from a table of
-completion counts, so ``enumerated`` is S(n, k); ``scored`` says how many
-were actually scored.  A size guard refuses n beyond ``n_max``; raise
-``n_max`` to force a larger n.
+enumeration.  ``enumerated`` is S(n, k), the number of partitions the walk
+accounts for; ``scored`` says how many were actually scored.  A size guard
+refuses n beyond ``n_max``; raise ``n_max`` to force a larger n.
 
 ``opt_dm_threshold`` is an independent second oracle for the max-diameter
 objective: the optimum equals the smallest distance threshold t such that
@@ -98,34 +97,25 @@ def opt_scores(D: DistanceMatrix, k: int,
 
     Returns ``{"max-diam": ..., "avg-diam": ...}``.  Each keeps the first
     witness in enumeration order (strict improvement replaces); subtrees that
-    cannot strictly improve either are counted but not scored, so both
-    results report S(n, k) as ``enumerated``.
+    cannot strictly improve either are skipped, and both results report
+    S(n, k) as ``enumerated``.
     """
     n = D.n
     _check_guard(n, k, n_max)
     M = D.full.tolist()  # python floats: much faster scalar access than ndarray
-    # comp[r][u]: ways to place r more points so that u used blocks become k
-    comp = [[0] * (k + 2) for _ in range(n + 1)]
-    comp[0][k] = 1
-    for r in range(1, n + 1):
-        for u in range(1, k + 1):
-            comp[r][u] = u * comp[r - 1][u] + comp[r - 1][u + 1]
-
     best_av = best_dm = math.inf
     blocks_av: list[list[int]] | None = None
     blocks_dm: list[list[int]] | None = None
-    count = scored = 0
+    scored = 0
     blocks: list[list[int]] = [[0]]
     diams: list[float] = [0.0]
 
     def rec(i: int, dsum: float, dmax: float) -> None:
-        nonlocal best_av, best_dm, blocks_av, blocks_dm, count, scored
+        nonlocal best_av, best_dm, blocks_av, blocks_dm, scored
         # dsum and dmax never fall below a node: nothing here beats either best
         if dmax >= best_dm and dsum / k >= best_av:
-            count += comp[n - i][len(blocks)]
             return
         if i == n:
-            count += 1
             scored += 1
             # Compare the averages, not the sums: dividing by k can round two
             # different sums to one value, and then the earlier witness wins.
@@ -161,7 +151,7 @@ def opt_scores(D: DistanceMatrix, k: int,
             diams.pop()
 
     if n == 1:
-        blocks_av, blocks_dm, count, scored = [[0]], [[0]], 1, 1
+        blocks_av, blocks_dm, scored = [[0]], [[0]], 1
     else:
         rec(1, 0.0, 0.0)
     out = {}
@@ -172,7 +162,7 @@ def opt_scores(D: DistanceMatrix, k: int,
         # from the canonical evaluation by final-ulp rounding.
         out[score] = OracleResult(score=score, k=k,
                                   value=clustering_score(score, witness, D),
-                                  witness=witness, enumerated=count,
+                                  witness=witness, enumerated=stirling2(n, k),
                                   scored=scored)
     return out
 

@@ -34,7 +34,7 @@ from linkcert import (
     opt_score,
     run_linkage,
 )
-from linkcert.family_certificates import Alg1Trace, _Alg1Replay
+from linkcert.family_certificates import Alg1Trace
 from linkcert.inequality_lab import P_EXP
 
 from . import trace_v1
@@ -286,7 +286,7 @@ class TestTieRule:
         assert trace.forest[3].leaves == children
 
 
-class CheckedAlg1Replay(_Alg1Replay):
+class CheckedAlg1Replay(Alg1Trace):
     """The replay with its kept audit state compared after every step against
     a recount from the forest: the regular count and the failing roots' p4
     details.  ``recounts`` keeps the root list each audit sees, as the
@@ -322,7 +322,7 @@ def checked_alg1_trace(D, dg, target) -> Alg1Trace:
         replays.append(CheckedAlg1Replay(*args))
         return replays[-1]
 
-    with mock.patch.object(family_certificates, "_Alg1Replay", replay):
+    with mock.patch.object(family_certificates, "Alg1Trace", replay):
         trace = alg1_trace(D, dg, target)
     assert trace.to_json() == alg1_trace(D, dg, target).to_json()
     (r,) = replays

@@ -37,7 +37,6 @@ from linkcert.graph_certificates import (
     NONPURE,
     Alg2Trace,
     SpanningTreeCert,
-    _Alg2Replay,
 )
 from linkcert.inequality_lab import ALPHA_CAP
 
@@ -437,7 +436,7 @@ class TestClusterAudit:
         assert all(flagged.values())  # the fakes did break the structure
 
 
-def reference_audit(r: _Alg2Replay) -> list:
+def reference_audit(r: Alg2Trace) -> list:
     """The audit's kept state read off the replay's own facts one live
     cluster at a time, with plain sets: the rejected live clusters, the live
     pure clusters per family, and the live excluded clusters."""
@@ -460,7 +459,7 @@ def reference_audit(r: _Alg2Replay) -> list:
     return [wrong, pure, excluded]
 
 
-class CheckedReplay(_Alg2Replay):
+class CheckedReplay(Alg2Trace):
     """The replay with its kept audit state (rejected clusters, pure tally,
     excluded count, point keys) compared after every audit and every budget
     against the full array recount and against ``reference_audit``.  At the
@@ -498,13 +497,11 @@ def checked_trace(D, dg, target) -> Alg2Trace:
     """``alg2_trace`` on ``CheckedReplay``, whose trace must be the same, and
     whose root and component lists must be the ones the trace's records
     rebuild."""
-    r = CheckedReplay(D, dg, target)
-    r.run()
-    trace = r.result(Alg2Trace, initial=r.initial, families=r.families,
-                     spanning_certs=r.spanning_certs, additions=r.additions)
+    trace = CheckedReplay(D, dg, target)
+    trace.run()
     doc = trace.to_json()
     assert doc == alg2_trace(D, dg, target).to_json()
-    assert list(zip(trace_v1.roots(doc), trace_v1.components(doc))) == r.recounts
+    assert list(zip(trace_v1.roots(doc), trace_v1.components(doc))) == trace.recounts
     return trace
 
 

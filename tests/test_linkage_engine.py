@@ -627,7 +627,7 @@ class TestAlignment:
         assert any(v["condition"] == "iii" for v in report.violations)
 
     def test_singleton_cost_condition_exercised(self, monkeypatch):
-        """Every fourth sample pins |A| = 1, so condition ii really fires."""
+        """Every fourth sample pins |A| = 1, so condition iii scores a singleton side."""
         D = random_euclidean(6, seed=8)
         calls = []
 
