@@ -95,7 +95,7 @@ def main() -> None:
 
     # The replay folds a cluster-level complete-link matrix along the merges;
     # the bound check reads the born clusters' diameters off the trace.
-    b1 = alg1_bound(t1, D)
+    b1 = alg1_bound(t1)
     print(f"  diameters of the clusters born in the replay: {t1.born}")
     print(f"  per-cluster guarantee: diam <= k**log2(3) * avg-diam(ref) "
           f"= {b1.bound:g}")
@@ -145,7 +145,7 @@ def main() -> None:
 
     banner("bound from the graph replay")
     cert.edges[0]["weight"] = 1.0    # restore
-    b2 = alg2_bound(t2, D)
+    b2 = alg2_bound(t2)
     print(f"  per-cluster guarantee: diam <= (2k-2) * max-diam(ref) "
           f"= {alpha_k(k).factor:g} * 10 = {b2.bound:g}")
     assert b2.ok and b2.bound == 20.0
@@ -159,8 +159,8 @@ def main() -> None:
     ref_dm = ref["max-diam"]               # graph replay reference
     t1 = alg1_trace(D, dg, ref_av.witness)
     t2 = alg2_trace(D, dg, ref_dm.witness)
-    b1 = alg1_bound(t1, D)
-    b2 = alg2_bound(t2, D)
+    b1 = alg1_bound(t1)
+    b2 = alg2_bound(t2)
     print(f"  n=12, k=3: enumerated {ref_av.enumerated} partitions for both "
           f"scores, scored {ref_av.scored} of them")
     assert ref_av.scored <= ref_av.enumerated

@@ -224,7 +224,7 @@ def certify(D: DistanceMatrix, method: str, k: int, targets: dict | None,
             replays.append(("alg2", alg2_trace, alg2_bound, targets["max-diam"]))
         for name, trace_fn, bound_fn, target in replays:
             trace = trace_fn(D, dg, target)
-            check = bound_fn(trace, D)
+            check = bound_fn(trace)
             passed, failed = trace.assertion_counts
             report.certificates[name] = {"passed": passed, "failed": failed,
                                          "bound_ok": check.ok,

@@ -17,8 +17,8 @@ trace it returns: ``Replay`` validates the target, folds a
 ``metric_core.ClusterMatrix`` along the merges (``born`` keeps each born
 cluster's diameter for the bound check), and drives one merge loop that gives
 each iteration its own failure list.  Here, in ``Alg1Trace``, each merge
-runs three phases: the root audit (p3, p4), the case choice with the fold,
-and the rewrite of the one or two root families.  Family diameters are never
+runs three phases: the root audit (p3, p4), the case choice, and the
+rewrite of the one or two root families.  Family diameters are never
 read from a rescan of point sets, so the replay costs O(n^2): the initial
 families take the target's block diameters, which
 ``metric_core.clustering_score`` keeps (``block_diameters``), a one-cluster
@@ -130,10 +130,10 @@ class Replay:
     ``failures``), the initial families' summaries ``initial``, and
     ``born[t - 1]``, the diameter of the cluster born at iteration t.  A
     subclass's ``step(g, g2, u)`` runs one merge's phases and returns its
-    record; ``run`` drives it along the first n-k merges.  ``failures`` is
-    the current iteration t's list while ``run`` is in a merge, and otherwise
-    the trace's own list of failures outside any iteration (t = 0 before the
-    first merge, t = n-k+1 after the last).
+    record; ``run`` folds each of the first n-k merges, then steps it.
+    ``failures`` is the current iteration t's list while ``run`` is in a
+    merge, and otherwise the trace's own list of failures outside any
+    iteration (t = 0 before the first merge, t = n-k+1 after the last).
 
     Record dataclasses declare their fields in JSON key order, so a record
     serialises as ``vars(record)``.  ``born`` is not serialised.
@@ -164,6 +164,7 @@ class Replay:
     def run(self) -> None:
         for self.t, m in enumerate(self.merges, 1):
             self.failures = []
+            self.born.append(self.cm.merge(m.left, m.right, m.result))
             self.records.append(self.step(m.left, m.right, m.result))
         self.t, self.failures = len(self.merges) + 1, self.trace_failures
 
@@ -188,8 +189,8 @@ class Replay:
 
 class Alg1Trace(Replay):
     """The family forest, advanced one merge at a time: root audit, case
-    choice with the fold, and the rewrite of the one or two root families the
-    merge touched.  ``fam_of`` maps each live cluster to its root family, and
+    choice, and the rewrite of the one or two root families the merge
+    touched.  ``fam_of`` maps each live cluster to its root family, and
     ``final_assertions`` holds the audit after the last merge.
 
     The audit's state is kept across merges, updated only where a family is
@@ -262,7 +263,7 @@ class Alg1Trace(Replay):
 
     def step(self, g: int, g2: int, u: int) -> Alg1IterationRecord:
         assertions = self.root_audit()
-        case, A, B, ga, gb = self.choose(g, g2, u)
+        case, A, B, ga, gb = self.choose(g, g2)
         first = len(self.forest)
         self.rewrite(case, A, B, ga, gb, u)
         return Alg1IterationRecord(
@@ -298,13 +299,12 @@ class Alg1Trace(Replay):
                                f"k*avg-diam*k^p {self.chain_rhs!r}")
         return tuple(details)
 
-    def choose(self, g: int, g2: int, u: int) -> tuple[str, FamilyNode, FamilyNode, int, int]:
-        """Fold u = g | g2 into ``cm`` and pick the structural case.  Returns
-        the case, the larger root family A (by cluster count) and the other
-        one B, with the merged cluster ga in A and gb in B.  On equal cluster
-        counts A is the family of the left cluster g, so a fusion lists the
-        left cluster's family first among its children."""
-        self.born.append(self.cm.merge(g, g2, u))
+    def choose(self, g: int, g2: int) -> tuple[str, FamilyNode, FamilyNode, int, int]:
+        """The structural case of the merge of g and g2 (already folded), the
+        larger root family A (by cluster count) and the other one B, with the
+        merged cluster ga in A and gb in B.  On equal cluster counts A is the
+        family of the left cluster g, so a fusion lists the left cluster's
+        family first among its children."""
         A, B = self.forest[self.fam_of.pop(g)], self.forest[self.fam_of.pop(g2)]
         if len(A.clusters) < len(B.clusters):
             A, B, g, g2 = B, A, g2, g
@@ -361,8 +361,8 @@ def born_cluster_checks(trace: Replay, bound: float) -> BoundCheck:
         for t, dm in enumerate(trace.born, 1) if not within_bound(dm, bound)])
 
 
-def alg1_bound(trace: Alg1Trace, D: DistanceMatrix) -> BoundCheck:
+def alg1_bound(trace: Alg1Trace) -> BoundCheck:
     """Check every cluster born in the first n-k merges against the guarantee
-    diam <= avg_bound(k, avg-diam(target)) = k^{log2 3} * avg-diam(target)."""
-    avg_diam = clustering_score("avg-diam", trace.target, D)
-    return born_cluster_checks(trace, avg_bound(trace.k, avg_diam))
+    diam <= avg_bound(k, avg-diam(target)) = k^{log2 3} * avg-diam(target),
+    the replay's own ``chain_rhs``."""
+    return born_cluster_checks(trace, trace.chain_rhs)

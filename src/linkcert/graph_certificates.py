@@ -32,16 +32,16 @@ one component's territory), the addition-budget cap, and -- at every family
 creation -- the spanning-tree weight bounds, the diameter-sum bound, and the
 growth bound diam(F) <= max-diam(target) * phi(F)^alpha_k (``growth_bound``,
 checked by ``within_bound``; the spanning-tree and sum checks are exact).
-The cluster classification is kept, not recomputed at every iteration.  A
-plain merge reclassifies only the cluster it creates, whose points are
-exactly the merged pair's, in O(|u|) numpy work; an exclusion only the
-cluster it excludes.  A phase that rewrites many clusters' inputs (a family's
-birth or death, a component join, or a merge that takes points from a third
-cluster, which only a forged members map does) has the next audit
-reclassify every live cluster in one array pass over point -> (component,
-family) key, point -> live cluster and cluster -> tag.  Only a failed
-verdict rereads point sets, to name each offending live cluster in its
-record.
+The live clusters' point sets have one view, the point -> live cluster
+map, which every phase reads: a merge takes the merged pair's points from
+it and hands them to the cluster it creates.  The cluster classification is
+kept, not recomputed at every iteration.  A merge reclassifies only the
+cluster it creates, in O(n) numpy work; an exclusion only the cluster it
+excludes.  A phase that rewrites many clusters' inputs (a family's birth or
+death, or a component join) has the next audit reclassify every live
+cluster in one array pass over point -> (component, family) key, point ->
+live cluster and cluster -> tag.  Only a failed verdict rereads point sets,
+to name each offending live cluster in its record.
 
 Each iteration runs as named phases of ``Alg2Trace``, a subclass of the
 family forest's ``Replay`` (``family_certificates``, which owns the target
@@ -232,8 +232,7 @@ class Alg2Trace(Replay):
     EXCLUDED) holds purity and the exclusion set, ``p2f`` (point -> live
     family, -1 for none) the live families' point sets, ``counts`` each live
     family's number of pure clusters, ``owner`` (point -> live cluster) the
-    audit's view of the clusters, and ``comps``/``fam2comp`` the components.
-    ``members`` is the dendrogram's own view, which the merge step reads.
+    live clusters' point sets, and ``comps``/``fam2comp`` the components.
     A new family's id is the largest yet, so ``counts`` stays in id order.
     ``families`` keeps every family ever, ``spanning_certs`` the collapses'
     certificates and ``additions`` the exclusion additions, in order.
@@ -250,7 +249,6 @@ class Alg2Trace(Replay):
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
         super().__init__(D, dg, target)
         n, k = self.n, self.k
-        self.members = dg.members_map()
         self.max_diam = clustering_score("max-diam", self.target, D)
         self.families: dict[int, Alg2Family] = {}    # every family ever, by id
         self.tag = np.full(2 * n - 1, NONPURE, dtype=np.intp)
@@ -274,7 +272,7 @@ class Alg2Trace(Replay):
             if len(block) == 1:
                 self.tag[_ids(block)] = EXCLUDED
                 continue
-            fam = self._new_family(block, block, phi=1, diam=diam)
+            fam = self._new_family(block, _ids(block), phi=1, diam=diam)
             if k >= 2 and not within_bound(fam.diam, self.max_diam):
                 self.fail("family-growth-bound",
                           f"initial family {fam.id}: diam {fam.diam!r} > "
@@ -287,15 +285,15 @@ class Alg2Trace(Replay):
                 "exclusion_additions": self.additions,
                 "ok": self.ok}
 
-    def _new_family(self, clusters, points, phi: int, diam: float) -> Alg2Family:
-        """A live family of the given pure clusters, alone in a new component
-        that takes its id."""
+    def _new_family(self, clusters, points: np.ndarray, phi: int, diam: float) -> Alg2Family:
+        """A live family of the given pure clusters over the given points,
+        alone in a new component that takes its id."""
         fid = len(self.families)
         fam = self.families[fid] = Alg2Family(
             id=fid, clusters=frozenset(clusters), diam=diam, phi=phi)
         self.counts[fid] = len(clusters)
         self.tag[_ids(clusters)] = fid
-        self.p2f[_ids(points)] = fid
+        self.p2f[points] = fid
         self.comps[fid] = ComponentState(families={fid})
         self.fam2comp[fid] = fid
         self.stale = True
@@ -384,9 +382,7 @@ class Alg2Trace(Replay):
     def _recount(self) -> tuple[np.ndarray, set[int], dict[int, int], int]:
         """The audit's state from scratch, in one array pass over the live
         clusters: the point keys per family, the rejected live clusters, the
-        live pure clusters per family, and the live excluded clusters.  The
-        point sets are read through ``owner``, which follows ``members``
-        because every merge joins two live clusters."""
+        live pure clusters per family, and the live excluded clusters."""
         fams = _ids(self.fam2comp)
         width = len(self.families) + 1
         key = np.full(width, -1, dtype=np.intp)   # key[-1] for p2f = -1
@@ -428,17 +424,16 @@ class Alg2Trace(Replay):
                 self.pure_seen[tag] = seen
 
     def merge(self, g: int, g2: int, u: int) -> tuple[int, int]:
-        """Replace g and g2 by u: its tag, the pure counts, u's audit verdict,
-        and -- unless an excluded cluster absorbs the other -- the graph edges
-        the merge adds and the components it joins.  Returns the tags of g
-        and g2."""
+        """Replace g and g2 by u, which takes their points in ``owner``: its
+        tag, the pure counts, u's audit verdict, and -- unless an excluded
+        cluster absorbs the other -- the graph edges the merge adds and the
+        components it joins.  Returns the tags of g and g2."""
         self.active.remove(g)
         self.active.remove(g2)
         self.active.add(u)
-        self.born.append(self.cm.merge(g, g2, u))
         tag_g, tag_g2 = int(self.tag[g]), int(self.tag[g2])
-        pts = _ids(self.members[u])
-        old = self.owner[pts]
+        pts = np.flatnonzero((self.owner == g) | (self.owner == g2))
+        left = self.owner[pts] == g
         self.owner[pts] = u
         absorbed = EXCLUDED in (tag_g, tag_g2)
         tag_u = EXCLUDED if absorbed else tag_g if tag_g == tag_g2 else NONPURE
@@ -450,26 +445,23 @@ class Alg2Trace(Replay):
         self._tally(tag_u, 1)
         self.wrong.discard(g)
         self.wrong.discard(g2)
-        if ((old == g) | (old == g2)).all():   # no third cluster lost a point
-            point_key = self.key[self.p2f[pts]]
-            if _misfits(tag_u, int(point_key.min(initial=_NO_LO)),
-                        int(point_key.max(initial=_NO_HI)), self.key.size):
-                self.wrong.add(u)
-        else:
-            self.stale = True
+        point_key = self.key[self.p2f[pts]]
+        if _misfits(tag_u, int(point_key.min(initial=_NO_LO)),
+                    int(point_key.max(initial=_NO_HI)), self.key.size):
+            self.wrong.add(u)
         if absorbed:
             self.events.append({"type": "absorbed", "iteration": self.t,
-                                "cluster": sorted(self.members[u])})
+                                "cluster": pts.tolist()})
         else:
-            self._link(g, g2)
+            self._link(pts[left], pts[~left])
         return tag_g, tag_g2
 
-    def _link(self, g: int, g2: int) -> None:
-        """Edges between the families g and g2 touch; a first edge between
-        two components is a tree edge and joins them."""
+    def _link(self, left: np.ndarray, right: np.ndarray) -> None:
+        """Edges between the families g's and g2's points (``left``, ``right``)
+        touch; a first edge between two components is a tree edge and joins them."""
         t, fam2comp = self.t, self.fam2comp
-        A = set(self.p2f[_ids(self.members[g])].tolist())
-        B = set(self.p2f[_ids(self.members[g2])].tolist())
+        A = set(self.p2f[left].tolist())
+        B = set(self.p2f[right].tolist())
         if -1 in A or -1 in B or not A or not B:
             self.fail("clusters-structure",
                       "merged non-excluded cluster touches orphaned points")
@@ -573,7 +565,7 @@ class Alg2Trace(Replay):
             self.wrong.discard(h)
             self.counts[f] = 0
             rec = {"site": site, "iteration": self.t, "family": f,
-                   "cluster": sorted(self.members[h])}
+                   "cluster": np.flatnonzero(self.owner == h).tolist()}
             self.additions.append(rec)
             self.events.append({"type": "exclusion_add", **rec})
         self.assertions["additions"] = additions_ok
@@ -587,9 +579,10 @@ class Alg2Trace(Replay):
         comp_fams = sorted(comp.families)
         in_comp = np.zeros(len(self.families) + 1, dtype=bool)   # in_comp[-1] for p2f = -1
         in_comp[comp_fams] = True
-        union_pts = set(np.flatnonzero(in_comp[self.p2f]).tolist())
-        fc_members = sorted(h for h in self.active if self.tag[h] != EXCLUDED
-                            and self.members[h] <= union_pts)
+        leaks = np.zeros(self.tag.size, dtype=bool)   # clusters with a point outside
+        leaks[self.owner[~in_comp[self.p2f]]] = True
+        fc_members = [h for h in sorted(self.active)
+                      if self.tag[h] != EXCLUDED and not leaks[h]]
         assertions["fc_size"] = len(fc_members) >= 2
         if len(fc_members) < 2:
             self.fail("fc-size", f"new family would hold {len(fc_members)} clusters")
@@ -616,8 +609,11 @@ class Alg2Trace(Replay):
         if not ls_ok:
             self.fail("ls-addition", f"lifetime additions per family: {sites}")
 
+        taken = np.zeros(self.tag.size, dtype=bool)
+        taken[fc_members] = True
+        fc_points = np.flatnonzero(taken[self.owner])
         fam = self._new_family(
-            fc_members, [p for h in fc_members for p in self.members[h]],
+            fc_members, fc_points,
             phi=sum(self.families[f].phi for f in comp_fams),
             diam=self.cm.diam(fc_members))
         cert = SpanningTreeCert(
@@ -638,8 +634,11 @@ class Alg2Trace(Replay):
             self.fail("family-growth-bound", f"family {fam.id}: diam {fam.diam!r} > "
                                              f"max-diam * phi^alpha {bound!r}")
         self._kill_component(comp_id)
+        clusters = {h: [] for h in fc_members}   # each cluster's points, ascending
+        for p, h in zip(fc_points.tolist(), self.owner[fc_points].tolist()):
+            clusters[h].append(p)
         self.events.append({"type": "fc_created", "iteration": t, "family": fam.id,
-                            "clusters": [sorted(self.members[h]) for h in fc_members],
+                            "clusters": list(clusters.values()),
                             "component": comp_fams, "phi": fam.phi, "diam": fam.diam})
 
     def budget(self) -> None:
@@ -660,9 +659,8 @@ def alg2_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg2Trace:
     return trace
 
 
-def alg2_bound(trace: Alg2Trace, D: DistanceMatrix) -> BoundCheck:
+def alg2_bound(trace: Alg2Trace) -> BoundCheck:
     """Check every cluster born in the first n-k merges against the guarantee
-    diam <= dm_bound(k, max-diam(target)) = k^{alpha_k} * max-diam(target).
-    The family growth bounds are asserted by the replay itself."""
-    max_diam = clustering_score("max-diam", trace.target, D)
-    return born_cluster_checks(trace, dm_bound(trace.k, max_diam))
+    diam <= dm_bound(k, max-diam(target)) = k^{alpha_k} * max-diam(target),
+    read off the replay, which asserts the family growth bounds itself."""
+    return born_cluster_checks(trace, dm_bound(trace.k, trace.max_diam))

@@ -180,9 +180,9 @@ def test_criterion_5_certificate_integrity(grid, oracle):
         for k in K_RANGE:
             res = oracle["results"][inst["name"]][k]
             t1 = alg1_trace(inst["D"], inst["cl"], res["av"].witness)
-            b1 = alg1_bound(t1, inst["D"])
+            b1 = alg1_bound(t1)
             t2 = alg2_trace(inst["D"], inst["cl"], res["dm"].witness)
-            b2 = alg2_bound(t2, inst["D"])
+            b2 = alg2_bound(t2)
             for label, ok, fl in (("alg1", t1.ok, t1.all_failures()),
                                   ("alg1-bound", b1.ok, b1.failures),
                                   ("alg2", t2.ok, t2.all_failures()),

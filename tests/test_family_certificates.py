@@ -114,7 +114,7 @@ class TestLineWalkthrough:
 
     def test_bound(self, line4):
         dg, _, trace = traced(line4, [[0, 1], [2, 3]])
-        bc = alg1_bound(trace, line4)
+        bc = alg1_bound(trace)
         # k^(log2 3) * avg-diam = 3 * 1
         assert bc.bound == pytest.approx(3.0, rel=1e-12)
         assert bc.ok
@@ -175,7 +175,7 @@ class TestCrossFamilyMerge:
         dg, _, trace = traced(D, [[0, 1], [2, 3]])
         fused = [f for f in trace.forest.values() if f.created_at == 1][0]
         assert fused.phi_sigma * fused.phi ** P_EXP == pytest.approx(30.0, rel=1e-12)
-        bc = alg1_bound(trace, D)
+        bc = alg1_bound(trace)
         assert bc.bound == pytest.approx(30.0, rel=1e-12)
         assert bc.ok
 
@@ -211,7 +211,7 @@ class TestFalsifiability:
         assert not trace.ok
         bad = trace.all_failures()
         assert any(f["assertion"] == "p4" for f in bad)
-        bc = alg1_bound(trace, D)
+        bc = alg1_bound(trace)
         assert not bc.ok
 
     def test_p4_failure_is_reported_at_every_audit_while_root(self):
@@ -391,7 +391,7 @@ class TestForestInvariants:
                 target = opt_score("avg-diam", D, k).witness
                 dg = run_linkage("CL", D)
                 trace = alg1_trace(D, dg, target)
-                bc = alg1_bound(trace, D)
+                bc = alg1_bound(trace)
                 assert trace.ok
                 assert bc.ok
                 assert bc.bound == pytest.approx(

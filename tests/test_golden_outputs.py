@@ -9,12 +9,13 @@ nothing; a refactor of either replay must leave every digest unchanged.  A
 change in output bits has to be explained and the digest updated
 deliberately.
 
-The lost-point fakes (from ``TestClusterAudit``) hash the alg2 trace alone:
-they exercise the audit's record text and order.  Two alg1 cases hash the
-alg1 trace with its ``alg1_bound`` failures: a hand-made merge order (from
-``TestForgedMergeOrder``) and a non-metric instance whose p4 and per-cluster
-records fail, including the final p4 after the last merge.  A third hashes
-a family whose p4 failure repeats at every audit while it stays a root.
+The forged-owner fakes (from ``TestClusterAudit``) hash the alg2 trace
+alone: they exercise the audit's record text and order.  Two alg1 cases
+hash the alg1 trace with its ``alg1_bound`` failures: a hand-made merge
+order (from ``TestForgedMergeOrder``) and a non-metric instance whose p4 and
+per-cluster records fail, including the final p4 after the last merge.  A
+third hashes a family whose p4 failure repeats at every audit while it stays
+a root.
 
 One case runs the command line: ``certify`` of the single-link adversary at
 k=12 against its sidecar target hashes the files it writes.  There the engine
@@ -34,7 +35,6 @@ from linkcert import (
     MergeRecord,
     alg1_bound,
     alg1_trace,
-    alg2_trace,
     extract_clustering,
     gen_single_link_adversary,
     opt_scores,
@@ -45,7 +45,7 @@ from linkcert.cli import certify
 
 from .conftest import line_metric
 from .test_family_certificates import FUSED_BLOCKS, fused_blocks_specimen
-from .test_graph_certificates import losing
+from .test_graph_certificates import forged
 from .trace_v1 import to_v1
 
 
@@ -166,7 +166,7 @@ def test_failing_non_metric_specimen():
 
 def alg1_digest(D: DistanceMatrix, dg: Dendrogram, target) -> tuple[str, str]:
     trace = alg1_trace(D, dg, target)
-    return digests([trace.to_json()], alg1_bound(trace, D).failures)
+    return digests([trace.to_json()], alg1_bound(trace).failures)
 
 
 def test_alg1_forged_merge_order():
@@ -193,30 +193,30 @@ def test_alg1_repeated_p4_failures():
         "63b012cc079fd99a0f32c75618124e261e1090f2fd676434f3740ded7c634d73")
 
 
-# positions, fake cluster h, lost point p, target blocks, digests
-LOSING = {
+# positions, forgery (iteration, points, cluster), target blocks, digests
+FORGED = {
     "lost-point": (
-        [0.0, 1.0, 3.0, 7.0, 15.0], 5, 0, [[0, 2, 3], [1, 4]],
-        ("3b0a0a93b9fec1cb90dcb39de541bb7bd872a88dc4b9c695c5b3201041405c0e",
-         "67620e93d0ba53bfc9135a3e096807b9bc6339dc807a33a1e47cdca0d89190ca")),
+        [0.0, 1.0, 3.0, 7.0, 15.0], (2, [4], 6), [[0, 2, 3], [1, 4]],
+        ("92ccc2ae151b1075eabe57a66c9d50fb087844916aded15c88e030e691cc14d2",
+         "cf038f53759944ac79d00e1878f6840e73311bce70035b81b38f20eae670ef47")),
     "wrong-tag": (
-        [21.0, 9.0, 14.0, 34.0, 8.0, 0.0], 6, 1, [[0, 4, 5], [1, 2, 3]],
-        ("e3f12dc1f23db64f14237699225c00ee61b12fcc639a32157a9ee0ed7874c6cc",
-         "977afc15395a6a25507de28b70627738e77337b7b07fbfc2db1cd24f49bd18c3")),
+        [21.0, 9.0, 14.0, 34.0, 8.0, 0.0], (1, [1], 1), [[0, 4, 5], [1, 2, 3]],
+        ("2c64ad3c39b1458cf1172a01d1470f9cdff0f2c209a77fac05c91dc6e72103f8",
+         "c76055009eb537acf22551f2d877d97b137741a2c908559d9c6954f683050a83")),
     "ledger": (
-        [0.0, 29.0, 15.0, 36.0, 23.0, 33.0], 4, 4, [[0, 4], [1, 3], [2, 5]],
-        ("5c422df2c41a59bfcd98644a0f6fbcaa71ccdde3480fa5a1b3e22ec821b31c2f",
-         "b1ce252d92825a36b7285dd0541c5dcccd2f508b1dfb471ea60df49eb47ba14a")),
+        [0.0, 29.0, 15.0, 36.0, 23.0, 33.0], (1, [4], 3), [[0, 4], [1, 3], [2, 5]],
+        ("9d0bbc8260ca3f1912249c82eb96d89ef21e397ddefa16ef0d868cae8320dcfc",
+         "8fde7f5b238d16aaa42c39c7d3d0f2f47b7ddeed310a5a777493061899ecea40")),
     "dead-family": (
-        [30.0, 36.0, 2.0, 28.0, 12.0, 8.0, 27.0], 7, 6, [[0, 5, 6], [1, 4], [2, 3]],
-        ("10aadb37577ed03daac373a37380a7ab4c086e1e6541fe4331b34a8b42ca11b1",
-         "dd253c5bbf389b1daeb542bccd4fd20c4abd85a9ddbd067c4ce56f5ddac6e0c1")),
+        [30.0, 36.0, 2.0, 28.0, 12.0, 8.0, 27.0], (2, [2], 8),
+        [[0, 5, 6], [1, 4], [2, 3]],
+        ("52a117e2e0a5439134c1834281f7e449dff96cd9ef82b0664ae72d1aabd5ffd5",
+         "cc47c7f5fb4c0c65d64dabd8f1903eecf6810a3f9b97cd59f727647f88cd8638")),
 }
 
 
-@pytest.mark.parametrize("name", list(LOSING))
+@pytest.mark.parametrize("name", list(FORGED))
 def test_lost_point_fakes(name):
-    positions, h, p, blocks, expected = LOSING[name]
+    positions, forgery, blocks, expected = FORGED[name]
     D = line_metric(positions)
-    dg = losing(run_linkage("CL", D), h, p)
-    assert digests([alg2_trace(D, dg, blocks).to_json()]) == expected
+    assert digests([forged(D, run_linkage("CL", D), blocks, *forgery).to_json()]) == expected

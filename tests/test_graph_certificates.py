@@ -99,7 +99,7 @@ class TestLineWalkthrough:
 
     def test_bound(self, line4):
         dg, _, trace = traced(line4, [[0, 1], [2, 3]])
-        bc = alg2_bound(trace, line4)
+        bc = alg2_bound(trace)
         # max-diam(target) * k^alpha_2 = 1 * 2
         assert bc.bound == 2.0
         assert bc.ok
@@ -131,7 +131,7 @@ class TestInterleavedWalkthrough:
     def test_bound(self):
         D = line_metric([0.0, 10.0, 1.0, 11.0])
         dg, _, trace = traced(D, [[0, 1], [2, 3]])
-        bc = alg2_bound(trace, D)
+        bc = alg2_bound(trace)
         assert bc.bound == 20.0  # max-diam 10 * factor 2
         assert bc.ok
 
@@ -153,7 +153,7 @@ class TestThreeBlockComponent:
     def test_bound(self):
         D = line_metric([0.0, 10.0, 1.0, 30.0, 31.0, 60.0])
         dg, _, trace = traced(D, [[0, 1], [2, 3, 4, 5]])
-        bc = alg2_bound(trace, D)
+        bc = alg2_bound(trace)
         assert bc.bound == 118.0  # max-diam(target) 59 * factor 2
         assert bc.ok
 
@@ -224,44 +224,39 @@ class TestFalsifiability:
         dg = run_linkage("CL", D)
         target = Clustering.from_blocks([[0, 1], [2, 3]], 4)
         trace = alg2_trace(D, dg, target)
-        bc = alg2_bound(trace, D)
+        bc = alg2_bound(trace)
         assert not (trace.ok and bc.ok)
         bad = trace.all_failures() + bc.failures
         assert any(f["assertion"] in ("sum-diam", "family-growth-bound",
                                       "per-cluster-bound") for f in bad)
 
 
-def losing(dg: Dendrogram, h: int, p: int) -> Dendrogram:
-    """``dg`` with a members map whose cluster ``h`` has lost point ``p``."""
-    class LosingDendrogram(Dendrogram):
-        def members_map(self):
-            members = super().members_map()
-            members[h] = members[h] - {p}
-            return members
+class Forged(Alg2Trace):
+    """The replay with ``owner`` forged at the end of the merge at iteration
+    ``at``: ``points`` are handed to cluster ``to``.  A live cluster gains
+    them; a dead one takes them out of every live cluster.  Like a phase that
+    rewrites clusters other than the one a merge creates, the forgery marks
+    the kept audit state stale, so the next audit reclassifies every live
+    cluster.  With no forgery it is the plain replay."""
 
-    return LosingDendrogram(n=dg.n, method="CL", merges=dg.merges)
+    def __init__(self, D, dg, target, at=0, points=(), to=0):
+        self.forgery = at, list(points), to
+        super().__init__(D, dg, target)
+
+    def merge(self, g, g2, u):
+        tags = super().merge(g, g2, u)
+        at, points, to = self.forgery
+        if self.t == at:
+            self.owner[points] = to
+            self.stale = True
+        return tags
 
 
-def gaining(dg: Dendrogram, h: int, p: int) -> Dendrogram:
-    """``dg`` with a members map whose cluster ``h`` has gained point ``p``."""
-    class GainingDendrogram(Dendrogram):
-        def members_map(self):
-            members = super().members_map()
-            members[h] = members[h] | {p}
-            return members
-
-    return GainingDendrogram(n=dg.n, method="CL", merges=dg.merges)
-
-
-def replacing(dg: Dendrogram, h: int, points) -> Dendrogram:
-    """``dg`` with a members map whose cluster ``h`` holds exactly ``points``."""
-    class ReplacingDendrogram(Dendrogram):
-        def members_map(self):
-            members = super().members_map()
-            members[h] = frozenset(points)
-            return members
-
-    return ReplacingDendrogram(n=dg.n, method="CL", merges=dg.merges)
+def forged(D, dg, target, *forgery) -> Alg2Trace:
+    """``alg2_trace`` on ``Forged``."""
+    trace = Forged(D, dg, target, *forgery)
+    trace.run()
+    return trace
 
 
 def audit_records(record) -> list[dict]:
@@ -274,19 +269,20 @@ def audit_records(record) -> list[dict]:
 class TestClusterAudit:
     """The per-iteration audit of every live cluster against the point ->
     family map.  The verdict is kept across merges, and each offending live
-    cluster is named in its record; members maps that lose or gain a point
-    make it fire."""
+    cluster is named in its record; a forged ``owner`` makes it fire."""
 
     def test_lost_point_is_reported(self):
+        # point 4 is orphaned once its family's last pure cluster {4} is
+        # excluded; handed to {0, 1, 2}, it makes that cluster touch it
         D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0])
         dg = run_linkage("CL", D)
-        assert (dg.merges[0].left, dg.merges[0].right) == (0, 1)
-        trace = alg2_trace(D, losing(dg, 5, 0), [[0, 2, 3], [1, 4]])
+        assert dg.merges[1].result == 6
+        trace = forged(D, dg, [[0, 2, 3], [1, 4]], 2, [4], 6)
         assert [r.assertions["clusters_structure"] for r in trace.records] == [
             True, True, False]
         assert trace.all_failures() == [
             {"assertion": "clusters-structure", "iteration": 3,
-             "detail": "cluster [0, 1, 2] touches orphaned points but is not excluded"},
+             "detail": "cluster [0, 1, 2, 4] touches orphaned points but is not excluded"},
             {"assertion": "clusters-structure", "iteration": 3,
              "detail": "merged non-excluded cluster touches orphaned points"},
         ]
@@ -297,7 +293,7 @@ class TestClusterAudit:
         D = line_metric([21.0, 9.0, 14.0, 34.0, 8.0, 0.0])
         dg = run_linkage("CL", D)
         assert (dg.merges[0].left, dg.merges[0].right) == (1, 4)
-        trace = alg2_trace(D, losing(dg, 6, 1), [[0, 4, 5], [1, 2, 3]])
+        trace = forged(D, dg, [[0, 4, 5], [1, 2, 3]], 1, [1], 1)
         assert [r.assertions["clusters_structure"] for r in trace.records] == [
             True, False, True, True]
         assert trace.all_failures() == [
@@ -310,42 +306,35 @@ class TestClusterAudit:
         # the empty cluster into the new family 3 while family 0 still counts it
         D = line_metric([0.0, 29.0, 15.0, 36.0, 23.0, 33.0])
         dg = run_linkage("CL", D)
-        trace = alg2_trace(D, losing(dg, 4, 4), [[0, 4], [1, 3], [2, 5]])
+        assert (dg.merges[0].left, dg.merges[0].right) == (3, 5)
+        trace = forged(D, dg, [[0, 4], [1, 3], [2, 5]], 1, [4], 3)
         assert [r.case for r in trace.records] == ["b", None, "c"]
         assert [r.assertions["clusters_structure"] for r in trace.records] == [
             True, False, False]
-        assert {"assertion": "clusters-structure", "iteration": 2,
-                "detail": "pure-count ledger {0: 2, 3: 3} disagrees with "
-                          "tag recount {0: 1, 3: 3}"} in trace.records[1].failures
+        assert audit_records(trace.records[1]) == [
+            {"assertion": "clusters-structure", "iteration": 2,
+             "detail": "live cluster 4 holds no points but is not excluded"},
+            {"assertion": "clusters-structure", "iteration": 2,
+             "detail": "pure-count ledger {0: 2, 3: 3} disagrees with "
+                       "tag recount {0: 1, 3: 3}"},
+        ]
         assert trace.records[2].failures == [
             {"assertion": "clusters-structure", "iteration": 3,
              "detail": "pure-count ledger {0: 2, 3: 2} disagrees with "
                        "tag recount {0: 1, 3: 2}"},
         ]
 
-    def test_records_name_the_points_the_audit_classified(self):
-        # on the ledger fake the members map empties leaf 4, but owner still
-        # gives it point 4: the record names the points the audit classified
-        D = line_metric([0.0, 29.0, 15.0, 36.0, 23.0, 33.0])
-        dg = run_linkage("CL", D)
-        trace = alg2_trace(D, losing(dg, 4, 4), [[0, 4], [1, 3], [2, 5]])
-        assert audit_records(trace.records[1]) == [
-            {"assertion": "clusters-structure", "iteration": 2,
-             "detail": "cluster [4] lies inside family 0 but is tagged ('pure', 3)"},
-            {"assertion": "clusters-structure", "iteration": 2,
-             "detail": "pure-count ledger {0: 2, 3: 3} disagrees with "
-                       "tag recount {0: 1, 3: 3}"},
-        ]
-
     def test_cluster_left_pure_by_a_dead_family(self):
-        # the collapse at iteration 3 misses {0, 3, 6}, which still lost
-        # point 6, so family 0 dies with a pure cluster; merging it at
-        # iteration 4 must not read the dead family's count
+        # {0, 3, 6}, pure w.r.t. family 3, gains the orphaned point 2, so the
+        # collapse at iteration 3 misses it and family 3 dies with a pure
+        # cluster; merging it at iteration 4 must not read the dead family's
+        # count
         D = line_metric([30.0, 36.0, 2.0, 28.0, 12.0, 8.0, 27.0])
         dg = run_linkage("CL", D)
-        trace = alg2_trace(D, losing(dg, 7, 6), [[0, 5, 6], [1, 4], [2, 3]])
+        assert dg.merges[1].result == 8
+        trace = forged(D, dg, [[0, 5, 6], [1, 4], [2, 3]], 2, [2], 8)
         assert [r.case for r in trace.records] == ["a", None, "b", "c"]
-        orphan = "cluster [0, 3, 6] touches orphaned points but is not excluded"
+        orphan = "cluster [0, 2, 3, 6] touches orphaned points but is not excluded"
         assert trace.all_failures() == [
             {"assertion": "clusters-structure", "iteration": 3, "detail": orphan},
             {"assertion": "fc-size", "iteration": 3,
@@ -358,41 +347,73 @@ class TestClusterAudit:
     def test_cluster_of_an_initial_family_that_gains_a_point(self):
         # Family 0 is always an initial family, whose points keep it while it
         # lives: a lost point only shrinks the clusters the audit sees, so no
-        # losing fake flags a ('pure', 0) tag.  Here {0, 4}, pure w.r.t.
+        # lost point flags a ('pure', 0) tag.  Here {0, 4}, pure w.r.t.
         # family 0, takes point 1 from leaf 1 of family 1 and spans both;
-        # leaf 1 is left live with no points
+        # leaf 1 is left live with no points, so merging it with leaf 2 at
+        # iteration 2 gives the new cluster no point of family 1's side
         D = line_metric([39.0, 14.0, 26.0, 0.0, 37.0])
         dg = run_linkage("CL", D)
-        assert (dg.merges[0].left, dg.merges[0].right) == (0, 4)
-        trace = alg2_trace(D, gaining(dg, 5, 1), [[0, 2, 4], [1, 3]])
+        assert [(m.left, m.right) for m in dg.merges[:2]] == [(0, 4), (1, 2)]
+        trace = forged(D, dg, [[0, 2, 4], [1, 3]], 1, [1], 5)
+        assert [r.case for r in trace.records] == [None, "c", "c"]
         assert trace.all_failures() == [
             {"assertion": "clusters-structure", "iteration": 2,
              "detail": "live cluster 1 holds no points but is not excluded"},
             {"assertion": "clusters-structure", "iteration": 2,
              "detail": "cluster [0, 1, 4] (tag ('pure', 0)) spans families "
                        "[0, 1] in 2 components"},
+            {"assertion": "clusters-structure", "iteration": 2,
+             "detail": "merged non-excluded cluster touches orphaned points"},
+            {"assertion": "case-exclusivity", "iteration": 2,
+             "detail": "cases fired simultaneously: [('c', 0), ('c', 1)]"},
+            {"assertion": "two-pure-clusters", "iteration": 3,
+             "detail": "component [1] has only 0 families with >=2 pure clusters"},
+            {"assertion": "clusters-structure", "iteration": 3,
+             "detail": "cluster [2] touches orphaned points but is not excluded"},
         ]
 
-    @pytest.mark.parametrize("leaf", [3, 4], ids=["left", "right"])
-    def test_merge_that_takes_a_point_from_a_third_cluster(self, leaf):
-        # {0, 1, 2} (cluster 9) takes the point of a leaf of family 1; the
-        # merge of leaves 3 and 4 at iteration 3 takes it back, so cluster 9
-        # is sound again at iteration 4.  The robbed leaf owns none of the
-        # merged points, so only the stolen-point guard, on either side of
-        # the merge, sends the audit to the recount that clears cluster 9
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_merge_that_takes_a_point_from_a_third_cluster(self, side):
+        # Cluster 9 = {0, 1, 2} of family 0 and cluster 11 = {6, 7} of family
+        # 1 merge at iteration 5.  Forged before it, one side spans both
+        # families, which lie in different components: on the left, cluster
+        # 9 takes the point of leaf 3 (iteration 2); on the right, cluster
+        # 11 takes point 0 from cluster 9 (iteration 4).  The merge then
+        # writes its own record about that side
         D = line_metric([7.0, 9.0, 7.0, 32.0, 34.0, 23.0, 1.0, 3.0])
         dg = run_linkage("CL", D)
-        assert [(m.left, m.right) for m in dg.merges[1:3]] == [(8, 1), (3, 4)]
-        trace = alg2_trace(D, gaining(dg, 9, leaf), [[0, 1, 2, 5], [3, 4, 6, 7]])
-        assert trace.all_failures() == [
-            {"assertion": "clusters-structure", "iteration": 3,
-             "detail": f"live cluster {leaf} holds no points but is not excluded"},
-            {"assertion": "clusters-structure", "iteration": 3,
-             "detail": f"cluster [0, 1, 2, {leaf}] (tag ('pure', 0)) spans "
-                       "families [0, 1] in 2 components"},
-            {"assertion": "clusters-structure", "iteration": 5,
-             "detail": "left cluster touches several components"},
-        ]
+        assert [(m.left, m.right, m.result) for m in dg.merges[1:5]] == [
+            (8, 1, 9), (3, 4, 10), (6, 7, 11), (9, 11, 12)]
+        blocks = [[0, 1, 2, 5], [3, 4, 6, 7]]
+        if side == "left":
+            trace = forged(D, dg, blocks, 2, [3], 9)
+            spans = "cluster [0, 1, 2, 3] (tag ('pure', 0)) spans families [0, 1] in 2 components"
+            assert trace.all_failures() == [
+                {"assertion": "clusters-structure", "iteration": 3,
+                 "detail": "live cluster 3 holds no points but is not excluded"},
+                {"assertion": "clusters-structure", "iteration": 3, "detail": spans},
+                {"assertion": "clusters-structure", "iteration": 3,
+                 "detail": "merged non-excluded cluster touches orphaned points"},
+                {"assertion": "clusters-structure", "iteration": 4, "detail": spans},
+                {"assertion": "clusters-structure", "iteration": 5, "detail": spans},
+                {"assertion": "clusters-structure", "iteration": 5,
+                 "detail": "left cluster touches several components"},
+            ]
+        else:
+            trace = forged(D, dg, blocks, 4, [0], 11)
+            assert trace.all_failures() == [
+                {"assertion": "clusters-structure", "iteration": 5,
+                 "detail": "cluster [0, 6, 7] (tag ('pure', 1)) spans families "
+                           "[0, 1] in 2 components"},
+                {"assertion": "clusters-structure", "iteration": 5,
+                 "detail": "right cluster touches several components"},
+                {"assertion": "case-exclusivity", "iteration": 5,
+                 "detail": "cases fired simultaneously: [('c', 0), ('c', 1)]"},
+                {"assertion": "two-pure-clusters", "iteration": 6,
+                 "detail": "component [1] has only 0 families with >=2 pure clusters"},
+                {"assertion": "clusters-structure", "iteration": 6,
+                 "detail": "cluster [0, 1, 2, 6, 7] touches orphaned points but is not excluded"},
+            ]
 
     def test_collapse_keeps_a_cluster_that_is_the_whole_component(self):
         # the first merge {0, 2} is forged to hold all four points, which
@@ -401,17 +422,18 @@ class TestClusterAudit:
         D = line_metric([0.0, 10.0, 1.0, 25.0])
         dg = run_linkage("CL", D)
         assert (dg.merges[0].left, dg.merges[0].right) == (0, 2)
-        trace = alg2_trace(D, replacing(dg, 4, range(4)), [[0, 1], [2, 3]])
+        trace = forged(D, dg, [[0, 1], [2, 3]], 1, [1, 3], 4)
         assert [r.case for r in trace.records] == ["b", "c"]
         (created,) = [e for e in trace.records[0].events if e["type"] == "fc_created"]
-        assert created["clusters"] == [[3], [0, 1, 2, 3]]
+        assert created["clusters"] == [[], [0, 1, 2, 3]]
         assert trace.all_failures() == [
             {"assertion": "clusters-structure", "iteration": 2,
              "detail": "live cluster 3 holds no points but is not excluded"},
         ]
 
     def test_verdict_matches_records_on_lost_point_fakes(self):
-        """On seeded fakes whose members map loses or gains a point, the
+        """On seeded fakes where, after the merge that creates cluster h, h
+        loses a point to a dead cluster or gains one from elsewhere, the
         verdict is False exactly when the audit wrote a record, the kept
         audit state matches a recount at every phase that reads it, and no
         replay raises."""
@@ -425,14 +447,16 @@ class TestClusterAudit:
             labels = rng.permutation(np.arange(n) % k)
             blocks = [np.flatnonzero(labels == b).tolist() for b in range(k)]
             h = n + int(rng.integers(0, n - k))
+            at = h - n + 1
             inside = sorted(dg.members_map()[h])
             outside = sorted(set(range(n)).difference(inside))
-            for fake, points in ((losing, inside), (gaining, outside)):
+            for fake, points, to in (("losing", inside, dg.merges[at - 1].left),
+                                     ("gaining", outside, h)):
                 p = int(rng.choice(points))
-                trace = checked_trace(D, fake(dg, h, p), blocks)
+                trace = checked_trace(D, dg, blocks, at, [p], to)
                 for r in trace.records:
                     assert r.assertions["clusters_structure"] is (not audit_records(r))
-                    flagged[fake.__name__] += not r.assertions["clusters_structure"]
+                    flagged[fake] += not r.assertions["clusters_structure"]
         assert all(flagged.values())  # the fakes did break the structure
 
 
@@ -459,17 +483,28 @@ def reference_audit(r: Alg2Trace) -> list:
     return [wrong, pure, excluded]
 
 
-class CheckedReplay(Alg2Trace):
-    """The replay with its kept audit state (rejected clusters, pure tally,
-    excluded count, point keys) compared after every audit and every budget
-    against the full array recount and against ``reference_audit``.  At the
-    end of each step ``recounts`` keeps the root list (each live family's
-    summary at its count, in id order) and the component list, read off
-    ``counts`` and ``comps``."""
+class CheckedReplay(Forged):
+    """The replay, forged or not, with its kept audit state (rejected
+    clusters, pure tally, excluded count, point keys) compared after every
+    audit and every budget against the full array recount and against
+    ``reference_audit``.  At the end of each step ``recounts`` keeps the root
+    list (each live family's summary at its count, in id order) and the
+    component list, read off ``counts`` and ``comps``.  On a genuine run,
+    every merge leaves each live cluster with its dendrogram point set in
+    ``owner``."""
 
-    def __init__(self, *args):
+    def __init__(self, D, dg, target, *forgery):
         self.recounts: list[tuple[list, list]] = []
-        super().__init__(*args)
+        self.dendrogram_sets = None if forgery else dg.members_map()
+        super().__init__(D, dg, target, *forgery)
+
+    def merge(self, g, g2, u):
+        tags = super().merge(g, g2, u)
+        if self.dendrogram_sets is not None:
+            for h in self.active:
+                assert (np.flatnonzero(self.owner == h).tolist()
+                        == sorted(self.dendrogram_sets[h]))
+        return tags
 
     def start_audit(self) -> dict:
         verdict = super().start_audit()
@@ -493,14 +528,14 @@ class CheckedReplay(Alg2Trace):
         assert recount == reference_audit(self)
 
 
-def checked_trace(D, dg, target) -> Alg2Trace:
-    """``alg2_trace`` on ``CheckedReplay``, whose trace must be the same, and
+def checked_trace(D, dg, target, *forgery) -> Alg2Trace:
+    """``forged`` on ``CheckedReplay``, whose trace must be the same, and
     whose root and component lists must be the ones the trace's records
     rebuild."""
-    trace = CheckedReplay(D, dg, target)
+    trace = CheckedReplay(D, dg, target, *forgery)
     trace.run()
     doc = trace.to_json()
-    assert doc == alg2_trace(D, dg, target).to_json()
+    assert doc == forged(D, dg, target, *forgery).to_json()
     assert list(zip(trace_v1.roots(doc), trace_v1.components(doc))) == trace.recounts
     return trace
 
@@ -581,7 +616,7 @@ class TestRandomGridInvariants:
                 target = opt_score("max-diam", D, k).witness
                 dg = run_linkage("CL", D)
                 trace = alg2_trace(D, dg, target)
-                bc = alg2_bound(trace, D)
+                bc = alg2_bound(trace)
                 assert trace.ok, trace.all_failures()
                 assert bc.ok, bc.failures
 

@@ -1,7 +1,9 @@
 """Every name a ``linkcert`` module imports is read by that module, every
 name in its ``__all__`` is defined by the module itself, every
 module-level ``_private`` def, class or constant is read somewhere in the
-package, and only ``metric_core`` gathers blocks of a matrix itself.
+package, only ``metric_core`` gathers blocks of a matrix itself, and only
+``linkage_engine`` reads ``Dendrogram.members_map`` (a certificate replay
+reads the live clusters' point sets from its own point -> cluster map).
 
 pyflakes would catch the first, but it is not a dependency; the standard
 library's ``ast`` is enough.  A name listed in the module's ``__all__``
@@ -90,19 +92,18 @@ def dead_privates(sources: dict[str, str]) -> list[str]:
             if name not in read]
 
 
+# numpy's gathers, which only ``metric_core._submatrix`` calls
 GATHERS = {"take", "ix_"}
 
 
-def foreign_gathers(source: str) -> list[str]:
-    """Lines that gather a block of a matrix themselves, through numpy's
-    ``take`` or ``ix_`` read as an attribute or imported by name, rather
-    than through ``metric_core._submatrix``."""
+def foreign_uses(source: str, names: set[str]) -> list[str]:
+    """Lines that read one of ``names`` as an attribute or import it by name."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in GATHERS:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.ImportFrom):
-            found += [(node.lineno, a.name) for a in node.names if a.name in GATHERS]
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
@@ -122,7 +123,13 @@ def test_all_names_are_defined_here(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "metric_core.py"],
                          ids=lambda p: p.name)
 def test_only_metric_core_gathers(path):
-    assert foreign_gathers(path.read_text()) == []
+    assert foreign_uses(path.read_text(), GATHERS) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linkage_engine.py"],
+                         ids=lambda p: p.name)
+def test_only_linkage_engine_reads_members_map(path):
+    assert foreign_uses(path.read_text(), {"members_map"}) == []
 
 
 def test_checker_sees_gathers():
@@ -132,9 +139,19 @@ def test_checker_sees_gathers():
               "    b = M[np.ix_(i, j)]\n"
               "    gather = M.take\n"
               "    return a, b, gather, ix_(i, j), np.take(M, i), take\n")
-    assert foreign_gathers(source) == [
+    assert foreign_uses(source, GATHERS) == [
         "line 2: ix_", "line 2: take", "line 4: take", "line 4: take",
         "line 5: ix_", "line 6: take", "line 7: take"]
+
+
+def test_checker_sees_members_map():
+    source = ("from .linkage_engine import members_map\n"
+              "def f(dg, members_map=None):\n"
+              "    members = dg.members_map()\n"
+              "    view = dg.members_map\n"
+              "    return members, view\n")
+    assert foreign_uses(source, {"members_map"}) == [
+        "line 1: members_map", "line 3: members_map", "line 4: members_map"]
 
 
 def test_no_dead_private_helpers():

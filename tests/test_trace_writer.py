@@ -5,7 +5,7 @@ Trace format 2 writes each fact once: a family is born in exactly one
 place (the top-level ``families`` or one record), and retires at most once
 (as a child of a new alg1 family, or with its alg2 component), after its
 birth.  The bytes and the rule are checked on every golden case, on the
-k=100 single-link adversary, on the lost-point fakes (whose records carry
+k=100 single-link adversary, on the forged-owner fakes (whose records carry
 failures), and on CL runs drawn by hypothesis over Euclidean, shortest-path
 closure and tied metrics.
 """
@@ -21,7 +21,6 @@ from linkcert import (
     Dendrogram,
     MergeRecord,
     alg1_trace,
-    alg2_trace,
     extract_clustering,
     gen_single_link_adversary,
     run_linkage,
@@ -34,12 +33,12 @@ from .test_family_certificates import FUSED_BLOCKS, fused_blocks_specimen
 from .test_golden_outputs import (
     ADVERSARY,
     EUCLIDEAN,
-    LOSING,
+    FORGED,
     NON_METRIC,
     euclidean_targets,
     same_target,
 )
-from .test_graph_certificates import losing
+from .test_graph_certificates import forged
 
 
 def assert_written(trace, path) -> None:
@@ -106,9 +105,9 @@ def forged_merge_order_trace():
 
 
 def lost_point_trace(name: str):
-    positions, h, p, blocks, _ = LOSING[name]
+    positions, forgery, blocks, _ = FORGED[name]
     D = line_metric(positions)
-    return alg2_trace(D, losing(run_linkage("CL", D), h, p), blocks)
+    return forged(D, run_linkage("CL", D), blocks, *forgery)
 
 
 GOLDEN = {
@@ -124,7 +123,7 @@ GOLDEN = {
         fused_blocks_specimen(), run_linkage("CL", fused_blocks_specimen()),
         FUSED_BLOCKS)],
     **{f"lost-point-{name}": (lambda name=name: [lost_point_trace(name)])
-       for name in LOSING},
+       for name in FORGED},
 }
 
 
