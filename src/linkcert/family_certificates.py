@@ -4,12 +4,14 @@ Given a target k-clustering T_1..T_k, start with one family per block
 holding its points as singleton clusters, and replay the first n-k CL
 merges.  Each merge rewrites the one or two root families containing the
 merged clusters (four structural cases) and records the rewrite as parent
-nodes in a forest, so every family is immutable once created.  Two counters
+nodes in a forest.  A node is fixed once created and keeps its cluster count,
+not its clusters: each live root owns one set of cluster ids (its ``Root``),
+which a rewrite edits in place and hands to the new node.  Two counters
 ride along: phi(F) = number of leaf families below F, and phi_sigma(F) =
 sum of the leaf families' diameters; both are additive across children by
 construction, and the additivity is re-verified against the actual leaf
-sets at every creation.  Each node stores its leaf ids, the concatenation
-of its children's, so the re-check is one exact ``math.fsum`` over <= k
+sets at every creation.  Each node stores its leaf ids, its children's
+concatenated (a lone child's tuple is shared), so the re-check is one exact ``math.fsum`` over <= k
 leaf diameters.
 
 Both certificate replays subclass ``Replay``, and each replay object is the
@@ -18,7 +20,8 @@ trace it returns: ``Replay`` validates the target, folds a
 cluster's diameter for the bound check), and drives one merge loop that gives
 each iteration its own failure list.  Here, in ``Alg1Trace``, each merge
 runs three phases: the root audit (p3, p4), the case choice, and the
-rewrite of the one or two root families.  Family diameters are never
+rewrite of the one or two root families, which edits O(1) cluster ids, or
+moves the smaller family's into the larger's.  Family diameters are never
 read from a rescan of point sets, so the replay costs O(n^2): the initial
 families take the target's block diameters, which
 ``metric_core.clustering_score`` keeps (``block_diameters``), a one-cluster
@@ -85,10 +88,11 @@ def count_assertions(assertion_dicts) -> tuple[int, int]:
 
 @dataclass
 class FamilyNode:
-    """An immutable family: a set of cluster ids plus its forest bookkeeping."""
+    """A family of the forest, fixed at its creation: its cluster count plus
+    its forest bookkeeping.  Only a root's clusters are read, off its ``Root``."""
 
     id: int
-    clusters: frozenset[int]
+    size: int                            # number of clusters
     parent: int | None
     phi: int
     phi_sigma: float
@@ -99,19 +103,28 @@ class FamilyNode:
 
     @property
     def regular(self) -> bool:
-        return len(self.clusters) > 1
+        return self.size > 1
 
     def summary(self) -> dict:
         """The family as its trace writes it, once, at its creation."""
         return {
             "id": self.id,
-            "size": len(self.clusters),
+            "size": self.size,
             "phi": self.phi,
             "phi_sigma": float(self.phi_sigma),
             "diam": float(self.diam),
             "regular": self.regular,
             "children": list(self.children),
         }
+
+
+@dataclass(eq=False)
+class Root:
+    """A live root family: its cluster ids, edited in place by each rewrite,
+    and ``node``, the forest node the family is now."""
+
+    clusters: set[int]
+    node: FamilyNode | None = None
 
 
 @dataclass
@@ -190,8 +203,8 @@ class Replay:
 class Alg1Trace(Replay):
     """The family forest, advanced one merge at a time: root audit, case
     choice, and the rewrite of the one or two root families the merge
-    touched.  ``fam_of`` maps each live cluster to its root family, and
-    ``final_assertions`` holds the audit after the last merge.
+    touched.  ``fam_of`` maps each live cluster to its root family's
+    ``Root``, and ``final_assertions`` holds the audit after the last merge.
 
     The audit's state is kept across merges, updated only where a family is
     created: ``regular`` counts the regular roots, and ``p4_fails`` maps each
@@ -201,11 +214,11 @@ class Alg1Trace(Replay):
         super().__init__(D, dg, target)
         self.chain_rhs = avg_bound(self.k, clustering_score("avg-diam", self.target, D))
         self.forest: dict[int, FamilyNode] = {}
-        self.fam_of: dict[int, int] = {}
+        self.fam_of: dict[int, Root] = {}
         self.regular = 0
         self.p4_fails: dict[int, tuple[str, ...]] = {}
         for block, diam in zip(self.target.blocks, block_diameters(self.target, D)):
-            self._new_family(block, diam=diam)
+            self._new_family(Root(set()), diam=diam, joining=block)
         self.initial = [node.summary() for node in self.forest.values()]
 
     def run(self) -> None:
@@ -225,23 +238,27 @@ class Alg1Trace(Replay):
     def to_json(self) -> dict:
         return {**super().to_json(), "final": self.final_assertions, "ok": self.ok}
 
-    def _new_family(self, clusters, children: tuple[FamilyNode, ...] = (),
-                    diam: float | None = None) -> None:
-        """A root family over ``clusters`` with the given children (an initial
-        family has none, and is its own leaf), created at iteration t.  This
-        is the one place a family's diameter is read from ``cm``, unless the
-        caller hands in one it already holds.  phi and phi_sigma add up the
-        children's, and both sums are re-checked against the leaves.  The
-        family becomes a root, and its children stop being roots."""
+    def _new_family(self, root: Root, children: tuple[FamilyNode, ...] = (),
+                    diam: float | None = None, joining=()) -> None:
+        """The family ``root`` is now, once the clusters ``joining`` join it:
+        a new node with the given children (an initial family has none, and
+        is its own leaf), created at iteration t.  This is the one place a
+        family's diameter is read from ``cm``, unless the caller hands in one
+        it already holds.  phi and phi_sigma add up the children's, and both
+        sums are re-checked against the leaves.  The family becomes a root,
+        and its children stop being roots."""
+        root.clusters.update(joining)
+        self.fam_of.update(dict.fromkeys(joining, root))
         fid = len(self.forest)
-        diam = self.cm.diam(clusters) if diam is None else diam
-        leaves = tuple(l for c in children for l in c.leaves) or (fid,)
+        diam = self.cm.diam(root.clusters) if diam is None else diam
+        leaves = (children[0].leaves if len(children) == 1
+                  else tuple(l for c in children for l in c.leaves) or (fid,))
         phi, phi_sigma = 1, diam
         if children:   # phi_sigma is A's, or A's + B's: the sum starts at A's
             phi = sum(c.phi for c in children)
             phi_sigma = sum((c.phi_sigma for c in children[1:]), children[0].phi_sigma)
-        node = self.forest[fid] = FamilyNode(
-            id=fid, clusters=frozenset(clusters), parent=None, phi=phi,
+        node = root.node = self.forest[fid] = FamilyNode(
+            id=fid, size=len(root.clusters), parent=None, phi=phi,
             phi_sigma=phi_sigma, diam=diam, created_at=self.t,
             children=tuple(c.id for c in children), leaves=leaves)
         for c in children:
@@ -252,8 +269,6 @@ class Alg1Trace(Replay):
         details = self._p4_details(node)
         if details:
             self.p4_fails[fid] = details
-        for c in clusters:
-            self.fam_of[c] = fid
         if node.phi != len(leaves):
             self.fail("phi-additivity", f"family {fid}: phi={node.phi}, leaves={len(leaves)}")
         direct = math.fsum(self.forest[l].diam for l in leaves)
@@ -299,13 +314,13 @@ class Alg1Trace(Replay):
                                f"k*avg-diam*k^p {self.chain_rhs!r}")
         return tuple(details)
 
-    def choose(self, g: int, g2: int) -> tuple[str, FamilyNode, FamilyNode, int, int]:
+    def choose(self, g: int, g2: int) -> tuple[str, Root, Root, int, int]:
         """The structural case of the merge of g and g2 (already folded), the
         larger root family A (by cluster count) and the other one B, with the
         merged cluster ga in A and gb in B.  On equal cluster counts A is the
         family of the left cluster g, so a fusion lists the left cluster's
         family first among its children."""
-        A, B = self.forest[self.fam_of.pop(g)], self.forest[self.fam_of.pop(g2)]
+        A, B = self.fam_of.pop(g), self.fam_of.pop(g2)
         if len(A.clusters) < len(B.clusters):
             A, B, g, g2 = B, A, g2, g
         if len(B.clusters) == 1 and len(A.clusters) > 1:
@@ -318,20 +333,23 @@ class Alg1Trace(Replay):
             case = "b-sub3"
         return case, A, B, g, g2
 
-    def rewrite(self, case: str, A: FamilyNode, B: FamilyNode, ga: int, gb: int,
-                u: int) -> None:
+    def rewrite(self, case: str, A: Root, B: Root, ga: int, gb: int, u: int) -> None:
         """Case a splits u's new family off A; b-sub2 keeps A's point set and
-        so its diameter; b-sub1 and b-sub3 fuse A and B.  A family of the one
-        cluster u has u's diameter, just folded into ``born``."""
-        if case == "a":
-            self._new_family(A.clusters - {ga}, (A,))
-            self._new_family([u], (B,), diam=self.born[-1])
+        so its diameter; b-sub1 and b-sub3 fuse A and B into A's set.  The
+        roots' sets are edited in place: ga and gb leave, and u joins.  A
+        family of the one cluster u has u's diameter, just folded into
+        ``born``."""
+        A.clusters.remove(ga)
+        B.clusters.remove(gb)
+        if case == "a":   # B held gb alone, and now holds u alone
+            self._new_family(A, (A.node,))
+            self._new_family(B, (B.node,), self.born[-1], joining=(u,))
         elif case == "b-sub2":
-            self._new_family((A.clusters - {ga, gb}) | {u}, (A,), diam=A.diam)
-        elif case == "b-sub1":
-            self._new_family([u], (A, B), diam=self.born[-1])
+            self._new_family(A, (A.node,), A.node.diam, joining=(u,))
+        elif case == "b-sub1":   # A and B held ga and gb alone
+            self._new_family(A, (A.node, B.node), self.born[-1], joining=(u,))
         else:
-            self._new_family((A.clusters | B.clusters | {u}) - {ga, gb}, (A, B))
+            self._new_family(A, (A.node, B.node), joining=(*B.clusters, u))
 
 
 def alg1_trace(D: DistanceMatrix, dg: Dendrogram, target) -> Alg1Trace:

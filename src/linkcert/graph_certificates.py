@@ -215,12 +215,13 @@ def _misfits(tag, lo, hi, width):
     on ints), from its tag and the smallest and largest point key over its
     points.  A point's key is component * width + family, or -1 for an
     orphaned point, so lo == hi means one family and lo // width the smallest
-    component.  A cluster that is not excluded is rejected if it holds no
-    points (the sentinels), touches an orphaned point, lies inside one family
-    it is not pure w.r.t., or spans families while tagged pure or across
-    components."""
-    return (tag != EXCLUDED) & ((lo < 0) | (hi < 0)
-                                | ((lo == hi) & (tag != lo % width))
+    component.  A cluster that is not excluded is rejected if it lies inside
+    one family it is not pure w.r.t., or spans families while tagged pure or
+    across components.  So is one with no points or an orphaned point,
+    without a test of its own: an empty cluster's sentinels (lo > hi) span
+    components, orphaned points alone have key -1, whose family width - 1
+    is no tag, and with others they add component -1 < hi // width."""
+    return (tag != EXCLUDED) & (((lo == hi) & (tag != lo % width))
                                 | ((lo != hi) & ((tag != NONPURE)
                                                  | (lo // width != hi // width))))
 
@@ -240,7 +241,8 @@ class Alg2Trace(Replay):
     The audit's kept state is derived from those and only cached here:
     ``wrong`` (the live clusters the classification rejects), ``pure_seen``
     (family -> live clusters tagged with it, no zero entries), ``excluded``
-    (live clusters tagged EXCLUDED) and ``key`` (family -> point key, see
+    (live clusters tagged EXCLUDED), ``unheld`` (points of no live cluster,
+    which no merge changes) and ``key`` (family -> point key, see
     ``_misfits``).  A merge and an exclusion update it for the one cluster
     they change; a phase that rewrites more sets ``stale``, and ``_refresh``
     recomputes all of it in one pass (``_recount``) before it is next read.
@@ -264,6 +266,7 @@ class Alg2Trace(Replay):
         self.wrong: set[int] = set()
         self.pure_seen: dict[int, int] = {}
         self.excluded = 0
+        self.unheld: list[int] = []
         self.key = np.full(1, -1, dtype=np.intp)
         self.stale = True
 
@@ -360,6 +363,9 @@ class Alg2Trace(Replay):
             for h in self.active:
                 if h in self.wrong:
                     self.fail("clusters-structure", self._misfit_detail(h))
+        if self.unheld:
+            self.fail("clusters-structure",
+                      f"points {self.unheld} lie in no live cluster")
         ledger_ok = self.pure_seen == {f: c for f, c in counts.items() if c}
         if not ledger_ok:
             recount = dict.fromkeys(counts, 0)
@@ -370,19 +376,21 @@ class Alg2Trace(Replay):
             self.fail("clusters-structure",
                       f"pure-count ledger {counts} disagrees with tag recount {recount}")
         return {"two_pure_clusters": ok_l1,
-                "clusters_structure": ledger_ok and not self.wrong}
+                "clusters_structure": ledger_ok and not self.wrong and not self.unheld}
 
     def _refresh(self) -> None:
         """Bring the kept audit state up to date after a phase that set
         ``stale``."""
         if self.stale:
-            self.key, self.wrong, self.pure_seen, self.excluded = self._recount()
+            (self.key, self.wrong, self.pure_seen, self.excluded,
+             self.unheld) = self._recount()
             self.stale = False
 
-    def _recount(self) -> tuple[np.ndarray, set[int], dict[int, int], int]:
+    def _recount(self) -> tuple[np.ndarray, set[int], dict[int, int], int, list[int]]:
         """The audit's state from scratch, in one array pass over the live
         clusters: the point keys per family, the rejected live clusters, the
-        live pure clusters per family, and the live excluded clusters."""
+        live pure clusters per family, the live excluded clusters, and the
+        points of no live cluster."""
         fams = _ids(self.fam2comp)
         width = len(self.families) + 1
         key = np.full(width, -1, dtype=np.intp)   # key[-1] for p2f = -1
@@ -393,11 +401,14 @@ class Alg2Trace(Replay):
         np.minimum.at(lo, self.owner, point_key)
         np.maximum.at(hi, self.owner, point_key)
         live = _ids(self.active)
+        held = np.zeros(self.tag.size, dtype=bool)
+        held[live] = True
         lt = self.tag[live]
         wrong = _misfits(lt, lo[live], hi[live], width)
         pure = dict(Counter(lt[lt >= 0].tolist()))
         return (key, set(live[wrong].tolist()), pure,
-                int(np.count_nonzero(lt == EXCLUDED)))
+                int(np.count_nonzero(lt == EXCLUDED)),
+                np.flatnonzero(~held[self.owner]).tolist())
 
     def _misfit_detail(self, h: int) -> str:
         """The record text for live cluster h, which the audit rejects."""

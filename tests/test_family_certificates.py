@@ -9,6 +9,7 @@ diam <= k^(log2 3) * avg-diam(target), which `alg1_bound` checks directly.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -51,10 +52,11 @@ def _leaves(forest, fid):
     return [leaf for c in node.children for leaf in _leaves(forest, c)]
 
 
-def family_points(dg, node):
-    """A family's point set, rebuilt from its clusters."""
+def family_points(dg, trace, fid):
+    """A family's point set, rebuilt from its clusters at its birth, which a
+    ``CheckedAlg1Replay`` records."""
     members = dg.members_map()
-    return sorted(frozenset().union(*(members[c] for c in node.clusters)))
+    return sorted(frozenset().union(*(members[c] for c in trace.family_clusters[fid])))
 
 
 def labelled_cl(n, merges) -> Dendrogram:
@@ -74,7 +76,7 @@ def traced(D, target_blocks, k=None):
     n = D.n
     target = Clustering.from_blocks(target_blocks, n)
     dg = run_linkage("CL", D)
-    return dg, target, alg1_trace(D, dg, target)
+    return dg, target, checked_alg1_trace(D, dg, target)
 
 
 class TestExponent:
@@ -109,7 +111,7 @@ class TestLineWalkthrough:
         # after both merges each root family holds one fully merged cluster
         roots = [f for f in trace.forest.values()
                  if f.parent is None]
-        assert sorted(family_points(dg, f) for f in roots) == [[0, 1], [2, 3]]
+        assert sorted(family_points(dg, trace, f.id) for f in roots) == [[0, 1], [2, 3]]
         assert all(not f.regular for f in roots)
 
     def test_bound(self, line4):
@@ -131,7 +133,7 @@ class TestSingletonFamilyMerge:
         new = max(trace.forest.values(), key=lambda f: f.created_at)
         assert new.phi == 2          # 1 + 1 leaves
         assert new.phi_sigma == 0.0  # both leaves are singleton blocks
-        assert family_points(dg, new) == [0, 1]
+        assert family_points(dg, trace, new.id) == [0, 1]
         assert trace.ok
 
 
@@ -151,7 +153,7 @@ class TestSplitFamilyCase:
         dg, _, trace = traced(D, [[0], [1, 2, 3]])
         created_last = [f for f in trace.forest.values() if f.created_at == 2]
         assert len(created_last) == 2
-        points = sorted(family_points(dg, f) for f in created_last)
+        points = sorted(family_points(dg, trace, f.id) for f in created_last)
         assert points == [[0, 1, 2], [3]]  # the union and the left-behind rest
 
 
@@ -189,13 +191,13 @@ class TestForgedMergeOrder:
     def test_merged_cluster_keeps_the_larger_diameter(self):
         D = line_metric([1.5, 0.0, 3.0, 100.0])
         dg = labelled_cl(4, [(1, 2), (0, 4), (3, 5)])
-        trace = alg1_trace(D, dg, [[0], [1, 2, 3]])
+        trace = checked_alg1_trace(D, dg, [[0], [1, 2, 3]])
         assert [r.case for r in trace.records] == ["b-sub2", "a"]
         newest = trace.forest[max(trace.forest)]
-        assert family_points(dg, newest) == [0, 1, 2]
+        assert family_points(dg, trace, newest.id) == [0, 1, 2]
         assert newest.diam == 3.0
-        for node in trace.forest.values():
-            assert node.diam == cohesion("diam", family_points(dg, node), D)
+        for fid, node in trace.forest.items():
+            assert node.diam == cohesion("diam", family_points(dg, trace, fid), D)
         assert trace.born == [3.0, 3.0]   # {1, 2}, then {0, 1, 2}
 
 
@@ -287,15 +289,22 @@ class TestTieRule:
 
 
 class CheckedAlg1Replay(Alg1Trace):
-    """The replay with its kept audit state compared after every step against
-    a recount from the forest: the regular count and the failing roots' p4
-    details.  ``recounts`` keeps the root list each audit sees, as the
-    summaries of the parentless families in id order."""
+    """The replay with its kept state compared after every step against a
+    recount: the regular count and the failing roots' p4 details from the
+    forest, and the roots' cluster sets from the dendrogram's live clusters.
+    ``recounts`` keeps the root list each audit sees, as the summaries of the
+    parentless families in id order.  ``family_clusters[f]`` is family f's
+    cluster set at its birth, which the forest does not keep."""
 
     def __init__(self, *args):
         self.recounts: list[list[dict]] = []
+        self.family_clusters: list[frozenset[int]] = []
         super().__init__(*args)
         self.check()
+
+    def _new_family(self, root, *args, **kwargs):
+        super()._new_family(root, *args, **kwargs)
+        self.family_clusters.append(frozenset(root.clusters))
 
     def step(self, g, g2, u):
         record = super().step(g, g2, u)
@@ -305,6 +314,20 @@ class CheckedAlg1Replay(Alg1Trace):
     def check(self) -> None:
         roots = [f for f, node in self.forest.items() if node.parent is None]
         assert len(roots) <= self.k   # so p3 holds while a merge is left
+        live = set(range(self.n))
+        for m in self.merges[: self.t]:
+            live -= {m.left, m.right}
+            live.add(m.result)
+        # the live root sets partition the live clusters, one set per root,
+        # each of its root's size and as its root was born
+        held = {id(r): r for r in self.fam_of.values()}.values()
+        assert sorted(r.node.id for r in held) == roots
+        assert set(self.fam_of) == live
+        assert sum(len(r.clusters) for r in held) == len(live)
+        for r in held:
+            assert all(self.fam_of[c] is r for c in r.clusters)
+            assert r.node.size == len(r.clusters)
+            assert r.clusters == self.family_clusters[r.node.id]
         self.recounts.append([
             {k: v for k, v in self.forest[f].summary().items() if k != "children"}
             for f in roots])
@@ -372,11 +395,11 @@ class TestForestInvariants:
                 else:
                     target = Clustering.from_blocks(
                         [range(i, n, k) for i in range(k)], n)
-                trace = alg1_trace(D, dg, target)
+                trace = checked_alg1_trace(D, dg, target)
                 cases |= {r.case for r in trace.records}
                 for fid, node in trace.forest.items():
                     assert node.diam == cohesion(
-                        "diam", family_points(dg, node), D), (kind, fid)
+                        "diam", family_points(dg, trace, fid), D), (kind, fid)
                     assert list(node.leaves) == _leaves(trace.forest, fid)
                 members = dg.members_map()
                 assert trace.born == [cohesion("diam", members[m.result], D)
@@ -397,6 +420,33 @@ class TestForestInvariants:
                 assert bc.bound == pytest.approx(
                     k ** (1 + P_EXP) * clustering_score("avg-diam", target, D),
                     rel=1e-12)
+
+
+@pytest.mark.parametrize("targets", ["strips", "interleaved"])
+def test_returned_trace_keeps_little_beyond_its_fold(targets):
+    """A retired family keeps its size and not its clusters, so a returned
+    trace at n=1000, k=8 keeps its ``ClusterMatrix`` (one n x n array) and
+    little else: at most 1.5 n x n in all, strip or interleaved targets."""
+    n, k = 1000, 8
+    X = np.random.default_rng(2).random((n, 2))
+    D = DistanceMatrix.from_points(X)
+    dg = run_linkage("CL", D, k)
+    order = np.argsort(X[:, 0], kind="stable") if targets == "strips" else np.arange(n)
+    target = Clustering.from_blocks(
+        [order[i * n // k:(i + 1) * n // k] if targets == "strips" else order[i::k]
+         for i in range(k)], n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trace = alg1_trace(D, dg, target)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert trace.ok
+    assert kept <= 1.5 * n * n * 8
 
 
 class TestPreconditionsAndSerialisation:

@@ -201,12 +201,12 @@ FORGED = {
          "cf038f53759944ac79d00e1878f6840e73311bce70035b81b38f20eae670ef47")),
     "wrong-tag": (
         [21.0, 9.0, 14.0, 34.0, 8.0, 0.0], (1, [1], 1), [[0, 4, 5], [1, 2, 3]],
-        ("2c64ad3c39b1458cf1172a01d1470f9cdff0f2c209a77fac05c91dc6e72103f8",
-         "c76055009eb537acf22551f2d877d97b137741a2c908559d9c6954f683050a83")),
+        ("75478286e6d221e345b5184c7ea11273e29434a04c561192d7e2033a5b27f7f8",
+         "c283911c0727dadf567e3f688898a3c3858f5e2cbf042bdda6dc5b8dd34526ba")),
     "ledger": (
         [0.0, 29.0, 15.0, 36.0, 23.0, 33.0], (1, [4], 3), [[0, 4], [1, 3], [2, 5]],
-        ("9d0bbc8260ca3f1912249c82eb96d89ef21e397ddefa16ef0d868cae8320dcfc",
-         "8fde7f5b238d16aaa42c39c7d3d0f2f47b7ddeed310a5a777493061899ecea40")),
+        ("be749d7bbe96a6d9ede6525d81d0ff70c61d990a398aca690b260ff9e2b20ae8",
+         "ed0cddb4e2961123a6547baa2f78014b642c6d2aef17780956819e44061cb0e2")),
     "dead-family": (
         [30.0, 36.0, 2.0, 28.0, 12.0, 8.0, 27.0], (2, [2], 8),
         [[0, 5, 6], [1, 4], [2, 3]],

@@ -287,23 +287,46 @@ class TestClusterAudit:
              "detail": "merged non-excluded cluster touches orphaned points"},
         ]
 
+    def test_point_of_a_dead_cluster_is_reported(self):
+        # merge 1 joins leaves 0 and 1 into cluster 5; forged after it, point
+        # 0 goes back to the dead leaf 0, so no live cluster holds it.  Every
+        # live cluster still fits its tag, and the case-a collapse at
+        # iteration 1 already lists F_C's clusters without point 0
+        D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0])
+        dg = run_linkage("CL", D)
+        assert (dg.merges[0].left, dg.merges[0].right) == (0, 1)
+        trace = checked_trace(D, dg, [[0, 2, 3], [1, 4]], 1, [0], 0)
+        assert [r.case for r in trace.records] == ["a", None, "c"]
+        assert trace.records[0].events[-1]["clusters"] == [[2], [3], [1]]
+        assert [r.assertions["clusters_structure"] for r in trace.records] == [
+            True, False, False]
+        assert trace.all_failures() == [
+            {"assertion": "clusters-structure", "iteration": t,
+             "detail": "points [0] lie in no live cluster"} for t in (2, 3)]
+
     def test_cluster_inside_a_family_with_a_wrong_tag(self):
         # {1, 4} crosses the blocks, so it is nonpure; without point 1 it
-        # lies inside family 0
+        # lies inside family 0.  Point 1 goes back to the dead leaf 1, so
+        # every later audit also finds it in no live cluster
         D = line_metric([21.0, 9.0, 14.0, 34.0, 8.0, 0.0])
         dg = run_linkage("CL", D)
         assert (dg.merges[0].left, dg.merges[0].right) == (1, 4)
         trace = forged(D, dg, [[0, 4, 5], [1, 2, 3]], 1, [1], 1)
         assert [r.assertions["clusters_structure"] for r in trace.records] == [
-            True, False, True, True]
+            True, False, False, False]
+        unheld = "points [1] lie in no live cluster"
         assert trace.all_failures() == [
             {"assertion": "clusters-structure", "iteration": 2,
              "detail": "cluster [4] lies inside family 0 but is tagged ('nonpure',)"},
+            {"assertion": "clusters-structure", "iteration": 2, "detail": unheld},
+            {"assertion": "clusters-structure", "iteration": 3, "detail": unheld},
+            {"assertion": "clusters-structure", "iteration": 4, "detail": unheld},
         ]
 
     def test_pure_count_ledger_disagrees_with_the_tags(self):
-        # leaf 4 loses its point, so the case-b collapse at iteration 1 takes
-        # the empty cluster into the new family 3 while family 0 still counts it
+        # leaf 4 loses its point to the dead leaf 3, so the case-b collapse
+        # at iteration 1 takes the empty cluster into the new family 3 while
+        # family 0 still counts it
         D = line_metric([0.0, 29.0, 15.0, 36.0, 23.0, 33.0])
         dg = run_linkage("CL", D)
         assert (dg.merges[0].left, dg.merges[0].right) == (3, 5)
@@ -311,14 +334,17 @@ class TestClusterAudit:
         assert [r.case for r in trace.records] == ["b", None, "c"]
         assert [r.assertions["clusters_structure"] for r in trace.records] == [
             True, False, False]
+        unheld = "points [4] lie in no live cluster"
         assert audit_records(trace.records[1]) == [
             {"assertion": "clusters-structure", "iteration": 2,
              "detail": "live cluster 4 holds no points but is not excluded"},
+            {"assertion": "clusters-structure", "iteration": 2, "detail": unheld},
             {"assertion": "clusters-structure", "iteration": 2,
              "detail": "pure-count ledger {0: 2, 3: 3} disagrees with "
                        "tag recount {0: 1, 3: 3}"},
         ]
         assert trace.records[2].failures == [
+            {"assertion": "clusters-structure", "iteration": 3, "detail": unheld},
             {"assertion": "clusters-structure", "iteration": 3,
              "detail": "pure-count ledger {0: 2, 3: 2} disagrees with "
                        "tag recount {0: 1, 3: 2}"},
@@ -463,7 +489,8 @@ class TestClusterAudit:
 def reference_audit(r: Alg2Trace) -> list:
     """The audit's kept state read off the replay's own facts one live
     cluster at a time, with plain sets: the rejected live clusters, the live
-    pure clusters per family, and the live excluded clusters."""
+    pure clusters per family, the live excluded clusters, and the points
+    that no live cluster holds."""
     wrong, pure, excluded = set(), {}, 0
     for h in r.active:
         tag = int(r.tag[h])
@@ -480,12 +507,13 @@ def reference_audit(r: Alg2Trace) -> list:
             wrong.add(h)
         elif len(fams) > 1 and (tag != NONPURE or len({r.fam2comp[f] for f in fams}) > 1):
             wrong.add(h)
-    return [wrong, pure, excluded]
+    return [wrong, pure, excluded,
+            [p for p in range(r.n) if int(r.owner[p]) not in r.active]]
 
 
 class CheckedReplay(Forged):
     """The replay, forged or not, with its kept audit state (rejected
-    clusters, pure tally, excluded count, point keys) compared after every
+    clusters, pure tally, excluded count, unheld points, point keys) compared after every
     audit and every budget against the full array recount and against
     ``reference_audit``.  At the end of each step ``recounts`` keeps the root
     list (each live family's summary at its count, in id order) and the
@@ -524,7 +552,7 @@ class CheckedReplay(Forged):
     def check(self) -> None:
         key, *recount = self._recount()
         assert np.array_equal(self.key, key)
-        assert [self.wrong, self.pure_seen, self.excluded] == recount
+        assert [self.wrong, self.pure_seen, self.excluded, self.unheld] == recount
         assert recount == reference_audit(self)
 
 
