@@ -10,15 +10,12 @@ printed with 17 significant digits so values survive a round trip exactly.
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
 import functools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
 
 from . import inequality_lab
 from .family_certificates import alg1_bound, alg1_trace
@@ -99,6 +96,8 @@ def _write_failures(out_dir: str, command: str, failures: list[dict]) -> str:
 def _write_csv(path: str, cols: list[str], rows) -> None:
     """A header of ``cols``, then one line per row with each value through
     ``fmt``."""
+    import csv  # here, not at module level: only sweep and inequalities write CSV
+
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=cols, lineterminator="\n")
         writer.writeheader()
@@ -290,10 +289,11 @@ def _config_get(getter, section: str, key: str, fallback):
             f"bad value for {key!r} in [{section}] of sweep config: {exc}") from None
 
 
-def _sweep_units(cfg: configparser.ConfigParser, n_max_oracle: int) -> list[dict]:
-    """One unit of work per (generator, n, dim, seed, k), all methods inside.
-    The config's ``n_max`` selects the oracle cells; the oracle itself runs
-    under the process-wide guard ``n_max_oracle``."""
+def _sweep_units(cfg, n_max_oracle: int) -> list[dict]:
+    """One unit of work per (generator, n, dim, seed, k), all methods inside,
+    from the sweep config ``cfg`` (a ``configparser.ConfigParser``).  The
+    config's ``n_max`` selects the oracle cells; the oracle itself runs under
+    the process-wide guard ``n_max_oracle``."""
     if not cfg.has_section("grid"):
         raise PreconditionError("sweep config has no [grid] section")
     grid = cfg["grid"]
@@ -376,6 +376,10 @@ SWEEP_COLUMNS = ["generator", "n", "dim", "seed", "method", "k",
 
 
 def cmd_sweep(args) -> int:
+    # here, not at module level, so that every other command starts without them
+    import configparser
+    from multiprocessing import Pool
+
     cfg = configparser.ConfigParser()
     try:
         if not cfg.read(args.config):

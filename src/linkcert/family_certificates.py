@@ -143,7 +143,9 @@ class Replay:
     ``failures``), the initial families' summaries ``initial``, and
     ``born[t - 1]``, the diameter of the cluster born at iteration t.  A
     subclass's ``step(g, g2, u)`` runs one merge's phases and returns its
-    record; ``run`` folds each of the first n-k merges, then steps it.
+    record; ``run`` folds each of the first n-k merges, then steps it, and
+    releases ``cm`` (one n x n array) when it ends, so a returned trace
+    keeps only what it reports.
     ``failures`` is the current iteration t's list while ``run`` is in a
     merge, and otherwise the trace's own list of failures outside any
     iteration (t = 0 before the first merge, t = n-k+1 after the last).
@@ -180,6 +182,7 @@ class Replay:
             self.born.append(self.cm.merge(m.left, m.right, m.result))
             self.records.append(self.step(m.left, m.right, m.result))
         self.t, self.failures = len(self.merges) + 1, self.trace_failures
+        del self.cm
 
     def all_failures(self) -> list[dict]:
         """Per-iteration failures in iteration order, then the replay's own."""

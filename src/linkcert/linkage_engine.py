@@ -14,7 +14,10 @@ member i, and caches each row's nearest neighbour; memory is O(n^2).
 CL/SL/AL/MM fold the merged cluster's row from stored state in numpy: O(n)
 work per merge for CL/SL/AL, O(n·|A|) for MM when the merged cluster is A
 (O(n·Σ|A|) per run), plus rescans of rows whose cached neighbour was
-merged.
+merged.  CL and SL skip work their fold cannot need: CL's max never lowers
+an entry, so no row outside those rescans changes its neighbour, and SL's
+min never falls below a row's minimum, so rows above the merge move their
+neighbour without a rescan (``run_linkage`` gives both arguments).
 """
 
 from __future__ import annotations
@@ -203,10 +206,35 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
     tie key is the plain (row, col) pair, row < col.  Each row i caches the
     first argmin ``nn[i]`` of V[i, j] over live j > i and its value
     ``mind[i]``; the first row attaining ``min(mind)`` and its cached column
-    are then the lexicographically least minimal pair.  A merge rewrites one
-    row and column and rescans only rows whose cached neighbour was merged.
-    Memory is O(n^2): V, plus the cross-sum matrix for AL or the
-    eccentricity matrix for MM.
+    are then the lexicographically least minimal pair.  Memory is O(n^2): V,
+    plus the cross-sum matrix for AL or the eccentricity matrix for MM.
+
+    A merge of slots a < b writes the folded row and column a, retires b and
+    rescans row a.  Row i loses its (i, b) entry, and for i < a its (i, a)
+    entry becomes the fold of V[i, a] and V[i, b]; rows after b see neither
+    column.  Which other rows need work follows from the fold:
+
+    - CL: the new (i, a) entry is max(V[i, a], V[i, b]) >= V[i, a].  A row
+      above a whose neighbour c is neither a nor b keeps it: if a < c,
+      V[i, a] > V[i, c] already, since c is the first argmin, and if a > c,
+      a tie goes to c.  So exactly the rows whose neighbour was a (its entry
+      may have grown) or b (retired) rescan.  For a < i < b that is
+      nn[i] = b.
+    - SL: the new (i, a) entry is min(V[i, a], V[i, b]), and both are at
+      least ``mind[i]``.  A row above a whose neighbour was a keeps it and
+      its value, as V[i, a] <= V[i, b].  One whose neighbour was b moves
+      to a with the same value and no rescan: the entry is V[i, b], and no
+      column before b, a included, reached it.  Any other row moves to a
+      only on a tie with ``mind[i]`` and a < nn[i]; one mask, new entry ==
+      ``mind[i]`` and a < nn[i], takes all three cases.  Rows between a and
+      b whose neighbour was b rescan: (i, a) is outside their scan, j > i.
+    - AL and MM keep the general rule.  AL's rounded averages can fall
+      below a row's minimum and MM's fold is not monotone, so rows whose
+      neighbour was a or b rescan, and any other row above a takes a when
+      its new entry is below ``mind[i]``, or equal with a < nn[i].
+
+    Retired columns hold inf in every row, so CL/SL fold inf with inf there;
+    only AL and MM mask the retired columns of the folded row.
 
     CL/SL rows are updated by max/min, so their stored values are exact
     originals from D.  AL keeps exact cross-distance sums and divides at
@@ -229,12 +257,13 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
     ids = list(range(n))
     V = M.copy()
     np.fill_diagonal(V, np.inf)
-    S = M.copy() if method == "AL" else None  # exact cross-distance sums
+    if method == "AL":
+        S = M.copy()             # exact cross-distance sums
+        sizes = np.ones(n, dtype=np.int64)
     if method == "MM":
         E = M.copy()             # E[x, s]: farthest point of slot s from x
         owner = np.arange(n)     # point -> slot of its live cluster
         r = np.zeros(n)          # r[x] = E[x, owner[x]]
-    sizes = np.ones(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     nn = np.full(n, -1, dtype=np.intp)  # -1: retired slot, or the last row
     mind = np.full(n, np.inf)
@@ -265,13 +294,13 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
             ids[a] = new_id
             active[b] = False
             nn[b], mind[b] = -1, np.inf
-            sizes[a] += sizes[b]
 
             if method == "CL":
                 row = np.maximum(V[a], V[b])
             elif method == "SL":
                 row = np.minimum(V[a], V[b])
             elif method == "AL":
+                sizes[a] += sizes[b]
                 S[a] += S[b]
                 S[:, a] = S[a]
                 row = S[a] / (sizes[a] * sizes)
@@ -288,25 +317,33 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
                 in_c = np.full(n, np.inf)
                 np.minimum.at(in_c, owner, np.maximum(E[:, a], r))
                 np.minimum(row, in_c, out=row)
-            row[~active] = np.inf
+            if method in ("AL", "MM"):
+                row[~active] = np.inf
             row[a] = np.inf
             V[a] = row
             V[:, a] = row
             V[:, b] = np.inf
 
             _scan_row(V, a, nn, mind)
-            # Rows above a: a stale neighbour forces a rescan; otherwise only the
-            # new (i, a) entry can displace the cached minimum.
-            head_nn, head_mind, col = nn[:a], mind[:a], V[:a, a]
-            stale = (head_nn == a) | (head_nn == b)
-            take = ~stale & ((col < head_mind) | ((col == head_mind) & (a < head_nn)))
-            head_mind[take] = col[take]
-            head_nn[take] = a
-            # Rows between a and b lost only their (i, b) entry.
-            redo = np.concatenate((np.flatnonzero(stale),
-                                   a + 1 + np.flatnonzero(nn[a + 1:b] == b)))
-            for i in redo:
-                _scan_row(V, int(i), nn, mind)
+            if method == "CL":  # rows whose neighbour was a or b rescan
+                redo = ((nn[:b] == a) | (nn[:b] == b)).nonzero()[0]
+            elif method == "SL":  # rows above a tied at a smaller column take a
+                head_nn = nn[:a]
+                head_nn[(row[:a] == mind[:a]) & (a < head_nn)] = a
+                redo = (nn[a + 1:b] == b).nonzero()[0] + (a + 1)
+            else:
+                # Rows above a: a stale neighbour forces a rescan; otherwise
+                # only the new (i, a) entry can displace the cached minimum.
+                head_nn, head_mind, col = nn[:a], mind[:a], row[:a]
+                stale = (head_nn == a) | (head_nn == b)
+                take = ~stale & ((col < head_mind) | ((col == head_mind) & (a < head_nn)))
+                head_mind[take] = col[take]
+                head_nn[take] = a
+                # Rows between a and b lost only their (i, b) entry.
+                redo = np.concatenate((np.flatnonzero(stale),
+                                       a + 1 + np.flatnonzero(nn[a + 1:b] == b)))
+            for i in redo.tolist():
+                _scan_row(V, i, nn, mind)
 
     if method == "AL":
         _finite(max((m.value for m in merges), default=0.0))

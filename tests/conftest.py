@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -60,3 +62,29 @@ def cl_runs(draw):
 def line4() -> DistanceMatrix:
     """Two tight pairs on a line: 0, 1 | 10, 11."""
     return line_metric([0.0, 1.0, 10.0, 11.0])
+
+
+def returned_trace_footprint(replay, targets: str, n: int = 1000, k: int = 8):
+    """Run ``replay`` (``alg1_trace`` or ``alg2_trace``) on a CL run cut at k
+    over n uniform points in the unit square, ``default_rng(2)``, against
+    k strips of x-sorted points (``targets="strips"``) or the interleaved
+    target i, i+k, ...  Returns the trace and the memory that tracemalloc
+    sees it keep, in units of one n x n float64 array."""
+    X = np.random.default_rng(2).random((n, 2))
+    D = DistanceMatrix.from_points(X)
+    dg = run_linkage("CL", D, k)
+    order = np.argsort(X[:, 0], kind="stable") if targets == "strips" else np.arange(n)
+    target = Clustering.from_blocks(
+        [order[i * n // k:(i + 1) * n // k] if targets == "strips" else order[i::k]
+         for i in range(k)], n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trace = replay(D, dg, target)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return trace, kept / (n * n * 8)

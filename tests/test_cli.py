@@ -715,6 +715,17 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "certify" in proc.stdout
 
+    def test_import_loads_no_sweep_only_modules(self):
+        """Only ``sweep`` and the CSV writers use ``multiprocessing``,
+        ``configparser`` and ``csv``, so every other command starts without
+        them."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, linkcert.cli; print(sorted("
+             "{'csv', 'configparser', 'multiprocessing'} & set(sys.modules)))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestBenchmarkTracing:
     """The traced benchmark run patches ``linkcert.cli`` by name and reads

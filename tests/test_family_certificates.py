@@ -9,7 +9,6 @@ diam <= k^(log2 3) * avg-diam(target), which `alg1_bound` checks directly.
 """
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -39,7 +38,7 @@ from linkcert.family_certificates import Alg1Trace
 from linkcert.inequality_lab import P_EXP
 
 from . import trace_v1
-from .conftest import cl_runs, line_metric
+from .conftest import cl_runs, line_metric, returned_trace_footprint
 
 P = math.log(3) / math.log(2) - 1  # ~0.585
 
@@ -424,29 +423,12 @@ class TestForestInvariants:
 
 @pytest.mark.parametrize("targets", ["strips", "interleaved"])
 def test_returned_trace_keeps_little_beyond_its_fold(targets):
-    """A retired family keeps its size and not its clusters, so a returned
-    trace at n=1000, k=8 keeps its ``ClusterMatrix`` (one n x n array) and
-    little else: at most 1.5 n x n in all, strip or interleaved targets."""
-    n, k = 1000, 8
-    X = np.random.default_rng(2).random((n, 2))
-    D = DistanceMatrix.from_points(X)
-    dg = run_linkage("CL", D, k)
-    order = np.argsort(X[:, 0], kind="stable") if targets == "strips" else np.arange(n)
-    target = Clustering.from_blocks(
-        [order[i * n // k:(i + 1) * n // k] if targets == "strips" else order[i::k]
-         for i in range(k)], n)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        trace = alg1_trace(D, dg, target)
-        kept = tracemalloc.get_traced_memory()[0] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    """A retired family keeps its size and not its clusters, and ``run``
+    releases the ``ClusterMatrix`` fold, so a returned trace at n=1000, k=8
+    keeps at most 0.5 n x n, strip or interleaved targets."""
+    trace, kept = returned_trace_footprint(alg1_trace, targets)
     assert trace.ok
-    assert kept <= 1.5 * n * n * 8
+    assert kept <= 0.5
 
 
 class TestPreconditionsAndSerialisation:

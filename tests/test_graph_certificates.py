@@ -41,7 +41,7 @@ from linkcert.graph_certificates import (
 from linkcert.inequality_lab import ALPHA_CAP
 
 from . import trace_v1
-from .conftest import cl_runs, line_metric
+from .conftest import cl_runs, line_metric, returned_trace_footprint
 
 
 def traced(D, target_blocks):
@@ -676,6 +676,16 @@ class TestRandomGridInvariants:
                 assert trace.ok
                 assert len(trace.additions) <= k
                 assert all(r.exclusion_set_size <= k for r in trace.records)
+
+
+@pytest.mark.parametrize("targets", ["strips", "interleaved"])
+def test_returned_trace_keeps_little_beyond_its_fold(targets):
+    """``run`` releases the ``ClusterMatrix`` fold, so a returned trace at
+    n=1000, k=8 keeps its records, tags and point arrays only: at most
+    0.5 n x n, strip or interleaved targets."""
+    trace, kept = returned_trace_footprint(alg2_trace, targets)
+    assert trace.ok
+    assert kept <= 0.5
 
 
 class TestPreconditionsAndSerialisation:

@@ -393,16 +393,23 @@ class TestAgainstReferenceEngine:
                 assert _merge_bits(run_linkage(method, D)) == \
                     _merge_bits(reference_linkage(method, D)), (n, seed)
 
-    @given(st.integers(2, 30), st.integers(1, 3), st.integers(0, 10_000))
+    @pytest.mark.parametrize("method", METHODS)
+    @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_mm_on_tied_non_metric_integers(self, n, top, seed):
+    def test_tied_non_metric_integers(self, method, data):
         """Small integer entries tie heavily and break the triangle inequality,
-        so the best centre of a union often lies in the other cluster."""
-        rng = np.random.default_rng(seed)
+        so MM's best centre of a union often lies in the other cluster, and
+        CL/SL's cached minima meet their equality cases (a folded entry equal
+        to a row's minimum, with a smaller or larger column).  CL/SL draw n up
+        to 60, so that many rows lie between a merged pair's slots; entries up
+        to n mix dense ties with rows whose neighbour is the retired slot."""
+        n = data.draw(st.integers(2, 60 if method in ("CL", "SL") else 30), label="n")
+        top = data.draw(st.integers(1, max(n, 3)), label="top")
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
         M = np.triu(rng.integers(0, top + 1, size=(n, n)), 1).astype(float)
         D = DistanceMatrix.from_full(M + M.T)
-        assert _merge_bits(run_linkage("MM", D)) == \
-            _merge_bits(reference_linkage("MM", D))
+        assert _merge_bits(run_linkage(method, D)) == \
+            _merge_bits(reference_linkage(method, D))
 
     def test_chain_instance_is_a_chain(self):
         for method in ("CL", "MM"):
