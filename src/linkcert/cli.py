@@ -1,10 +1,10 @@
 """Command-line harness: generate, run, certify, sweep, inequalities, oracle.
 
-Exit codes: 0 success, 2 usage/validation error, 3 assertion failures
-(details land in a machine-readable failures.json manifest in the output
-directory), 4 resource-guard refusal.  All randomness is seeded; reruns with
-identical arguments/configs produce byte-identical outputs.  CSV numbers are
-printed with 17 significant digits so values survive a round trip exactly.
+Exit codes: 0 success, 2 usage/validation error, 3 assertion failures (details
+land in a machine-readable failures.json manifest in the output directory), 4
+resource-guard refusal or refused allocation.  All randomness is seeded; reruns
+with identical arguments/configs produce byte-identical outputs.  CSV numbers
+are printed with 17 significant digits so values survive a round trip exactly.
 """
 
 from __future__ import annotations
@@ -543,8 +543,8 @@ def main(argv=None) -> int:
         print(f"assertion failures: {len(exc.failures)} (manifest: {path})",
               file=sys.stderr)
         return EXIT_ASSERTION
-    except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
+    except (ResourceGuardError, MemoryError) as exc:
+        print(f"resource guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_GUARD
     except (PreconditionError, StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,10 +17,14 @@ down the exponent cap:
   log_4(6); the tail is dominated via 1 + 1/log2(i) < log_4(6) for i >= 11
   (base-2 logs -- the bound is false in other bases).
 
-Inputs outside an inequality's hypothesis raise ``InapplicableSample`` (a
-skip signal, distinct from a counterexample).  All exponents are ratios of
-natural logs.  Every verdict here, and every bound check of the certificate
-replays, is ``within_bound``: lhs <= rhs * (1 + RTOL), slack on the bound side.
+Each inequality has one array evaluator (``_avg_terms``, ``_ineq2_sides``):
+the samplers call it on their draws, the scalar checks on a one-sample batch.
+Inputs outside an inequality's hypothesis raise ``InapplicableSample`` (a skip
+signal, distinct from a counterexample).  All exponents are ratios of natural
+logs.  These verdicts and the replays' per-cluster bound checks are
+``within_bound``: lhs <= rhs * (1 + RTOL), slack on the bound side.  The
+spanning-tree and diameter-sum checks are exact; the alignment check, alg1's
+phi_sigma re-sum and the supremum check allow ``FINE_RTOL``.
 """
 
 from __future__ import annotations
@@ -123,24 +127,33 @@ class IneqSample:
         return row
 
 
-def _verdict(inputs: dict, lhs: float, rhs: float) -> IneqSample:
-    return IneqSample(inputs=inputs, lhs=lhs, rhs=rhs,
-                      holds=within_bound(lhs, rhs), slack=rhs - lhs)
+def _avg_terms(a, b, x, y):
+    """ineq-avg on arrays: a*x^p and b*y^p (its hypothesis), then lhs and rhs."""
+    xp, yp = x ** P_EXP, y ** P_EXP
+    ax = a * xp
+    return ax, b * yp, ax + 2 * b * yp, (a + b) * (x + y) ** P_EXP
+
+
+def _ineq2_sides(vals, p):
+    """ineq-2's lhs and rhs for each row of ``vals`` at its own exponent p."""
+    powed = vals ** p[:, None]
+    lhs = powed[:, -1] + powed[:, -2] + 2 * powed[:, :-2].sum(axis=1)
+    return lhs, vals.sum(axis=1) ** p
 
 
 def check_ineq_avg(a: float, b: float, x: float, y: float) -> IneqSample:
     """One sample of the averaged-weight inequality at p = log2(3) - 1."""
-    if a < 0 or b < 0:
-        raise PreconditionError("a and b must be nonnegative")
-    if x < 1 or y < 1:
-        raise PreconditionError("x and y must be at least 1")
-    if a * x ** P_EXP < b * y ** P_EXP:
+    if not (0 <= a < math.inf and 0 <= b < math.inf):
+        raise PreconditionError("a and b must be finite and nonnegative")
+    if not (1 <= x < math.inf and 1 <= y < math.inf):
+        raise PreconditionError("x and y must be finite and at least 1")
+    inputs = {key: np.array([float(v)]) for key, v in zip("abxy", (a, b, x, y))}
+    ax, by, lhs, rhs = _avg_terms(**inputs)
+    if ax[0] < by[0]:
         raise InapplicableSample(
-            f"hypothesis a*x^p >= b*y^p fails: {a * x ** P_EXP!r} < {b * y ** P_EXP!r}"
+            f"hypothesis a*x^p >= b*y^p fails: {float(ax[0])!r} < {float(by[0])!r}"
         )
-    lhs = a * x ** P_EXP + 2 * b * y ** P_EXP
-    rhs = (a + b) * (x + y) ** P_EXP
-    return _verdict({"a": a, "b": b, "x": x, "y": y}, lhs, rhs)
+    return _batch_result("ineq-avg", lhs, rhs, inputs).extremes[0]
 
 
 def ineq2_threshold(length: int) -> float:
@@ -159,17 +172,19 @@ def check_ineq_2(a, p: float) -> IneqSample:
     a = list(a)
     if len(a) < 2:
         raise PreconditionError("need at least two values")
-    if any(v < 1 for v in a):
-        raise PreconditionError("all values must be at least 1")
+    if not all(1 <= v < math.inf for v in a):
+        raise PreconditionError("all values must be finite and at least 1")
+    if not math.isfinite(p):
+        raise PreconditionError("p must be finite")
     if any(a[i] > a[i + 1] for i in range(len(a) - 1)):
         raise PreconditionError("values must be nondecreasing")
     if p < ineq2_threshold(len(a)):
         raise InapplicableSample(
             f"p={p!r} is below the exponent threshold {ineq2_threshold(len(a))!r}"
         )
-    lhs = a[-1] ** p + a[-2] ** p + 2 * math.fsum(v ** p for v in a[:-2])
-    rhs = math.fsum(a) ** p
-    return _verdict({"a": tuple(a), "p": p}, lhs, rhs)
+    inputs = {"a": np.array([a], dtype=np.float64), "p": np.array([float(p)])}
+    lhs, rhs = _ineq2_sides(inputs["a"], inputs["p"])
+    return _batch_result("ineq-2", lhs, rhs, inputs).extremes[0]
 
 
 @dataclass(frozen=True)
@@ -192,10 +207,7 @@ def alpha_sup(i_max: int) -> AlphaSupResult:
     vals = np.log(2 * i - 2) / np.log(i)
     argmax = int(i[int(np.argmax(vals))])
     value = float(vals.max())
-    tail_ok = True
-    if i_max >= 11:
-        j = np.arange(11, i_max + 1, dtype=np.float64)
-        tail_ok = bool(np.all(1.0 + 1.0 / np.log2(j) < ALPHA_CAP))
+    tail_ok = bool(np.all(1.0 + 1.0 / np.log2(i[9:]) < ALPHA_CAP))  # i >= 11
     return AlphaSupResult(i_max=i_max, argmax=argmax, value=value, tail_ok=tail_ok)
 
 
@@ -229,16 +241,12 @@ def sample_ineq_avg(n_samples: int, seed: int = 0) -> BatchIneqResult:
     probe = np.arange(n_samples) % 100 == 0
     b[probe] = a[probe]
     y[probe] = x[probe]
-    xp, yp = x ** P_EXP, y ** P_EXP
-    swap = a * xp < b * yp
+    ax, by, _, _ = _avg_terms(a, b, x, y)
+    swap = ax < by
     a[swap], b[swap] = b[swap], a[swap].copy()
     x[swap], y[swap] = y[swap], x[swap].copy()
-    xp, yp = x ** P_EXP, y ** P_EXP
-    lhs = a * xp + 2 * b * yp
-    rhs = (a + b) * (x + y) ** P_EXP
-    return _batch_result("ineq-avg", lhs, rhs, {
-        "a": a, "b": b, "x": x, "y": y,
-    })
+    _, _, lhs, rhs = _avg_terms(a, b, x, y)
+    return _batch_result("ineq-avg", lhs, rhs, {"a": a, "b": b, "x": x, "y": y})
 
 
 def sample_ineq_2(n_samples: int, seed: int = 0) -> BatchIneqResult:
@@ -265,12 +273,8 @@ def sample_ineq_2(n_samples: int, seed: int = 0) -> BatchIneqResult:
         p = np.where(mode == 0, thr,
                      np.where(mode == 1, max(thr, ALPHA_CAP),
                               thr + rng.uniform(0.0, 2.0, m)))
-        powed = vals ** p[:, None]
-        lhs = powed[:, -1] + powed[:, -2] + 2 * powed[:, :-2].sum(axis=1)
-        rhs = vals.sum(axis=1) ** p
-        part = _batch_result("ineq-2", lhs, rhs, {
-            "a": vals, "p": p,
-        })
+        lhs, rhs = _ineq2_sides(vals, p)
+        part = _batch_result("ineq-2", lhs, rhs, {"a": vals, "p": p})
         result.failures.extend(part.failures)
         result.extremes.extend(part.extremes)
         result.min_rel_slack = min(result.min_rel_slack, part.min_rel_slack)
@@ -283,20 +287,14 @@ def _batch_result(name: str, lhs: np.ndarray, rhs: np.ndarray,
                   inputs: dict) -> BatchIneqResult:
     holds = within_bound(lhs, rhs)
     rel_slack = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
-    result = BatchIneqResult(name=name, samples=len(lhs),
-                             min_rel_slack=float(rel_slack.min()))
 
-    def mk(i: int) -> IneqSample:
-        ins = {}
-        for key, arr in inputs.items():
-            v = arr[i]
-            ins[key] = tuple(float(z) for z in v) if getattr(v, "ndim", 0) \
-                else float(v)
+    def mk(i) -> IneqSample:
+        ins = {key: tuple(map(float, arr[i])) if arr.ndim > 1 else float(arr[i])
+               for key, arr in inputs.items()}
         return IneqSample(inputs=ins, lhs=float(lhs[i]), rhs=float(rhs[i]),
                           holds=bool(holds[i]), slack=float(rhs[i] - lhs[i]))
 
-    for i in np.flatnonzero(~holds):
-        result.failures.append(mk(int(i)))
-    for i in np.argsort(rel_slack)[:N_EXTREMES]:
-        result.extremes.append(mk(int(i)))
-    return result
+    return BatchIneqResult(name=name, samples=len(lhs),
+                           failures=[mk(i) for i in np.flatnonzero(~holds)],
+                           extremes=[mk(i) for i in np.argsort(rel_slack)[:N_EXTREMES]],
+                           min_rel_slack=float(rel_slack.min()))

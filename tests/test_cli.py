@@ -20,6 +20,7 @@ from linkcert import (
     gen_random_euclidean,
     gen_random_metric,
     gen_single_link_adversary,
+    inequality_lab,
     instance_lab,
     metric_core,
     run_linkage,
@@ -706,6 +707,37 @@ class TestInequalities:
         with open(tmp_path / "ineq_avg_extremes.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 10
+
+    def test_rerun_is_byte_identical(self, tmp_path, capsys):
+        """The same seed prints the same line and writes the same CSVs.  The
+        bytes are compared within one build only: numpy's ``**`` rounds
+        differently across builds."""
+        outputs = []
+        for run in ("a", "b"):
+            assert run_cli("--out-dir", tmp_path / run, "--seed", 3, "inequalities",
+                           "--samples", 2000, "--i-max", 5000) == 0
+            outputs.append((capsys.readouterr().out,
+                            {f.name: f.read_bytes()
+                             for f in sorted((tmp_path / run).iterdir())}))
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0][1]) == ["ineq_2_extremes.csv",
+                                         "ineq_avg_extremes.csv"]
+
+    @pytest.mark.parametrize("exc, message", [
+        pytest.param(MemoryError("Unable to allocate 72.8 TiB for an array"),
+                     "Unable to allocate 72.8 TiB for an array", id="numpy"),
+        pytest.param(MemoryError(), "out of memory", id="bare"),
+    ])
+    def test_refused_allocation_is_a_resource_refusal(self, tmp_path, capsys,
+                                                       monkeypatch, exc, message):
+        """An allocation numpy refuses exits 4 with a message, writing nothing."""
+        def refuse(i_max):
+            raise exc
+        monkeypatch.setattr(inequality_lab, "alpha_sup", refuse)
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "inequalities", "--samples", 10) == 4
+        assert capsys.readouterr().err == f"resource guard: {message}\n"
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -55,10 +55,15 @@ class TestIneqAvg:
             check_ineq_avg(1.0, 2.0, 1.0, 2.0)  # a*x^p < b*y^p
 
     def test_preconditions(self):
-        with pytest.raises(PreconditionError):
-            check_ineq_avg(-1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(PreconditionError):
-            check_ineq_avg(1.0, 1.0, 0.5, 1.0)  # x below 1
+        for args in [(-1.0, 1.0, 1.0, 1.0),
+                     (1.0, 1.0, 0.5, 1.0),  # x below 1
+                     # non-finite: no false counterexample, no vacuous pass
+                     (math.nan, 1.0, 1.0, 1.0),
+                     (1.0, math.inf, 1.0, 1.0),
+                     (1.0, 1.0, math.inf, 1.0),
+                     (1.0, 1.0, 1.0, math.nan)]:
+            with pytest.raises(PreconditionError):
+                check_ineq_avg(*args)
 
     def test_zero_weights_ok(self):
         s = check_ineq_avg(1.0, 0.0, 5.0, 1.0)
@@ -97,12 +102,15 @@ class TestIneq2:
             check_ineq_2([1.0, 2.0, 3.0], 1.0)  # needs log_3 4 for length 3
 
     def test_preconditions(self):
-        with pytest.raises(PreconditionError):
-            check_ineq_2([1.0], ALPHA_CAP)
-        with pytest.raises(PreconditionError):
-            check_ineq_2([2.0, 1.0], 1.0)  # decreasing
-        with pytest.raises(PreconditionError):
-            check_ineq_2([0.5, 1.0], 1.0)  # below 1
+        for a, p in [([1.0], ALPHA_CAP),
+                     ([2.0, 1.0], 1.0),  # decreasing
+                     ([0.5, 1.0], 1.0),  # below 1
+                     ([1.0, math.nan, 2.0], 1.5),
+                     ([1.0, 2.0, math.inf], ALPHA_CAP),
+                     ([1.0, 2.0], math.nan),
+                     ([1.0, 2.0], math.inf)]:
+            with pytest.raises(PreconditionError):
+                check_ineq_2(a, p)
 
     def test_length2_at_p1(self):
         # lhs = a1 + a2 = rhs exactly at p = 1
@@ -164,3 +172,13 @@ class TestSamplers:
     def test_avg_batch_hits_equality_cases(self):
         batch = sample_ineq_avg(3000, seed=5)
         assert batch.min_rel_slack <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_reported_samples_are_the_scalar_checks(self, seed):
+        """Every sample a batch reports is what the scalar check returns on its
+        inputs, bit for bit: both evaluate the inequality in one place."""
+        for sampler, check in ((sample_ineq_avg, check_ineq_avg),
+                               (sample_ineq_2, check_ineq_2)):
+            batch = sampler(3000, seed=seed)
+            for s in batch.extremes + batch.failures:
+                assert repr(check(**s.inputs)) == repr(s)
