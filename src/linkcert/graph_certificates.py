@@ -34,14 +34,22 @@ growth bound diam(F) <= max-diam(target) * phi(F)^alpha_k (``growth_bound``,
 checked by ``within_bound``; the spanning-tree and sum checks are exact).
 The live clusters' point sets have one view, the point -> live cluster
 map, which every phase reads: a merge takes the merged pair's points from
-it and hands them to the cluster it creates.  The cluster classification is
-kept, not recomputed at every iteration.  A merge reclassifies only the
-cluster it creates, in O(n) numpy work; an exclusion only the cluster it
-excludes.  A phase that rewrites many clusters' inputs (a family's birth or
-death, or a component join) has the next audit reclassify every live
-cluster in one array pass over point -> (component, family) key, point ->
-live cluster and cluster -> tag.  Only a failed verdict rereads point sets,
-to name each offending live cluster in its record.
+it and hands them to the cluster it creates.  The audit's state is kept
+across merges, not recomputed at every iteration: each cluster's key span
+(its smallest and largest point key, a key naming a point's component and
+family), the cluster classification, and each component's count of
+families with more than one pure cluster.  A merge takes the new cluster's
+span from the merged pair's spans and classifies it in O(1), and adds no
+graph edge when both lie in one family; its O(n) numpy work is handing the
+pair's points on.  An exclusion reclassifies only the cluster it excludes.
+A phase that rewrites many clusters' inputs (a family's birth or death, or
+a component join) has the next audit recompute the spans and the
+classification of every live cluster in one array pass over point -> key,
+point -> live cluster and cluster -> tag.  Each iteration also keeps the
+starting count of each family whose count it changes, which the evolution
+check, the exclusion sites and the record's ``pure_counts`` read.  Only a
+failed verdict rereads point sets, to name each offending live cluster in
+its record.
 
 Each iteration runs as named phases of ``Alg2Trace``, a subclass of the
 family forest's ``Replay`` (``family_certificates``, which owns the target
@@ -67,7 +75,6 @@ target's block diameters that ``metric_core.clustering_score`` keeps
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +115,7 @@ class Alg2Family:
 @dataclass
 class ComponentState:
     families: set[int]
+    rich: int                    # families with more than one pure cluster
     events: list[dict] = field(default_factory=list)  # tree edges, in order
 
 
@@ -234,18 +242,27 @@ class Alg2Trace(Replay):
     family, -1 for none) the live families' point sets, ``counts`` each live
     family's number of pure clusters, ``owner`` (point -> live cluster) the
     live clusters' point sets, and ``comps``/``fam2comp`` the components.
-    A new family's id is the largest yet, so ``counts`` stays in id order.
-    ``families`` keeps every family ever, ``spanning_certs`` the collapses'
-    certificates and ``additions`` the exclusion additions, in order.
+    A new family's id is the largest yet, and so is a new component's, so
+    ``counts`` and ``comps`` stay in id order.  ``families`` keeps every
+    family ever, ``spanning_certs`` the collapses' certificates and
+    ``additions`` the exclusion additions, in order.
+
+    Kept with the counts by ``_set_count``, the one writer of a live
+    family's count: each component's ``rich`` (its families with more than
+    one pure cluster), which a join adds up, and ``moved`` (family -> its
+    count at the start of this iteration, for the families whose count this
+    iteration changed).
 
     The audit's kept state is derived from those and only cached here:
+    ``lo``/``hi`` (cluster -> smallest and largest point key, at key width
+    len(families) + 1, see ``_misfits``; a dead cluster's entries are stale),
     ``wrong`` (the live clusters the classification rejects), ``pure_seen``
     (family -> live clusters tagged with it, no zero entries), ``excluded``
-    (live clusters tagged EXCLUDED), ``unheld`` (points of no live cluster,
-    which no merge changes) and ``key`` (family -> point key, see
-    ``_misfits``).  A merge and an exclusion update it for the one cluster
-    they change; a phase that rewrites more sets ``stale``, and ``_refresh``
-    recomputes all of it in one pass (``_recount``) before it is next read.
+    (live clusters tagged EXCLUDED) and ``unheld`` (points of no live
+    cluster, which no merge changes).  A merge and an exclusion update it for
+    the one cluster they change; a phase that rewrites more sets ``stale``,
+    and ``_refresh`` recomputes all of it in one pass (``_recount``) before
+    it is next read.
     """
 
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
@@ -263,11 +280,13 @@ class Alg2Trace(Replay):
         self.spanning_certs: list[SpanningTreeCert] = []
         self.active: set[int] = set(range(n))
         self.edge_set: set[tuple[int, int]] = set()   # simple edges of the live graph
+        self.moved: dict[int, int] = {}
         self.wrong: set[int] = set()
         self.pure_seen: dict[int, int] = {}
         self.excluded = 0
         self.unheld: list[int] = []
-        self.key = np.full(1, -1, dtype=np.intp)
+        self.lo: list[int] = []
+        self.hi: list[int] = []
         self.stale = True
 
         # iteration 0: the initial families
@@ -297,7 +316,7 @@ class Alg2Trace(Replay):
         self.counts[fid] = len(clusters)
         self.tag[_ids(clusters)] = fid
         self.p2f[points] = fid
-        self.comps[fid] = ComponentState(families={fid})
+        self.comps[fid] = ComponentState(families={fid}, rich=int(len(clusters) > 1))
         self.fam2comp[fid] = fid
         self.stale = True
         return fam
@@ -308,23 +327,24 @@ class Alg2Trace(Replay):
         nonpure, so the next audit reports it and no merge reads a dead
         family's count.  Family ids are never reused, so once ``p2f`` forgets
         a family no merge can touch it again."""
+        dying = np.zeros(len(self.families) + 2, dtype=bool)   # [-2], [-1]: no family
         for f in self.comps.pop(comp_id).families:
             del self.counts[f]
             del self.fam2comp[f]
-            self.tag[self.tag == f] = NONPURE
-            self.p2f[self.p2f == f] = -1
+            dying[f] = True
+        self.tag[dying[self.tag]] = NONPURE
+        self.p2f[dying[self.p2f]] = -1
         self.stale = True
 
     def step(self, g: int, g2: int, u: int) -> Alg2IterationRecord:
         """Iteration t merges g and g2 into u: the phases in order, then the
         iteration's record."""
-        self.events, self.join = [], None
+        self.events, self.join, self.moved = [], None, {}
         self.assertions = self.start_audit()
-        pure_start = dict(self.counts)
         tag_g, tag_g2 = self.merge(g, g2, u)
-        self.evolution(pure_start, tag_g, tag_g2, u)
+        self.evolution(tag_g, tag_g2, u)
         case, comp_id = self.dispatch()
-        self.exclusions(case, comp_id, pure_start)
+        self.exclusions(case, comp_id)
         if case in ("a", "b"):
             self.collapse(case, comp_id)
         elif case == "c":
@@ -336,8 +356,8 @@ class Alg2Trace(Replay):
             iteration=self.t, case=case,
             assertions=self.assertions,
             exclusion_set_size=self.excluded,
-            pure_counts={str(f): c for f, c in self.counts.items()
-                         if pure_start.get(f, c) != c},
+            pure_counts={str(f): self.counts[f] for f, c in sorted(self.moved.items())
+                         if self.counts.get(f, c) != c},
             join=self.join,
             events=self.events,
             failures=self.failures,
@@ -351,13 +371,11 @@ class Alg2Trace(Replay):
         counts = self.counts
         ok_l1 = True
         for comp in self.comps.values():
-            rich = [f for f in comp.families if counts[f] >= 2]
-            need = 1 if len(comp.families) == 1 else 2
-            if len(rich) < need:
+            if comp.rich < (1 if len(comp.families) == 1 else 2):
                 ok_l1 = False
                 self.fail("two-pure-clusters",
                           f"component {sorted(comp.families)} has only "
-                          f"{len(rich)} families with >=2 pure clusters")
+                          f"{comp.rich} families with >=2 pure clusters")
         self._refresh()
         if self.wrong:   # records in ``active`` order
             for h in self.active:
@@ -382,32 +400,32 @@ class Alg2Trace(Replay):
         """Bring the kept audit state up to date after a phase that set
         ``stale``."""
         if self.stale:
-            (self.key, self.wrong, self.pure_seen, self.excluded,
+            (self.lo, self.hi, self.wrong, self.pure_seen, self.excluded,
              self.unheld) = self._recount()
             self.stale = False
 
-    def _recount(self) -> tuple[np.ndarray, set[int], dict[int, int], int, list[int]]:
+    def _recount(self) -> tuple[list[int], list[int], set[int], dict[int, int], int,
+                                list[int]]:
         """The audit's state from scratch, in one array pass over the live
-        clusters: the point keys per family, the rejected live clusters, the
-        live pure clusters per family, the live excluded clusters, and the
-        points of no live cluster."""
-        fams = _ids(self.fam2comp)
+        clusters: each cluster's smallest and largest point key (see
+        ``_misfits``), the rejected live clusters, the live pure clusters per
+        family, the live excluded clusters, and the points of no live
+        cluster."""
         width = len(self.families) + 1
         key = np.full(width, -1, dtype=np.intp)   # key[-1] for p2f = -1
-        key[fams] = _ids(self.fam2comp.values()) * width + fams
+        key[list(self.fam2comp)] = [c * width + f for f, c in self.fam2comp.items()]
         point_key = key[self.p2f]
         lo = np.full(self.tag.size, _NO_LO, dtype=np.intp)
         hi = np.full(self.tag.size, _NO_HI, dtype=np.intp)
         np.minimum.at(lo, self.owner, point_key)
         np.maximum.at(hi, self.owner, point_key)
-        live = _ids(self.active)
         held = np.zeros(self.tag.size, dtype=bool)
-        held[live] = True
-        lt = self.tag[live]
-        wrong = _misfits(lt, lo[live], hi[live], width)
-        pure = dict(Counter(lt[lt >= 0].tolist()))
-        return (key, set(live[wrong].tolist()), pure,
-                int(np.count_nonzero(lt == EXCLUDED)),
+        held[_ids(self.active)] = True
+        # live clusters per tag: excluded, nonpure, then family 0, 1, ...
+        tally = np.bincount(self.tag[held] - EXCLUDED, minlength=2).tolist()
+        return (lo.tolist(), hi.tolist(),
+                set(np.flatnonzero(held & _misfits(self.tag, lo, hi, width)).tolist()),
+                {f: c for f, c in enumerate(tally[2:]) if c}, tally[0],
                 np.flatnonzero(~held[self.owner]).tolist())
 
     def _misfit_detail(self, h: int) -> str:
@@ -443,29 +461,37 @@ class Alg2Trace(Replay):
         self.active.remove(g2)
         self.active.add(u)
         tag_g, tag_g2 = int(self.tag[g]), int(self.tag[g2])
-        pts = np.flatnonzero((self.owner == g) | (self.owner == g2))
-        left = self.owner[pts] == g
-        self.owner[pts] = u
+        owner, lo, hi = self.owner, self.lo, self.hi
+        left, right = (owner == g).nonzero()[0], (owner == g2).nonzero()[0]
+        owner[left] = u
+        owner[right] = u
         absorbed = EXCLUDED in (tag_g, tag_g2)
         tag_u = EXCLUDED if absorbed else tag_g if tag_g == tag_g2 else NONPURE
         self.tag[u] = tag_u
         for f in {tg for tg in (tag_g, tag_g2) if tg >= 0}:
-            self.counts[f] -= 1
+            self._set_count(f, self.counts[f] - 1)
         self._tally(tag_g, -1)
         self._tally(tag_g2, -1)
         self._tally(tag_u, 1)
         self.wrong.discard(g)
         self.wrong.discard(g2)
-        point_key = self.key[self.p2f[pts]]
-        if _misfits(tag_u, int(point_key.min(initial=_NO_LO)),
-                    int(point_key.max(initial=_NO_HI)), self.key.size):
+        lo[u], hi[u] = min(lo[g], lo[g2]), max(hi[g], hi[g2])
+        if _misfits(tag_u, lo[u], hi[u], len(self.families) + 1):
             self.wrong.add(u)
         if absorbed:
             self.events.append({"type": "absorbed", "iteration": self.t,
-                                "cluster": pts.tolist()})
-        else:
-            self._link(pts[left], pts[~left])
+                                "cluster": sorted(left.tolist() + right.tolist())})
+        elif not lo[g] == hi[g] == lo[g2] == hi[g2] >= 0:   # else both in one family
+            self._link(left, right)
         return tag_g, tag_g2
+
+    def _set_count(self, f: int, c: int) -> None:
+        """Family f's pure count becomes c: its component's ``rich`` follows,
+        and ``moved`` keeps f's count at step start."""
+        old = self.counts[f]
+        self.moved.setdefault(f, old)
+        self.counts[f] = c
+        self.comps[self.fam2comp[f]].rich += (c > 1) - (old > 1)
 
     def _link(self, left: np.ndarray, right: np.ndarray) -> None:
         """Edges between the families g's and g2's points (``left``, ``right``)
@@ -498,17 +524,18 @@ class Alg2Trace(Replay):
         self.join = [ca, cb]
         compa, compb = self.comps[ca], self.comps.pop(cb)
         compa.families |= compb.families
+        compa.rich += compb.rich
         compa.events = compa.events + compb.events + [tree_edge]
         for f in compb.families:
             fam2comp[f] = ca
         self.stale = True
 
-    def evolution(self, pure_start: dict, tag_g: int, tag_g2: int, u: int) -> None:
+    def evolution(self, tag_g: int, tag_g2: int, u: int) -> None:
         """The four-case evolution of pure counts (exact integer bookkeeping):
         each pure family among the merged pair's tags loses one pure cluster,
         and no other count moves."""
-        delta = {f: self.counts[f] - pure_start[f]
-                 for f in pure_start if self.counts[f] != pure_start[f]}
+        delta = {f: self.counts[f] - c
+                 for f, c in sorted(self.moved.items()) if self.counts[f] != c}
         pure = [tg for tg in (tag_g, tag_g2) if tg >= 0]
         evol_case = ("none-pure", "one-pure", "both-pure-different")[len(pure)]
         evol_ok = delta == {f: -1 for f in pure}
@@ -520,15 +547,16 @@ class Alg2Trace(Replay):
             self.fail("families-evolution", f"case {evol_case}: count deltas {delta}")
 
     def dispatch(self) -> tuple[str | None, int | None]:
-        """Which of cases a, b, c fires on the post-merge state (at most one)."""
+        """Which of cases a, b, c fires on the post-merge state (at most one).
+        ``comps`` is in ascending id order: a new component takes the largest
+        id yet, and a join or a death only deletes."""
         fired: list[tuple[str, int]] = []
-        for cid, comp in sorted(self.comps.items()):
-            rich = [f for f in comp.families if self.counts[f] > 1]
-            if len(comp.families) > 1 and len(rich) == 1:
+        for cid, comp in self.comps.items():
+            if len(comp.families) > 1 and comp.rich == 1:
                 fired.append(("a", cid))
-            elif len(comp.families) > 1 and not rich:
+            elif len(comp.families) > 1 and not comp.rich:
                 fired.append(("b", cid))
-            elif len(comp.families) == 1 and not rich:
+            elif len(comp.families) == 1 and not comp.rich:
                 fired.append(("c", cid))
         self.assertions["case_exclusivity"] = len(fired) <= 1
         if len(fired) > 1:
@@ -539,23 +567,23 @@ class Alg2Trace(Replay):
                                 "component": sorted(self.comps[comp_id].families)})
         return case, comp_id
 
-    def exclusions(self, case: str | None, comp_id: int | None, pure_start: dict) -> None:
+    def exclusions(self, case: str | None, comp_id: int | None) -> None:
         """Families that dropped from >1 to one pure cluster send it to the
         exclusion set (site addLr1); under case b only the component's
         smallest such family does (site addLr2)."""
-        dropped = sorted(f for f in self.counts
-                         if pure_start[f] > 1 and self.counts[f] == 1)
+        counts, moved = self.counts, self.moved
+        dropped = sorted(f for f, c in moved.items() if c > 1 and counts[f] == 1)
         if case != "b":
             sites = [(f, "addLr1") for f in dropped]
         else:
             fams = self.comps[comp_id].families
-            two_at_start = sorted(f for f in fams if pure_start[f] >= 2)
+            start_counts = {f: moved.get(f, counts[f]) for f in sorted(fams)}
+            two_at_start = [f for f, c in start_counts.items() if c >= 2]
             fc_b_ok = (len(two_at_start) == 2
-                       and all(pure_start[f] == 2 for f in two_at_start)
+                       and all(start_counts[f] == 2 for f in two_at_start)
                        and dropped == two_at_start)
             self.assertions["case_b_structure"] = fc_b_ok
             if not fc_b_ok:
-                start_counts = {f: pure_start[f] for f in sorted(fams)}
                 self.fail("case-b-structure", f"pure counts at start {start_counts}, "
                                               f"dropped now: {dropped}")
             cand_b = [f for f in dropped if f in fams]
@@ -574,7 +602,7 @@ class Alg2Trace(Replay):
             self._tally(f, -1)
             self._tally(EXCLUDED, 1)
             self.wrong.discard(h)
-            self.counts[f] = 0
+            self._set_count(f, 0)
             rec = {"site": site, "iteration": self.t, "family": f,
                    "cluster": np.flatnonzero(self.owner == h).tolist()}
             self.additions.append(rec)

@@ -65,6 +65,9 @@ RTOL = 1e-9
 FINE_RTOL = 1e-12  # final-ulp slack, where both sides differ only by rounding
 N_EXTREMES = 10  # tightest samples a batch keeps
 MAX_LEN = 10     # longest list sample_ineq_2 draws
+# i values per block of alpha_sup's scan, so its memory does not grow with
+# i_max: a few float64 arrays of 512 KB each.
+_SCAN_BLOCK = 1 << 16
 
 
 def within_bound(lhs, rhs, rtol: float = RTOL):
@@ -141,13 +144,22 @@ def _ineq2_sides(vals, p):
     return lhs, vals.sum(axis=1) ** p
 
 
+def _as_floats(values) -> list[float]:
+    """Checked inputs as floats.  An int beyond float64's range is refused,
+    as NaN and infinite inputs are."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise PreconditionError("inputs must lie within float64's range") from None
+
+
 def check_ineq_avg(a: float, b: float, x: float, y: float) -> IneqSample:
     """One sample of the averaged-weight inequality at p = log2(3) - 1."""
     if not (0 <= a < math.inf and 0 <= b < math.inf):
         raise PreconditionError("a and b must be finite and nonnegative")
     if not (1 <= x < math.inf and 1 <= y < math.inf):
         raise PreconditionError("x and y must be finite and at least 1")
-    inputs = {key: np.array([float(v)]) for key, v in zip("abxy", (a, b, x, y))}
+    inputs = {key: np.array([v]) for key, v in zip("abxy", _as_floats((a, b, x, y)))}
     ax, by, lhs, rhs = _avg_terms(**inputs)
     if ax[0] < by[0]:
         raise InapplicableSample(
@@ -174,7 +186,7 @@ def check_ineq_2(a, p: float) -> IneqSample:
         raise PreconditionError("need at least two values")
     if not all(1 <= v < math.inf for v in a):
         raise PreconditionError("all values must be finite and at least 1")
-    if not math.isfinite(p):
+    if not -math.inf < p < math.inf:
         raise PreconditionError("p must be finite")
     if any(a[i] > a[i + 1] for i in range(len(a) - 1)):
         raise PreconditionError("values must be nondecreasing")
@@ -182,7 +194,8 @@ def check_ineq_2(a, p: float) -> IneqSample:
         raise InapplicableSample(
             f"p={p!r} is below the exponent threshold {ineq2_threshold(len(a))!r}"
         )
-    inputs = {"a": np.array([a], dtype=np.float64), "p": np.array([float(p)])}
+    *a, p = _as_floats([*a, p])
+    inputs = {"a": np.array([a]), "p": np.array([p])}
     lhs, rhs = _ineq2_sides(inputs["a"], inputs["p"])
     return _batch_result("ineq-2", lhs, rhs, inputs).extremes[0]
 
@@ -200,14 +213,20 @@ def alpha_sup(i_max: int) -> AlphaSupResult:
 
     Returns the maximiser (expected: 4), the supremum (log_4(6)), and whether
     the tail domination 1 + 1/log2(i) < log_4(6) held for all 11 <= i <= i_max.
+    The scan runs over blocks of ``_SCAN_BLOCK`` values of i and keeps the
+    first maximiser, as one scan over all of them would.
     """
     if i_max < 4:
         raise PreconditionError("need i_max >= 4 to see the maximiser")
-    i = np.arange(2, i_max + 1, dtype=np.float64)
-    vals = np.log(2 * i - 2) / np.log(i)
-    argmax = int(i[int(np.argmax(vals))])
-    value = float(vals.max())
-    tail_ok = bool(np.all(1.0 + 1.0 / np.log2(i[9:]) < ALPHA_CAP))  # i >= 11
+    argmax, value, tail_ok = 0, -math.inf, True
+    for start in range(2, i_max + 1, _SCAN_BLOCK):
+        i = np.arange(start, min(start + _SCAN_BLOCK, i_max + 1), dtype=np.float64)
+        vals = np.log(2 * i - 2) / np.log(i)
+        j = int(np.argmax(vals))
+        if vals[j] > value:
+            argmax, value = int(i[j]), float(vals[j])
+        tail = i[max(0, 11 - start):]   # i >= 11
+        tail_ok = tail_ok and bool(np.all(1.0 + 1.0 / np.log2(tail) < ALPHA_CAP))
     return AlphaSupResult(i_max=i_max, argmax=argmax, value=value, tail_ok=tail_ok)
 
 

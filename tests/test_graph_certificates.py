@@ -28,6 +28,7 @@ from linkcert import (
     cohesion,
     extract_clustering,
     fc_diameter_check,
+    gen_single_link_adversary,
     opt_score,
     run_linkage,
     spanning_tree_check,
@@ -441,6 +442,43 @@ class TestClusterAudit:
                  "detail": "cluster [0, 1, 2, 6, 7] touches orphaned points but is not excluded"},
             ]
 
+    def test_collapse_orphans_the_points_of_every_dying_family(self):
+        # the case-a collapse at iteration 2 kills families 0 and 1 and
+        # leaves points 0 and 2 of family 0 out of F_C; forged after
+        # iteration 3, cluster 8 = {4, 5} of F_C takes point 0, which must
+        # read as orphaned, not as a point of the dead family 0
+        D = line_metric([32.0, 1.0, 37.0, 4.0, 18.0, 24.0])
+        dg = run_linkage("CL", D)
+        assert dg.merges[2].result == 8
+        trace = checked_trace(D, dg, [[0, 1, 2], [3, 4, 5]], 3, [0, 3], 8)
+        assert [r.case for r in trace.records] == [None, "a", None, "c"]
+        assert trace.all_failures() == [
+            {"assertion": "clusters-structure", "iteration": 4,
+             "detail": "cluster [0, 3, 4, 5] touches orphaned points but is not excluded"},
+        ]
+
+    def test_merge_of_two_clusters_of_orphaned_points(self):
+        # merge 1 makes cluster 6 = {0, 4}, whose points its case-b
+        # collapse orphans; forged then, 6 takes point 1 of family 1, which
+        # dies at iteration 2 and orphans points 1 and 2.  The live clusters
+        # {0, 1, 4} and {2} are then not excluded and hold orphaned points
+        # only, so their merge at iteration 3 touches no family and writes
+        # its own record
+        D = line_metric([22.0, 18.0, 16.0, 35.0, 23.0, 0.0])
+        dg = run_linkage("CL", D)
+        assert [(m.left, m.right) for m in dg.merges[:3]] == [(0, 4), (1, 2), (6, 7)]
+        trace = checked_trace(D, dg, [[1, 2], [4, 5], [0, 3]], 1, [4, 0, 1], 6)
+        assert trace.records[2].failures == [
+            {"assertion": "two-pure-clusters", "iteration": 3,
+             "detail": "component [3] has only 0 families with >=2 pure clusters"},
+            {"assertion": "clusters-structure", "iteration": 3,
+             "detail": "cluster [0, 1, 4] touches orphaned points but is not excluded"},
+            {"assertion": "clusters-structure", "iteration": 3,
+             "detail": "cluster [2] touches orphaned points but is not excluded"},
+            {"assertion": "clusters-structure", "iteration": 3,
+             "detail": "merged non-excluded cluster touches orphaned points"},
+        ]
+
     def test_collapse_keeps_a_cluster_that_is_the_whole_component(self):
         # the first merge {0, 2} is forged to hold all four points, which
         # are exactly the points of the component that collapses under
@@ -492,9 +530,13 @@ def reference_audit(r: Alg2Trace) -> list:
     pure clusters per family, the live excluded clusters, and the points
     that no live cluster holds."""
     wrong, pure, excluded = set(), {}, 0
-    for h in r.active:
+    owner = r.owner.tolist()
+    members = {h: [] for h in r.active}
+    for p, h in enumerate(owner):
+        if h in members:
+            members[h].append(p)
+    for h, points in members.items():
         tag = int(r.tag[h])
-        points = [p for p in range(r.n) if r.owner[p] == h]
         fams = {int(r.p2f[p]) for p in points}
         if tag == EXCLUDED:
             excluded += 1
@@ -507,15 +549,15 @@ def reference_audit(r: Alg2Trace) -> list:
             wrong.add(h)
         elif len(fams) > 1 and (tag != NONPURE or len({r.fam2comp[f] for f in fams}) > 1):
             wrong.add(h)
-    return [wrong, pure, excluded,
-            [p for p in range(r.n) if int(r.owner[p]) not in r.active]]
+    return [wrong, pure, excluded, [p for p, h in enumerate(owner) if h not in members]]
 
 
 class CheckedReplay(Forged):
-    """The replay, forged or not, with its kept audit state (rejected
-    clusters, pure tally, excluded count, unheld points, point keys) compared after every
-    audit and every budget against the full array recount and against
-    ``reference_audit``.  At the end of each step ``recounts`` keeps the root
+    """The replay, forged or not, with its kept audit state (live clusters'
+    key spans, rejected clusters, pure tally, excluded count, unheld points)
+    and each component's ``rich`` count compared after every audit and every
+    budget against the full array recount, ``reference_audit`` and a count
+    over ``counts``.  At the end of each step ``recounts`` keeps the root
     list (each live family's summary at its count, in id order) and the
     component list, read off ``counts`` and ``comps``.  On a genuine run,
     every merge leaves each live cluster with its dendrogram point set in
@@ -550,10 +592,14 @@ class CheckedReplay(Forged):
              for _, c in sorted(self.comps.items())]))
 
     def check(self) -> None:
-        key, *recount = self._recount()
-        assert np.array_equal(self.key, key)
+        lo, hi, *recount = self._recount()
+        assert ([(self.lo[h], self.hi[h]) for h in sorted(self.active)]
+                == [(lo[h], hi[h]) for h in sorted(self.active)])
         assert [self.wrong, self.pure_seen, self.excluded, self.unheld] == recount
         assert recount == reference_audit(self)
+        assert ({cid: c.rich for cid, c in self.comps.items()}
+                == {cid: sum(self.counts[f] > 1 for f in c.families)
+                    for cid, c in self.comps.items()})
 
 
 def checked_trace(D, dg, target, *forgery) -> Alg2Trace:
@@ -573,6 +619,22 @@ def checked_trace(D, dg, target, *forgery) -> Alg2Trace:
 @given(run=cl_runs())
 def test_kept_audit_matches_a_recount(run):
     checked_trace(*run)
+
+
+@pytest.mark.parametrize("instance", ["adversary", "strips"])
+def test_kept_audit_matches_a_recount_over_many_families(instance):
+    """Many live families at once: the single-link adversary at k=30, and 200
+    uniform points cut at k=16 against 16 strips of x-sorted points."""
+    if instance == "adversary":
+        inst = gen_single_link_adversary(30, 120.0, 0.5)
+        D, target, k = inst.D, inst.target, 30
+    else:
+        X = np.random.default_rng(2).random((200, 2))
+        D, k = DistanceMatrix.from_points(X), 16
+        target = Clustering.from_blocks(
+            np.array_split(np.argsort(X[:, 0], kind="stable"), k), 200)
+    trace = checked_trace(D, run_linkage("CL", D, k), target)
+    assert trace.ok
 
 
 class TestDiameterOwner:

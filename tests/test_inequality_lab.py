@@ -13,10 +13,12 @@ from linkcert import (
     sample_ineq_2,
     sample_ineq_avg,
 )
+from linkcert import inequality_lab
 from linkcert.inequality_lab import (
     ALPHA_CAP,
     P_EXP,
     RTOL,
+    AlphaSupResult,
     InapplicableSample,
     ineq2_threshold,
     within_bound,
@@ -61,7 +63,8 @@ class TestIneqAvg:
                      (math.nan, 1.0, 1.0, 1.0),
                      (1.0, math.inf, 1.0, 1.0),
                      (1.0, 1.0, math.inf, 1.0),
-                     (1.0, 1.0, 1.0, math.nan)]:
+                     (1.0, 1.0, 1.0, math.nan),
+                     (10**400, 1, 1, 1)]:  # an int beyond float64's range
             with pytest.raises(PreconditionError):
                 check_ineq_avg(*args)
 
@@ -108,7 +111,8 @@ class TestIneq2:
                      ([1.0, math.nan, 2.0], 1.5),
                      ([1.0, 2.0, math.inf], ALPHA_CAP),
                      ([1.0, 2.0], math.nan),
-                     ([1.0, 2.0], math.inf)]:
+                     ([1.0, 2.0], math.inf),
+                     ([1, 10**400], 1.5)]:  # an int beyond float64's range
             with pytest.raises(PreconditionError):
                 check_ineq_2(a, p)
 
@@ -138,6 +142,24 @@ class TestAlphaSup:
 
     def test_small_scan_without_tail(self):
         assert alpha_sup(10).argmax == 4
+
+    def test_blocked_scan_matches_one_scan(self, monkeypatch):
+        """With blocks of 8 values of i, i_max on and around block edges gives
+        the result of one scan over 2..i_max."""
+        monkeypatch.setattr(inequality_lab, "_SCAN_BLOCK", 8)
+        for i_max in range(4, 42):
+            i = np.arange(2, i_max + 1, dtype=np.float64)
+            vals = np.log(2 * i - 2) / np.log(i)
+            one_scan = AlphaSupResult(
+                i_max=i_max, argmax=int(i[int(np.argmax(vals))]), value=float(vals.max()),
+                tail_ok=bool(np.all(1.0 + 1.0 / np.log2(i[9:]) < ALPHA_CAP)))
+            assert alpha_sup(i_max) == one_scan
+
+    def test_blocked_scan_keeps_the_first_maximiser(self, monkeypatch):
+        """A block whose maximum only ties the best so far does not take over."""
+        monkeypatch.setattr(inequality_lab, "_SCAN_BLOCK", 3)
+        monkeypatch.setattr(inequality_lab.np, "log", lambda x: np.ones_like(x))
+        assert alpha_sup(20).argmax == 2
 
 
 class TestSamplers:
