@@ -424,7 +424,20 @@ def _samples_csv(path: str, samples) -> None:
     _write_csv(path, list(rows[0]) if rows else [], rows)
 
 
+def _physical_memory() -> float:
+    """This machine's physical memory in bytes; inf where it cannot be read."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def cmd_inequalities(args) -> int:
+    need, memory = args.samples * inequality_lab.SAMPLE_BYTES, _physical_memory()
+    if need > memory:
+        raise ResourceGuardError(
+            f"--samples {args.samples} needs about {need} bytes of sampler arrays, "
+            f"more than the {memory} bytes of physical memory")
     avg = inequality_lab.sample_ineq_avg(args.samples, seed=args.seed)
     two = inequality_lab.sample_ineq_2(args.samples, seed=args.seed + 1)
     sup = inequality_lab.alpha_sup(args.i_max)

@@ -241,8 +241,9 @@ class Alg2Trace(Replay):
     EXCLUDED) holds purity and the exclusion set, ``p2f`` (point -> live
     family, -1 for none) the live families' point sets, ``counts`` each live
     family's number of pure clusters, ``owner`` (point -> live cluster) the
-    live clusters' point sets, and ``comps``/``fam2comp`` the components.
-    A new family's id is the largest yet, and so is a new component's, so
+    live clusters' point sets, ``live`` (cluster -> whether it is live) the
+    live clusters, and ``comps``/``fam2comp`` the components.  A new
+    family's id is the largest yet, and so is a new component's, so
     ``counts`` and ``comps`` stay in id order.  ``families`` keeps every
     family ever, ``spanning_certs`` the collapses' certificates and
     ``additions`` the exclusion additions, in order.
@@ -278,7 +279,7 @@ class Alg2Trace(Replay):
         self.fam2comp: dict[int, int] = {}
         self.additions: list[dict] = []
         self.spanning_certs: list[SpanningTreeCert] = []
-        self.active: set[int] = set(range(n))
+        self.live = np.arange(2 * n - 1) < n   # cluster id -> live
         self.edge_set: set[tuple[int, int]] = set()   # simple edges of the live graph
         self.moved: dict[int, int] = {}
         self.wrong: set[int] = set()
@@ -377,20 +378,17 @@ class Alg2Trace(Replay):
                           f"component {sorted(comp.families)} has only "
                           f"{comp.rich} families with >=2 pure clusters")
         self._refresh()
-        if self.wrong:   # records in ``active`` order
-            for h in self.active:
-                if h in self.wrong:
-                    self.fail("clusters-structure", self._misfit_detail(h))
+        for h in sorted(self.wrong):
+            self.fail("clusters-structure", self._misfit_detail(h))
         if self.unheld:
             self.fail("clusters-structure",
                       f"points {self.unheld} lie in no live cluster")
         ledger_ok = self.pure_seen == {f: c for f, c in counts.items() if c}
         if not ledger_ok:
             recount = dict.fromkeys(counts, 0)
-            for h in self.active:
-                f = int(self.tag[h])
-                if f >= 0:
-                    recount[f] = recount.get(f, 0) + 1
+            tags = self.tag[self.live]
+            for f in tags[tags >= 0].tolist():
+                recount[f] = recount.get(f, 0) + 1
             self.fail("clusters-structure",
                       f"pure-count ledger {counts} disagrees with tag recount {recount}")
         return {"two_pure_clusters": ok_l1,
@@ -419,14 +417,13 @@ class Alg2Trace(Replay):
         hi = np.full(self.tag.size, _NO_HI, dtype=np.intp)
         np.minimum.at(lo, self.owner, point_key)
         np.maximum.at(hi, self.owner, point_key)
-        held = np.zeros(self.tag.size, dtype=bool)
-        held[_ids(self.active)] = True
+        live = self.live
         # live clusters per tag: excluded, nonpure, then family 0, 1, ...
-        tally = np.bincount(self.tag[held] - EXCLUDED, minlength=2).tolist()
+        tally = np.bincount(self.tag[live] - EXCLUDED, minlength=2).tolist()
         return (lo.tolist(), hi.tolist(),
-                set(np.flatnonzero(held & _misfits(self.tag, lo, hi, width)).tolist()),
+                set(np.flatnonzero(live & _misfits(self.tag, lo, hi, width)).tolist()),
                 {f: c for f, c in enumerate(tally[2:]) if c}, tally[0],
-                np.flatnonzero(~held[self.owner]).tolist())
+                np.flatnonzero(~live[self.owner]).tolist())
 
     def _misfit_detail(self, h: int) -> str:
         """The record text for live cluster h, which the audit rejects."""
@@ -457,9 +454,8 @@ class Alg2Trace(Replay):
         tag, the pure counts, u's audit verdict, and -- unless an excluded
         cluster absorbs the other -- the graph edges the merge adds and the
         components it joins.  Returns the tags of g and g2."""
-        self.active.remove(g)
-        self.active.remove(g2)
-        self.active.add(u)
+        self.live[g] = self.live[g2] = False
+        self.live[u] = True
         tag_g, tag_g2 = int(self.tag[g]), int(self.tag[g2])
         owner, lo, hi = self.owner, self.lo, self.hi
         left, right = (owner == g).nonzero()[0], (owner == g2).nonzero()[0]
@@ -590,7 +586,7 @@ class Alg2Trace(Replay):
             sites = [(min(cand_b), "addLr2")] if cand_b else []
         additions_ok = True
         for f, site in sites:
-            cands = [h for h in self.active if int(self.tag[h]) == f]
+            cands = np.flatnonzero(self.live & (self.tag == f)).tolist()
             if len(cands) != 1:
                 additions_ok = False
                 self.fail("exclusion-additions",
@@ -620,8 +616,7 @@ class Alg2Trace(Replay):
         in_comp[comp_fams] = True
         leaks = np.zeros(self.tag.size, dtype=bool)   # clusters with a point outside
         leaks[self.owner[~in_comp[self.p2f]]] = True
-        fc_members = [h for h in sorted(self.active)
-                      if self.tag[h] != EXCLUDED and not leaks[h]]
+        fc_members = np.flatnonzero(self.live & (self.tag != EXCLUDED) & ~leaks).tolist()
         assertions["fc_size"] = len(fc_members) >= 2
         if len(fc_members) < 2:
             self.fail("fc-size", f"new family would hold {len(fc_members)} clusters")

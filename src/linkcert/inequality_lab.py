@@ -65,6 +65,9 @@ RTOL = 1e-9
 FINE_RTOL = 1e-12  # final-ulp slack, where both sides differ only by rounding
 N_EXTREMES = 10  # tightest samples a batch keeps
 MAX_LEN = 10     # longest list sample_ineq_2 draws
+# Peak bytes per sample of sample_ineq_avg, the larger sampler: about sixteen
+# float64 arrays of n_samples entries (tracemalloc read 122-129 bytes)
+SAMPLE_BYTES = 128
 # i values per block of alpha_sup's scan, so its memory does not grow with
 # i_max: a few float64 arrays of 512 KB each.
 _SCAN_BLOCK = 1 << 16

@@ -95,22 +95,15 @@ def gen_single_link_adversary(k: int, B: float, eps: float,
     if auto:
         d_out = max(2 * B, math.ceil((k - 2) * (B - eps) / 2) + eps)
     n = 2 * k - 1
-    xs = list(range(2, k))          # x_i has id i, i = 2..k-1
-    ys = list(range(k, 2 * k - 1))  # y_j has id (k-1)+j, j = 1..k-1
+    xs = range(2, k)          # x_i has id i, i = 2..k-1
+    ys = range(k, 2 * k - 1)  # y_j has id (k-1)+j, j = 1..k-1
+    chain = np.array([m * (B - eps) for m in range(k - 1)], dtype=np.float64)
     M = np.full((n, n), float(d_out))
-    np.fill_diagonal(M, 0.0)
     M[0, 1] = M[1, 0] = B
-    for i in xs:
-        v = (i - 1) * (B - eps)
-        M[i, 0] = M[0, i] = v
-        M[i, 1] = M[1, i] = v
-        for j in xs:
-            if j > i:
-                M[i, j] = M[j, i] = (j - i) * (B - eps)
-    for i in ys:
-        for j in ys:
-            if j > i:
-                M[i, j] = M[j, i] = B + eps
+    M[0, 2:k] = M[1, 2:k] = M[2:k, 0] = M[2:k, 1] = chain[1:]   # (i-1)(B-eps)
+    M[2:k, 2:k] = chain[np.abs(np.subtract.outer(xs, xs))]       # |j-i|(B-eps)
+    M[k:, k:] = B + eps
+    np.fill_diagonal(M, 0.0)
     D = DistanceMatrix.from_full(M)
     if auto:
         bad = validate_metric(D, tau=0.0)
@@ -119,9 +112,7 @@ def gen_single_link_adversary(k: int, B: float, eps: float,
                 f"adversary instance k={k} B={B} eps={eps} is not a metric at "
                 f"tau=0: its chain distances, multiples of B - eps, are rounded in "
                 f"float64 and break the triangle inequality, first violation {bad[0]}")
-    target = Clustering.from_blocks(
-        [[0, 1]] + [[i] for i in xs] + [ys], n
-    )
+    target = Clustering.from_blocks([[0, 1], *([i] for i in xs), ys], n)
     return AdversaryInstance(k=k, B=float(B), eps=float(eps), D=D,
                              target=target, d_out=float(d_out))
 

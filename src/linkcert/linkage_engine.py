@@ -38,6 +38,7 @@ from .metric_core import (
     PreconditionError,
     StructuralError,
     _block_cohesion,
+    _check_k,
     _finite,
     _seeded_rng,
     _submatrix,
@@ -185,11 +186,6 @@ def _scan_row(V: np.ndarray, i: int, nn: np.ndarray, mind: np.ndarray) -> None:
     j = int(row.argmin())
     nn[i] = i + 1 + j
     mind[i] = row[j]
-
-
-def _check_k(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k must be in 1..{n}, got {k}")
 
 
 def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
@@ -420,7 +416,8 @@ def check_rule_equivalence(D: DistanceMatrix) -> RuleEquivalenceResult:
     """
     if D.n < 2:
         raise PreconditionError("need at least two points")
-    if np.unique(D.packed).size != D.packed.size:
+    packed = D.packed
+    if np.unique(packed).size != packed.size:
         raise PreconditionError("pairwise distances must be distinct")
     cm = ClusterMatrix(D)
     live = list(range(D.n))             # live slots, ascending: min members

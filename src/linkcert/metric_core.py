@@ -1,12 +1,13 @@
 """Finite point sets with pairwise distances: storage, validation, cohesion scores.
 
-Distances for ``n`` points (ids ``0..n-1``) are kept as a packed lower triangle
-in row-major order: entry ``(i, j)`` with ``i < j`` sits at index
-``j*(j-1)/2 + i``.  ``DistanceMatrix`` owns that storage: it stores ``-0.0``
-as ``+0.0`` and builds the full symmetric matrix once, at construction; all
-bulk work happens through numpy on that view.  ``_submatrix`` owns every
-gather of a block from it, and ``_sum``, ``_finite`` and ``_SUM_OVERFLOW`` the
-rule for a distance sum past float64's range: inf while kept, raised when read.
+Distances for ``n`` points (ids ``0..n-1``) come and go as a packed lower
+triangle in row-major order: entry ``(i, j)`` with ``i < j`` sits at index
+``j*(j-1)/2 + i``.  ``DistanceMatrix`` keeps one array, the full symmetric
+matrix, built from that triangle once, at construction, with every ``-0.0``
+as ``+0.0``; all bulk work happens through numpy on it.  ``_submatrix`` owns
+every gather of a block from it, and ``_sum``, ``_finite`` and
+``_SUM_OVERFLOW`` the rule for a distance sum past float64's range: inf while
+kept, raised when read.
 
 ``clustering_score`` owns the per-block values of a clustering: each block's
 diameter, average distance and radius are read from one submatrix the first
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -74,6 +75,12 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_k(n: int, k: int) -> None:
+    """The one check that a cluster count k suits n points."""
+    if not 1 <= k <= n:
+        raise PreconditionError(f"k must be in 1..{n}, got {k}")
+
+
 def tri_size(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -87,7 +94,6 @@ def tri_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-@dataclass(eq=False)
 class DistanceMatrix:
     """Pairwise distances for n points.
 
@@ -100,66 +106,63 @@ class DistanceMatrix:
     labels : list of str, optional
         Display names; purely cosmetic.
 
-    ``packed`` is stored with every ``-0.0`` as ``+0.0``, and ``full``, the
-    (n, n) symmetric matrix with a zero diagonal, is built from it once.
-    Both arrays are read-only, so the kept block values of scored
-    clusterings (``clustering_score``) cannot go stale; they are the only
-    mutable state, and a cache: a pickled or copied matrix starts without
-    them.
+    The one array kept is ``full``, the (n, n) symmetric matrix with a zero
+    diagonal, built from ``packed`` at construction with every ``-0.0`` as
+    ``+0.0``.  ``packed`` is read back off it, one O(n^2) copy per read.
+    Both are read-only, so the kept block values of scored clusterings
+    (``clustering_score``) cannot go stale; they are the only mutable state,
+    and a cache: a pickled or copied matrix starts without them.
 
-    Matrices compare as values: equal ``n``, ``labels`` and ``packed``
-    bytes.  Every distance is finite and no zero is negative, so equal
-    bytes means equal distances, and the hash agrees with ``==``.
+    Matrices compare as values: equal ``n``, ``labels`` and ``full`` bytes.
+    Every distance is finite and no zero is negative, so equal bytes means
+    equal distances, and the hash agrees with ``==``.
     """
 
-    n: int
-    packed: np.ndarray
-    labels: list[str] | None = None
-    full: np.ndarray = field(init=False, repr=False, compare=False)
-    _scored: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.packed = np.array(self.packed, dtype=np.float64)   # never the caller's
-        self.packed += 0.0   # stores -0.0 as +0.0 and keeps every other value
-        if self.n < 1:
-            raise StructuralError(f"need at least one point, got n={self.n}")
-        if self.packed.shape != (tri_size(self.n),):
+    def __init__(self, n: int, packed, labels: list[str] | None = None):
+        packed = np.asarray(packed, dtype=np.float64)
+        if n < 1:
+            raise StructuralError(f"need at least one point, got n={n}")
+        if packed.shape != (tri_size(n),):
             raise StructuralError(
-                f"packed triangle for n={self.n} must have length {tri_size(self.n)}, "
-                f"got {self.packed.shape}"
+                f"packed triangle for n={n} must have length {tri_size(n)}, "
+                f"got {packed.shape}"
             )
-        if self.packed.size and not np.all(np.isfinite(self.packed)):
-            bad = int(np.flatnonzero(~np.isfinite(self.packed))[0])
-            raise StructuralError(f"non-finite distance at packed index {bad}")
-        if self.packed.size:
-            neg = np.flatnonzero(self.packed < 0)
-            if neg.size:
-                i, j = _unpack_index(int(neg[0]))
-                raise StructuralError(f"negative distance at pair ({i}, {j})")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise StructuralError(
-                f"got {len(self.labels)} labels for {self.n} points"
-            )
-        self.full = M = np.zeros((self.n, self.n), dtype=np.float64)
-        for j in range(1, self.n):
-            row = self.packed[tri_size(j):tri_size(j + 1)]
-            M[j, :j] = row
-            M[:j, j] = row
-        self._seal()
+        bad = np.flatnonzero(~np.isfinite(packed))
+        if bad.size:
+            raise StructuralError(f"non-finite distance at packed index {bad[0]}")
+        neg = np.flatnonzero(packed < 0)
+        if neg.size:
+            i, j = _unpack_index(int(neg[0]))
+            raise StructuralError(f"negative distance at pair ({i}, {j})")
+        if labels is not None and len(labels) != n:
+            raise StructuralError(f"got {len(labels)} labels for {n} points")
+        self.n, self.labels = n, labels
+        self.full = M = np.zeros((n, n), dtype=np.float64)
+        for j in range(1, n):
+            M[j, :j] = M[:j, j] = packed[tri_size(j):tri_size(j + 1)]
+        M += 0.0   # stores -0.0 as +0.0 and keeps every other value
+        M.setflags(write=False)
+        self._scored = weakref.WeakKeyDictionary()
 
-    def _seal(self) -> None:
-        self.packed.setflags(write=False)
-        self.full.setflags(write=False)
+    def __repr__(self):
+        return (f"DistanceMatrix(n={self.n!r}, packed={self.packed!r}, "
+                f"labels={self.labels!r})")
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The lower triangle, row-major, as a read-only copy of ``full``'s."""
+        out = _pack(self.full)
+        out.setflags(write=False)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, DistanceMatrix):
             return NotImplemented
         return (self.n == other.n and self.labels == other.labels
-                and self.packed.tobytes() == other.packed.tobytes())
+                and self.full.tobytes() == other.full.tobytes())
 
     def __hash__(self):
-        return hash((self.n, tuple(self.labels or ()), self.packed.tobytes()))
+        return hash((self.n, tuple(self.labels or ()), self.full.tobytes()))
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -168,7 +171,7 @@ class DistanceMatrix:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._seal()           # unpickled and deep-copied arrays are writeable
+        self.full.setflags(write=False)   # unpickled and deep-copied arrays are writeable
         self._scored = weakref.WeakKeyDictionary()
 
     @classmethod
@@ -193,20 +196,21 @@ class DistanceMatrix:
 
     @classmethod
     def from_points(cls, points) -> "DistanceMatrix":
-        """Euclidean distances between rows of a coordinate array."""
+        """Euclidean distances between rows of a coordinate array, each pair's
+        computed once, row by row, into the packed triangle."""
         P = np.asarray(points, dtype=np.float64)
         if P.ndim != 2:
             raise StructuralError(f"expected a 2-d coordinate array, got shape {P.shape}")
-        diff = P[:, None, :] - P[None, :, :]
-        M = np.sqrt((diff * diff).sum(axis=2))
-        np.fill_diagonal(M, 0.0)
-        M = np.maximum(M, M.T)  # exact symmetry regardless of summation order
-        return cls.from_full(M)
+        n = P.shape[0]
+        packed = np.empty(tri_size(n))
+        for j in range(1, n):
+            row = packed[tri_size(j):tri_size(j + 1)]
+            diff = P[:j] - P[j]
+            np.sqrt((diff * diff).sum(axis=1, out=row), out=row)
+        return cls(n, packed)
 
     def d(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        return float(self.packed[tri_index(i, j)])
+        return float(self.full[i, j])
 
     def scaled(self, lam: float) -> "DistanceMatrix":
         """A copy with every distance multiplied by lam >= 0."""
@@ -215,7 +219,7 @@ class DistanceMatrix:
         return DistanceMatrix(self.n, self.packed * lam, labels=self.labels)
 
     def to_json(self) -> dict:
-        out = {"n": self.n, "dist": [float(v) for v in self.packed]}
+        out = {"n": self.n, "dist": self.packed.tolist()}
         if self.labels is not None:
             out["labels"] = list(self.labels)
         return out
@@ -252,11 +256,8 @@ class DistanceMatrix:
 
 
 def _pack(M: np.ndarray) -> np.ndarray:
-    n = M.shape[0]
-    out = np.empty(tri_size(n), dtype=np.float64)
-    for j in range(1, n):
-        out[tri_size(j):tri_size(j + 1)] = M[j, :j]
-    return out
+    """The lower triangle of a square matrix, row-major."""
+    return M[np.tri(M.shape[0], k=-1, dtype=bool)]
 
 
 def _unpack_index(idx: int) -> tuple[int, int]:

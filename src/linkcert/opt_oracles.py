@@ -34,6 +34,7 @@ from .metric_core import (
     DistanceMatrix,
     PreconditionError,
     ResourceGuardError,
+    _check_k,
     clustering_score,
 )
 
@@ -81,8 +82,7 @@ def stirling2(n: int, k: int) -> int:
 
 
 def _check_guard(n: int, k: int, n_max: int) -> None:
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k must be in 1..{n}, got {k}")
+    _check_k(n, k)
     if n > n_max:
         raise ResourceGuardError(
             f"n={n} exceeds the oracle guard n_max={n_max} "
@@ -223,8 +223,7 @@ def opt_dm_threshold(D: DistanceMatrix, k: int) -> float:
     component -- into at most k cliques in total.
     """
     n = D.n
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k must be in 1..{n}, got {k}")
+    _check_k(n, k)
     if n > THRESHOLD_N_MAX:
         raise ResourceGuardError(
             f"n={n} exceeds the threshold-oracle guard n_max={THRESHOLD_N_MAX}"
@@ -260,7 +259,7 @@ def opt_dm_threshold(D: DistanceMatrix, k: int) -> float:
             total += _clique_cover_number(adj, comp)
         return total
 
-    candidates = sorted(set([0.0] + [float(v) for v in D.packed]))
+    candidates = sorted({0.0, *D.packed.tolist()})
     lo, hi = 0, len(candidates) - 1
     if cover_count(candidates[hi]) > k:  # cannot happen: one clique at t = max
         raise AssertionError("threshold oracle: full graph needs more than k cliques")

@@ -4,6 +4,7 @@ import argparse
 import csv
 import importlib.util
 import json
+import math
 import re
 import subprocess
 import sys
@@ -738,6 +739,29 @@ class TestInequalities:
         assert run_cli("--out-dir", out, "inequalities", "--samples", 10) == 4
         assert capsys.readouterr().err == f"resource guard: {message}\n"
         assert not out.exists()
+
+    def test_samples_beyond_physical_memory_are_refused_first(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """A ``--samples`` whose sampler arrays exceed physical memory exits 4
+        before any sampler runs, writing nothing; one that fits runs."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused call must not sample")
+        memory = 10 * inequality_lab.SAMPLE_BYTES
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        with monkeypatch.context() as m:
+            m.setattr(inequality_lab, "sample_ineq_avg", unreachable)
+            out = tmp_path / "out"
+            assert run_cli("--out-dir", out, "inequalities", "--samples", 11) == 4
+            assert capsys.readouterr().err == (
+                f"resource guard: --samples 11 needs about "
+                f"{11 * inequality_lab.SAMPLE_BYTES} bytes of sampler arrays, "
+                f"more than the {memory} bytes of physical memory\n")
+            assert not out.exists()
+        assert run_cli("--out-dir", out, "inequalities", "--samples", 10,
+                       "--i-max", 10) == 0
+
+    def test_physical_memory_is_read(self):
+        assert 2 ** 20 < cli._physical_memory() < math.inf
 
 
 class TestEntryPoint:

@@ -531,7 +531,7 @@ def reference_audit(r: Alg2Trace) -> list:
     that no live cluster holds."""
     wrong, pure, excluded = set(), {}, 0
     owner = r.owner.tolist()
-    members = {h: [] for h in r.active}
+    members = {h: [] for h in np.flatnonzero(r.live).tolist()}
     for p, h in enumerate(owner):
         if h in members:
             members[h].append(p)
@@ -571,7 +571,7 @@ class CheckedReplay(Forged):
     def merge(self, g, g2, u):
         tags = super().merge(g, g2, u)
         if self.dendrogram_sets is not None:
-            for h in self.active:
+            for h in np.flatnonzero(self.live).tolist():
                 assert (np.flatnonzero(self.owner == h).tolist()
                         == sorted(self.dendrogram_sets[h]))
         return tags
@@ -593,8 +593,8 @@ class CheckedReplay(Forged):
 
     def check(self) -> None:
         lo, hi, *recount = self._recount()
-        assert ([(self.lo[h], self.hi[h]) for h in sorted(self.active)]
-                == [(lo[h], hi[h]) for h in sorted(self.active)])
+        live = np.flatnonzero(self.live).tolist()
+        assert [(self.lo[h], self.hi[h]) for h in live] == [(lo[h], hi[h]) for h in live]
         assert [self.wrong, self.pure_seen, self.excluded, self.unheld] == recount
         assert recount == reference_audit(self)
         assert ({cid: c.rich for cid, c in self.comps.items()}

@@ -44,6 +44,26 @@ class TestAdversaryConstruction:
         assert D.d(5, 0) == 200.0        # d_out = 2B here
         assert inst.d_out == 200.0
 
+    @pytest.mark.parametrize("k", [3, 4, 10, 100])
+    def test_matrix_keeps_the_bits_of_the_pairwise_loops(self, k):
+        """The slice fills give the matrix of the pairwise loops, kept here
+        as the reference, bit for bit."""
+        for B, eps in ((100.0, 1.0), (1.0, 0.3), (7.1, 0.9)):
+            d_out = k * B
+            n = 2 * k - 1
+            M = np.full((n, n), d_out)
+            np.fill_diagonal(M, 0.0)
+            M[0, 1] = M[1, 0] = B
+            for i in range(2, k):
+                M[i, 0] = M[0, i] = M[i, 1] = M[1, i] = (i - 1) * (B - eps)
+                for j in range(i + 1, k):
+                    M[i, j] = M[j, i] = (j - i) * (B - eps)
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    M[i, j] = M[j, i] = B + eps
+            inst = gen_single_link_adversary(k, B, eps, d_out=d_out)
+            assert inst.D.full.tobytes() == M.tobytes()
+
     def test_auto_d_out_switches_regime(self):
         # k=20, B=1000, eps=1: half the chain span, 18*999/2 = 8991, plus eps
         # beats 2B = 2000

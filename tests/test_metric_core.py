@@ -154,6 +154,40 @@ class TestDistanceMatrix:
         D = DistanceMatrix.from_json({"n": 2, "dist": [1], "labels": ["a", "b"]})
         assert D.labels == ["a", "b"]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 33, 100])
+    def test_from_points_keeps_the_broadcast_bits(self, dim):
+        """Each distance has the bits of the one-shot (n, n, d) formula,
+        kept here as the reference, at every width of numpy's summation."""
+        rng = np.random.default_rng(dim)
+        for P in (rng.random((40, dim)), rng.standard_normal((40, dim)) * 1e120,
+                  rng.integers(-3, 4, (40, dim)).astype(float)):
+            diff = P[:, None, :] - P[None, :, :]
+            M = np.sqrt((diff * diff).sum(axis=2))
+            np.fill_diagonal(M, 0.0)
+            M = np.maximum(M, M.T)
+            assert DistanceMatrix.from_points(P) == DistanceMatrix.from_full(M)
+
+    def test_one_array_is_held_and_from_points_peaks_low(self):
+        """A matrix holds only ``full``, one n x n array, and ``from_points``
+        builds it with the packed triangle as its one other array."""
+        n = 1000
+        X = np.random.default_rng(0).random((n, 2))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            D = DistanceMatrix.from_points(X)
+            held, peak = (v - start for v in tracemalloc.get_traced_memory())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        nn = n * n * 8
+        assert peak < 2.5 * nn
+        assert held < 1.1 * nn
+        assert vars(D).keys() == {"n", "labels", "full", "_scored"}
+
 
 def _negative_zero_instances():
     """Points 0 and 1 at distance -0.0, given packed, in JSON and full."""
