@@ -5,7 +5,7 @@ positions 0, 1, 10, 11: two tight pairs separated by a gap.  Shows how
 complete (CL), single (SL), average (AL), and minimax (MM) linkage value
 the same pair of clusters differently, how the deterministic tie rule
 picks a merge when values are equal, how to cut a dendrogram at k
-clusters, and how CL matches the min-union-diameter rule.
+clusters, and how to check that a dendrogram is a CL run.
 
 Run from the repository root:  python3 demos/01_linkage_basics.py
 """
@@ -15,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from linkcert import (
+    Dendrogram,
     DistanceMatrix,
-    PreconditionError,
-    check_rule_equivalence,
+    MergeRecord,
+    check_complete_linkage,
     clustering_score,
     extract_clustering,
     linkage_distance,
@@ -97,23 +98,30 @@ def main() -> None:
     assert [sorted(b) for b in C.blocks] == [[0, 1], [2, 3]]
     assert clustering_score("max-diam", C, D) == 1.0
 
-    banner("CL is the min-union-diameter rule")
-    # The rule merges, at every step, the pair whose union has the least
-    # diameter.  With distinct distances it builds CL's tree:
-    # check_rule_equivalence folds CL's merges and checks the rule's pick
-    # before each one.  Points at 0, 1, 3, 10, 14 have ten distinct distances;
-    # the instance above is refused, since d(0,1) = d(10,11) = 1 tie.
-    F = DistanceMatrix.from_points(np.array([[p] for p in (0.0, 1.0, 3.0, 10.0, 14.0)]))
-    print_merges(run_linkage("CL", F), "CL on a line at 0, 1, 3, 10, 14")
-    res = check_rule_equivalence(F)
-    print(f"  the rule picks CL's pair at every merge: {res.identical}")
-    assert res.identical and res.divergence is None
-    try:
-        check_rule_equivalence(D)
-    except PreconditionError as exc:
-        print(f"  on the tied instance: {exc}")
-    else:
-        raise AssertionError("tied distances must be refused")
+    banner("checking a CL run, whatever its tie-break")
+    # check_complete_linkage folds a dendrogram's merges and, before each,
+    # checks that the recorded value is the pair's largest cross distance,
+    # that no live pair is cheaper, by that distance or by the diameter of
+    # its union (so CL is the min-union-diameter rule), and that union
+    # diameters never shrink.  Any CL tie-break passes: on the tied instance
+    # above, d(0,1) = d(10,11) = 1, and merging the right pair first is as
+    # good a CL run as the engine's.
+    dg = run_linkage("CL", D)
+    other = Dendrogram(4, "CL", (MergeRecord(2, 3, 1.0, 4, 1),
+                                 MergeRecord(0, 1, 1.0, 5, 2),
+                                 MergeRecord(5, 4, 11.0, 6, 3)))
+    for label, run in (("the engine's CL run", dg), ("the other tie-break", other)):
+        print_merges(run, label)
+        violations = check_complete_linkage(run, D)
+        print(f"  violated claims: {violations}")
+        assert violations == []
+    # SL merges the same pairs here, but records the least cross distance;
+    # labelled CL, its last merge fails on its value alone
+    sl = run_linkage("SL", D)
+    (violation,) = check_complete_linkage(Dendrogram(4, "CL", sl.merges), D)
+    print(f"  SL's run labelled CL: {violation}")
+    assert violation == {"iteration": 3, "claim": "value",
+                         "expected": 11.0, "observed": 9.0}
 
     print("\nall checks passed")
 

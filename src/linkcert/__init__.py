@@ -19,8 +19,7 @@ from .linkage_engine import (
     Dendrogram,
     MergeRecord,
     check_alignment,
-    check_merge_monotonicity,
-    check_rule_equivalence,
+    check_complete_linkage,
     extract_clustering,
     linkage_distance,
     run_linkage,

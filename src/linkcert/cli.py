@@ -265,6 +265,13 @@ def cmd_certify(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
+def _grid_list(key: str, values: list):
+    """``values``, the list that grid key ``key`` gave; an empty list exits 2."""
+    if not values:
+        raise PreconditionError(f"{key!r} in sweep config lists no values")
+    return values
+
+
 def _parse_int_list(key: str, text: str) -> list[int]:
     out: list[int] = []
     for tok in text.split():
@@ -277,7 +284,7 @@ def _parse_int_list(key: str, text: str) -> list[int]:
         except ValueError:
             raise PreconditionError(
                 f"bad integer or range {tok!r} for {key!r} in sweep config") from None
-    return out
+    return _grid_list(key, out)
 
 
 def _config_get(getter, section: str, key: str, fallback):
@@ -297,12 +304,12 @@ def _sweep_units(cfg, n_max_oracle: int) -> list[dict]:
     if not cfg.has_section("grid"):
         raise PreconditionError("sweep config has no [grid] section")
     grid = cfg["grid"]
-    gens = grid.get("generators", "euclidean").split()
+    gens = _grid_list("generators", grid.get("generators", "euclidean").split())
     ns = _parse_int_list("ns", grid.get("ns", "8"))
     dims = _parse_int_list("dims", grid.get("dims", "2"))
     seeds = _parse_int_list("seeds", grid.get("seeds", "0"))
     ks = _parse_int_list("ks", grid.get("ks", "2"))
-    methods = grid.get("methods", "CL").split()
+    methods = _grid_list("methods", grid.get("methods", "CL").split())
     for m in methods:
         if m not in METHODS:
             raise PreconditionError(f"unknown method {m!r} in sweep config")
@@ -391,7 +398,7 @@ def cmd_sweep(args) -> int:
     except UnicodeDecodeError as exc:
         raise PreconditionError(f"cannot decode sweep config {args.config}: {exc}") from None
     if args.workers > 1 and len(units) > 1:
-        with Pool(processes=args.workers) as pool:
+        with Pool(processes=min(args.workers, len(units))) as pool:
             per_unit = pool.map(_sweep_unit, units)
     else:
         per_unit = [_sweep_unit(u) for u in units]
@@ -494,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sweeps (instance-level)")
+                        help="worker processes for sweeps (instance-level), "
+                             "at most one per unit")
     parser.add_argument("--n-max-oracle", type=int, default=DEFAULT_N_MAX,
                         help="size guard for exhaustive oracles")
     parser.add_argument("--out-dir", default=".", help="output directory")

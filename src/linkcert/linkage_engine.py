@@ -51,13 +51,11 @@ __all__ = [
     "MergeRecord",
     "Dendrogram",
     "AlignmentReport",
-    "RuleEquivalenceResult",
     "METHODS",
     "linkage_distance",
     "run_linkage",
     "extract_clustering",
-    "check_merge_monotonicity",
-    "check_rule_equivalence",
+    "check_complete_linkage",
     "check_alignment",
 ]
 
@@ -360,85 +358,66 @@ def extract_clustering(dg: Dendrogram, k: int) -> Clustering:
     return Clustering.from_blocks(active.values(), n)
 
 
-def check_merge_monotonicity(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
-    """Replay a CL dendrogram and audit its union-diameter structure.
+def check_complete_linkage(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
+    """Check that ``dg`` is a complete-linkage run on D, under any tie-break.
 
-    Per merge j the two recorded claims are (1) the merged union's diameter
-    equals the max cross distance between the merged pair, and (2) union
-    diameters are nondecreasing in j.  Both sides of each comparison are
-    maxima of entries of D, so comparisons are exact.  Returns one record per
-    violated claim: {iteration, claim, expected, observed}.  A dendrogram
-    over another number of points than D raises ``PreconditionError``.
+    The merges are folded through one ``ClusterMatrix``.  With W its
+    complete-link matrix over the live slots and union(s, t) =
+    max(W[s, s], W[t, t], W[s, t]) the diameter of a pair's union, the merge
+    of the clusters at slots a < b is checked, before it is folded, on five
+    claims:
+
+    - ``value``: the recorded value equals W[a, b];
+    - ``least-cross``: no live pair has a smaller W;
+    - ``least-union``: no live pair has a smaller union diameter (so CL is
+      the min-union-diameter rule);
+    - ``union-diam-equals-cross-max``: union(a, b) equals W[a, b];
+    - ``union-diam-nondecreasing``: union(a, b) is no smaller than at the
+      merge before.
+
+    Every value is a maximum of entries of D, so each comparison is exact,
+    and a run that breaks ties any way passes; ``dg.method`` is not read.
+    Returns one record {iteration, claim, expected, observed} per violated
+    claim, in that order.  A ``least-*`` record also gives the sorted points
+    of the merged pair (``merged``) and of the first least pair in row-major
+    order over the live slots (``least``).  A dendrogram over another number
+    of points than D raises ``PreconditionError``.
     """
     if dg.n != D.n:
         raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
     cm = ClusterMatrix(D)
+    live = list(range(D.n))             # live slots, ascending: min members
+    points = [[i] for i in range(D.n)]  # slot -> sorted points of its cluster
     violations: list[dict] = []
     prev_diam = None
     for m in dg.merges:
-        cross_max = cm.cross([m.left], [m.right])
-        diam_u = cm.merge(m.left, m.right, m.result)
-        if diam_u != cross_max:
-            violations.append({
-                "iteration": m.iteration,
-                "claim": "union-diam-equals-cross-max",
-                "expected": cross_max,
-                "observed": diam_u,
-            })
-        if prev_diam is not None and diam_u < prev_diam:
-            violations.append({
-                "iteration": m.iteration,
-                "claim": "union-diam-nondecreasing",
-                "expected": prev_diam,
-                "observed": diam_u,
-            })
-        prev_diam = diam_u
-    return violations
-
-
-@dataclass(frozen=True)
-class RuleEquivalenceResult:
-    identical: bool
-    divergence: dict | None = None
-
-
-def check_rule_equivalence(D: DistanceMatrix) -> RuleEquivalenceResult:
-    """Compare CL against the min-union-diameter agglomerative rule.
-
-    Precondition: all pairwise distances are distinct (raises otherwise --
-    with ties the two rules' tie-breaking is incomparable).  CL runs once and
-    its merges are folded through one ``ClusterMatrix``.  Before each merge
-    the rule picks, on the same live clusters, the pair with the least union
-    diameter ``max(W[s, s], W[t, t], W[s, t])``, ties going to the first pair
-    in row-major order over the live slots (the engine's tie rule).  Returns
-    whether that pick is CL's pair at every iteration, plus the first
-    divergence if any: its iteration and the two pairs' point sets.
-    """
-    if D.n < 2:
-        raise PreconditionError("need at least two points")
-    packed = D.packed
-    if np.unique(packed).size != packed.size:
-        raise PreconditionError("pairwise distances must be distinct")
-    cm = ClusterMatrix(D)
-    live = list(range(D.n))             # live slots, ascending: min members
-    points = [[i] for i in range(D.n)]  # slot -> sorted points of its cluster
-    for m in run_linkage("CL", D).merges:
-        U = _submatrix(cm.W, live)
-        d = U.diagonal().copy()
-        U = np.maximum(np.maximum(U, d[:, None]), d)  # union diameters
-        U[np.tril_indices(len(live))] = np.inf
-        i, j = divmod(int(U.argmin()), len(live))
         a, b = sorted((cm.slot[m.left], cm.slot[m.right]))
-        if (live[i], live[j]) != (a, b):
-            return RuleEquivalenceResult(False, {
-                "iteration": m.iteration,
-                "cl_pair": [points[a], points[b]],
-                "rule_pair": [points[live[i]], points[live[j]]],
-            })
-        cm.merge(m.left, m.right, m.result)
+        i, j = live.index(a), live.index(b)
+        W = _submatrix(cm.W, live)
+        d = W.diagonal().copy()
+        union = np.maximum(np.maximum(W, d[:, None]), d)
+        cross = float(W[i, j])
+        found = []  # (claim, expected, observed, pairs)
+        if m.value != cross:
+            found.append(("value", cross, m.value, {}))
+        for claim, V in (("least-cross", W), ("least-union", union)):
+            V[np.tril_indices(len(live))] = np.inf
+            s, t = divmod(int(V.argmin()), len(live))
+            if V[s, t] < V[i, j]:
+                found.append((claim, float(V[s, t]), float(V[i, j]), {
+                    "merged": [points[a], points[b]],
+                    "least": [points[live[s]], points[live[t]]]}))
+        diam_u = cm.merge(m.left, m.right, m.result)
+        if diam_u != cross:
+            found.append(("union-diam-equals-cross-max", cross, diam_u, {}))
+        if prev_diam is not None and diam_u < prev_diam:
+            found.append(("union-diam-nondecreasing", prev_diam, diam_u, {}))
+        violations.extend({"iteration": m.iteration, "claim": claim, "expected": e,
+                           "observed": o, **pairs} for claim, e, o, pairs in found)
+        prev_diam = diam_u
         points[a] = sorted(points[a] + points[b])
         live.remove(b)
-    return RuleEquivalenceResult(True, None)
+    return violations
 
 
 @dataclass

@@ -499,9 +499,6 @@ class ClusterMatrix:
         self.W = D.full.copy()
         self.slot = list(range(D.n)) + [0] * (D.n - 1)   # cluster id -> slot
 
-    def _slots(self, clusters) -> list[int]:
-        return [self.slot[c] for c in clusters]
-
     def merge(self, g: int, g2: int, u: int) -> float:
         """Fold cluster u = g | g2 into W; returns diam(u)."""
         W = self.W
@@ -515,12 +512,8 @@ class ClusterMatrix:
 
     def diam(self, clusters) -> float:
         """Diameter of the union of the given live clusters; 0.0 for none."""
-        idx = self._slots(clusters)
+        idx = [self.slot[c] for c in clusters]
         return float(_submatrix(self.W, idx).max()) if idx else 0.0
-
-    def cross(self, A, B) -> float:
-        """Largest distance between two nonempty sets of live clusters."""
-        return float(_submatrix(self.W, self._slots(A), self._slots(B)).max())
 
 
 def _block_values(C: Clustering, D: DistanceMatrix) -> dict[str, tuple[float, ...]]:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from linkcert import (
     Clustering,
@@ -17,6 +17,11 @@ from linkcert import (
     opt_score,
     run_linkage,
 )
+
+# ``--hypothesis-profile=ci`` draws the same examples on every run, so a red
+# run replays with the same command; without it, tests whose @settings do not
+# derandomize draw fresh examples each time.
+settings.register_profile("ci", derandomize=True)
 
 
 def line_metric(positions) -> DistanceMatrix:

@@ -22,13 +22,15 @@ from linkcert.linkage_engine import (
 from linkcert.metric_core import DistanceMatrix, PreconditionError
 
 
-def reference_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> Dendrogram:
+def reference_linkage(method, D: DistanceMatrix, f: Callable | None = None,
+                      rng: np.random.Generator | None = None) -> Dendrogram:
     """Run the full agglomeration (n-1 merges) and return the dendrogram.
 
     CL/SL rows are updated by max/min, so their stored values are exact
     originals from D.  AL keeps exact cross-distance sums and divides at
     lookup.  MM and custom values are recomputed from the point matrix for
-    every affected pair.
+    every affected pair.  Ties go to the lexicographic rule, or, given a
+    seeded ``rng``, to a pair drawn uniformly among the minimal pairs.
     """
     n = D.n
     if n < 2:
@@ -59,6 +61,9 @@ def reference_linkage(method, D: DistanceMatrix, f: Callable | None = None) -> D
     for it in range(1, n):
         m = V.min()
         cand = np.argwhere(V == m)
+        if rng is not None:  # one minimal pair, drawn uniformly
+            cand = [(i, j) for i, j in cand if i < j]
+            cand = [cand[int(rng.integers(len(cand)))]]
         best = None
         for i, j in cand:
             if i >= j:

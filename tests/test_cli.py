@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import json
 import math
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -550,6 +551,35 @@ csv = out.csv
                        "--config", cfg) == 0
         assert (tmp_path / "out.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("workers, started", [(64, [2]), (2, [2]), (1, [])])
+    def test_pool_starts_at_most_one_process_per_unit(self, tmp_path, capsys,
+                                                      monkeypatch, workers, started):
+        """``--workers W`` asks the pool for min(W, units) processes, here of
+        two units.  The pool is a fake that records its size and maps in this
+        process, so no process starts."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(x) for x in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.CONFIG.replace("ns = 6 7", "ns = 6").replace("ks = 2 3", "ks = 2"))
+        assert run_cli("--out-dir", tmp_path, "--workers", workers, "sweep",
+                       "--config", cfg) == 0
+        assert json.loads(capsys.readouterr().out)["cells"] == 4
+        assert sizes == started
+
     def test_rows_and_precision(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(self.CONFIG)
@@ -658,6 +688,9 @@ csv = out.csv
         pytest.param("[grid]\nks = x\n", "'ks'", id="ks = x"),
         pytest.param("[grid]\nns = 3..\n", "'ns'", id="ns = 3.."),
         pytest.param("[grid]\nks = 1..2..3\n", "'ks'", id="ks = 1..2..3"),
+        pytest.param("[grid]\nns = 8..6\n", "'ns'", id="ns = 8..6"),
+        pytest.param("[grid]\nks = 4..2\n", "'ks'", id="ks = 4..2"),
+        pytest.param("[grid]\nmethods =\n", "'methods'", id="methods ="),
         pytest.param("[grid]\n[oracle]\nn_max = abc\n", "'n_max'",
                      id="n_max = abc"),
         pytest.param("[grid]\n[oracle]\nenabled = maybe\n", "'enabled'",

@@ -1,5 +1,7 @@
 """Tests for the agglomeration engine and its replay-based checkers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,7 @@ from linkcert import (
     PreconditionError,
     StructuralError,
     check_alignment,
-    check_merge_monotonicity,
-    check_rule_equivalence,
+    check_complete_linkage,
     cohesion,
     extract_clustering,
     gen_random_metric,
@@ -23,7 +24,7 @@ from linkcert import (
 )
 from linkcert.linkage_engine import METHODS
 
-from .conftest import line_metric
+from .conftest import line_metric, tied_metric
 from .reference_engine import reference_linkage
 from .test_acceptance import GRID_SHAPE, _grid_instance
 
@@ -40,6 +41,12 @@ def random_symmetric(n, seed):
     M = (M + M.T) / 2.0
     np.fill_diagonal(M, 0.0)
     return DistanceMatrix.from_full(M)
+
+
+def random_symmetric_int(n, seed):
+    """Symmetric matrix of integers 0..4: dense ties, and not a metric."""
+    M = np.triu(np.random.default_rng(seed).integers(0, 5, size=(n, n)), 1).astype(float)
+    return DistanceMatrix.from_full(M + M.T)
 
 
 class TestLinkageDistance:
@@ -495,17 +502,22 @@ class TestStopAtTheCut:
             run_linkage("CL", line4, k)
 
 
+def _monotonicity(dg, D):
+    """The union-diameter records of ``check_complete_linkage``."""
+    return [v for v in check_complete_linkage(dg, D) if v["claim"].startswith("union-diam")]
+
+
 class TestMergeMonotonicity:
     def test_real_cl_runs_are_clean_euclidean(self):
         for seed in range(30):
             D = random_euclidean(12, seed)
-            assert check_merge_monotonicity(run_linkage("CL", D), D) == []
+            assert check_complete_linkage(run_linkage("CL", D), D) == []
 
     def test_real_cl_runs_are_clean_non_metric(self):
         """The two diameter claims hold for CL even without triangle inequality."""
         for seed in range(30):
             D = random_symmetric(10, seed)
-            assert check_merge_monotonicity(run_linkage("CL", D), D) == []
+            assert check_complete_linkage(run_linkage("CL", D), D) == []
 
     def test_detects_violations_in_forged_dendrogram(self):
         # line 0,100,40,60: merge the far pair first, then the middle pair.
@@ -517,7 +529,7 @@ class TestMergeMonotonicity:
             MergeRecord(2, 3, 20.0, 5, 2),
             MergeRecord(4, 5, 60.0, 6, 3),
         ))
-        claims = {(v["iteration"], v["claim"]) for v in check_merge_monotonicity(forged, D)}
+        claims = {(v["iteration"], v["claim"]) for v in _monotonicity(forged, D)}
         assert (2, "union-diam-nondecreasing") in claims
         assert (3, "union-diam-equals-cross-max") in claims
 
@@ -530,7 +542,7 @@ class TestMergeMonotonicity:
             MergeRecord(2, 3, 10.0, 5, 2),
             MergeRecord(4, 5, 10.0, 6, 3),
         ))
-        assert check_merge_monotonicity(forged, D) == [{
+        assert _monotonicity(forged, D) == [{
             "iteration": 3, "claim": "union-diam-equals-cross-max",
             "expected": 6.0, "observed": 10.0}]
 
@@ -539,14 +551,14 @@ class TestMergeMonotonicity:
         dg = run_linkage("CL", random_euclidean(5, seed=1))
         with pytest.raises(PreconditionError,
                            match="^dendrogram is over 5 points, instance has 3$"):
-            check_merge_monotonicity(dg, line_metric([0.0, 1.0, 3.0]))
+            check_complete_linkage(dg, line_metric([0.0, 1.0, 3.0]))
 
     def test_shorter_dendrogram_than_instance_is_precondition_error(self):
         """Replayed on more points, the dendrogram would report no violation."""
         dg = run_linkage("CL", line_metric([0.0, 1.0, 3.0]))
         with pytest.raises(PreconditionError,
                            match="^dendrogram is over 3 points, instance has 5$"):
-            check_merge_monotonicity(dg, random_euclidean(5, seed=1))
+            check_complete_linkage(dg, random_euclidean(5, seed=1))
 
     def test_forged_ids_are_structural_error(self):
         with pytest.raises(StructuralError, match="iteration 2 uses cluster id 1\\b"):
@@ -557,59 +569,125 @@ class TestMergeMonotonicity:
             ))
 
 
+def _pairs(dg):
+    """The sorted point sets of each merge's two clusters."""
+    members = dg.members_map()
+    return [[sorted(members[m.left]), sorted(members[m.right])] for m in dg.merges]
+
+
+class TestCompleteLinkage:
+    def test_value_one_ulp_high_is_one_record(self):
+        D = random_euclidean(10, seed=3)
+        dg = run_linkage("CL", D)
+        m = dg.merges[4]
+        forged = np.nextafter(m.value, np.inf)
+        merges = list(dg.merges)
+        merges[4] = dataclasses.replace(m, value=forged)
+        assert check_complete_linkage(Dendrogram(10, "CL", tuple(merges)), D) == [{
+            "iteration": 5, "claim": "value", "expected": m.value, "observed": forged}]
+
+    def test_single_link_relabelled_cl_fails_where_the_runs_part(self):
+        """At the first merge where SL leaves CL, a cheaper pair is named: the
+        engine's CL pick, the first least pair in row-major order.  (Earlier
+        merges of clusters fail on their ``value`` alone: SL records the least
+        cross distance, not the largest.)"""
+        D = random_euclidean(12, seed=4)
+        sl, cl = run_linkage("SL", D), run_linkage("CL", D)
+        t = next(t for t, (p, q) in enumerate(zip(_pairs(sl), _pairs(cl)), 1) if p != q)
+        violations = check_complete_linkage(Dendrogram(12, "CL", sl.merges), D)
+        assert {v["claim"] for v in violations if v["iteration"] < t} <= {"value"}
+        first = next(v for v in violations if v["claim"] == "least-cross")
+        assert first["iteration"] == t
+        assert first["merged"] == _pairs(sl)[t - 1]
+        assert first["least"] == _pairs(cl)[t - 1]
+        assert first["expected"] == cl.merges[t - 1].value < first["observed"]
+
+    def test_either_tie_break_on_a_line_passes(self):
+        # line 0, 1, 2: {0, 1} and {1, 2} both sit at 1
+        D = line_metric([0.0, 1.0, 2.0])
+        assert _pairs(run_linkage("CL", D))[0] == [[0], [1]]
+        other = Dendrogram(3, "CL", (MergeRecord(1, 2, 1.0, 3, 1),
+                                     MergeRecord(0, 3, 2.0, 4, 2)))
+        assert check_complete_linkage(other, D) == []
+
+    @given(st.sampled_from(["tied", "integer"]), st.integers(2, 14),
+           st.integers(0, 10_000), st.integers(0, 10_000))
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    def test_random_tie_breaks_pass(self, kind, n, seed, tie_seed):
+        """CL runs that break ties at random, on tied metrics and on integer
+        matrices that are not metrics, are all CL runs."""
+        D = (tied_metric(n, seed) if kind == "tied"
+             else random_symmetric_int(n, seed))
+        dg = reference_linkage("CL", D, rng=np.random.default_rng(tie_seed))
+        assert check_complete_linkage(dg, D) == []
+
+    def test_random_tie_breaks_leave_the_engine(self):
+        """The tie draws above do take other pairs than the engine does."""
+        differ = 0
+        for seed in range(20):
+            D = tied_metric(10, seed)
+            dg = reference_linkage("CL", D, rng=np.random.default_rng(seed))
+            differ += _pairs(dg) != _pairs(run_linkage("CL", D))
+        assert differ >= 10
+
+
 def _union_diameter(A, B, D):
     """The min-union-diameter rule's pair value, for the reference engine."""
     return cohesion("diam", A | B, D)
 
 
 def _reference_verdict(dg, D):
-    """What ``check_rule_equivalence`` should report for the run ``dg``: the
-    first iteration at which its merged point sets differ from those of the
-    reference engine's own union-diameter agglomeration."""
+    """The first merge at which the run ``dg`` leaves the reference engine's
+    own union-diameter agglomeration: its iteration and both pairs' point
+    sets, or None."""
     ref = reference_linkage(_union_diameter, D)
-    mem, ref_mem = dg.members_map(), ref.members_map()
-    for m, r in zip(dg.merges, ref.merges):
-        pair = [sorted(mem[c]) for c in (m.left, m.right)]
-        rule = [sorted(ref_mem[c]) for c in (r.left, r.right)]
+    for t, (pair, rule) in enumerate(zip(_pairs(dg), _pairs(ref)), 1):
         if pair != rule:
-            return False, {"iteration": m.iteration, "cl_pair": pair, "rule_pair": rule}
-    return True, None
+            return {"iteration": t, "merged": pair, "least": rule}
+    return None
+
+
+def _union_verdict(dg, D):
+    """The first ``least-union`` record of ``check_complete_linkage``, in the
+    reference verdict's terms."""
+    for v in check_complete_linkage(dg, D):
+        if v["claim"] == "least-union":
+            return {key: v[key] for key in ("iteration", "merged", "least")}
+    return None
 
 
 class TestRuleEquivalence:
-    def test_requires_distinct_distances(self, line4):
-        with pytest.raises(PreconditionError):
-            check_rule_equivalence(line4)  # d(0,1) == d(2,3)
+    def test_tied_instances_are_checked(self, line4):
+        """Ties need no precondition: d(0,1) == d(2,3), and CL passes."""
+        assert check_complete_linkage(run_linkage("CL", line4), line4) == []
 
     def test_identical_on_random_instances(self):
         for seed in range(25):
             D = random_euclidean(10, seed + 100)
-            assert np.unique(D.packed).size == D.packed.size
-            res = check_rule_equivalence(D)
-            assert res.identical, res.divergence
+            assert check_complete_linkage(run_linkage("CL", D), D) == []
 
     def test_verdict_matches_the_reference_engine(self):
-        """Metric or not, the fold gives the reference engine's verdict."""
+        """Metric or not, the fold gives the reference engine's verdict on CL,
+        SL and AL runs."""
         for seed in range(10):
             for D in (random_euclidean(9, seed), random_symmetric(9, seed)):
-                res = check_rule_equivalence(D)
-                assert (res.identical, res.divergence) == \
-                    _reference_verdict(run_linkage("CL", D), D), seed
+                for method in ("CL", "SL", "AL"):
+                    dg = run_linkage(method, D)
+                    assert _union_verdict(dg, D) == _reference_verdict(dg, D), \
+                        (seed, method)
 
     @pytest.mark.parametrize("method", ["SL", "AL"])
-    def test_divergence_at_the_first_differing_merge(self, monkeypatch, method):
-        """Fed another method's run, the check stops at the first merge where
+    def test_divergence_at_the_first_differing_merge(self, method):
+        """Fed another method's run, the check flags the first merge where
         that run leaves the union-diameter rule, and names both pairs."""
         for seed in range(5):
             D = random_euclidean(10, seed + 100)
             dg = run_linkage(method, D)
-            monkeypatch.setattr(linkage_engine, "run_linkage", lambda m, D: dg)
-            res = check_rule_equivalence(D)
-            expected = _reference_verdict(dg, D)
-            assert not res.identical
-            assert (res.identical, res.divergence) == expected, seed
+            verdict = _union_verdict(dg, D)
+            assert verdict is not None
+            assert verdict == _reference_verdict(dg, D), seed
             # both rules take the closest pair first, so the fold is exercised
-            assert res.divergence["iteration"] > 1
+            assert verdict["iteration"] > 1
 
 
 class TestAlignment:

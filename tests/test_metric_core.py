@@ -208,7 +208,7 @@ def test_a_negative_zero_distance_reads_as_zero(D):
     assert (first.left, first.right) == (0, 1)
     cm = ClusterMatrix(D)
     values = [first.value, cohesion("diam", {0, 1}, D), D.d(0, 1),
-              cm.cross([0], [1]), cm.merge(0, 1, 3), D.to_json()["dist"][0]]
+              cm.W[0, 1], cm.merge(0, 1, 3), D.to_json()["dist"][0]]
     assert [np.float64(v).tobytes() for v in values] == [np.float64(0.0).tobytes()] * 6
     assert "-0.0" not in json.dumps(D.to_json())
 
@@ -502,7 +502,7 @@ class TestClusterMatrix:
                 g, g2 = (live.pop(int(rng.integers(len(live)))) for _ in range(2))
                 A, B = members[g], members[g2]
                 cross = float(D.full[np.ix_(sorted(A), sorted(B))].max())
-                assert cm.cross([g], [g2]) == cross
+                assert cm.W[cm.slot[g], cm.slot[g2]] == cross
                 members[u] = A | B
                 assert cm.merge(g, g2, u) == cohesion("diam", members[u], D)
                 live.append(u)
@@ -516,7 +516,7 @@ class TestClusterMatrix:
         # diameter 3, larger than its later cross distance 1.5 to {0}
         cm = ClusterMatrix(line_metric([1.5, 0.0, 3.0]))
         assert cm.merge(1, 2, 3) == 3.0
-        assert cm.cross([0], [3]) == 1.5
+        assert cm.W[cm.slot[0], cm.slot[3]] == 1.5
         assert cm.merge(0, 3, 4) == 3.0
         assert cm.diam([4]) == 3.0
 
