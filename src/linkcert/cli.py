@@ -335,6 +335,9 @@ def _sweep_units(cfg, n_max_oracle: int) -> list[dict]:
                             "n_max_oracle": n_max_oracle,
                             "certificates": certs_on and n <= oracle_n_max,
                         })
+    if not units:   # every list has values, so every k exceeds every n
+        raise PreconditionError(f"sweep config has no cell: every 'ks' value exceeds "
+                                f"every 'ns' value (ns = {ns}, ks = {ks})")
     units.sort(key=lambda u: (u["generator"], u["n"], u["dim"], u["seed"], u["k"]))
     return units
 

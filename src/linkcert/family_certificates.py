@@ -275,7 +275,7 @@ class Alg1Trace(Replay):
         if node.phi != len(leaves):
             self.fail("phi-additivity", f"family {fid}: phi={node.phi}, leaves={len(leaves)}")
         direct = math.fsum(self.forest[l].diam for l in leaves)
-        if not math.isclose(node.phi_sigma, direct, rel_tol=FINE_RTOL, abs_tol=FINE_RTOL):
+        if not math.isclose(node.phi_sigma, direct, rel_tol=FINE_RTOL):
             self.fail("phi-sigma-additivity",
                       f"family {fid}: stored={node.phi_sigma!r}, leaf sum={direct!r}")
 

@@ -3,11 +3,10 @@
 Distances for ``n`` points (ids ``0..n-1``) come and go as a packed lower
 triangle in row-major order: entry ``(i, j)`` with ``i < j`` sits at index
 ``j*(j-1)/2 + i``.  ``DistanceMatrix`` keeps one array, the full symmetric
-matrix, built from that triangle once, at construction, with every ``-0.0``
-as ``+0.0``; all bulk work happens through numpy on it.  ``_submatrix`` owns
-every gather of a block from it, and ``_sum``, ``_finite`` and
-``_SUM_OVERFLOW`` the rule for a distance sum past float64's range: inf while
-kept, raised when read.
+matrix, built once by each constructor and checked and kept by ``_seal``;
+all bulk work happens through numpy on it.  ``_submatrix`` owns every gather
+of a block from it, and ``_sum``, ``_finite`` and ``_SUM_OVERFLOW`` the rule
+for a distance sum past float64's range: inf while kept, raised when read.
 
 ``clustering_score`` owns the per-block values of a clustering: each block's
 diameter, average distance and radius are read from one submatrix the first
@@ -107,11 +106,11 @@ class DistanceMatrix:
         Display names; purely cosmetic.
 
     The one array kept is ``full``, the (n, n) symmetric matrix with a zero
-    diagonal, built from ``packed`` at construction with every ``-0.0`` as
-    ``+0.0``.  ``packed`` is read back off it, one O(n^2) copy per read.
-    Both are read-only, so the kept block values of scored clusterings
-    (``clustering_score``) cannot go stale; they are the only mutable state,
-    and a cache: a pickled or copied matrix starts without them.
+    diagonal and every ``-0.0`` as ``+0.0``, built once by each constructor
+    and sealed by ``_seal``; ``packed`` is read back off it, one O(n^2) copy
+    per read.  Both are read-only, so the kept block values of scored
+    clusterings (``clustering_score``) cannot go stale; they are the only
+    mutable state, and a cache: a pickled or copied matrix starts without them.
 
     Matrices compare as values: equal ``n``, ``labels`` and ``full`` bytes.
     Every distance is finite and no zero is negative, so equal bytes means
@@ -127,22 +126,31 @@ class DistanceMatrix:
                 f"packed triangle for n={n} must have length {tri_size(n)}, "
                 f"got {packed.shape}"
             )
-        bad = np.flatnonzero(~np.isfinite(packed))
-        if bad.size:
-            raise StructuralError(f"non-finite distance at packed index {bad[0]}")
-        neg = np.flatnonzero(packed < 0)
-        if neg.size:
-            i, j = _unpack_index(int(neg[0]))
+        M = np.zeros((n, n), dtype=np.float64)
+        for j in range(1, n):
+            M[j, :j] = M[:j, j] = packed[tri_size(j):tri_size(j + 1)]
+        self._seal(M, labels)
+
+    def _seal(self, M: np.ndarray, labels) -> "DistanceMatrix":
+        """Check and keep ``M``, a fresh symmetric (n, n) array, as ``full``
+        with a zero diagonal: the one owner of the stored array's invariants."""
+        n = M.shape[0]
+        if n < 1:
+            raise StructuralError(f"need at least one point, got n={n}")
+        np.fill_diagonal(M, 0.0)
+        if not (M.min() >= 0.0 and M.max() < math.inf):   # NaN fails both
+            bad = np.flatnonzero(~np.isfinite(_pack(M)))
+            if bad.size:
+                raise StructuralError(f"non-finite distance at packed index {bad[0]}")
+            j, i = np.argwhere(np.tril(M < 0))[0]   # row-major (j, i): packed order
             raise StructuralError(f"negative distance at pair ({i}, {j})")
         if labels is not None and len(labels) != n:
             raise StructuralError(f"got {len(labels)} labels for {n} points")
-        self.n, self.labels = n, labels
-        self.full = M = np.zeros((n, n), dtype=np.float64)
-        for j in range(1, n):
-            M[j, :j] = M[:j, j] = packed[tri_size(j):tri_size(j + 1)]
         M += 0.0   # stores -0.0 as +0.0 and keeps every other value
         M.setflags(write=False)
+        self.n, self.labels, self.full = n, labels, M
         self._scored = weakref.WeakKeyDictionary()
+        return self
 
     def __repr__(self):
         return (f"DistanceMatrix(n={self.n!r}, packed={self.packed!r}, "
@@ -176,12 +184,11 @@ class DistanceMatrix:
 
     @classmethod
     def from_full(cls, matrix, labels=None) -> "DistanceMatrix":
-        """Build from a full square matrix, checking shape/symmetry/diagonal;
-        only the lower triangle is kept, so a ``-0.0`` diagonal is accepted."""
-        M = np.asarray(matrix, dtype=np.float64)
+        """Build from a copy of a full square matrix, checking
+        shape/symmetry/diagonal (a ``-0.0`` diagonal is accepted)."""
+        M = np.array(matrix, dtype=np.float64)   # the copy that is kept
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {M.shape}")
-        n = M.shape[0]
         asym = np.argwhere(M != M.T)
         if asym.size:
             i, j = (int(v) for v in asym[0])
@@ -192,22 +199,21 @@ class DistanceMatrix:
         if diag.size:
             i = int(diag[0])
             raise StructuralError(f"nonzero diagonal at pair ({i}, {i}): {M[i, i]!r}")
-        return cls(n=n, packed=_pack(M), labels=list(labels) if labels else None)
+        return cls.__new__(cls)._seal(M, list(labels) if labels else None)
 
     @classmethod
     def from_points(cls, points) -> "DistanceMatrix":
         """Euclidean distances between rows of a coordinate array, each pair's
-        computed once, row by row, into the packed triangle."""
+        computed once, row by row, straight into ``full``."""
         P = np.asarray(points, dtype=np.float64)
         if P.ndim != 2:
             raise StructuralError(f"expected a 2-d coordinate array, got shape {P.shape}")
-        n = P.shape[0]
-        packed = np.empty(tri_size(n))
-        for j in range(1, n):
-            row = packed[tri_size(j):tri_size(j + 1)]
+        M = np.zeros((P.shape[0],) * 2)
+        for j in range(1, P.shape[0]):
+            row = M[j, :j]
             diff = P[:j] - P[j]
-            np.sqrt((diff * diff).sum(axis=1, out=row), out=row)
-        return cls(n, packed)
+            M[:j, j] = np.sqrt((diff * diff).sum(axis=1, out=row), out=row)
+        return cls.__new__(cls)._seal(M, None)
 
     def d(self, i: int, j: int) -> float:
         return float(self.full[i, j])
@@ -216,7 +222,9 @@ class DistanceMatrix:
         """A copy with every distance multiplied by lam >= 0."""
         if lam < 0:
             raise PreconditionError("scale factor must be nonnegative")
-        return DistanceMatrix(self.n, self.packed * lam, labels=self.labels)
+        with np.errstate(invalid="ignore"):   # 0 * inf on the diagonal; _seal zeroes it
+            M = self.full * lam
+        return DistanceMatrix.__new__(DistanceMatrix)._seal(M, self.labels)
 
     def to_json(self) -> dict:
         out = {"n": self.n, "dist": self.packed.tolist()}
@@ -258,15 +266,6 @@ class DistanceMatrix:
 def _pack(M: np.ndarray) -> np.ndarray:
     """The lower triangle of a square matrix, row-major."""
     return M[np.tri(M.shape[0], k=-1, dtype=bool)]
-
-
-def _unpack_index(idx: int) -> tuple[int, int]:
-    j = int((1 + math.isqrt(1 + 8 * idx)) // 2)
-    while tri_size(j + 1) <= idx:
-        j += 1
-    while tri_size(j) > idx:
-        j -= 1
-    return idx - tri_size(j), j
 
 
 def as_cluster(members: Iterable[int], n: int) -> frozenset[int]:

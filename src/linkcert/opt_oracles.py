@@ -150,10 +150,7 @@ def opt_scores(D: DistanceMatrix, k: int,
             blocks.pop()
             diams.pop()
 
-    if n == 1:
-        blocks_av, blocks_dm, scored = [[0]], [[0]], 1
-    else:
-        rec(1, 0.0, 0.0)
+    rec(1, 0.0, 0.0)
     out = {}
     for score, best_blocks in (("max-diam", blocks_dm), ("avg-diam", blocks_av)):
         witness = Clustering.from_blocks(best_blocks, n)

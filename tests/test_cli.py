@@ -706,6 +706,17 @@ csv = out.csv
         err = capsys.readouterr().err
         assert "sweep config" in err and names in err
 
+    def test_a_grid_with_no_cell_is_usage_error(self, tmp_path, capsys):
+        """Lists that all have values but pair no k with an n >= k exit 2,
+        name both keys and write nothing."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[grid]\nns = 2\nks = 5\n")
+        assert run_cli("--out-dir", tmp_path / "out", "sweep", "--config", cfg) == 2
+        captured = capsys.readouterr()
+        assert "sweep config" in captured.err
+        assert "'ns'" in captured.err and "'ks'" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     def test_single_point_instances(self, tmp_path, capsys):
         # n = 1 admits k = 1 only: an empty dendrogram whose one cut is {0}
         cfg = tmp_path / "cfg.ini"

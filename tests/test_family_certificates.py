@@ -29,6 +29,7 @@ from linkcert import (
     cohesion,
     extract_clustering,
     family_certificates,
+    gen_random_euclidean,
     graph_certificates,
     inequality_lab,
     opt_score,
@@ -214,6 +215,26 @@ class TestFalsifiability:
         assert any(f["assertion"] == "p4" for f in bad)
         bc = alg1_bound(trace)
         assert not bc.ok
+
+    def test_a_forged_phi_sigma_fails_at_every_scale(self):
+        """Family 0's phi_sigma, bumped by a relative 1e-9 after its birth,
+        breaks the leaf re-sum of the families above it, at scale 1 and on
+        the same instance scaled by 2^-50 alike."""
+        class Forged(Alg1Trace):
+            def _new_family(self, *args, **kwargs):
+                super()._new_family(*args, **kwargs)
+                if len(self.forest) == 1:
+                    self.forest[0].phi_sigma *= 1 + 1e-9
+
+        D = gen_random_euclidean(12, 2, 3)
+        dg = run_linkage("CL", D)
+        found = []
+        for scale in (1.0, 2.0 ** -50):
+            trace = Forged(D.scaled(scale), dg, extract_clustering(dg, 3))
+            trace.run()
+            found.append([f["iteration"] for f in trace.all_failures()
+                          if f["assertion"] == "phi-sigma-additivity"])
+        assert found[0] and found[0] == found[1]
 
     def test_p4_failure_is_reported_at_every_audit_while_root(self):
         D = fused_blocks_specimen()

@@ -1,9 +1,10 @@
 """Every name a ``linkcert`` module imports is read by that module, every
 name in its ``__all__`` is defined by the module itself, every
 module-level ``_private`` def, class or constant is read somewhere in the
-package, only ``metric_core`` gathers blocks of a matrix itself, and only
-``linkage_engine`` reads ``Dendrogram.members_map`` (a certificate replay
-reads the live clusters' point sets from its own point -> cluster map).
+package, only ``metric_core`` gathers blocks of a matrix itself or seals a
+``DistanceMatrix`` (``_seal``), and only ``linkage_engine`` reads
+``Dendrogram.members_map`` (a certificate replay reads the live clusters'
+point sets from its own point -> cluster map).
 
 pyflakes would catch the first, but it is not a dependency; the standard
 library's ``ast`` is enough.  A name listed in the module's ``__all__``
@@ -124,6 +125,12 @@ def test_all_names_are_defined_here(path):
                          ids=lambda p: p.name)
 def test_only_metric_core_gathers(path):
     assert foreign_uses(path.read_text(), GATHERS) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "metric_core.py"],
+                         ids=lambda p: p.name)
+def test_only_metric_core_seals(path):
+    assert foreign_uses(path.read_text(), {"_seal"}) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linkage_engine.py"],

@@ -168,25 +168,35 @@ class TestDistanceMatrix:
             assert DistanceMatrix.from_points(P) == DistanceMatrix.from_full(M)
 
     def test_one_array_is_held_and_from_points_peaks_low(self):
-        """A matrix holds only ``full``, one n x n array, and ``from_points``
-        builds it with the packed triangle as its one other array."""
+        """A matrix holds only ``full``, one n x n array.  ``from_points``,
+        ``from_full`` and ``scaled`` build it with at most 0.2 n x n of
+        temporaries above their input; ``DistanceMatrix(n, packed)`` peaks at
+        1.5, counting the packed triangle (0.5) that it is handed."""
         n = 1000
+        nn = n * n * 8
         X = np.random.default_rng(0).random((n, 2))
+        D = DistanceMatrix.from_points(X)
+        F = D.full.copy()
+        builds = {"from_points": (lambda: DistanceMatrix.from_points(X), 1.2),
+                  "from_full": (lambda: DistanceMatrix.from_full(F), 1.2),
+                  "scaled": (lambda: D.scaled(2.0), 1.2),
+                  "packed": (lambda: DistanceMatrix(n, D.packed), 1.51)}
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            D = DistanceMatrix.from_points(X)
-            held, peak = (v - start for v in tracemalloc.get_traced_memory())
+            for name, (build, bound) in builds.items():
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                E = build()
+                held, peak = (v - start for v in tracemalloc.get_traced_memory())
+                assert peak < bound * nn, (name, peak / nn)
+                assert held < 1.1 * nn, (name, held / nn)
+                assert vars(E).keys() == {"n", "labels", "full", "_scored"}
+                del E
         finally:
             if not tracing:
                 tracemalloc.stop()
-        nn = n * n * 8
-        assert peak < 2.5 * nn
-        assert held < 1.1 * nn
-        assert vars(D).keys() == {"n", "labels", "full", "_scored"}
 
 
 def _negative_zero_instances():
@@ -738,6 +748,15 @@ class TestKeptBlockValues:
                 np.float64(diams[s]).tobytes()
 
 
+def _ones_with(n: int, pairs: dict) -> np.ndarray:
+    """An n x n matrix of ones with a zero diagonal and ``pairs`` set."""
+    M = np.ones((n, n))
+    np.fill_diagonal(M, 0.0)
+    for (i, j), v in pairs.items():
+        M[i, j] = M[j, i] = v
+    return M
+
+
 class TestSealedMatrix:
     """Both distance arrays are read-only once built, and matrices compare
     and hash as values."""
@@ -760,6 +779,13 @@ class TestSealedMatrix:
         D = DistanceMatrix(3, packed)
         packed[0] = 9.0
         assert packed.flags.writeable and D.d(0, 1) == 1.0
+        M = _ones_with(3, {(0, 1): -0.0})
+        np.fill_diagonal(M, -0.0)
+        before = M.tobytes()
+        D = DistanceMatrix.from_full(M)
+        assert M.flags.writeable and M.tobytes() == before
+        M[0, 2] = 9.0
+        assert D == DistanceMatrix(3, [0.0, 1.0, 1.0])
 
     def test_equality_and_hash_are_by_value(self):
         a, b = DistanceMatrix(3, [1.0, 2.0, 3.0]), DistanceMatrix(3, [1.0, 2.0, 3.0])
@@ -778,6 +804,68 @@ class TestSealedMatrix:
         assert scaled.packed.tolist() == [2.0, 4.0, 6.0] and scaled.labels == D.labels
         for E in (*twins, scaled):
             assert not E.packed.flags.writeable and not E.full.flags.writeable
+
+
+# Each fault through each constructor that can carry it, with its message.
+# Packed order lists (1, 2) before (0, 3), and row-major order of the upper
+# triangle (0, 3) first.
+SEAL_FAULTS = {
+    "inf-packed": (lambda: DistanceMatrix(3, [1.0, math.inf, 2.0]),
+                   "non-finite distance at packed index 1"),
+    "nan-packed": (lambda: DistanceMatrix(4, [1.0, 1.0, 1.0, 1.0, math.nan, math.inf]),
+                   "non-finite distance at packed index 4"),
+    "inf-json": (lambda: DistanceMatrix.from_json({"n": 3, "dist": [1, 2, math.inf]}),
+                 "non-finite distance at packed index 2"),
+    "nan-json-text": (lambda: DistanceMatrix.from_json(
+        json.loads('{"n": 3, "dist": [1, NaN, Infinity]}')),
+                      "non-finite distance at packed index 1"),
+    "inf-from_full": (lambda: DistanceMatrix.from_full(
+        _ones_with(4, {(1, 2): math.inf, (0, 3): math.inf})),
+                      "non-finite distance at packed index 2"),
+    "inf-scaled": (lambda: DistanceMatrix(3, [1.0, 2.0, 3.0]).scaled(math.inf),
+                   "non-finite distance at packed index 0"),
+    "nan-scaled": (lambda: DistanceMatrix(2, [1.0]).scaled(math.nan),
+                   "non-finite distance at packed index 0"),
+    "negative-packed": (lambda: DistanceMatrix(4, [1.0, 1.0, -1.0, -2.0, 1.0, 1.0]),
+                        "negative distance at pair (1, 2)"),
+    "negative-from_full": (lambda: DistanceMatrix.from_full(
+        _ones_with(4, {(1, 2): -1.0, (0, 3): -2.0})),
+                           "negative distance at pair (1, 2)"),
+    "inf-after-negative": (lambda: DistanceMatrix.from_full(
+        _ones_with(4, {(0, 1): -1.0, (2, 3): math.inf})),
+                           "non-finite distance at packed index 5"),
+    "labels-packed": (lambda: DistanceMatrix(2, [1.0], labels=["a"]),
+                      "got 1 labels for 2 points"),
+    "labels-from_full": (lambda: DistanceMatrix.from_full(_ones_with(3, {}), ["a", "b"]),
+                         "got 2 labels for 3 points"),
+    "labels-json": (lambda: DistanceMatrix.from_json(
+        {"n": 2, "dist": [1], "labels": ["a", "b", "c"]}),
+                    "got 3 labels for 2 points"),
+    "n=0-packed": (lambda: DistanceMatrix(0, []), "need at least one point, got n=0"),
+    "n=-1-packed": (lambda: DistanceMatrix(-1, []), "need at least one point, got n=-1"),
+    "n=0-from_full": (lambda: DistanceMatrix.from_full(np.zeros((0, 0))),
+                      "need at least one point, got n=0"),
+    "n=0-from_points": (lambda: DistanceMatrix.from_points(np.zeros((0, 2))),
+                        "need at least one point, got n=0"),
+}
+
+
+class TestOneSeal:
+    """Every constructor hands the one array it builds to ``_seal``, and each
+    fault keeps the message it had when each constructor checked its own."""
+
+    @pytest.mark.parametrize("build, message", SEAL_FAULTS.values(), ids=SEAL_FAULTS)
+    def test_each_fault_keeps_its_message(self, build, message):
+        with pytest.raises(StructuralError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_a_one_point_matrix_scales_by_inf(self):
+        """0 * inf puts NaN on the diagonal, which raises no warning and is
+        not kept."""
+        for lam in (math.inf, math.nan):
+            D = DistanceMatrix(1, [], labels=["a"]).scaled(lam)
+            assert (D.n, D.labels, D.full.tolist()) == (1, ["a"], [[0.0]])
 
 
 class TestLineMetricHelper:

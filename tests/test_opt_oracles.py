@@ -192,6 +192,15 @@ class TestOptScores:
                     assert res.witness.to_json() == witness
                     assert res.enumerated == count
 
+    def test_one_point(self):
+        """The walk itself scores the one partition of a single point."""
+        got = opt_scores(DistanceMatrix(1, []), 1)
+        for score in ("max-diam", "avg-diam"):
+            res = got[score]
+            assert (res.score, res.k, res.value) == (score, 1, 0.0)
+            assert res.witness.to_json() == [[0]]
+            assert (res.enumerated, res.scored) == (1, 1)
+
     def test_opt_score_selects_from_joint_pass(self):
         D = random_euclidean(7, seed=3)
         both = opt_scores(D, 3)
