@@ -34,11 +34,11 @@ def banner(title: str) -> None:
 def print_merges(dg, label: str) -> None:
     members = dg.members_map()
     print(f"{label}:")
-    for m in dg.merges:
+    for t, m, u in dg.steps():
         left = sorted(members[m.left])
         right = sorted(members[m.right])
-        print(f"  merge {m.iteration}: {left} + {right} "
-              f"at value {m.value:g} -> cluster id {m.result}")
+        print(f"  merge {t}: {left} + {right} "
+              f"at value {m.value:g} -> cluster id {u}")
 
 
 def main() -> None:
@@ -105,11 +105,12 @@ def main() -> None:
     # its union (so CL is the min-union-diameter rule), and that union
     # diameters never shrink.  Any CL tie-break passes: on the tied instance
     # above, d(0,1) = d(10,11) = 1, and merging the right pair first is as
-    # good a CL run as the engine's.
+    # good a CL run as the engine's.  A merge is its two cluster ids and its
+    # value: merge t creates cluster id n-1+t, so 5 below is the pair {0, 1}.
     dg = run_linkage("CL", D)
-    other = Dendrogram(4, "CL", (MergeRecord(2, 3, 1.0, 4, 1),
-                                 MergeRecord(0, 1, 1.0, 5, 2),
-                                 MergeRecord(5, 4, 11.0, 6, 3)))
+    other = Dendrogram(4, "CL", (MergeRecord(2, 3, 1.0),
+                                 MergeRecord(0, 1, 1.0),
+                                 MergeRecord(5, 4, 11.0)))
     for label, run in (("the engine's CL run", dg), ("the other tie-break", other)):
         print_merges(run, label)
         violations = check_complete_linkage(run, D)

@@ -62,8 +62,8 @@ def main() -> None:
     dg = run_linkage("CL", D)
     members = dg.members_map()
     print("complete-linkage merges (first n-k = 2 are certified):")
-    for m in dg.merges:
-        print(f"  merge {m.iteration}: {sorted(members[m.left])} + "
+    for t, m, _ in dg.steps():
+        print(f"  merge {t}: {sorted(members[m.left])} + "
               f"{sorted(members[m.right])} at {m.value:g}")
     print("merge 1 joins points 0 and 2 -- ACROSS the reference blocks.")
 

@@ -53,8 +53,8 @@ def main() -> None:
     dg_sl = run_linkage("SL", D)
     members = dg_sl.members_map()
     print("single-linkage merges into the k=5 clustering:")
-    for m in dg_sl.merges[:inst.n - 5]:
-        print(f"  merge {m.iteration}: {sorted(members[m.left])} + "
+    for t, m, _ in dg_sl.steps(5):
+        print(f"  merge {t}: {sorted(members[m.left])} + "
               f"{sorted(members[m.right])} at {m.value:g}")
     C_sl = extract_clustering(dg_sl, 5)
     print(f"single-linkage blocks: {[sorted(b) for b in C_sl.blocks]}")

@@ -143,9 +143,9 @@ class Replay:
     ``failures``), the initial families' summaries ``initial``, and
     ``born[t - 1]``, the diameter of the cluster born at iteration t.  A
     subclass's ``step(g, g2, u)`` runs one merge's phases and returns its
-    record; ``run`` folds each of the first n-k merges, then steps it, and
-    releases ``cm`` (one n x n array) when it ends, so a returned trace
-    keeps only what it reports.
+    record; ``run`` folds each of ``merges``, the dendrogram's ``steps`` to
+    the cut, then steps it, and releases ``cm`` (one n x n array) when it
+    ends, so a returned trace keeps only what it reports.
     ``failures`` is the current iteration t's list while ``run`` is in a
     merge, and otherwise the trace's own list of failures outside any
     iteration (t = 0 before the first merge, t = n-k+1 after the last).
@@ -161,11 +161,8 @@ class Replay:
             raise PreconditionError(f"dendrogram is over {dg.n} points, instance has {D.n}")
         target = (target.require_n(D.n) if isinstance(target, Clustering)
                   else Clustering.from_blocks(target, D.n))
-        if len(dg.merges) < D.n - target.k:
-            raise PreconditionError(f"dendrogram has {len(dg.merges)} merges, "
-                                    f"need {D.n - target.k} for k={target.k}")
         self.target, self.n, self.k = target, D.n, target.k
-        self.merges = dg.merges[: self.n - self.k]
+        self.merges = dg.steps(self.k)
         self.cm = ClusterMatrix(D)
         self.born: list[float] = []
         self.records: list = []
@@ -177,12 +174,12 @@ class Replay:
                               "detail": detail})
 
     def run(self) -> None:
-        for self.t, m in enumerate(self.merges, 1):
+        for self.t, m, u in self.merges:
             self.failures = []
-            self.born.append(self.cm.merge(m.left, m.right, m.result))
-            self.records.append(self.step(m.left, m.right, m.result))
-        self.t, self.failures = len(self.merges) + 1, self.trace_failures
-        del self.cm
+            self.born.append(self.cm.merge(m.left, m.right, u))
+            self.records.append(self.step(m.left, m.right, u))
+        self.t, self.failures = self.n - self.k + 1, self.trace_failures
+        del self.cm, self.merges
 
     def all_failures(self) -> list[dict]:
         """Per-iteration failures in iteration order, then the replay's own."""

@@ -268,7 +268,7 @@ class Alg2Trace(Replay):
 
     def __init__(self, D: DistanceMatrix, dg: Dendrogram, target):
         super().__init__(D, dg, target)
-        n, k = self.n, self.k
+        n = self.n
         self.max_diam = clustering_score("max-diam", self.target, D)
         self.families: dict[int, Alg2Family] = {}    # every family ever, by id
         self.tag = np.full(2 * n - 1, NONPURE, dtype=np.intp)
@@ -296,7 +296,7 @@ class Alg2Trace(Replay):
                 self.tag[_ids(block)] = EXCLUDED
                 continue
             fam = self._new_family(block, _ids(block), phi=1, diam=diam)
-            if k >= 2 and not within_bound(fam.diam, self.max_diam):
+            if not within_bound(fam.diam, self.max_diam):
                 self.fail("family-growth-bound",
                           f"initial family {fam.id}: diam {fam.diam!r} > "
                           f"max-diam(target) {self.max_diam!r}")

@@ -106,8 +106,9 @@ def alpha_k(k: int) -> AlphaK:
 
 
 def dm_bound(k: int, max_diam: float) -> float:
-    """Pure-cluster-graph bound k^{alpha_k} * max-diam(target) (CL only)."""
-    return alpha_k(k).factor * max_diam
+    """Pure-cluster-graph bound k^{alpha_k} * max-diam(target) (CL only); at
+    k = 1 it is max-diam(target), as 1^alpha is 1 for every alpha."""
+    return max_diam if k == 1 else alpha_k(k).factor * max_diam
 
 
 def growth_bound(k: int, max_diam: float, phi: int) -> float:

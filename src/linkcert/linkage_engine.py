@@ -5,8 +5,8 @@ Methods: CL (complete, max cross distance), SL (single, min cross), AL
 Starting from singletons, each of the n-1 iterations merges the active pair
 with the smallest method value; ties (exact float equality) go to the
 lexicographically least pair keyed by (smaller min-member id, other
-min-member id).  The cluster born at iteration
-j (1-based) gets id n-1+j; points are 0..n-1.
+min-member id).  The cluster born at iteration t (1-based) gets id n-1+t,
+which ``Dendrogram.steps`` derives from the merge's place; points are 0..n-1.
 
 The engine (Muellner's "generic" algorithm, arXiv:1109.2378) works in place
 on one n x n value matrix whose slot i always holds the cluster with min
@@ -26,7 +26,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,22 +65,30 @@ TIE_RULE = "lexicographic-min-member"
 
 @dataclass(frozen=True)
 class MergeRecord:
-    """One merge: cluster ids joined, method value, new id, 1-based iteration."""
+    """One merge: the cluster ids it joins and its method value (its iteration
+    and new id follow from its place, ``Dendrogram.steps``)."""
 
     left: int
     right: int
     value: float
-    result: int
-    iteration: int
+
+
+def _integers(i: int, *xs) -> None:
+    """True and 1.0 would pass the id tests as 1, and then be written to JSON
+    as true and 1.0, which ``Dendrogram.from_json`` rejects."""
+    for x in xs:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise StructuralError(f"merge record {i}: ids and iteration "
+                                  f"must be integers, got {x!r}")
 
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Merges over points 0..n-1.  Construction raises ``StructuralError``
-    at the first bad merge: one whose ids or iteration are not integers
-    (named ``merge record i``, its index in ``merges``), or merge t that does
-    not record iteration t, join two distinct live cluster ids and create id
-    n-1+t (named ``merge at iteration t``)."""
+    """Merges over points 0..n-1, read in order by ``steps``.  Construction
+    raises ``StructuralError`` at the first bad merge: one whose ids are not
+    integers (named ``merge record i``, its index in ``merges``), or merge t
+    that does not join two distinct live cluster ids (named ``merge at
+    iteration t``)."""
 
     n: int
     method: str
@@ -88,46 +96,46 @@ class Dendrogram:
 
     def __post_init__(self):
         live = set(range(self.n))
-        for t, m in enumerate(self.merges, 1):
-            # True and 1.0 would pass the id tests below as 1, and then be
-            # written to JSON as true and 1.0, which from_json rejects
-            for x in (m.left, m.right, m.result, m.iteration):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise StructuralError(f"merge record {t - 1}: ids and iteration "
-                                          f"must be integers, got {x!r}")
-            if m.iteration != t:
-                raise StructuralError(f"merge at iteration {t} is recorded as {m.iteration}")
+        for t, m, u in self.steps():
+            _integers(t - 1, m.left, m.right)
             for cid in (m.left, m.right):
                 if cid not in live:
                     raise StructuralError(f"merge at iteration {t} uses cluster id {cid}, "
                                           "which is unknown or already merged")
                 live.remove(cid)
-            if m.result != self.n - 1 + t:
-                raise StructuralError(f"merge at iteration {t} creates cluster id "
-                                      f"{m.result}, not {self.n - 1 + t}")
-            live.add(m.result)
+            live.add(u)
+
+    def steps(self, k: int | None = None) -> Iterator[tuple[int, MergeRecord, int]]:
+        """``(t, m, u)`` for each merge m, its iteration t and the id u = n-1+t
+        it creates; with ``k``, the first n-k only.  A k outside 1..n, or one
+        past the recorded merges, raises ``PreconditionError`` on the call."""
+        merges = self.merges
+        if k is not None:
+            _check_k(self.n, k)
+            if len(merges) < self.n - k:
+                raise PreconditionError(f"dendrogram has {len(merges)} merges, "
+                                        f"need {self.n - k} for k={k}")
+            merges = merges[:self.n - k]
+        return ((t, m, self.n - 1 + t) for t, m in enumerate(merges, 1))
 
     def members_map(self) -> dict[int, frozenset[int]]:
         """Point set of every cluster id appearing in the dendrogram."""
         members = {i: frozenset([i]) for i in range(self.n)}
-        for m in self.merges:
-            members[m.result] = members[m.left] | members[m.right]
+        for _, m, u in self.steps():
+            members[u] = members[m.left] | members[m.right]
         return members
 
     def to_json(self) -> list[dict]:
-        return [
-            {"left": m.left, "right": m.right, "value": float(m.value),
-             "iteration": m.iteration}
-            for m in self.merges
-        ]
+        return [{"left": m.left, "right": m.right, "value": float(m.value),
+                 "iteration": t} for t, m, _ in self.steps()]
 
     @classmethod
     def from_json(cls, data: Sequence[dict], method: str = "CL",
                   n: int | None = None) -> "Dendrogram":
         """Inverse of ``to_json``.  A record that is not an object with
         integer ``left``, ``right`` and ``iteration`` and a finite number
-        ``value`` raises ``StructuralError`` naming its index; the integer
-        test is the constructor's."""
+        ``value`` raises ``StructuralError`` naming its index, and record i
+        whose iteration is not i+1 raises it as ``merge at iteration i+1``."""
         if n is None:
             n = len(data) + 1
         merges = []
@@ -141,10 +149,10 @@ class Dendrogram:
                     and math.isfinite(value)):
                 raise StructuralError(
                     f"merge record {i}: value must be a finite number, got {value!r}")
-            # record i is merge i+1, which creates id n+i; a record whose
-            # iteration says otherwise fails construction
-            merges.append(MergeRecord(left=left, right=right, value=float(value),
-                                      result=n + i, iteration=it))
+            _integers(i, left, right, it)
+            if it != i + 1:
+                raise StructuralError(f"merge at iteration {i + 1} is recorded as {it}")
+            merges.append(MergeRecord(left=left, right=right, value=float(value)))
         return cls(n=n, method=method, merges=tuple(merges))
 
 
@@ -282,10 +290,8 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
                 a, b = (int(c) for c in np.flatnonzero(active)[:2])
             else:
                 b = int(nn[a])
-            new_id = n - 1 + it
-            merges.append(MergeRecord(left=ids[a], right=ids[b], value=float(V[a, b]),
-                                      result=new_id, iteration=it))
-            ids[a] = new_id
+            merges.append(MergeRecord(left=ids[a], right=ids[b], value=float(V[a, b])))
+            ids[a] = n - 1 + it
             active[b] = False
             nn[b], mind[b] = -1, np.inf
 
@@ -346,16 +352,10 @@ def run_linkage(method, D: DistanceMatrix, k: int = 1) -> Dendrogram:
 
 def extract_clustering(dg: Dendrogram, k: int) -> Clustering:
     """The k-clustering reached after n-k merges (1 <= k <= n)."""
-    n = dg.n
-    _check_k(n, k)
-    if len(dg.merges) < n - k:
-        raise PreconditionError(
-            f"dendrogram has {len(dg.merges)} merges, need {n - k} for k={k}"
-        )
-    active: dict[int, frozenset[int]] = {i: frozenset([i]) for i in range(n)}
-    for m in dg.merges[:n - k]:
-        active[m.result] = active.pop(m.left) | active.pop(m.right)
-    return Clustering.from_blocks(active.values(), n)
+    active: dict[int, frozenset[int]] = {i: frozenset([i]) for i in range(dg.n)}
+    for _, m, u in dg.steps(k):
+        active[u] = active.pop(m.left) | active.pop(m.right)
+    return Clustering.from_blocks(active.values(), dg.n)
 
 
 def check_complete_linkage(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
@@ -390,7 +390,7 @@ def check_complete_linkage(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
     points = [[i] for i in range(D.n)]  # slot -> sorted points of its cluster
     violations: list[dict] = []
     prev_diam = None
-    for m in dg.merges:
+    for it, m, u in dg.steps():
         a, b = sorted((cm.slot[m.left], cm.slot[m.right]))
         i, j = live.index(a), live.index(b)
         W = _submatrix(cm.W, live)
@@ -407,12 +407,12 @@ def check_complete_linkage(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
                 found.append((claim, float(V[s, t]), float(V[i, j]), {
                     "merged": [points[a], points[b]],
                     "least": [points[live[s]], points[live[t]]]}))
-        diam_u = cm.merge(m.left, m.right, m.result)
+        diam_u = cm.merge(m.left, m.right, u)
         if diam_u != cross:
             found.append(("union-diam-equals-cross-max", cross, diam_u, {}))
         if prev_diam is not None and diam_u < prev_diam:
             found.append(("union-diam-nondecreasing", prev_diam, diam_u, {}))
-        violations.extend({"iteration": m.iteration, "claim": claim, "expected": e,
+        violations.extend({"iteration": it, "claim": claim, "expected": e,
                            "observed": o, **pairs} for claim, e, o, pairs in found)
         prev_diam = diam_u
         points[a] = sorted(points[a] + points[b])

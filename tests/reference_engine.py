@@ -79,8 +79,7 @@ def reference_linkage(method, D: DistanceMatrix, f: Callable | None = None,
             left, right = ids[i], ids[j]
         else:
             left, right = ids[j], ids[i]
-        merges.append(MergeRecord(left=left, right=right, value=float(m),
-                                  result=new_id, iteration=it))
+        merges.append(MergeRecord(left=left, right=right, value=float(m)))
 
         keep = [c for c in range(len(ids)) if c != i and c != j]
         if method == "CL":

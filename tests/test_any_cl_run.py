@@ -31,8 +31,7 @@ from .reference_engine import reference_linkage
 
 def assert_certified(D, dg) -> None:
     """``dg`` is a CL run on ``D``, and at every k both replays and both
-    bound checks pass against its own cut and both oracle witnesses
-    (``alg2_bound`` needs k >= 2)."""
+    bound checks pass against its own cut and both oracle witnesses."""
     assert check_complete_linkage(dg, D) == []
     for k in range(1, D.n + 1):
         opt = opt_scores(D, k)
@@ -40,8 +39,7 @@ def assert_certified(D, dg) -> None:
                        opt["avg-diam"].witness):
             a1, a2 = alg1_trace(D, dg, target), alg2_trace(D, dg, target)
             assert a1.all_failures() == [] and alg1_bound(a1).failures == []
-            assert a2.all_failures() == []
-            assert k == 1 or alg2_bound(a2).failures == []
+            assert a2.all_failures() == [] and alg2_bound(a2).failures == []
 
 
 def merged_sets(dg) -> list[frozenset]:
@@ -63,13 +61,13 @@ def scipy_cl(D) -> Dendrogram:
     """scipy's CL run on ``D``.  scipy's condensed matrix is the upper
     triangle row by row, not linkcert's packed order, and row i of its
     linkage matrix creates cluster n + i, which is linkcert's n - 1 + t at
-    iteration t = i + 1."""
+    iteration t = i + 1: the rows are the merges, in order."""
     hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
     n = D.n
     Z = hierarchy.linkage(D.full[np.triu_indices(n, 1)], method="complete")
     return Dendrogram(n, "CL", tuple(
-        MergeRecord(int(left), int(right), float(height), n + i, i + 1)
-        for i, (left, right, height, _) in enumerate(Z)))
+        MergeRecord(int(left), int(right), float(height))
+        for left, right, height, _ in Z))
 
 
 @pytest.mark.parametrize("kind", ["tied", "closure"])

@@ -62,8 +62,7 @@ def family_points(dg, trace, fid):
 def labelled_cl(n, merges) -> Dendrogram:
     """A dendrogram labelled CL that merges the given pairs in order."""
     return Dendrogram(n=n, method="CL", merges=tuple(
-        MergeRecord(left=a, right=b, value=0.0, result=n + i, iteration=i + 1)
-        for i, (a, b) in enumerate(merges)))
+        MergeRecord(left=a, right=b, value=0.0) for a, b in merges))
 
 
 def root_ids(trace) -> list[list[int]]:
@@ -316,10 +315,11 @@ class CheckedAlg1Replay(Alg1Trace):
     parentless families in id order.  ``family_clusters[f]`` is family f's
     cluster set at its birth, which the forest does not keep."""
 
-    def __init__(self, *args):
+    def __init__(self, D, dg, target):
         self.recounts: list[list[dict]] = []
         self.family_clusters: list[frozenset[int]] = []
-        super().__init__(*args)
+        self.dendrogram = dg
+        super().__init__(D, dg, target)
         self.check()
 
     def _new_family(self, root, *args, **kwargs):
@@ -335,9 +335,9 @@ class CheckedAlg1Replay(Alg1Trace):
         roots = [f for f, node in self.forest.items() if node.parent is None]
         assert len(roots) <= self.k   # so p3 holds while a merge is left
         live = set(range(self.n))
-        for m in self.merges[: self.t]:
+        for _, m, u in list(self.dendrogram.steps())[: self.t]:
             live -= {m.left, m.right}
-            live.add(m.result)
+            live.add(u)
         # the live root sets partition the live clusters, one set per root,
         # each of its root's size and as its root was born
         held = {id(r): r for r in self.fam_of.values()}.values()
@@ -422,8 +422,8 @@ class TestForestInvariants:
                         "diam", family_points(dg, trace, fid), D), (kind, fid)
                     assert list(node.leaves) == _leaves(trace.forest, fid)
                 members = dg.members_map()
-                assert trace.born == [cohesion("diam", members[m.result], D)
-                                      for m in dg.merges[: n - k]], kind
+                assert trace.born == [cohesion("diam", members[u], D)
+                                      for _, _, u in dg.steps(k)], kind
         assert cases == {"a", "b-sub1", "b-sub2", "b-sub3"}
 
     def test_bound_holds_on_random_instances(self):
@@ -452,6 +452,11 @@ def test_returned_trace_keeps_little_beyond_its_fold(targets):
     assert kept <= 0.5
 
 
+def cut_at_target(D, dg, target) -> Clustering:
+    """``extract_clustering`` at the target's k, called as a replay is."""
+    return extract_clustering(dg, target.k)
+
+
 class TestPreconditionsAndSerialisation:
     def test_rejects_non_cl_dendrogram(self, line4):
         dg = run_linkage("SL", line4)
@@ -465,8 +470,7 @@ class TestPreconditionsAndSerialisation:
         merges = [(0, 1), (0, 2), (3, 4), (7, 8), (9, 5)]
         with pytest.raises(StructuralError, match="iteration 2 uses cluster id 0\\b"):
             Dendrogram(n=6, method="CL", merges=tuple(
-                MergeRecord(left=a, right=b, value=0.0, result=6 + i, iteration=i + 1)
-                for i, (a, b) in enumerate(merges)))
+                MergeRecord(left=a, right=b, value=0.0) for a, b in merges))
 
     def test_rejects_size_mismatch(self, line4):
         from linkcert import StructuralError
@@ -475,11 +479,13 @@ class TestPreconditionsAndSerialisation:
         with pytest.raises(StructuralError):
             alg1_trace(line4, dg, target)
 
-    @pytest.mark.parametrize("trace_fn", [alg1_trace, graph_certificates.alg2_trace])
+    @pytest.mark.parametrize("trace_fn", [alg1_trace, graph_certificates.alg2_trace,
+                                          cut_at_target])
     @pytest.mark.parametrize("k", [1, 3])
     def test_reads_exactly_the_merges_up_to_the_cut(self, trace_fn, k):
-        """A dendrogram cut at k holds the n-k merges a replay reads, and
-        replays as the full one does; one merge fewer is rejected."""
+        """A dendrogram cut at k holds the n-k merges a replay or a cut
+        reads, and gives what the full one does; one merge fewer is rejected
+        with ``Dendrogram.steps``'s one message."""
         D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0, 31.0])
         target = Clustering.from_blocks([range(i, 6, k) for i in range(k)], 6)
         cut = run_linkage("CL", D, k)

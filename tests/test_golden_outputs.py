@@ -172,8 +172,7 @@ def alg1_digest(D: DistanceMatrix, dg: Dendrogram, target) -> tuple[str, str]:
 def test_alg1_forged_merge_order():
     merges = [(1, 2), (0, 4), (3, 5)]
     dg = Dendrogram(n=4, method="CL", merges=tuple(
-        MergeRecord(left=a, right=b, value=0.0, result=4 + i, iteration=i + 1)
-        for i, (a, b) in enumerate(merges)))
+        MergeRecord(left=a, right=b, value=0.0) for a, b in merges))
     assert alg1_digest(line_metric([1.5, 0.0, 3.0, 100.0]), dg, [[0], [1, 2, 3]]) == (
         "b474cd5c4dca7e60ec4c0308be869f88ca48daf61e19000e3e23a8437deb58fb",
         "d78fbb62474de7611e3dd66a240d8417b9154e6a8df02281100a7258ebe08676")

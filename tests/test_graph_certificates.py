@@ -39,7 +39,7 @@ from linkcert.graph_certificates import (
     Alg2Trace,
     SpanningTreeCert,
 )
-from linkcert.inequality_lab import ALPHA_CAP
+from linkcert.inequality_lab import ALPHA_CAP, dm_bound
 
 from . import trace_v1
 from .conftest import cl_runs, line_metric, returned_trace_footprint
@@ -75,8 +75,13 @@ class TestAlphaK:
         assert ALPHA_CAP == pytest.approx(1.292481250360578, rel=1e-14)
 
     def test_rejects_small_k(self):
+        """alpha_k(1) is undefined, but dm_bound's factor 1^alpha is 1 for
+        every alpha, so at k = 1 the bound is max-diam(target) itself."""
         with pytest.raises(PreconditionError):
             alpha_k(1)
+        assert dm_bound(1, 3.5) == 3.5
+        with pytest.raises(PreconditionError):
+            dm_bound(0, 3.5)
 
 
 class TestLineWalkthrough:
@@ -277,7 +282,7 @@ class TestClusterAudit:
         # excluded; handed to {0, 1, 2}, it makes that cluster touch it
         D = line_metric([0.0, 1.0, 3.0, 7.0, 15.0])
         dg = run_linkage("CL", D)
-        assert dg.merges[1].result == 6
+        assert dg.members_map()[6] == {0, 1, 2}
         trace = forged(D, dg, [[0, 2, 3], [1, 4]], 2, [4], 6)
         assert [r.assertions["clusters_structure"] for r in trace.records] == [
             True, True, False]
@@ -358,7 +363,7 @@ class TestClusterAudit:
         # count
         D = line_metric([30.0, 36.0, 2.0, 28.0, 12.0, 8.0, 27.0])
         dg = run_linkage("CL", D)
-        assert dg.merges[1].result == 8
+        assert dg.members_map()[8] == {0, 3, 6}
         trace = forged(D, dg, [[0, 5, 6], [1, 4], [2, 3]], 2, [2], 8)
         assert [r.case for r in trace.records] == ["a", None, "b", "c"]
         orphan = "cluster [0, 2, 3, 6] touches orphaned points but is not excluded"
@@ -409,7 +414,7 @@ class TestClusterAudit:
         # writes its own record about that side
         D = line_metric([7.0, 9.0, 7.0, 32.0, 34.0, 23.0, 1.0, 3.0])
         dg = run_linkage("CL", D)
-        assert [(m.left, m.right, m.result) for m in dg.merges[1:5]] == [
+        assert [(m.left, m.right, u) for _, m, u in list(dg.steps())[1:5]] == [
             (8, 1, 9), (3, 4, 10), (6, 7, 11), (9, 11, 12)]
         blocks = [[0, 1, 2, 5], [3, 4, 6, 7]]
         if side == "left":
@@ -449,7 +454,7 @@ class TestClusterAudit:
         # read as orphaned, not as a point of the dead family 0
         D = line_metric([32.0, 1.0, 37.0, 4.0, 18.0, 24.0])
         dg = run_linkage("CL", D)
-        assert dg.merges[2].result == 8
+        assert dg.members_map()[8] == {4, 5}
         trace = checked_trace(D, dg, [[0, 1, 2], [3, 4, 5]], 3, [0, 3], 8)
         assert [r.case for r in trace.records] == [None, "a", None, "c"]
         assert trace.all_failures() == [
@@ -646,7 +651,7 @@ class TestDiameterOwner:
     def check(D, dg, trace):
         members = dg.members_map()
         n, k = trace.n, trace.k
-        born = [cohesion("diam", members[m.result], D) for m in dg.merges[: n - k]]
+        born = [cohesion("diam", members[u], D) for _, _, u in dg.steps(k)]
         assert trace.born == born
         edges = [e for c in trace.spanning_certs for e in c.edges]
         for e in edges:
@@ -681,8 +686,7 @@ class TestDiameterOwner:
         D = line_metric([1.5, 0.0, 3.0, 100.0])
         merges = [(1, 2), (0, 4), (3, 5)]
         dg = Dendrogram(n=4, method="CL", merges=tuple(
-            MergeRecord(left=a, right=b, value=0.0, result=4 + i, iteration=i + 1)
-            for i, (a, b) in enumerate(merges)))
+            MergeRecord(left=a, right=b, value=0.0) for a, b in merges))
         trace = alg2_trace(D, dg, [[0], [1, 2, 3]])
         assert trace.born == [3.0, 3.0]
         self.check(D, dg, trace)
@@ -693,8 +697,7 @@ class TestDiameterOwner:
         merges = [(0, 1), (0, 2), (3, 4), (7, 8), (9, 5)]
         with pytest.raises(StructuralError, match="iteration 2 uses cluster id 0\\b"):
             Dendrogram(n=6, method="CL", merges=tuple(
-                MergeRecord(left=a, right=b, value=0.0, result=6 + i, iteration=i + 1)
-                for i, (a, b) in enumerate(merges)))
+                MergeRecord(left=a, right=b, value=0.0) for a, b in merges))
 
 
 class TestRandomGridInvariants:

@@ -120,8 +120,8 @@ class TestRunLinkage:
     def test_cl_line_merges(self, line4):
         dg = run_linkage("CL", line4)
         mm = dg.members_map()
-        got = [(sorted(mm[m.left]), sorted(mm[m.right]), m.value, m.result,
-                m.iteration) for m in dg.merges]
+        got = [(sorted(mm[m.left]), sorted(mm[m.right]), m.value, u, t)
+               for t, m, u in dg.steps()]
         assert got == [
             ([0], [1], 1.0, 4, 1),
             ([2], [3], 1.0, 5, 2),
@@ -164,8 +164,8 @@ class TestRunLinkage:
     def test_result_ids_sequential(self):
         D = random_euclidean(6, seed=1)
         dg = run_linkage("CL", D)
-        assert [m.result for m in dg.merges] == [6, 7, 8, 9, 10]
-        assert [m.iteration for m in dg.merges] == [1, 2, 3, 4, 5]
+        assert [(t, u) for t, _, u in dg.steps()] == [
+            (1, 6), (2, 7), (3, 8), (4, 9), (5, 10)]
 
     def test_requires_two_points(self):
         """One point is a finished dendrogram: no merges, and its one cut is {0}."""
@@ -226,26 +226,16 @@ class TestExtractClustering:
         assert C.to_json() == [[0, 1], [2, 3]]
 
     @pytest.mark.parametrize("merges,iteration,cid", [
-        ([(0, 1, 4), (0, 2, 5)], 2, 0),   # point 0 consumed twice
-        ([(0, 1, 4), (9, 2, 5)], 2, 9),   # id that no merge created
-        ([(2, 2, 4)], 1, 2),              # a cluster merged with itself
+        ([(0, 1), (0, 2)], 2, 0),   # point 0 consumed twice
+        ([(0, 1), (9, 2)], 2, 9),   # id that no merge created
+        ([(2, 2)], 1, 2),           # a cluster merged with itself
+        ([(0, 1), (2, 5)], 2, 5),   # the id merge 2 itself creates
     ])
     def test_forged_dendrogram_is_structural_error(self, merges, iteration, cid):
         with pytest.raises(StructuralError,
                            match=f"iteration {iteration} uses cluster id {cid}\\b"):
             Dendrogram(n=4, method="CL", merges=tuple(
-                MergeRecord(l, r, 1.0, res, it) for it, (l, r, res) in enumerate(merges, 1)))
-
-    @pytest.mark.parametrize("merges,iteration,cid", [
-        ([(0, 1, 9), (2, 9, 5)], 1, 9),   # beyond 2n-2 (a forged iteration)
-        ([(0, 1, 2), (2, 3, 5)], 1, 2),   # a point id
-        ([(0, 1, 4), (2, 4, 4)], 2, 4),   # created twice
-    ])
-    def test_forged_result_id_is_structural_error(self, merges, iteration, cid):
-        with pytest.raises(StructuralError,
-                           match=f"iteration {iteration} creates cluster id {cid}\\b"):
-            Dendrogram(n=4, method="CL", merges=tuple(
-                MergeRecord(l, r, 1.0, res, it) for it, (l, r, res) in enumerate(merges, 1)))
+                MergeRecord(l, r, 1.0) for l, r in merges))
 
     def test_k_out_of_range(self, line4):
         dg = run_linkage("CL", line4)
@@ -256,21 +246,21 @@ class TestExtractClustering:
 
 
 def _first_bad_iteration(n, merges):
-    """Reference walk: the first merge (1-based) that is not merge t joining
-    two distinct live ids into id n-1+t, or None."""
+    """Reference walk: the first merge t (1-based) that does not join two
+    distinct live ids, or None; merge t creates id n-1+t."""
     live = set(range(n))
-    for t, (l, r, res, it) in enumerate(merges, 1):
-        if it != t or l == r or not {l, r} <= live or res != n - 1 + t:
+    for t, (l, r) in enumerate(merges, 1):
+        if l == r or not {l, r} <= live:
             return t
         live -= {l, r}
-        live.add(res)
+        live.add(n - 1 + t)
     return None
 
 
 @st.composite
 def merge_sequences(draw):
-    """(n, merges): mostly honest merges of live ids, with reused ids, ids
-    that were never created, and forged iterations and results mixed in."""
+    """(n, merges): mostly honest merges of live ids, with reused ids and
+    ids that were never created mixed in."""
     n = draw(st.integers(1, 6))
     any_id = st.integers(0, 2 * n)
     live, merges = list(range(n)), []
@@ -279,11 +269,8 @@ def merge_sequences(draw):
             l, r = draw(st.permutations(live))[:2]
         else:
             l, r = draw(any_id), draw(any_id)
-        forge = draw(st.integers(0, 11))  # 1 in 12 forges the iteration, 1 the result
-        it = draw(any_id) if forge == 0 else t
-        res = draw(any_id) if forge == 1 else n - 1 + t
         live = [c for c in live if c not in (l, r)] + [n - 1 + t]
-        merges.append((l, r, res, it))
+        merges.append((l, r))
     return n, merges
 
 
@@ -294,7 +281,7 @@ class TestDendrogramStructure:
         """A merge sequence either fails to construct, naming its first bad
         iteration, or every cut of it is the live clusters of that cut."""
         n, merges = case
-        records = tuple(MergeRecord(l, r, 1.0, res, it) for l, r, res, it in merges)
+        records = tuple(MergeRecord(l, r, 1.0) for l, r in merges)
         bad = _first_bad_iteration(n, merges)
         if bad is not None:
             with pytest.raises(StructuralError, match=f"^merge at iteration {bad} "):
@@ -304,15 +291,12 @@ class TestDendrogramStructure:
         members, live = dg.members_map(), set(range(n))
         for steps in range(len(merges) + 1):
             if steps:
-                m = dg.merges[steps - 1]
-                live = (live - {m.left, m.right}) | {m.result}
+                l, r = merges[steps - 1]
+                live = (live - {l, r}) | {n - 1 + steps}
             C = extract_clustering(dg, n - steps)
             assert set(C.blocks) == {members[c] for c in live}
 
-    @pytest.mark.parametrize("record", [
-        MergeRecord(True, 0, 1.0, 2, 1), MergeRecord(0, 1.0, 1.0, 2, 1),
-        MergeRecord(0, 1, 1.0, 2.0, 1), MergeRecord(0, 1, 1.0, 2, True),
-    ])
+    @pytest.mark.parametrize("record", [MergeRecord(True, 0, 1.0), MergeRecord(0, 1.0, 1.0)])
     def test_construction_rejects_a_non_integer_id(self, record):
         """``True`` and ``1.0`` pass the live-id test as 1, and would be
         written to JSON as a dendrogram that ``from_json`` rejects."""
@@ -349,11 +333,19 @@ class TestDendrogramStructure:
                            match="^merge record 1: value must be a finite number"):
             Dendrogram.from_json([self.GOOD, record])
 
+    @pytest.mark.parametrize("iteration", [1, 3, 9])
+    def test_from_json_rejects_a_forged_iteration(self, iteration):
+        """Record i is merge i+1, which creates id n+i, and the JSON is the
+        one place an iteration comes from outside the dendrogram."""
+        record = {"left": 2, "right": 3, "value": 1.0, "iteration": iteration}
+        with pytest.raises(StructuralError,
+                           match=f"^merge at iteration 2 is recorded as {iteration}$"):
+            Dendrogram.from_json([self.GOOD, record])
+
 
 def _merge_bits(dg):
     """Every field of every merge, with values compared bit for bit."""
-    return [(m.left, m.right, np.float64(m.value).tobytes(), m.result, m.iteration)
-            for m in dg.merges]
+    return [(m.left, m.right, np.float64(m.value).tobytes()) for m in dg.merges]
 
 
 # a geometric line: every point is farther from the rest than their spread
@@ -525,9 +517,9 @@ class TestMergeMonotonicity:
         # diameter 100 while the cross max between {0,1} and {2,3} is only 60.
         D = line_metric([0.0, 100.0, 40.0, 60.0])
         forged = Dendrogram(n=4, method="CL", merges=(
-            MergeRecord(0, 1, 100.0, 4, 1),
-            MergeRecord(2, 3, 20.0, 5, 2),
-            MergeRecord(4, 5, 60.0, 6, 3),
+            MergeRecord(0, 1, 100.0),
+            MergeRecord(2, 3, 20.0),
+            MergeRecord(4, 5, 60.0),
         ))
         claims = {(v["iteration"], v["claim"]) for v in _monotonicity(forged, D)}
         assert (2, "union-diam-nondecreasing") in claims
@@ -538,9 +530,9 @@ class TestMergeMonotonicity:
         # (diameter 10) across a largest distance of 6; their union spans 10
         D = line_metric([4.0, 6.0, 0.0, 10.0])
         forged = Dendrogram(n=4, method="CL", merges=(
-            MergeRecord(0, 1, 2.0, 4, 1),
-            MergeRecord(2, 3, 10.0, 5, 2),
-            MergeRecord(4, 5, 10.0, 6, 3),
+            MergeRecord(0, 1, 2.0),
+            MergeRecord(2, 3, 10.0),
+            MergeRecord(4, 5, 10.0),
         ))
         assert _monotonicity(forged, D) == [{
             "iteration": 3, "claim": "union-diam-equals-cross-max",
@@ -563,9 +555,9 @@ class TestMergeMonotonicity:
     def test_forged_ids_are_structural_error(self):
         with pytest.raises(StructuralError, match="iteration 2 uses cluster id 1\\b"):
             Dendrogram(n=4, method="CL", merges=(
-                MergeRecord(0, 1, 1.0, 4, 1),
-                MergeRecord(1, 2, 9.0, 5, 2),
-                MergeRecord(5, 3, 11.0, 6, 3),
+                MergeRecord(0, 1, 1.0),
+                MergeRecord(1, 2, 9.0),
+                MergeRecord(5, 3, 11.0),
             ))
 
 
@@ -606,8 +598,8 @@ class TestCompleteLinkage:
         # line 0, 1, 2: {0, 1} and {1, 2} both sit at 1
         D = line_metric([0.0, 1.0, 2.0])
         assert _pairs(run_linkage("CL", D))[0] == [[0], [1]]
-        other = Dendrogram(3, "CL", (MergeRecord(1, 2, 1.0, 3, 1),
-                                     MergeRecord(0, 3, 2.0, 4, 2)))
+        other = Dendrogram(3, "CL", (MergeRecord(1, 2, 1.0),
+                                     MergeRecord(0, 3, 2.0)))
         assert check_complete_linkage(other, D) == []
 
     @given(st.sampled_from(["tied", "integer"]), st.integers(2, 14),

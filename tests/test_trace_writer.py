@@ -99,8 +99,7 @@ def adversary_traces(k: int) -> list:
 
 def forged_merge_order_trace():
     dg = Dendrogram(n=4, method="CL", merges=tuple(
-        MergeRecord(left=a, right=b, value=0.0, result=4 + i, iteration=i + 1)
-        for i, (a, b) in enumerate([(1, 2), (0, 4), (3, 5)])))
+        MergeRecord(left=a, right=b, value=0.0) for a, b in [(1, 2), (0, 4), (3, 5)]))
     return alg1_trace(line_metric([1.5, 0.0, 3.0, 100.0]), dg, [[0], [1, 2, 3]])
 
 
