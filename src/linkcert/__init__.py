@@ -11,14 +11,12 @@ from .metric_core import (
     clustering_score,
     dump_instance,
     load_instance,
-    tri_index,
     tri_size,
     validate_metric,
 )
 from .linkage_engine import (
     Dendrogram,
     MergeRecord,
-    check_alignment,
     check_complete_linkage,
     extract_clustering,
     linkage_distance,

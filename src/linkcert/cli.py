@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import inequality_lab
 from .family_certificates import alg1_bound, alg1_trace
@@ -74,7 +74,7 @@ class BoundReport:
     certificates: dict | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def fmt(v) -> str:

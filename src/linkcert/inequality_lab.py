@@ -23,8 +23,9 @@ Inputs outside an inequality's hypothesis raise ``InapplicableSample`` (a skip
 signal, distinct from a counterexample).  All exponents are ratios of natural
 logs.  These verdicts and the replays' per-cluster bound checks are
 ``within_bound``: lhs <= rhs * (1 + RTOL), slack on the bound side.  The
-spanning-tree and diameter-sum checks are exact; the alignment check, alg1's
-phi_sigma re-sum and the supremum check allow ``FINE_RTOL``.
+spanning-tree and diameter-sum checks are exact; alg1's phi_sigma re-sum, the
+supremum check and the tests' aligned-class probe
+(``tests/reference_alignment.py``) allow ``FINE_RTOL``.
 """
 
 from __future__ import annotations

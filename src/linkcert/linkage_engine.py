@@ -22,15 +22,13 @@ neighbour without a rescan (``run_linkage`` gives both arguments).
 
 from __future__ import annotations
 
-import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .inequality_lab import FINE_RTOL, within_bound
 from .metric_core import (
     ClusterMatrix,
     Clustering,
@@ -40,23 +38,19 @@ from .metric_core import (
     _block_cohesion,
     _check_k,
     _finite,
-    _seeded_rng,
     _submatrix,
     _sum,
     as_cluster,
-    cohesion,
 )
 
 __all__ = [
     "MergeRecord",
     "Dendrogram",
-    "AlignmentReport",
     "METHODS",
     "linkage_distance",
     "run_linkage",
     "extract_clustering",
     "check_complete_linkage",
-    "check_alignment",
 ]
 
 METHODS = ("CL", "SL", "AL", "MM")
@@ -134,8 +128,9 @@ class Dendrogram:
                   n: int | None = None) -> "Dendrogram":
         """Inverse of ``to_json``.  A record that is not an object with
         integer ``left``, ``right`` and ``iteration`` and a finite number
-        ``value`` raises ``StructuralError`` naming its index, and record i
-        whose iteration is not i+1 raises it as ``merge at iteration i+1``."""
+        ``value`` within float64's range raises ``StructuralError`` naming its
+        index, and record i whose iteration is not i+1 raises it as ``merge
+        at iteration i+1``."""
         if n is None:
             n = len(data) + 1
         merges = []
@@ -145,8 +140,9 @@ class Dendrogram:
                     f"merge record {i} must be an object with keys "
                     "'left', 'right', 'value' and 'iteration'")
             left, right, it, value = (rec[key] for key in _RECORD_KEYS)
+            # an exact comparison: NaN, inf and ints beyond float64's range fail it
             if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and math.isfinite(value)):
+                    and abs(value) <= sys.float_info.max):
                 raise StructuralError(
                     f"merge record {i}: value must be a finite number, got {value!r}")
             _integers(i, left, right, it)
@@ -419,46 +415,3 @@ def check_complete_linkage(dg: Dendrogram, D: DistanceMatrix) -> list[dict]:
         live.remove(b)
     return violations
 
-
-@dataclass
-class AlignmentReport:
-    samples: int
-    violations: list[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_alignment(method: str, measure: str, D: DistanceMatrix,
-                    sample_pairs: int, seed: int = 0) -> AlignmentReport:
-    """Probe whether a linkage method and a cohesion measure fit together.
-
-    With f = ``linkage_distance(method, ...)`` and cost = ``cohesion(measure,
-    ...)``, condition iii, cost(A u B) <= max{cost(A), cost(B), f(A,B)}, is
-    sampled on random disjoint cluster pairs (A, B).  The comparison is
-    ``within_bound`` with the final-ulp slack ``FINE_RTOL`` (mean-based costs
-    can overshoot pure maxima by rounding); every fourth sample forces
-    |A| = 1, where a singleton's zero cost leaves only f(A,B) to bound the
-    union (SL with diam breaks the condition there).
-    """
-    n = D.n
-    if n < 2:
-        raise PreconditionError("need at least two points")
-    if sample_pairs < 1:
-        raise PreconditionError("sample_pairs must be positive")
-    rng = _seeded_rng(seed)
-    report = AlignmentReport(samples=sample_pairs)
-    for s in range(sample_pairs):
-        perm = rng.permutation(n)
-        sa = 1 if s % 4 == 0 else int(rng.integers(1, n))
-        sb = int(rng.integers(1, n - sa + 1))
-        A = frozenset(int(x) for x in perm[:sa])
-        B = frozenset(int(x) for x in perm[sa:sa + sb])
-        fab = linkage_distance(method, A, B, D)
-        cu = cohesion(measure, A | B, D)
-        bound = max(cohesion(measure, A, D), cohesion(measure, B, D), fab)
-        if not within_bound(cu, bound, FINE_RTOL):
-            report.violations.append({"condition": "iii", "A": sorted(A),
-                                      "B": sorted(B), "lhs": cu, "rhs": bound})
-    return report

@@ -33,7 +33,6 @@ __all__ = [
     "DistanceMatrix",
     "Clustering",
     "ClusterMatrix",
-    "tri_index",
     "tri_size",
     "as_cluster",
     "validate_metric",
@@ -82,15 +81,6 @@ def _check_k(n: int, k: int) -> None:
 
 def tri_size(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def tri_index(i: int, j: int) -> int:
-    """Index of the unordered pair (i, j), i != j, in the packed triangle."""
-    if i == j:
-        raise PreconditionError(f"no packed entry for the diagonal pair ({i}, {i})")
-    if i > j:
-        i, j = j, i
-    return j * (j - 1) // 2 + i
 
 
 class DistanceMatrix:

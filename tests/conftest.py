@@ -32,6 +32,13 @@ def line_metric(positions) -> DistanceMatrix:
     return DistanceMatrix.from_full(M)
 
 
+def tri_index(i: int, j: int) -> int:
+    """Index of the unordered pair (i, j), i != j, in the packed lower
+    triangle that ``DistanceMatrix`` reads and writes."""
+    i, j = min(i, j), max(i, j)
+    return j * (j - 1) // 2 + i
+
+
 def tied_metric(n: int, seed: int) -> DistanceMatrix:
     """Integer points on a short line: many equal distances, some zero."""
     return line_metric(np.random.default_rng(seed).integers(0, 6, n))
@@ -69,27 +76,42 @@ def line4() -> DistanceMatrix:
     return line_metric([0.0, 1.0, 10.0, 11.0])
 
 
-def returned_trace_footprint(replay, targets: str, n: int = 1000, k: int = 8):
-    """Run ``replay`` (``alg1_trace`` or ``alg2_trace``) on a CL run cut at k
-    over n uniform points in the unit square, ``default_rng(2)``, against
-    k strips of x-sorted points (``targets="strips"``) or the interleaved
-    target i, i+k, ...  Returns the trace and the memory that tracemalloc
-    sees it keep, in units of one n x n float64 array."""
+def unit_square_cell(n: int, k: int, targets: str) -> tuple[DistanceMatrix, Clustering]:
+    """n uniform points in the unit square, ``default_rng(2)``, and k strips
+    of x-sorted points (``targets="strips"``) or the interleaved target i,
+    i+k, ..."""
     X = np.random.default_rng(2).random((n, 2))
     D = DistanceMatrix.from_points(X)
-    dg = run_linkage("CL", D, k)
     order = np.argsort(X[:, 0], kind="stable") if targets == "strips" else np.arange(n)
     target = Clustering.from_blocks(
         [order[i * n // k:(i + 1) * n // k] if targets == "strips" else order[i::k]
          for i in range(k)], n)
+    return D, target
+
+
+def traced(fn):
+    """``fn()``, with the bytes that tracemalloc sees it keep and its peak
+    above the memory traced when it starts."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        trace = replay(D, dg, target)
-        kept = tracemalloc.get_traced_memory()[0] - start
+        result = fn()
+        kept, peak = (m - start for m in tracemalloc.get_traced_memory())
     finally:
         if not tracing:
             tracemalloc.stop()
+    return result, kept, peak
+
+
+def returned_trace_footprint(replay, targets: str, n: int = 1000, k: int = 8):
+    """Run ``replay`` (``alg1_trace`` or ``alg2_trace``) on a CL run cut at k
+    over ``unit_square_cell(n, k, targets)``.  Returns the trace and the
+    memory that tracemalloc sees it keep, in units of one n x n float64
+    array."""
+    D, target = unit_square_cell(n, k, targets)
+    dg = run_linkage("CL", D, k)
+    trace, kept, _ = traced(lambda: replay(D, dg, target))
     return trace, kept / (n * n * 8)

@@ -13,7 +13,6 @@ import pytest
 
 from linkcert import (
     DistanceMatrix,
-    check_alignment,
     check_complete_linkage,
     adversary_ratio_law,
     alg1_trace,
@@ -42,6 +41,8 @@ from linkcert.inequality_lab import (
     ineq2_threshold,
     within_bound,
 )
+
+from .reference_alignment import check_alignment
 
 LOG2_3 = 1 + P_EXP  # exponent of the avg-diam based bound
 K_RANGE = (2, 3, 4, 5, 6)

@@ -28,6 +28,8 @@ from linkcert import (
     run_linkage,
 )
 
+from .conftest import traced, unit_square_cell
+
 
 def run_cli(*args):
     return cli.main([str(a) for a in args])
@@ -463,6 +465,17 @@ class TestCertify:
     def test_oracle_guard_exits_4(self, tmp_path, euclidean_instance):
         assert run_cli("--out-dir", tmp_path, "--n-max-oracle", 7, "certify",
                        "--instance", euclidean_instance, "--k", 3) == 4
+
+
+def test_certify_peaks_within_2_5_n_by_n_above_d():
+    """``certify`` at n=1000, k=8 against x-sorted strip targets: the engine,
+    both replays and their traces peak at most 2.5 n x n float64 above D."""
+    n, k = 1000, 8
+    D, target = unit_square_cell(n, k, "strips")
+    (_, traces, failures), _, peak = traced(
+        lambda: cli.certify(D, "CL", k, {"avg-diam": target, "max-diam": target}))
+    assert not failures and sorted(traces) == ["alg1", "alg2"]
+    assert peak / (n * n * 8) <= 2.5
 
 
 class TestCertifyGathersOnce:

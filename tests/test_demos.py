@@ -19,6 +19,8 @@ def test_demos_exist():
 def test_demo_exits_0(demo, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # the suite's warning policy (pyproject.toml) does not reach a child process
+    warnings = ["-W", "error::DeprecationWarning", "-W", "error::RuntimeWarning"]
+    proc = subprocess.run([sys.executable, *warnings, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

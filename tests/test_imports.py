@@ -1,10 +1,12 @@
 """Every name a ``linkcert`` module imports is read by that module, every
 name in its ``__all__`` is defined by the module itself, every
 module-level ``_private`` def, class or constant is read somewhere in the
-package, only ``metric_core`` gathers blocks of a matrix itself or seals a
-``DistanceMatrix`` (``_seal``), and only ``linkage_engine`` reads
-``Dendrogram.members_map`` (a certificate replay reads the live clusters'
-point sets from its own point -> cluster map).
+package, every name in a module's ``__all__`` is read by some program (a
+module of the package, a demo or a benchmark script, not a test) unless
+``UNREAD_EXPORTS`` says why it is kept, only ``metric_core`` gathers blocks
+of a matrix itself or seals a ``DistanceMatrix`` (``_seal``), and only
+``linkage_engine`` reads ``Dendrogram.members_map`` (a certificate replay
+reads the live clusters' point sets from its own point -> cluster map).
 
 pyflakes would catch the first, but it is not a dependency; the standard
 library's ``ast`` is enough.  A name listed in the module's ``__all__``
@@ -18,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "linkcert"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "linkcert"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -79,18 +82,43 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
     return found
 
 
+def loaded_names(tree: ast.Module) -> set[str]:
+    """The names a module reads, as a loaded name or an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+
+
 def dead_privates(sources: dict[str, str]) -> list[str]:
     """Private module-level names that no module of ``sources`` reads, as a
     loaded name or an attribute (an import alone is not a read)."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+    read = set().union(*map(loaded_names, trees.values()))
     return [f"{mod} line {line}: {name}" for mod, tree in sorted(trees.items())
             for name, line in sorted(private_definitions(tree).items(),
                                      key=lambda item: item[1])
             if name not in read]
+
+
+def unread_exports(modules: dict[str, str], programs: dict[str, str]) -> list[str]:
+    """``__all__`` names of ``modules`` that no source of ``programs`` reads,
+    as a loaded name, an attribute or an imported name (the strings of an
+    ``__all__`` are not reads)."""
+    read: set[str] = set()
+    for src in programs.values():
+        tree = ast.parse(src)
+        read |= loaded_names(tree)
+        read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+    return [f"{mod}: {name}" for mod, src in sorted(modules.items())
+            for name in exported(ast.parse(src)) if name not in read]
+
+
+# Exported names that no program reads, each kept for the reason given.
+UNREAD_EXPORTS = [
+    "metric_core.py: cohesion",  # the package's cohesion measure of one cluster
+]
 
 
 # numpy's gathers, which only ``metric_core._submatrix`` calls
@@ -163,6 +191,32 @@ def test_checker_sees_members_map():
 
 def test_no_dead_private_helpers():
     assert dead_privates({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_every_export_is_read_by_a_program():
+    """Tests, the package ``__init__`` and ``benchmarks/test_smoke.py`` do
+    not count as programs.  The list must match exactly, so a listed name
+    that a program starts to read must leave it."""
+    programs = [*MODULES, *(ROOT / "demos").glob("*.py"),
+                *(p for p in (ROOT / "benchmarks").glob("*.py")
+                  if not p.name.startswith("test_"))]
+    assert unread_exports({p.name: p.read_text() for p in MODULES},
+                          {str(p): p.read_text() for p in programs}) == UNREAD_EXPORTS
+
+
+def test_checker_sees_unread_exports():
+    modules = {
+        "a.py": ("__all__ = ['called', 'imported', 'attribute', 'unread', 'local']\n"
+                 "def called():\n    return local()\n"
+                 "def imported():\n    pass\n"
+                 "def attribute():\n    pass\n"
+                 "def unread():\n    pass\n"
+                 "def local():\n    pass\n"),
+        "b.py": "__all__ = ['only_listed']\nonly_listed = 1\n",
+    }
+    programs = {**modules, "demo.py": ("from a import called, imported\nimport a\n"
+                                       "called()\na.attribute()\nunread = 2\n")}
+    assert unread_exports(modules, programs) == ["a.py: unread", "b.py: only_listed"]
 
 
 def test_checker_sees_dead_privates():

@@ -13,7 +13,6 @@ from linkcert import (
     MergeRecord,
     PreconditionError,
     StructuralError,
-    check_alignment,
     check_complete_linkage,
     cohesion,
     extract_clustering,
@@ -24,7 +23,9 @@ from linkcert import (
 )
 from linkcert.linkage_engine import METHODS
 
+from . import reference_alignment
 from .conftest import line_metric, tied_metric
+from .reference_alignment import check_alignment
 from .reference_engine import reference_linkage
 from .test_acceptance import GRID_SHAPE, _grid_instance
 
@@ -326,7 +327,7 @@ class TestDendrogramStructure:
             Dendrogram.from_json([self.GOOD, record])
 
     @pytest.mark.parametrize("value", ["1.0", None, True, [1.0],
-                                       float("nan"), float("inf")])
+                                       float("nan"), float("inf"), 10**400])
     def test_from_json_rejects_a_non_real_value(self, value):
         record = {"left": 2, "right": 3, "value": value, "iteration": 2}
         with pytest.raises(StructuralError,
@@ -712,7 +713,7 @@ class TestAlignment:
             calls.append(len(S))
             return cohesion(measure, S, M)
 
-        monkeypatch.setattr(linkage_engine, "cohesion", recorded)
+        monkeypatch.setattr(reference_alignment, "cohesion", recorded)
         check_alignment("CL", "diam", D, 40, seed=5)
         assert 1 in calls
 

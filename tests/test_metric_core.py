@@ -26,7 +26,6 @@ from linkcert import (
     gen_single_link_adversary,
     load_instance,
     run_linkage,
-    tri_index,
     tri_size,
     validate_metric,
 )
@@ -39,7 +38,7 @@ from linkcert.metric_core import (
     block_diameters,
 )
 
-from .conftest import line_metric
+from .conftest import line_metric, tri_index
 from .test_acceptance import GRID_SHAPE, K_RANGE, _grid_instance
 
 
@@ -51,13 +50,16 @@ class TestPackedTriangle:
         assert tri_size(10) == 45
 
     def test_tri_index_roundtrip(self):
-        """Every pair i<j maps to a unique slot in 0..tri_size(n)-1."""
+        """Every pair i<j maps to a unique slot in 0..tri_size(n)-1, the one
+        that holds its distance in ``packed``."""
         n = 7
+        D = DistanceMatrix(n, np.arange(1.0, tri_size(n) + 1))
         seen = set()
         for j in range(n):
             for i in range(j):
                 idx = tri_index(i, j)
                 assert 0 <= idx < tri_size(n)
+                assert D.packed[idx] == D.full[i, j]
                 seen.add(idx)
         assert len(seen) == tri_size(n)
 
